@@ -27,6 +27,7 @@ from .neural import (
     forward_cached,
     log_softmax,
 )
+from .simcore import stream
 
 __all__ = [
     "PpoConfig",
@@ -40,11 +41,6 @@ __all__ = [
     "HappoAgent",
     "RandomPolicy",
     "FixedFullModelPolicy",
-    "act",
-    "sabppo_update",
-    "baseline_iterrl_update",
-    "baseline_happo_update",
-    "random_policy",
 ]
 
 
@@ -113,7 +109,6 @@ class StepAction:
     branch_logps: np.ndarray
     joint_logp: float
     inputs: list[np.ndarray]           # chained branch inputs, s1 first
-    value: float
 
 
 class TrajectoryBuffer:
@@ -128,7 +123,6 @@ class TrajectoryBuffer:
         self.joint_logps = np.zeros(capacity)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
-        self.values = np.zeros(capacity)
         self.final_obs = None
         self.size = 0
 
@@ -148,7 +142,6 @@ class TrajectoryBuffer:
         self.joint_logps[i] = step.joint_logp
         self.rewards[i] = reward
         self.dones[i] = done
-        self.values[i] = step.value
         self.final_obs = next_obs
         self.size += 1
 
@@ -187,16 +180,21 @@ def _topk_greedy(logits: np.ndarray, k: int) -> np.ndarray:
 
 def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
     """Gumbel-top-k draw of k distinct indices; distribution identical to
-    sequential softmax sampling without replacement."""
+    sequential softmax sampling without replacement (Plackett-Luce)."""
+    if k > len(logits):
+        raise ValueError(f"cannot draw {k} distinct items from {len(logits)}")
     noisy = logits + rng.gumbel(size=logits.shape)
     order = np.argsort(-noisy, kind="stable")[:k]
     return order
 
 
 def _topk_log_prob(logits: np.ndarray, indices) -> float:
+    """Plackett-Luce log-probability of drawing ``indices`` in order."""
     available = np.ones(len(logits), dtype=bool)
     logp = 0.0
     for idx in indices:
+        if not available[idx]:
+            raise ValueError("indices must be distinct")
         masked = np.where(available, logits, -np.inf)
         logp += float(log_softmax(masked)[idx])
         available[idx] = False
@@ -316,23 +314,16 @@ def _encode_branch_action(spec: BranchSpec, action: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed,) + key))
-
-
 class _CriticBundle:
     """Critic, its frozen target, optimiser, counter and shuffle stream."""
 
     def __init__(self, obs_dim, cfg: PpoConfig, seed: int, index: int):
-        init_rng = _stream(seed, 0, 100 + index)
+        init_rng = stream(seed, 0, 100 + index)
         self.net = Mlp.init([obs_dim, *cfg.hidden, 1], init_rng)
         self.target = self.net.clone()
         self.opt = AdamState.for_params(self.net.parameters(), lr=cfg.critic_lr)
         self.updates = 0
-        self.shuffle = _stream(seed, 3, index)
-
-    def value(self, obs: np.ndarray) -> float:
-        return float(forward(self.net, obs)[0])
+        self.shuffle = stream(seed, 3, index)
 
     def target_values(self, batch: np.ndarray) -> np.ndarray:
         return forward(self.target, batch)[:, 0]
@@ -358,13 +349,13 @@ class _ActorUnit:
         self.specs = specs
         self.nets = []
         for j, (spec, dim) in enumerate(zip(specs, input_dims)):
-            init_rng = _stream(seed, 0, index + j)
+            init_rng = stream(seed, 0, index + j)
             self.nets.append(Mlp.init([dim, *cfg.hidden, spec.out_dim], init_rng))
         params = []
         for net in self.nets:
             params.extend(net.parameters())
         self.opt = AdamState.for_params(params, lr=cfg.actor_lr)
-        self.shuffle = _stream(seed, 2, index)
+        self.shuffle = stream(seed, 2, index)
 
     def parameters(self):
         params = []
@@ -373,20 +364,65 @@ class _ActorUnit:
         return params
 
 
-class _PpoAgentBase:
+class _ChainPolicy:
+    """Runs the branch chain once per step; subclasses choose each branch's
+    action. Chained inputs are always recorded so the trajectory layout is
+    identical across agent kinds."""
+
+    chained = True
+    network_count = 0
+
+    def __init__(self, branches: list[BranchSpec], seed: int = 0):
+        self.branches = branches
+        self.sample_rng = stream(seed, 1)
+        self.n_devices = branches[0].n_options
+
+    def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
+        obs = np.asarray(obs, dtype=float)
+        chain = obs
+        inputs, actions, logps = [], [], []
+        selection = None
+        for b, spec in enumerate(self.branches):
+            inputs.append(chain)
+            action, logp = self._branch_action(
+                b, spec, chain if self.chained else obs, selection, greedy)
+            action = np.asarray(action, dtype=int)
+            if spec.kind == "topk":
+                selection = action
+            actions.append(action)
+            logps.append(logp)
+            enc = _encode_branch_action(spec, action, selection, self.n_devices)
+            if enc.size:
+                chain = np.concatenate([chain, enc])
+        logps = np.array(logps)
+        return StepAction(
+            branch_actions=actions,
+            branch_logps=logps,
+            joint_logp=float(logps.sum()),
+            inputs=inputs,
+        )
+
+    def update(self, buffer) -> dict:
+        return {}
+
+    def components(self):
+        return [], []
+
+    def rng_streams(self) -> dict:
+        return {"sample": self.sample_rng}
+
+
+class _PpoAgentBase(_ChainPolicy):
     """Shared collection/update machinery for the three learners."""
 
     def __init__(self, obs_dim: int, branches: list[BranchSpec],
                  cfg: PpoConfig | None = None, seed: int = 0,
                  chained: bool = True):
+        super().__init__(branches, seed)
         self.obs_dim = obs_dim
-        self.branches = branches
         self.cfg = cfg or PpoConfig()
-        self.seed = seed
         self.chained = chained
-        self.sample_rng = _stream(seed, 1)
         self.input_dims = self._input_dims()
-        self.n_devices = branches[0].n_options
 
     def _input_dims(self) -> list[int]:
         dims = []
@@ -399,7 +435,7 @@ class _PpoAgentBase:
             d += spec.encode_width
         return dims
 
-    # subclasses provide: _branch_net(b), _value(obs)
+    # subclasses provide: _branch_net(b)
 
     def make_buffer(self) -> TrajectoryBuffer:
         chained_dims = []
@@ -410,50 +446,26 @@ class _PpoAgentBase:
         return TrajectoryBuffer(self.cfg.segment, chained_dims,
                                 [s.slots for s in self.branches])
 
-    def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
-        """Run the branch chain once. Chained inputs are always recorded so
-        the trajectory layout is identical across agent kinds."""
-        obs = np.asarray(obs, dtype=float)
-        chain = obs
-        inputs, actions, logps = [], [], []
-        selection = None
-        for b, spec in enumerate(self.branches):
-            inputs.append(chain)
-            net_in = chain if self.chained else obs
-            if spec.kind == "topk":
-                logits = forward(self._branch_net(b), net_in)
-                if greedy:
-                    action = _topk_greedy(logits, spec.slots)
-                else:
-                    action = _sample_topk(logits, spec.slots, self.sample_rng)
-                logp = _topk_log_prob(logits, action)
-                selection = action
+    def _branch_action(self, b, spec, net_in, selection, greedy):
+        net = self._branch_net(b)
+        if spec.kind == "topk":
+            logits = forward(net, net_in)
+            if greedy:
+                action = _topk_greedy(logits, spec.slots)
             else:
-                row_in = _row_head_inputs(net_in[None, :],
-                                          np.asarray(selection)[None, :],
-                                          self.n_devices)
-                mat = forward(self._branch_net(b), row_in)  # (K, L)
-                if greedy:
-                    action = mat.argmax(axis=1)
-                else:
-                    noisy = mat + self.sample_rng.gumbel(size=mat.shape)
-                    action = noisy.argmax(axis=1)
-                logp = float(log_softmax(mat)[
-                    np.arange(len(selection)), action].sum())
-            actions.append(np.asarray(action, dtype=int))
-            logps.append(logp)
-            enc = _encode_branch_action(spec, actions[-1], selection,
-                                        self.n_devices)
-            if enc.size:
-                chain = np.concatenate([chain, enc])
-        logps = np.array(logps)
-        return StepAction(
-            branch_actions=actions,
-            branch_logps=logps,
-            joint_logp=float(logps.sum()),
-            inputs=inputs,
-            value=self._value(obs),
-        )
+                action = _sample_topk(logits, spec.slots, self.sample_rng)
+            return action, _topk_log_prob(logits, action)
+        row_in = _row_head_inputs(net_in[None, :],
+                                  np.asarray(selection)[None, :],
+                                  self.n_devices)
+        mat = forward(net, row_in)  # (K, L)
+        if greedy:
+            action = mat.argmax(axis=1)
+        else:
+            noisy = mat + self.sample_rng.gumbel(size=mat.shape)
+            action = noisy.argmax(axis=1)
+        return action, float(log_softmax(mat)[
+            np.arange(len(selection)), action].sum())
 
     def evaluate_logps(self, buffer: TrajectoryBuffer):
         """Per-branch and joint log-probs of the stored actions under the
@@ -581,7 +593,7 @@ class _PpoAgentBase:
                 "clip_frac": []}
 
     def rng_streams(self) -> dict:
-        streams = {"sample": self.sample_rng}
+        streams = super().rng_streams()
         actors, critics = self.components()
         for name, unit in actors:
             streams[f"{name}/shuffle"] = unit.shuffle
@@ -607,9 +619,6 @@ class SabppoAgent(_PpoAgentBase):
 
     def _branch_net(self, b):
         return self.actor.nets[b]
-
-    def _value(self, obs):
-        return self.critic.value(obs)
 
     def update(self, buffer: TrajectoryBuffer) -> dict:
         if buffer.size == 0:
@@ -650,9 +659,6 @@ class IterRlAgent(_PpoAgentBase):
     def _branch_net(self, b):
         return self.units[b].nets[0]
 
-    def _value(self, obs):
-        return float(np.mean([c.value(obs) for c in self.critics]))
-
     def update(self, buffer: TrajectoryBuffer) -> dict:
         if buffer.size == 0:
             raise ValueError("cannot update from an empty batch")
@@ -692,9 +698,6 @@ class HappoAgent(_PpoAgentBase):
     def _branch_net(self, b):
         return self.units[b].nets[0]
 
-    def _value(self, obs):
-        return self.critic.value(obs)
-
     def update(self, buffer: TrajectoryBuffer) -> dict:
         if buffer.size == 0:
             raise ValueError("cannot update from an empty batch")
@@ -710,127 +713,26 @@ class HappoAgent(_PpoAgentBase):
         return self._finalize(stats)
 
 
-class RandomPolicy:
+class RandomPolicy(_ChainPolicy):
     """Uniform over every branch's space; feasible by construction."""
 
-    def __init__(self, branches: list[BranchSpec], seed: int = 0,
-                 rng: np.random.Generator | None = None):
-        self.branches = branches
-        self.rng = rng if rng is not None else _stream(seed, 1)
-        self.n_devices = branches[0].n_options
-
-    def act(self, obs, greedy: bool = False) -> StepAction:
-        chain = np.asarray(obs, dtype=float)
-        inputs, actions, logps = [], [], []
-        selection = None
-        for spec in self.branches:
-            inputs.append(chain)
-            if spec.kind == "topk":
-                zeros = np.zeros(spec.n_options)
-                action = _sample_topk(zeros, spec.slots, self.rng)
-                logp = _topk_log_prob(zeros, action)
-                selection = action
-            else:
-                action = self.rng.integers(0, spec.n_options, size=spec.slots)
-                logp = -spec.slots * np.log(spec.n_options)
-            actions.append(np.asarray(action, dtype=int))
-            logps.append(float(logp))
-            enc = _encode_branch_action(spec, actions[-1], selection,
-                                        self.n_devices)
-            if enc.size:
-                chain = np.concatenate([chain, enc])
-        logps = np.array(logps)
-        return StepAction(actions, logps, float(logps.sum()), inputs, 0.0)
-
-    def update(self, buffer) -> dict:
-        return {}
-
-    network_count = 0
-
-    def components(self):
-        return [], []
-
-    def rng_streams(self) -> dict:
-        return {"sample": self.rng}
+    def _branch_action(self, b, spec, net_in, selection, greedy):
+        if spec.kind == "topk":
+            action = _sample_topk(np.zeros(spec.n_options), spec.slots,
+                                  self.sample_rng)
+            # Plackett-Luce with equal logits: prod_j 1 / (N - j)
+            return action, -float(np.log(spec.n_options
+                                         - np.arange(spec.slots)).sum())
+        action = self.sample_rng.integers(0, spec.n_options, size=spec.slots)
+        return action, -spec.slots * float(np.log(spec.n_options))
 
 
-class FixedFullModelPolicy:
+class FixedFullModelPolicy(RandomPolicy):
     """Baseline for full-model federated runs: seeded uniform selection,
     equal resource levels, retention pinned to the top of the grid."""
 
-    def __init__(self, branches: list[BranchSpec], seed: int = 0):
-        self.branches = branches
-        self.rng = _stream(seed, 1)
-        self.n_devices = branches[0].n_options
-
-    def act(self, obs, greedy: bool = False) -> StepAction:
-        chain = np.asarray(obs, dtype=float)
-        inputs, actions, logps = [], [], []
-        selection = None
-        for spec in self.branches:
-            inputs.append(chain)
-            if spec.kind == "topk":
-                action = _sample_topk(np.zeros(spec.n_options), spec.slots,
-                                      self.rng)
-                logp = _topk_log_prob(np.zeros(spec.n_options), action)
-                selection = action
-            elif spec.name == "retention":
-                action = np.full(spec.slots, spec.n_options - 1, dtype=int)
-                logp = 0.0
-            else:
-                action = np.zeros(spec.slots, dtype=int)
-                logp = 0.0
-            actions.append(np.asarray(action, dtype=int))
-            logps.append(float(logp))
-            enc = _encode_branch_action(spec, actions[-1], selection,
-                                        self.n_devices)
-            if enc.size:
-                chain = np.concatenate([chain, enc])
-        logps = np.array(logps)
-        return StepAction(actions, logps, float(logps.sum()), inputs, 0.0)
-
-    def update(self, buffer) -> dict:
-        return {}
-
-    network_count = 0
-
-    def components(self):
-        return [], []
-
-    def rng_streams(self) -> dict:
-        return {"sample": self.rng}
-
-
-# ---------------------------------------------------------------------------
-# thin operation wrappers
-# ---------------------------------------------------------------------------
-
-
-def act(agent, observation, greedy: bool = False) -> StepAction:
-    return agent.act(observation, greedy=greedy)
-
-
-def sabppo_update(agent: SabppoAgent, buffer: TrajectoryBuffer,
-                  config: PpoConfig | None = None) -> dict:
-    if config is not None and config != agent.cfg:
-        raise ValueError("agent was built with a different PPO config")
-    return agent.update(buffer)
-
-
-def baseline_iterrl_update(agent: IterRlAgent, buffer: TrajectoryBuffer,
-                           config: PpoConfig | None = None) -> dict:
-    if config is not None and config != agent.cfg:
-        raise ValueError("agent was built with a different PPO config")
-    return agent.update(buffer)
-
-
-def baseline_happo_update(agent: HappoAgent, buffer: TrajectoryBuffer,
-                          config: PpoConfig | None = None) -> dict:
-    if config is not None and config != agent.cfg:
-        raise ValueError("agent was built with a different PPO config")
-    return agent.update(buffer)
-
-
-def random_policy(observation, rng: np.random.Generator, *,
-                  branches: list[BranchSpec]) -> StepAction:
-    return RandomPolicy(branches, rng=rng).act(observation)
+    def _branch_action(self, b, spec, net_in, selection, greedy):
+        if spec.kind == "topk":
+            return super()._branch_action(b, spec, net_in, selection, greedy)
+        level = spec.n_options - 1 if spec.name == "retention" else 0
+        return np.full(spec.slots, level), 0.0

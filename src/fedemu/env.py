@@ -5,31 +5,32 @@ exchange-count features plus the episode clock. Actions arrive as four
 branch index groups (device selection, bandwidth levels, power levels,
 retention grid indices) and rewards follow the weighted delay / perplexity /
 exchange objective with large per-violation penalties for the memory and
-exchange-cap constraints.
+exchange-cap constraints. Observations and penalties are array operations
+over the world's per-device arrays.
+
+``reset(seed)`` makes three named streams from the seed: population
+(capacities, compute speeds, data sizes, start positions, then the bandwidth
+budget), mobility and fading. No setting other than the seed and the
+population, mobility and channel parameters moves positions or gains.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import ActionBundle, Device, FederationMode, World, run_round
+from .federation import ActionBundle, FederationMode, World, run_round
 from .simcore import (
     AdapterSpec,
     DeviceProfile,
-    DeviceState,
     ModelSpec,
     PerplexitySurrogate,
+    stream,
 )
-from .wireless import (
-    ChannelParams,
-    MobilityModel,
-    channel_gain,
-    dbm_per_hz_to_watts,
-)
+from .wireless import ChannelParams, MobilityModel, dbm_per_hz_to_watts
 
 __all__ = ["EnvParams", "RewardBreakdown", "ActionDecodeError", "AdaptiveFedEnv"]
 
@@ -54,7 +55,6 @@ class EnvParams:
     layer_count: int = 24
     adapter_top_layers: int = 2
     adapter_bottom_layers: int = 2
-    adapter_dim: int = 64
 
     # perplexity surrogate
     quad_a: float = 25.2
@@ -71,8 +71,6 @@ class EnvParams:
     data_size_range: tuple[int, int] = (150, 350)
     server_data_fraction: float = 0.3
     local_epochs: int = 2
-    adapter_pull: float = 0.1
-    adapter_noise: float = 0.01
 
     # channel and mobility
     noise_dbm_per_hz: float = -174.0
@@ -151,79 +149,45 @@ class AdaptiveFedEnv:
 
     def reset(self, seed: int) -> np.ndarray:
         p = self.params
-        rng = np.random.default_rng(seed)
-        adapter_spec = AdapterSpec.for_model(
-            self.model, weight_dim=p.adapter_dim,
-            weights=rng.standard_normal(p.adapter_dim))
-
-        devices = []
-        total_data = 0
-        for i in range(p.n_devices):
-            profile = DeviceProfile(
-                id=i,
-                memory_capacity=rng.uniform(*p.memory_capacity_range),
-                compute_speed=rng.uniform(*p.compute_speed_range),
-                data_size=int(rng.integers(p.data_size_range[0],
-                                           p.data_size_range[1] + 1)),
-                is_server=False,
-            )
-            total_data += profile.data_size
-            r = p.area_radius * math.sqrt(rng.uniform())
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            state = DeviceState(
-                position=np.array([r * math.cos(theta), r * math.sin(theta)]),
-                perplexity=p.p_init)
-            devices.append(Device(
-                profile=profile, state=state,
-                adapter=adapter_spec.weights.copy(),
-                optimum=rng.standard_normal(p.adapter_dim)))
+        n = p.n_devices
+        population = stream(seed, 4, 1)
+        capacity = population.uniform(*p.memory_capacity_range, size=n)
+        speed = population.uniform(*p.compute_speed_range, size=n)
+        data = population.integers(p.data_size_range[0],
+                                   p.data_size_range[1] + 1, size=n)
+        r = p.area_radius * np.sqrt(population.uniform(size=n))
+        theta = population.uniform(0.0, 2.0 * math.pi, size=n)
 
         # server holds server_data_fraction of all data and always trains
         frac = p.server_data_fraction
-        server_profile = DeviceProfile(
-            id=p.n_devices,
+        server = DeviceProfile(
             memory_capacity=16 * p.memory_capacity_range[1],
             compute_speed=p.server_speed_factor * p.compute_speed_range[1],
-            data_size=max(1, round(frac / (1.0 - frac) * total_data)),
-            is_server=True,
+            data_size=max(1, round(frac / (1.0 - frac) * int(data.sum()))),
         )
-        server_state = DeviceState(position=np.zeros(2), perplexity=p.p_init,
-                                   current_retention=1.0)
-        server = Device(profile=server_profile, state=server_state,
-                        adapter=adapter_spec.weights.copy(),
-                        optimum=rng.standard_normal(p.adapter_dim))
-
         channel = ChannelParams(
             noise_psd=dbm_per_hz_to_watts(p.noise_dbm_per_hz),
-            bandwidth_budget=rng.uniform(*p.bandwidth_budget_range),
+            bandwidth_budget=population.uniform(*p.bandwidth_budget_range),
             power_budget=p.power_budget,
             pathloss_exponent=p.pathloss_exponent,
             reference_distance=p.reference_distance,
             reference_loss_db=p.reference_loss_db,
             rician_k=p.rician_k,
         )
-
-        gains = np.zeros(p.n_devices)
-        world = World(
+        self.world = World(
             model=self.model,
-            adapter_spec=adapter_spec,
+            adapter_spec=AdapterSpec.for_model(self.model),
             surrogate=self.surrogate,
             channel=channel,
             mobility=self.mobility,
+            profile=DeviceProfile(memory_capacity=capacity,
+                                  compute_speed=speed, data_size=data),
             server=server,
-            devices=devices,
-            global_adapter=adapter_spec.weights.copy(),
-            gains=gains,
-            rng=rng,
+            position=np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1),
+            mobility_rng=stream(seed, 4, 2),
+            fading_rng=stream(seed, 4, 3),
             epochs=p.local_epochs,
-            adapter_pull=p.adapter_pull,
-            adapter_noise=p.adapter_noise,
         )
-        for i, dev in enumerate(devices):
-            dist = float(np.hypot(*dev.state.position))
-            gains[i] = channel_gain(dist, channel, rng)
-
-        self.world = world
         self.round_index = 0
         self.last_outcome = None
         return self._observation()
@@ -241,15 +205,13 @@ class AdaptiveFedEnv:
         r_p = -p.xi_p * float(outcome.perplexities.mean()) / p.rounds
         r_s = -p.xi_s * float(outcome.exchanges_this_round.mean()) / p.rounds
 
-        penalty = 0.0
-        for dev_idx in action.selection:
-            cap = self.world.devices[dev_idx].profile.memory_capacity
-            if outcome.footprints[dev_idx] > cap / p.mem_fraction_q:
-                penalty += p.kappa
-        cap_exchanges = p.exchange_cap
-        for dev in self.world.devices:
-            if dev.state.exchange_count > cap_exchanges:
-                penalty += p.kappa
+        sel = list(action.selection)
+        capacity = self.world.profile.memory_capacity
+        violations = int(
+            np.count_nonzero(outcome.footprints[sel]
+                             > capacity[sel] / p.mem_fraction_q)
+            + np.count_nonzero(self.world.exchange_count > p.exchange_cap))
+        penalty = p.kappa * violations if violations else 0.0
 
         reward = RewardBreakdown(r_d=r_d, r_p=r_p, r_s=r_s, penalty=penalty)
 
@@ -330,15 +292,13 @@ class AdaptiveFedEnv:
     def _observation(self) -> np.ndarray:
         p = self.params
         world = self.world
-        obs = np.empty(p.observation_dim)
         n = p.n_devices
-        mem_norm = p.memory_capacity_range[1]
-        for i, dev in enumerate(world.devices):
-            gain_db = 10.0 * math.log10(max(world.gains[i], 1e-30))
-            obs[i] = gain_db / 100.0
-            # available capacity; a new emulator replaces the old one, so the
-            # memory constraint depends on capacity, not current holdings
-            obs[n + i] = dev.profile.memory_capacity / mem_norm
-            obs[2 * n + i] = dev.state.exchange_count / p.rounds
+        obs = np.empty(p.observation_dim)
+        gain_db = 10.0 * np.log10(np.maximum(world.gains, 1e-30))
+        obs[:n] = gain_db / 100.0
+        # available capacity; a new emulator replaces the old one, so the
+        # memory constraint depends on capacity, not current holdings
+        obs[n:2 * n] = world.profile.memory_capacity / p.memory_capacity_range[1]
+        obs[2 * n:3 * n] = world.exchange_count / p.rounds
         obs[3 * n] = self.round_index / p.rounds
         return obs

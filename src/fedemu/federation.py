@@ -1,11 +1,17 @@
 """Round structure of the collaborative tuning loop.
 
 One round: the orchestrator's decoded action picks devices, compressed-model
-retentions and downlink resource levels; changed emulators are shipped,
-selected devices (plus the server, which always trains on its own data) tune
-their adapters locally, and the server aggregates adapters weighted by data
-size. Three federation modes cover per-device compression, a pinned full
-frozen backbone, and full-model federated tuning.
+retentions and downlink resource levels; changed emulators are shipped, and
+the selected devices (plus the server, which always trains on its own data)
+tune locally, which moves their perplexity toward the surrogate's value for
+their retention. Adapter weights are not simulated: no reward, observation
+or metric reads them. Three federation modes cover per-device compression, a
+pinned full frozen backbone, and full-model federated tuning.
+
+The world holds the device population as arrays (struct of arrays), and a
+round is a fixed number of array operations whatever the population size.
+Mobility and fading draw from their own named streams, so no other setting
+moves the channel.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 from .simcore import (
     AdapterSpec,
     DeviceProfile,
-    DeviceState,
     EmulatorSpec,
     ModelSpec,
     PerplexitySurrogate,
@@ -32,22 +37,20 @@ from .simcore import (
 from .wireless import (
     ChannelParams,
     MobilityModel,
+    advance_mobility,
     allocate_budgets,
     channel_gain,
     shannon_rate,
-    step_mobility,
     transmission_delay,
 )
 
 __all__ = [
     "FederationMode",
     "ActionBundle",
-    "Device",
     "World",
     "RoundOutcome",
     "disseminate",
     "local_tuning",
-    "aggregate_adapters",
     "run_round",
 ]
 
@@ -81,35 +84,53 @@ class ActionBundle:
 
 
 @dataclass
-class Device:
-    profile: DeviceProfile
-    state: DeviceState
-    adapter: np.ndarray
-    optimum: np.ndarray  # synthetic local optimum the adapter drifts toward
-
-
-@dataclass
 class World:
-    """Everything one simulated deployment owns. Deterministic per rng."""
+    """Everything one simulated deployment owns, as arrays over devices.
+
+    Entry i of every per-device array belongs to device i: ``position`` and
+    ``waypoint`` are (N, 2), waypoint rows are NaN between mobility legs,
+    ``retention`` is NaN before a device's first emulator. The server is
+    scalar. Mobility and fading each draw from their own stream;
+    constructing the world draws the first fading sample.
+    """
 
     model: ModelSpec
     adapter_spec: AdapterSpec
     surrogate: PerplexitySurrogate
     channel: ChannelParams
     mobility: MobilityModel
-    server: Device
-    devices: list[Device]
-    global_adapter: np.ndarray
-    gains: np.ndarray
-    rng: np.random.Generator
+    profile: DeviceProfile        # per-device capacities, speeds, data sizes
+    server: DeviceProfile
+    position: np.ndarray
+    mobility_rng: np.random.Generator
+    fading_rng: np.random.Generator
     epochs: int = 2
-    adapter_pull: float = 0.1
-    adapter_noise: float = 0.01
-    _emulator_cache: dict = field(default_factory=dict, repr=False)
+    waypoint: np.ndarray = field(init=False)
+    pause_left: np.ndarray = field(init=False)
+    leg_speed: np.ndarray = field(init=False)
+    retention: np.ndarray = field(init=False)
+    perplexity: np.ndarray = field(init=False)
+    exchange_count: np.ndarray = field(init=False)
+    memory_used: np.ndarray = field(init=False)
+    gains: np.ndarray = field(init=False)
+    server_perplexity: float = field(init=False)
+    _emulator_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.position)
+        self.waypoint = np.full((n, 2), np.nan)
+        self.pause_left = np.zeros(n, dtype=int)
+        self.leg_speed = np.zeros(n)
+        self.retention = np.full(n, np.nan)
+        self.perplexity = np.full(n, self.surrogate.p_init)
+        self.exchange_count = np.zeros(n, dtype=int)
+        self.memory_used = np.zeros(n)
+        self.server_perplexity = self.surrogate.p_init
+        self._sample_gains()
 
     @property
     def n_devices(self) -> int:
-        return len(self.devices)
+        return len(self.position)
 
     def emulator(self, retention: float) -> EmulatorSpec:
         spec = self._emulator_cache.get(retention)
@@ -132,19 +153,24 @@ class World:
             self._emulator_cache["full"] = spec
         return spec
 
+    def _sample_gains(self):
+        dist = np.hypot(self.position[:, 0], self.position[:, 1])
+        self.gains = channel_gain(dist, self.channel, self.fading_rng)
+
     def advance_channel(self):
         """Move devices one mobility step and resample fading."""
-        for i, dev in enumerate(self.devices):
-            pos = step_mobility(dev.state, self.mobility, self.rng)
-            dist = float(np.hypot(pos[0], pos[1]))
-            self.gains[i] = channel_gain(dist, self.channel, self.rng)
+        advance_mobility(self.position, self.waypoint, self.pause_left,
+                         self.leg_speed, self.mobility, self.mobility_rng)
+        self._sample_gains()
 
 
 @dataclass
 class DisseminationResult:
-    changed: bool
+    """Per selected device, aligned with the selection."""
+
+    changed: np.ndarray
     emulator: EmulatorSpec
-    payload_bytes: float  # downlink cost if changed
+    payload_bytes: np.ndarray  # downlink cost if changed
 
 
 @dataclass
@@ -159,7 +185,6 @@ class RoundOutcome:
     exchanges_this_round: np.ndarray
     payload_bytes: np.ndarray
     footprints: np.ndarray        # assigned memory per selected device
-    aggregated_adapter: np.ndarray
     rates: np.ndarray
 
     @property
@@ -184,146 +209,103 @@ class RoundOutcome:
         })
 
 
-def disseminate(world: World, retentions: dict[int, float],
-                mode: FederationMode) -> dict[int, DisseminationResult]:
-    """Assign emulators for the round and flag which devices need a downlink
-    transfer. Exchange counts and assigned memory are updated here."""
-    out: dict[int, DisseminationResult] = {}
-    for idx, retention in retentions.items():
-        dev = world.devices[idx]
-        if mode is FederationMode.FEDFT:
-            emulator = world.full_model_emulator()
-            changed = True
-            payload = float(world.model.total_bytes)
-        else:
-            emulator = world.emulator(retention)
-            changed = dev.state.current_retention != retention
-            payload = float(emulator.bytes)
-        if changed:
-            dev.state.exchange_count += 1
-            dev.state.current_retention = retention
-            dev.state.memory_used = memory_footprint(emulator, world.adapter_spec)
-        out[idx] = DisseminationResult(changed, emulator, payload)
-    return out
-
-
-def local_tuning(device: Device, emulator: EmulatorSpec, adapter: np.ndarray,
-                 epochs: int, rng: np.random.Generator, *,
-                 surrogate: PerplexitySurrogate, retention: float,
-                 pull: float = 0.1, noise: float = 0.01):
-    """Synthetic local tuning: the adapter drifts toward the device's local
-    optimum with seeded noise, and perplexity decays toward the surrogate's
-    final value for the assigned retention."""
-    adapter = np.asarray(adapter, dtype=float).copy()
-    for _ in range(epochs):
-        adapter += pull * (device.optimum - adapter)
-        if noise > 0:
-            adapter += noise * rng.standard_normal(adapter.shape)
-    if epochs > 0:
-        target = final_perplexity(surrogate, retention)
-        new_p = perplexity_step(device.state, True, target,
-                                surrogate.convergence_rate)
+def disseminate(world: World, selection: np.ndarray, retention: np.ndarray,
+                mode: FederationMode) -> DisseminationResult:
+    """Assign emulators for the round and flag which selected devices need a
+    downlink transfer. Exchange counts, retentions and assigned memory are
+    updated here."""
+    if mode is FederationMode.FEDFT:
+        emulator = world.full_model_emulator()
+        changed = np.ones(len(selection), dtype=bool)
+        payload = np.full(len(selection), float(world.model.total_bytes))
+        footprint = memory_footprint(emulator, world.adapter_spec)
     else:
-        new_p = device.state.perplexity
-    return adapter, new_p
+        emulator = emulator_from_retention(world.model, world.adapter_spec,
+                                           retention)
+        changed = world.retention[selection] != retention
+        payload = emulator.bytes
+        footprint = memory_footprint(emulator, world.adapter_spec)[changed]
+    moved = selection[changed]
+    world.exchange_count[moved] += 1
+    world.retention[moved] = retention[changed]
+    world.memory_used[moved] = footprint
+    return DisseminationResult(changed, emulator, payload)
 
 
-def aggregate_adapters(adapters, data_sizes) -> np.ndarray:
-    """Data-size weighted mean of participant adapters."""
-    if len(adapters) == 0 or len(adapters) != len(data_sizes):
-        raise ValueError("adapters and data sizes must be non-empty and aligned")
-    dim = len(adapters[0])
-    if any(len(a) != dim for a in adapters):
-        raise ValueError("adapter dimension mismatch")
-    total = float(sum(data_sizes))
-    if total <= 0:
-        raise ValueError("total data size must be positive")
-    acc = np.zeros(dim)
-    for a, w in zip(adapters, data_sizes):
-        acc += float(w) * np.asarray(a, dtype=float)
-    return acc / total
+def local_tuning(perplexity, retention, epochs: int,
+                 surrogate: PerplexitySurrogate):
+    """Synthetic local tuning: perplexity decays toward the surrogate's final
+    value for the assigned retention; zero epochs change nothing."""
+    if epochs <= 0:
+        return perplexity
+    target = final_perplexity(surrogate, retention)
+    return perplexity_step(perplexity, True, target, surrogate.convergence_rate)
 
 
 def run_round(world: World, actions: ActionBundle, mode: FederationMode,
               round_index: int = 0) -> RoundOutcome:
-    """Execute one round: dissemination, downlink transfers, local tuning on
-    the selected devices plus the server, then adapter aggregation."""
+    """Execute one round: dissemination, downlink transfers, and local tuning
+    on the selected devices plus the server."""
     n = world.n_devices
-    selection = actions.selection
-
+    selection = np.asarray(actions.selection, dtype=int)
     if mode is FederationMode.FEDPEAT:
-        retentions = dict(zip(selection, actions.retentions))
+        retention = np.asarray(actions.retentions, dtype=float)
     else:
-        retentions = {i: 1.0 for i in selection}
+        retention = np.ones(len(selection))
 
-    results = disseminate(world, retentions, mode)
+    res = disseminate(world, selection, retention, mode)
 
-    if selection:
+    bw_hz = pw_w = np.zeros(n)
+    if selection.size:
         levels_bw = np.zeros(n)
         levels_pw = np.zeros(n)
-        for i, dev_idx in enumerate(selection):
-            levels_bw[dev_idx] = actions.bandwidth_levels[i]
-            levels_pw[dev_idx] = actions.power_levels[i]
+        levels_bw[selection] = actions.bandwidth_levels
+        levels_pw[selection] = actions.power_levels
         bw_hz, pw_w = allocate_budgets(levels_bw, levels_pw, selection,
                                        world.channel)
-    else:
-        bw_hz = pw_w = np.zeros(n)
+
+    rates = np.zeros(n)
+    rates[selection] = shannon_rate(bw_hz[selection], pw_w[selection],
+                                    world.gains[selection],
+                                    world.channel.noise_psd)
+    d_trans = transmission_delay(True, res.changed, res.payload_bytes,
+                                 rates[selection])
+    d_comp = compute_delay(world.profile.data_size[selection],
+                           world.profile.compute_speed[selection],
+                           res.emulator.params + world.adapter_spec.params,
+                           world.epochs)
+    world.perplexity[selection] = local_tuning(
+        world.perplexity[selection], retention, world.epochs, world.surrogate)
 
     q = np.zeros(n)
-    rates = np.zeros(n)
+    q[selection] = d_comp + d_trans
     payloads = np.zeros(n)
+    payloads[selection] = np.where(res.changed, res.payload_bytes, 0.0)
     footprints = np.zeros(n)
+    footprints[selection] = world.memory_used[selection]
     exchanges = np.zeros(n, dtype=int)
-    tuned = []
-
-    for dev_idx in selection:
-        dev = world.devices[dev_idx]
-        res = results[dev_idx]
-        rates[dev_idx] = shannon_rate(bw_hz[dev_idx], pw_w[dev_idx],
-                                      world.gains[dev_idx], world.channel.noise_psd)
-        d_trans = transmission_delay(True, res.changed, res.payload_bytes,
-                                     rates[dev_idx])
-        d_comp = compute_delay(dev.profile, res.emulator, world.adapter_spec,
-                               world.epochs)
-        adapter, new_p = local_tuning(
-            dev, res.emulator, world.global_adapter, world.epochs, world.rng,
-            surrogate=world.surrogate, retention=retentions[dev_idx],
-            pull=world.adapter_pull, noise=world.adapter_noise)
-        dev.adapter = adapter
-        dev.state.perplexity = new_p
-        q[dev_idx] = d_comp + d_trans
-        payloads[dev_idx] = res.payload_bytes if res.changed else 0.0
-        footprints[dev_idx] = dev.state.memory_used
-        exchanges[dev_idx] = int(res.changed)
-        tuned.append((adapter, dev.profile.data_size))
+    exchanges[selection] = res.changed
 
     # Server trains every round on its own shard; no downlink to itself.
     server_emulator = (world.full_model_emulator() if mode is FederationMode.FEDFT
                        else world.emulator(1.0))
-    server_q = compute_delay(world.server.profile, server_emulator,
-                             world.adapter_spec, world.epochs)
-    server_adapter, server_p = local_tuning(
-        world.server, server_emulator, world.global_adapter, world.epochs,
-        world.rng, surrogate=world.surrogate, retention=1.0,
-        pull=world.adapter_pull, noise=world.adapter_noise)
-    world.server.adapter = server_adapter
-    world.server.state.perplexity = server_p
-    tuned.append((server_adapter, world.server.profile.data_size))
-
-    world.global_adapter = aggregate_adapters(
-        [a for a, _ in tuned], [w for _, w in tuned])
+    server_q = float(compute_delay(world.server.data_size,
+                                   world.server.compute_speed,
+                                   server_emulator.params + world.adapter_spec.params,
+                                   world.epochs))
+    world.server_perplexity = float(local_tuning(
+        world.server_perplexity, 1.0, world.epochs, world.surrogate))
 
     return RoundOutcome(
         round_index=round_index,
         mode=mode,
-        selection=selection,
+        selection=actions.selection,
         q=q,
         server_q=server_q,
-        perplexities=np.array([d.state.perplexity for d in world.devices]),
-        server_perplexity=server_p,
+        perplexities=world.perplexity.copy(),
+        server_perplexity=world.server_perplexity,
         exchanges_this_round=exchanges,
         payload_bytes=payloads,
         footprints=footprints,
-        aggregated_adapter=world.global_adapter,
         rates=rates,
     )

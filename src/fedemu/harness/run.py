@@ -89,11 +89,8 @@ def _eval_policy(config: ExperimentConfig, agent):
     """Trainable agents evaluate greedily and draw no randomness; sampling
     baselines get a fresh fixed-seed twin so evaluation never perturbs the
     training stream."""
-    if isinstance(agent, RandomPolicy):
-        return RandomPolicy(agent.branches, seed=_derived_seed(config.seed, 6))
-    if isinstance(agent, FixedFullModelPolicy):
-        return FixedFullModelPolicy(agent.branches,
-                                    seed=_derived_seed(config.seed, 6))
+    if isinstance(agent, RandomPolicy):  # also FixedFullModelPolicy
+        return type(agent)(agent.branches, seed=_derived_seed(config.seed, 6))
     return agent
 
 
@@ -253,8 +250,7 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
                 obs = next_obs
         if config.total_steps > 0 and (step > start_step or start_step == 0):
             run_eval(step, trace=True)
-        if trainable or isinstance(agent, (RandomPolicy, FixedFullModelPolicy)):
-            save_checkpoint(ckpt_path, agent, step=step, episode=episode)
+        save_checkpoint(ckpt_path, agent, step=step, episode=episode)
     finally:
         metrics_fh.close()
         timings_fh.close()

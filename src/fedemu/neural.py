@@ -2,8 +2,9 @@
 
 Only the fixed topology used by the controllers is supported: tanh hidden
 layers, linear output. Networks are value objects; forward works on single
-vectors or batches (rows). Also provides the categorical and Plackett-Luce
-distributions the policy branches sample from.
+vectors or batches (rows). Also provides the categorical distribution; the
+selection branch's Plackett-Luce (Gumbel-top-k) sampler lives with the
+agents.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "log_softmax",
     "categorical_sample",
     "categorical_log_prob",
-    "plackett_luce_sample",
-    "plackett_luce_log_prob",
 ]
 
 
@@ -169,41 +168,3 @@ def categorical_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[in
 
 def categorical_log_prob(logits: np.ndarray, index: int) -> float:
     return float(log_softmax(logits)[index])
-
-
-def plackett_luce_sample(logits: np.ndarray, k: int,
-                         rng: np.random.Generator) -> tuple[list[int], float]:
-    """Sequentially sample k distinct indices without replacement.
-
-    Log probability is the sum over steps of the log softmax over the items
-    still available at that step.
-    """
-    n = len(logits)
-    if k > n:
-        raise ValueError(f"cannot draw {k} distinct items from {n}")
-    available = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    logp = 0.0
-    for _ in range(k):
-        masked = np.where(available, logits, -np.inf)
-        lp = log_softmax(masked)
-        p = np.exp(lp)
-        p /= p.sum()
-        idx = int(rng.choice(n, p=p))
-        chosen.append(idx)
-        logp += float(lp[idx])
-        available[idx] = False
-    return chosen, logp
-
-
-def plackett_luce_log_prob(logits: np.ndarray, indices) -> float:
-    n = len(logits)
-    if len(set(indices)) != len(indices):
-        raise ValueError("indices must be distinct")
-    available = np.ones(n, dtype=bool)
-    logp = 0.0
-    for idx in indices:
-        masked = np.where(available, logits, -np.inf)
-        logp += float(log_softmax(masked)[idx])
-        available[idx] = False
-    return logp

@@ -1,13 +1,15 @@
-"""Domain types and analytic surrogates for model sizes, memory and compute.
+"""Domain types, analytic surrogates and seeded random streams.
 
-Everything here is a pure function over value types. The foundation model is
-never instantiated; only its size/layer structure is tracked, and fine-tuning
-quality is carried by a quadratic perplexity surrogate.
+The foundation model is never instantiated; only its size/layer structure is
+tracked, and fine-tuning quality is carried by a quadratic perplexity
+surrogate. The surrogate and cost functions work elementwise, so one call
+covers a whole device population held as arrays. Every simulation draw comes
+from a named stream made by ``stream``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +20,22 @@ __all__ = [
     "PerplexitySurrogate",
     "DeviceProfile",
     "DeviceState",
+    "stream",
     "emulator_from_retention",
     "final_perplexity",
     "perplexity_step",
     "compute_delay",
     "memory_footprint",
 ]
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Named random stream: one generator per (seed, key) tuple.
+
+    SeedSequence pads short entropy with zeros, so (s, k) and (s, k, 0) name
+    the same stream; keys that must differ should differ in a non-zero word.
+    """
+    return np.random.default_rng(np.random.SeedSequence((seed,) + key))
 
 
 @dataclass(frozen=True)
@@ -54,41 +66,33 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class AdapterSpec:
-    """The small trainable block; the only weights exchanged and aggregated.
-
-    ``weights`` is a synthetic parameter vector used solely to make the
-    aggregation rule operate on real numbers.
-    """
+    """The small trainable block; the only weights a device tunes."""
 
     layer_count: int
     params: int
     bytes: int
-    weights: np.ndarray = field(repr=False)
 
     @staticmethod
-    def for_model(model: ModelSpec, weight_dim: int = 64,
-                  weights: np.ndarray | None = None) -> "AdapterSpec":
+    def for_model(model: ModelSpec) -> "AdapterSpec":
         layers = model.adapter_layer_count
         frac = layers / model.layer_count
-        if weights is None:
-            weights = np.zeros(weight_dim)
         return AdapterSpec(
             layer_count=layers,
             params=round(frac * model.total_params),
             bytes=round(frac * model.total_bytes),
-            weights=np.asarray(weights, dtype=float),
         )
 
 
 @dataclass(frozen=True)
 class EmulatorSpec:
     """Frozen compressed stand-in for the backbone, parameterized by the
-    fraction of droppable layers kept."""
+    fraction of droppable layers kept. Counts are whole numbers; fields are
+    arrays when built from an array of retentions."""
 
-    retention: float
-    layer_count: int
-    params: int
-    bytes: int
+    retention: float | np.ndarray
+    layer_count: float | np.ndarray
+    params: float | np.ndarray
+    bytes: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,81 +114,77 @@ class PerplexitySurrogate:
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Static per-device capabilities."""
+    """Static capabilities of one device (scalars) or of a device
+    population (one array entry per device)."""
 
-    id: int
-    memory_capacity: float  # bytes
-    compute_speed: float    # params processed per second
-    data_size: int          # training samples held locally
-    is_server: bool = False
+    memory_capacity: float | np.ndarray  # bytes
+    compute_speed: float | np.ndarray    # params processed per second
+    data_size: int | np.ndarray          # training samples held locally
 
     def __post_init__(self):
-        if min(self.memory_capacity, self.compute_speed, self.data_size) <= 0:
-            raise ValueError("capacity, speed and data size must be positive")
+        for name in ("memory_capacity", "compute_speed", "data_size"):
+            if np.any(np.asarray(getattr(self, name)) <= 0):
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
 class DeviceState:
-    """Evolving per-round state of one device.
-
-    ``waypoint``/``pause_left``/``leg_speed`` are random-waypoint mobility
-    bookkeeping; ``current_retention`` is None before the first assignment.
-    """
+    """Random-waypoint mobility state of one device, advanced in place by the
+    scalar reference ``wireless.step_mobility``; ``waypoint`` is None between
+    legs."""
 
     position: np.ndarray
-    current_retention: float | None = None
-    perplexity: float = 31.9
-    exchange_count: int = 0
-    memory_used: float = 0.0
     waypoint: np.ndarray | None = None
     pause_left: int = 0
     leg_speed: float = 0.0
 
 
-def emulator_from_retention(model: ModelSpec, adapter: AdapterSpec,
-                            retention: float) -> EmulatorSpec:
-    """Build the compressed backbone obtained by keeping ``retention`` of the
-    droppable layers (floor-clamped to one layer)."""
-    if not 0.0 < retention <= 1.0:
+def _check_retention(retention) -> None:
+    r = np.asarray(retention)
+    if not ((r > 0.0) & (r <= 1.0)).all():
         raise ValueError(f"retention must be in (0, 1], got {retention}")
-    layers = max(1, round(retention * (model.layer_count - adapter.layer_count)))
+
+
+def emulator_from_retention(model: ModelSpec, adapter: AdapterSpec,
+                            retention) -> EmulatorSpec:
+    """Build the compressed backbone obtained by keeping ``retention`` of the
+    droppable layers (floor-clamped to one layer). Elementwise over an array
+    of retentions."""
+    _check_retention(retention)
+    layers = np.maximum(np.rint(retention * (model.layer_count - adapter.layer_count)),
+                        1.0)
     frac = layers / model.layer_count
     return EmulatorSpec(
         retention=retention,
         layer_count=layers,
-        params=round(frac * model.total_params),
-        bytes=round(frac * model.total_bytes),
+        params=np.rint(frac * model.total_params),
+        bytes=np.rint(frac * model.total_bytes),
     )
 
 
-def final_perplexity(s: PerplexitySurrogate, retention: float) -> float:
+def final_perplexity(s: PerplexitySurrogate, retention):
     """Perplexity the surrogate converges to at a given retention ratio."""
-    if not 0.0 < retention <= 1.0:
-        raise ValueError(f"retention must be in (0, 1], got {retention}")
+    _check_retention(retention)
     return s.a * retention ** 2 + s.b * retention + s.c + s.lora_delta
 
 
-def perplexity_step(state: DeviceState, participated: bool, target: float,
-                    rate: float) -> float:
-    """One-round perplexity update: exponential approach to ``target`` when
+def perplexity_step(perplexity, participated, target, rate: float):
+    """One-round perplexity update: exponential approach to ``target`` where
     the device participated, otherwise unchanged."""
-    if target <= 0:
+    if (np.asarray(target) <= 0).any():
         raise ValueError("target perplexity must be positive")
-    if not participated:
-        return state.perplexity
-    return target + (state.perplexity - target) * (1.0 - rate)
+    step = target + (perplexity - target) * (1.0 - rate)
+    return np.where(participated, step, perplexity)
 
 
-def compute_delay(profile: DeviceProfile, emulator: EmulatorSpec,
-                  adapter: AdapterSpec, epochs: int) -> float:
-    """Local fine-tuning time: epochs x samples x trainable+frozen params,
-    divided by the device's processing speed."""
+def compute_delay(data_size, compute_speed, params, epochs: int):
+    """Local fine-tuning time: epochs x samples x params processed (frozen
+    emulator plus trainable adapter), divided by the processing speed."""
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    work = epochs * profile.data_size * (emulator.params + adapter.params)
-    return work / profile.compute_speed
+    return epochs * data_size * params / compute_speed
 
 
-def memory_footprint(emulator: EmulatorSpec, adapter: AdapterSpec) -> float:
+def memory_footprint(emulator: EmulatorSpec, adapter: AdapterSpec):
     """Bytes a device must hold to run local tuning."""
     return emulator.bytes + adapter.bytes

@@ -3,7 +3,9 @@
 Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
-of discrete levels.
+of discrete levels. Gains, rates, delays and budgets are computed for all
+devices of a round in one call; ``step_mobility`` is the one-device reference
+that ``federation.World.advance_channel`` reproduces over arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "ChannelParams",
     "MobilityModel",
     "step_mobility",
+    "advance_mobility",
     "channel_gain",
     "rician_fading_power",
     "shannon_rate",
@@ -93,47 +96,79 @@ def step_mobility(state: DeviceState, model: MobilityModel,
     return new_pos
 
 
-def rician_fading_power(k: float, rng: np.random.Generator) -> float:
-    """Squared magnitude of a unit-mean-power Rician fading coefficient.
+def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
+                     pause_left: np.ndarray, leg_speed: np.ndarray,
+                     model: MobilityModel, rng: np.random.Generator) -> None:
+    """Array twin of ``step_mobility`` over all devices, in place.
+
+    Rows of ``waypoint`` are NaN between legs. Draws the same numbers in the
+    same order as calling ``step_mobility`` on each device in index order
+    with one stream, and gives bit-identical positions.
+    """
+    paused = pause_left > 0
+    pause_left -= paused
+    need = np.isnan(waypoint[:, 0]) & ~paused
+    m = np.count_nonzero(need)
+    if m:
+        u = rng.uniform(size=(m, 3))
+        r = model.area_radius * np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
+        waypoint[need] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        lo, hi = model.speed_range
+        leg_speed[need] = lo + (hi - lo) * u[:, 2]
+    # paused devices have no waypoint, so their rows are NaN and neither
+    # comparison below selects them
+    delta = waypoint - position
+    dist = np.sqrt(np.vecdot(delta, delta))  # bit-equal to np.linalg.norm
+    go = dist > leg_speed
+    stop = dist <= leg_speed
+    position[go] += delta[go] * (leg_speed[go] / dist[go])[:, None]
+    position[stop] = waypoint[stop]
+    waypoint[stop] = np.nan
+    pause_left[stop] = model.waypoint_pause
+
+
+def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
+    """Squared magnitude of unit-mean-power Rician fading coefficients, one
+    per entry of ``shape``; draws the real and imaginary normals of each
+    entry in turn.
 
     K -> inf degenerates to the deterministic line-of-sight value 1.
     """
     if math.isinf(k):
-        return 1.0
+        return np.ones(shape)
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = los + sigma * rng.standard_normal()
-    im = sigma * rng.standard_normal()
-    return re * re + im * im
+    h = sigma * rng.standard_normal(size=(*shape, 2))
+    h[..., 0] += los
+    return np.vecdot(h, h)
 
 
-def channel_gain(distance: float, params: ChannelParams,
-                 rng: np.random.Generator) -> float:
-    """Linear channel gain: path loss at ``distance`` times Rician fading."""
-    d = max(distance, params.reference_distance)
-    loss_db = params.reference_loss_db + 10.0 * params.pathloss_exponent * math.log10(
+def channel_gain(distance, params: ChannelParams, rng: np.random.Generator):
+    """Linear channel gain: path loss at ``distance`` times Rician fading,
+    elementwise over an array of distances."""
+    d = np.maximum(distance, params.reference_distance)
+    loss_db = params.reference_loss_db + 10.0 * params.pathloss_exponent * np.log10(
         d / params.reference_distance)
-    return 10.0 ** (-loss_db / 10.0) * rician_fading_power(params.rician_k, rng)
+    return 10.0 ** (-loss_db / 10.0) * rician_fading_power(params.rician_k, rng,
+                                                           np.shape(d))
 
 
-def shannon_rate(bandwidth: float, power: float, gain: float,
-                 noise_psd: float) -> float:
-    """Achievable downlink rate in bit/s of one FDMA slice."""
-    if bandwidth <= 0:
+def shannon_rate(bandwidth, power, gain, noise_psd: float):
+    """Achievable downlink rate in bit/s of each FDMA slice."""
+    if (np.asarray(bandwidth) <= 0).any():
         raise ValueError("bandwidth must be positive")
-    if power < 0 or gain < 0:
+    if (np.asarray(power) < 0).any() or (np.asarray(gain) < 0).any():
         raise ValueError("power and gain must be non-negative")
     snr = gain * power / (bandwidth * noise_psd)
-    return bandwidth * math.log2(1.0 + snr)
+    return bandwidth * np.log2(1.0 + snr)
 
 
-def transmission_delay(selected: bool, changed: bool, emulator_bytes: float,
-                       rate: float) -> float:
+def transmission_delay(selected, changed, emulator_bytes, rate):
     """Seconds to push a changed emulator downlink; zero unless the device is
     selected and its emulator actually changed."""
-    if not (selected and changed):
-        return 0.0
-    if rate <= 0:
+    rate = np.where(np.logical_and(selected, changed), rate, np.inf)
+    if (rate <= 0).any():
         raise ValueError("cannot transmit a changed emulator at zero rate")
     return 8.0 * emulator_bytes / rate
 
@@ -141,32 +176,25 @@ def transmission_delay(selected: bool, changed: bool, emulator_bytes: float,
 def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
     """Turn discrete per-device levels into absolute Hz/W allocations.
 
-    Selected devices get budget * level / sum(levels over selected); the last
-    selected share is defined as the remainder so the sequential sum equals
-    the budget exactly. Unselected devices get zero.
+    Selected devices get budget * level / sum(levels over selected); the
+    share of the highest selected index is defined as the remainder so the
+    sequential sum in index order equals the budget exactly. Unselected
+    devices get zero. Returns (bandwidth, power) arrays over all devices.
     """
-    selection = sorted(selection)
-    if not selection:
+    selection = np.sort(selection)
+    if selection.size == 0:
         raise ValueError("cannot allocate budgets over an empty selection")
-    levels_bw = np.asarray(levels_bw, dtype=float)
-    levels_pw = np.asarray(levels_pw, dtype=float)
     n = len(levels_bw)
-    if any(i < 0 or i >= n for i in selection):
+    if selection[0] < 0 or selection[-1] >= n:
         raise ValueError("selection index out of range")
-
-    def split(levels, budget):
-        sel_levels = levels[selection]
-        if np.any(sel_levels <= 0):
-            raise ValueError("levels must be positive for selected devices")
-        total = float(sel_levels.sum())
-        out = np.zeros(n)
-        acc = 0.0
-        for j, dev in enumerate(selection):
-            if j == len(selection) - 1:
-                out[dev] = budget - acc
-            else:
-                out[dev] = budget * levels[dev] / total
-                acc += out[dev]
-        return out
-
-    return split(levels_bw, params.bandwidth_budget), split(levels_pw, params.power_budget)
+    levels = np.array([levels_bw, levels_pw], dtype=float)[:, selection]
+    if (levels <= 0).any():
+        raise ValueError("levels must be positive for selected devices")
+    budgets = np.array([[params.bandwidth_budget], [params.power_budget]])
+    shares = budgets * levels / levels.sum(axis=1, keepdims=True)
+    acc = (np.add.accumulate(shares[:, :-1], axis=1)[:, -1]
+           if selection.size > 1 else 0.0)
+    shares[:, -1] = budgets[:, 0] - acc
+    out = np.zeros((2, n))
+    out[:, selection] = shares
+    return out[0], out[1]

@@ -12,13 +12,8 @@ from fedemu.agents import (
     PpoConfig,
     RandomPolicy,
     SabppoAgent,
-    TrajectoryBuffer,
-    baseline_happo_update,
-    baseline_iterrl_update,
-    act,
     default_branches,
     gae,
-    sabppo_update,
     _eval_branch,
 )
 from fedemu.env import AdaptiveFedEnv, EnvParams
@@ -116,21 +111,21 @@ class TestAct:
     def test_joint_logp_is_branch_sum(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
         obs = np.random.default_rng(0).standard_normal(OBS_DIM)
-        sa = act(agent, obs)
+        sa = agent.act(obs)
         assert sa.joint_logp == pytest.approx(sa.branch_logps.sum(), abs=1e-12)
 
     def test_greedy_is_reproducible(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
         obs = np.random.default_rng(1).standard_normal(OBS_DIM)
-        a = act(agent, obs, greedy=True)
-        b = act(agent, obs, greedy=True)
+        a = agent.act(obs, greedy=True)
+        b = agent.act(obs, greedy=True)
         assert all(np.array_equal(x, y) for x, y in
                    zip(a.branch_actions, b.branch_actions))
 
     def test_chained_input_dims(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
         obs = np.zeros(OBS_DIM)
-        sa = act(agent, obs)
+        sa = agent.act(obs)
         assert [len(s) for s in sa.inputs] == [31, 41, 51, 61]
 
     def test_fresh_agent_selection_marginals_near_uniform(self):
@@ -314,21 +309,12 @@ class TestBaselines:
             for w_a, w_b in zip(sab.actor.nets[0].weights, unit.nets[0].weights):
                 assert np.allclose(w_a, w_b, atol=1e-12)
 
-    def test_update_functions_reject_foreign_config(self):
-        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
-        buffer = rollout_env(agent, seed=0, steps=agent.cfg.segment)
-        with pytest.raises(ValueError):
-            sabppo_update(agent, buffer, PpoConfig(clip_eps=0.3))
-        stats = sabppo_update(agent, buffer)
-        assert "policy_loss" in stats
-
     def test_baseline_updates_run(self):
-        for cls, fn in ((IterRlAgent, baseline_iterrl_update),
-                        (HappoAgent, baseline_happo_update)):
+        for cls in (IterRlAgent, HappoAgent):
             cfg = PpoConfig(segment=20, minibatch=10, epochs=1)
             agent = cls(OBS_DIM, BRANCHES, cfg=cfg, seed=2)
             buffer = rollout_env(agent, seed=2, steps=20)
-            stats = fn(agent, buffer)
+            stats = agent.update(buffer)
             assert np.isfinite(stats["policy_loss"])
             assert np.isfinite(stats["value_loss"])
 

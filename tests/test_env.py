@@ -43,7 +43,7 @@ class TestReset:
     def test_initial_perplexities_at_start_value(self):
         env = AdaptiveFedEnv()
         env.reset(seed=3)
-        assert all(d.state.perplexity == 31.9 for d in env.world.devices)
+        assert all(env.world.perplexity == 31.9)
 
     def test_features_finite(self):
         env = AdaptiveFedEnv(small_params())
@@ -266,3 +266,36 @@ class TestDecode:
         assert list(bundle.bandwidth_levels) == exp["bandwidth_levels"]
         assert list(bundle.power_levels) == exp["power_levels"]
         assert list(bundle.retentions) == exp["retentions"]
+
+
+class TestStreams:
+    @staticmethod
+    def channel_trace(policy_seed=0, **overrides):
+        params = dataclasses.replace(EnvParams(), n_devices=6, select_k=3,
+                                     rounds=20, **overrides)
+        env = AdaptiveFedEnv(params)
+        policy = RandomPolicy(
+            default_branches(params.n_devices, params.select_k, params.levels,
+                             len(params.retention_grid)), seed=policy_seed)
+        obs = env.reset(seed=3)
+        trace = [(env.world.position.copy(), env.world.gains.copy())]
+        for _ in range(params.rounds):
+            sa = policy.act(obs)
+            obs, _, _ = env.step(env.decode_branch_actions(*sa.branch_actions))
+            trace.append((env.world.position.copy(), env.world.gains.copy()))
+        return trace
+
+    @pytest.mark.parametrize("variant", [
+        {"policy_seed": 1},
+        {"local_epochs": 3},
+        {"local_epochs": 0},
+        {"mode": "fedpeft"},
+        {"mode": "fedft"},
+        {"retention_grid": (0.5, 1.0)},
+    ], ids=["actions", "epochs3", "epochs0", "fedpeft", "fedft", "grid"])
+    def test_channel_ignores_unrelated_settings(self, variant):
+        base = self.channel_trace()
+        other = self.channel_trace(**variant)
+        for (pos_a, gain_a), (pos_b, gain_b) in zip(base, other):
+            assert np.array_equal(pos_a, pos_b)
+            assert np.array_equal(gain_a, gain_b)

@@ -1,20 +1,26 @@
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
     ActionBundle,
     FederationMode,
-    aggregate_adapters,
     disseminate,
     local_tuning,
     run_round,
 )
-from fedemu.simcore import final_perplexity, perplexity_step
-from fedemu.wireless import shannon_rate, transmission_delay
+from fedemu.simcore import DeviceState, final_perplexity, perplexity_step
+from fedemu.wireless import (
+    channel_gain,
+    shannon_rate,
+    step_mobility,
+    transmission_delay,
+)
 
 
 def make_env(mode="fedpeat", n=4, k=2, seed=0, **overrides):
@@ -34,119 +40,76 @@ def bundle(selection, retentions, levels=None):
                         retentions=tuple(retentions))
 
 
-class TestAggregateAdapters:
-    def test_plain_mean(self):
-        out = aggregate_adapters([np.array([1.0, 3.0]), np.array([3.0, 1.0])],
-                                 [1, 1])
-        assert out.tolist() == [2.0, 2.0]
-
-    def test_single_participant_identity(self):
-        a = np.array([0.4, -1.2, 7.0])
-        assert aggregate_adapters([a], [17]).tolist() == a.tolist()
-
-    def test_weighted_mean_by_hand(self):
-        out = aggregate_adapters([np.array([0.0, 0.0]), np.array([6.0, 3.0])],
-                                 [2, 1])
-        assert out.tolist() == [2.0, 1.0]
-
-    def test_matches_brute_force_weighted_mean(self):
-        rng = np.random.default_rng(99)
-        for _ in range(1000):
-            m = int(rng.integers(1, 11))
-            dim = int(rng.integers(1, 65))
-            adapters = [rng.standard_normal(dim) for _ in range(m)]
-            sizes = rng.integers(1, 5000, size=m).tolist()
-            got = aggregate_adapters(adapters, sizes)
-            brute = np.zeros(dim)
-            for a, w in zip(adapters, sizes):
-                brute = brute + w * a
-            brute = brute / sum(sizes)
-            assert np.max(np.abs(got - brute)) < 1e-12
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_adapters([np.zeros(3), np.zeros(4)], [1, 1])
-
-    def test_zero_total_data_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_adapters([np.zeros(3)], [0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_adapters([], [])
+def spread(world, retentions, mode=FederationMode.FEDPEAT):
+    """disseminate() on a {device: retention} mapping."""
+    return disseminate(world, np.array(list(retentions), dtype=int),
+                       np.array(list(retentions.values()), dtype=float), mode)
 
 
 class TestDisseminate:
     def test_first_assignment_counts_as_exchange(self):
         env = make_env()
         world = env.world
-        res = disseminate(world, {0: 0.5, 1: 0.5}, FederationMode.FEDPEAT)
-        assert res[0].changed and res[1].changed
-        assert world.devices[0].state.exchange_count == 1
+        res = spread(world, {0: 0.5, 1: 0.5})
+        assert res.changed[0] and res.changed[1]
+        assert world.exchange_count[0] == 1
 
     def test_same_retention_is_free(self):
         env = make_env()
         world = env.world
-        disseminate(world, {0: 0.5}, FederationMode.FEDPEAT)
-        res = disseminate(world, {0: 0.5}, FederationMode.FEDPEAT)
-        assert not res[0].changed
-        assert world.devices[0].state.exchange_count == 1
+        spread(world, {0: 0.5})
+        res = spread(world, {0: 0.5})
+        assert not res.changed[0]
+        assert world.exchange_count[0] == 1
 
     def test_retention_change_is_counted(self):
         env = make_env()
         world = env.world
-        disseminate(world, {0: 0.5}, FederationMode.FEDPEAT)
-        res = disseminate(world, {0: 0.75}, FederationMode.FEDPEAT)
-        assert res[0].changed
-        assert world.devices[0].state.exchange_count == 2
+        spread(world, {0: 0.5})
+        res = spread(world, {0: 0.75})
+        assert res.changed[0]
+        assert world.exchange_count[0] == 2
 
     def test_fedft_ships_everything_every_round(self):
         env = make_env(mode="fedft")
         world = env.world
         for _ in range(3):
-            res = disseminate(world, {0: 1.0}, FederationMode.FEDFT)
-            assert res[0].changed
-            assert res[0].payload_bytes == 2_630_000_000
+            res = spread(world, {0: 1.0}, FederationMode.FEDFT)
+            assert res.changed[0]
+            assert res.payload_bytes[0] == 2_630_000_000
 
     def test_memory_used_updated(self):
         env = make_env()
         world = env.world
-        disseminate(world, {0: 0.5}, FederationMode.FEDPEAT)
+        spread(world, {0: 0.5})
         emulator = world.emulator(0.5)
         expected = emulator.bytes + world.adapter_spec.bytes
-        assert world.devices[0].state.memory_used == expected
+        assert world.memory_used[0] == expected
 
 
 class TestLocalTuning:
     def test_zero_epochs_unchanged(self):
         env = make_env()
-        dev = env.world.devices[0]
-        adapter = np.arange(64, dtype=float)
-        out, p = local_tuning(dev, env.world.emulator(0.5), adapter, 0,
-                              env.world.rng, surrogate=env.world.surrogate,
-                              retention=0.5)
-        assert out.tolist() == adapter.tolist()
-        assert p == dev.state.perplexity
+        world = env.world
+        before = world.perplexity.copy()
+        p = local_tuning(world.perplexity, 0.5, 0, world.surrogate)
+        assert p.tolist() == before.tolist()
 
     def test_fixed_point_at_optimum(self):
         env = make_env()
-        dev = env.world.devices[0]
-        adapter = dev.optimum.copy()
-        out, _ = local_tuning(dev, env.world.emulator(0.5), adapter, 3,
-                              env.world.rng, surrogate=env.world.surrogate,
-                              retention=0.5, noise=0.0)
-        assert np.allclose(out, adapter)
+        world = env.world
+        target = final_perplexity(world.surrogate, 0.5)
+        at_optimum = np.full(world.n_devices, target)
+        p = local_tuning(at_optimum, 0.5, 3, world.surrogate)
+        assert np.allclose(p, at_optimum)
 
     def test_perplexity_follows_surrogate_step(self):
         env = make_env()
         world = env.world
-        dev = world.devices[0]
         target = final_perplexity(world.surrogate, 0.5)
-        expected = perplexity_step(dev.state, True, target,
+        expected = perplexity_step(world.perplexity[0], True, target,
                                    world.surrogate.convergence_rate)
-        _, got = local_tuning(dev, world.emulator(0.5), dev.adapter, 2,
-                              world.rng, surrogate=world.surrogate,
-                              retention=0.5)
+        got = local_tuning(world.perplexity[0], 0.5, 2, world.surrogate)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -156,11 +119,10 @@ class TestRunRound:
         world = env.world
         empty = ActionBundle(selection=(), bandwidth_levels=(),
                              power_levels=(), retentions=())
-        before = world.server.adapter.copy()
         outcome = run_round(world, empty, FederationMode.FEDPEAT)
-        # only the server trained, so the global adapter is its adapter
-        assert np.allclose(outcome.aggregated_adapter, world.server.adapter)
-        assert not np.allclose(world.server.adapter, before)
+        # only the server trained
+        assert world.server_perplexity < world.surrogate.p_init
+        assert outcome.perplexities.tolist() == [world.surrogate.p_init] * 4
         assert outcome.q.tolist() == [0.0] * world.n_devices
 
     def test_unchanged_retentions_transmit_nothing(self):
@@ -187,9 +149,9 @@ class TestRunRound:
             assert outcome.rates[dev] == pytest.approx(rate, rel=1e-9)
             d_trans = transmission_delay(True, True,
                                          world.model.total_bytes, rate)
-            profile = world.devices[dev].profile
-            d_comp = (world.epochs * profile.data_size
-                      * world.model.total_params / profile.compute_speed)
+            d_comp = (world.epochs * world.profile.data_size[dev]
+                      * world.model.total_params
+                      / world.profile.compute_speed[dev])
             assert outcome.q[dev] == pytest.approx(d_trans + d_comp, rel=1e-9)
 
     def test_fedft_max_q_dominated_by_full_transfer(self):
@@ -211,30 +173,15 @@ class TestRunRound:
             act = bundle([0, 1], (0.25, 0.75))  # retentions ignored in PEFT
             outcome = run_round(world, act, FederationMode.FEDPEFT)
             total += int(outcome.exchanges_this_round.sum())
-            assert world.devices[0].state.current_retention == 1.0
+            assert world.retention[0] == 1.0
         assert total == 2  # one initial exchange per device, never again
 
     def test_server_holds_30_percent_of_data(self):
         env = make_env(n=10, k=5)
         world = env.world
-        device_total = sum(d.profile.data_size for d in world.devices)
-        server = world.server.profile.data_size
+        device_total = world.profile.data_size.sum()
+        server = world.server.data_size
         assert server / (server + device_total) == pytest.approx(0.3, abs=0.01)
-        assert world.server.profile.is_server
-        assert not any(d.profile.is_server for d in world.devices)
-
-    def test_aggregation_weights_include_server(self):
-        env = make_env()
-        world = env.world
-        act = bundle([0, 1], (0.5, 0.5))
-        outcome = run_round(world, act, FederationMode.FEDPEAT)
-        weights = [world.devices[0].profile.data_size,
-                   world.devices[1].profile.data_size,
-                   world.server.profile.data_size]
-        adapters = [world.devices[0].adapter, world.devices[1].adapter,
-                    world.server.adapter]
-        expected = aggregate_adapters(adapters, weights)
-        assert np.allclose(outcome.aggregated_adapter, expected)
 
     def test_json_row_roundtrips(self):
         env = make_env()
@@ -257,3 +204,42 @@ class TestActionBundle:
         with pytest.raises(ValueError):
             ActionBundle(selection=(0, 1), bandwidth_levels=(1,),
                          power_levels=(1, 1), retentions=(0.5, 0.5))
+
+
+speed_ranges = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(st.floats(0.0, 80.0), st.floats(0.0, 80.0)).map(
+        lambda r: (min(r), max(r))))
+
+
+class TestAdvanceChannel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           speed_range=speed_ranges, pause=st.sampled_from([0, 2]),
+           rounds=st.integers(1, 12))
+    def test_arrays_match_scalar_reference(self, seed, n, speed_range, pause,
+                                           rounds):
+        env = make_env(n=n, k=1, seed=seed, speed_range=speed_range,
+                       waypoint_pause=pause)
+        world = env.world
+        mobility_rng = copy.deepcopy(world.mobility_rng)
+        fading_rng = copy.deepcopy(world.fading_rng)
+        states = [DeviceState(position=p.copy()) for p in world.position]
+        for _ in range(rounds):
+            world.advance_channel()
+            gains = []
+            for state in states:
+                pos = step_mobility(state, world.mobility, mobility_rng)
+                dist = float(np.hypot(pos[0], pos[1]))
+                gains.append(channel_gain(dist, world.channel, fading_rng))
+            assert np.array_equal(world.position, [s.position for s in states])
+            assert np.array_equal(world.waypoint, [
+                np.full(2, np.nan) if s.waypoint is None else s.waypoint
+                for s in states], equal_nan=True)
+            assert world.pause_left.tolist() == [s.pause_left for s in states]
+            assert world.leg_speed.tolist() == [s.leg_speed for s in states]
+            np.testing.assert_allclose(world.gains, gains, rtol=1e-12, atol=0)
+        assert (world.mobility_rng.bit_generator.state
+                == mobility_rng.bit_generator.state)
+        assert (world.fading_rng.bit_generator.state
+                == fading_rng.bit_generator.state)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fedemu.agents import _sample_topk, _topk_log_prob
 from fedemu.neural import (
     AdamState,
     Mlp,
@@ -13,8 +14,6 @@ from fedemu.neural import (
     categorical_sample,
     forward,
     forward_cached,
-    plackett_luce_log_prob,
-    plackett_luce_sample,
 )
 
 # every network shape the controllers instantiate (N=10, K=5, L=4, G=4);
@@ -156,11 +155,13 @@ class TestCategorical:
 
 
 class TestPlackettLuce:
+    """The selection branch's Gumbel-top-k sampler and its log-probability."""
+
     def test_k1_uniform_marginals(self):
         rng = np.random.default_rng(8)
         counts = np.zeros(10)
         for _ in range(20_000):
-            idx, _ = plackett_luce_sample(np.zeros(10), 1, rng)
+            idx = _sample_topk(np.zeros(10), 1, rng)
             counts[idx[0]] += 1
         assert np.allclose(counts / 20_000, 0.1, atol=0.01)
 
@@ -172,7 +173,7 @@ class TestPlackettLuce:
         total = 0.0
         for i, j in itertools.permutations(range(5), 2):
             expected = math.log(p[i]) + math.log(p[j] / (1.0 - p[i]))
-            got = plackett_luce_log_prob(logits, [i, j])
+            got = _topk_log_prob(logits, [i, j])
             assert got == pytest.approx(expected, abs=1e-9)
             total += math.exp(got)
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -181,22 +182,31 @@ class TestPlackettLuce:
         rng = np.random.default_rng(10)
         logits = rng.standard_normal(4)
         total = sum(
-            math.exp(plackett_luce_log_prob(logits, list(perm)))
+            math.exp(_topk_log_prob(logits, list(perm)))
             for perm in itertools.permutations(range(4)))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_k_larger_than_n_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            plackett_luce_sample(np.zeros(3), 4, rng)
+            _sample_topk(np.zeros(3), 4, rng)
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            plackett_luce_log_prob(np.zeros(4), [1, 1])
+            _topk_log_prob(np.zeros(4), [1, 1])
 
     def test_sample_matches_log_prob(self):
+        # the sampler draws distinct indices, and each ordered draw comes up
+        # as often as the log-probability says
         rng = np.random.default_rng(12)
-        logits = rng.standard_normal(6)
-        idx, lp = plackett_luce_sample(logits, 3, rng)
-        assert len(set(idx)) == 3
-        assert lp == pytest.approx(plackett_luce_log_prob(logits, idx), abs=1e-12)
+        logits = rng.standard_normal(4)
+        counts = {}
+        n_draws = 20_000
+        for _ in range(n_draws):
+            idx = tuple(int(i) for i in _sample_topk(logits, 2, rng))
+            assert len(set(idx)) == 2
+            counts[idx] = counts.get(idx, 0) + 1
+        for perm in itertools.permutations(range(4), 2):
+            expected = math.exp(_topk_log_prob(logits, list(perm)))
+            assert counts.get(perm, 0) / n_draws == pytest.approx(expected,
+                                                                  abs=0.015)

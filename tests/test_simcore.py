@@ -4,7 +4,6 @@ import pytest
 from fedemu.simcore import (
     AdapterSpec,
     DeviceProfile,
-    DeviceState,
     EmulatorSpec,
     ModelSpec,
     PerplexitySurrogate,
@@ -34,10 +33,6 @@ def surrogate():
     return PerplexitySurrogate()
 
 
-def state(p=31.9):
-    return DeviceState(position=np.zeros(2), perplexity=p)
-
-
 class TestModelSpecs:
     def test_adapter_fraction(self, model, adapter):
         assert adapter.layer_count == 4
@@ -53,7 +48,10 @@ class TestModelSpecs:
 
     def test_device_profile_validation(self):
         with pytest.raises(ValueError):
-            DeviceProfile(id=0, memory_capacity=0, compute_speed=1, data_size=1)
+            DeviceProfile(memory_capacity=0, compute_speed=1, data_size=1)
+        with pytest.raises(ValueError, match="data_size"):
+            DeviceProfile(memory_capacity=np.ones(3), compute_speed=np.ones(3),
+                          data_size=np.array([5, 0, 5]))
 
 
 class TestEmulatorFromRetention:
@@ -72,7 +70,7 @@ class TestEmulatorFromRetention:
         assert emu.layer_count == 10
         assert emu.bytes == pytest.approx(1.0958333 * GB, rel=1e-6)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0001, 2.0, float("nan")])
     def test_domain_errors(self, model, adapter, bad):
         with pytest.raises(ValueError):
             emulator_from_retention(model, adapter, bad)
@@ -123,19 +121,19 @@ class TestFinalPerplexity:
 
 class TestPerplexityStep:
     def test_zero_rate_keeps_value(self):
-        assert perplexity_step(state(31.9), True, 13.22, 0.0) == 31.9
+        assert perplexity_step(31.9, True, 13.22, 0.0) == 31.9
 
     def test_fixed_point(self):
-        assert perplexity_step(state(13.22), True, 13.22, 0.3) == 13.22
-        assert perplexity_step(state(13.22), False, 13.22, 0.3) == 13.22
+        assert perplexity_step(13.22, True, 13.22, 0.3) == 13.22
+        assert perplexity_step(13.22, False, 13.22, 0.3) == 13.22
 
     def test_one_participation(self):
         # 13.22 + 18.68 * 0.9
-        got = perplexity_step(state(31.9), True, 13.22, 0.1)
+        got = perplexity_step(31.9, True, 13.22, 0.1)
         assert got == pytest.approx(30.032, abs=1e-12)
 
     def test_non_participation_unchanged(self):
-        assert perplexity_step(state(20.0), False, 13.22, 0.5) == 20.0
+        assert perplexity_step(20.0, False, 13.22, 0.5) == 20.0
 
     def test_contraction_property(self):
         rng = np.random.default_rng(11)
@@ -143,32 +141,27 @@ class TestPerplexityStep:
             p = rng.uniform(5.0, 40.0)
             target = rng.uniform(5.0, 40.0)
             rate = rng.uniform(0.0, 1.0)
-            new = perplexity_step(state(p), True, target, rate)
+            new = perplexity_step(p, True, target, rate)
             assert abs(new - target) <= (1 - rate) * abs(p - target) + 1e-12
 
 
 class TestComputeDelay:
     def test_hand_value(self, model):
-        profile = DeviceProfile(id=0, memory_capacity=1.0, compute_speed=1e10,
-                                data_size=100)
         emu = EmulatorSpec(retention=1.0, layer_count=20, params=900_000_000,
                            bytes=1)
-        adapter = AdapterSpec(layer_count=4, params=100_000_000, bytes=1,
-                              weights=np.zeros(4))
-        assert compute_delay(profile, emu, adapter, 1) == pytest.approx(10.0)
+        adapter = AdapterSpec(layer_count=4, params=100_000_000, bytes=1)
+        assert compute_delay(100, 1e10, emu.params + adapter.params,
+                             1) == pytest.approx(10.0)
 
     def test_linearity_in_epochs(self, model, adapter):
-        profile = DeviceProfile(id=0, memory_capacity=1.0, compute_speed=1e11,
-                                data_size=250)
         emu = emulator_from_retention(model, adapter, 0.5)
-        assert compute_delay(profile, emu, adapter, 4) == pytest.approx(
-            2 * compute_delay(profile, emu, adapter, 2))
+        params = emu.params + adapter.params
+        assert compute_delay(250, 1e11, params, 4) == pytest.approx(
+            2 * compute_delay(250, 1e11, params, 2))
 
     def test_infinite_speed_limit(self, model, adapter):
-        profile = DeviceProfile(id=0, memory_capacity=1.0, compute_speed=1e30,
-                                data_size=250)
         emu = emulator_from_retention(model, adapter, 1.0)
-        assert compute_delay(profile, emu, adapter, 2) < 1e-15
+        assert compute_delay(250, 1e30, emu.params + adapter.params, 2) < 1e-15
 
 
 class TestMemoryFootprint:
@@ -178,7 +171,7 @@ class TestMemoryFootprint:
             model.total_bytes, abs=model.total_bytes / model.layer_count)
 
     def test_zero_byte_adapter(self, model):
-        ghost = AdapterSpec(layer_count=4, params=0, bytes=0, weights=np.zeros(1))
+        ghost = AdapterSpec(layer_count=4, params=0, bytes=0)
         emu = EmulatorSpec(retention=0.5, layer_count=10, params=1, bytes=12345)
         assert memory_footprint(emu, ghost) == 12345
 
