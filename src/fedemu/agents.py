@@ -189,37 +189,45 @@ def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
 
 
 def _topk_log_prob(logits: np.ndarray, indices) -> float:
-    """Plackett-Luce log-probability of drawing ``indices`` in order."""
-    available = np.ones(len(logits), dtype=bool)
-    logp = 0.0
-    for idx in indices:
-        if not available[idx]:
-            raise ValueError("indices must be distinct")
-        masked = np.where(available, logits, -np.inf)
-        logp += float(log_softmax(masked)[idx])
-        available[idx] = False
-    return logp
+    """Plackett-Luce log-probability of drawing ``indices`` in order.
+
+    Draw j picks from the unchosen logits plus indices[j:], so its
+    log-normaliser is logaddexp(logsumexp(unchosen), logsumexp(chosen[j:]));
+    one reversed cumulative logaddexp gives all K of them in O(N + K).
+    """
+    idx = np.asarray(indices, dtype=int)
+    unchosen = np.ones(len(logits), dtype=bool)
+    unchosen[idx] = False
+    if unchosen.sum() != len(logits) - len(idx):
+        raise ValueError("indices must be distinct")
+    z = logits - logits.max()
+    rest = z[unchosen]
+    if rest.size:
+        top = rest.max()
+        log_rest = top + np.log(np.exp(rest - top).sum())
+    else:
+        log_rest = -np.inf
+    chosen = z[idx]
+    tail = np.logaddexp.accumulate(chosen[::-1])[::-1]
+    return float((chosen - np.logaddexp(log_rest, tail)).sum())
 
 
-def _row_head_inputs(chain: np.ndarray, selection: np.ndarray,
-                     n_devices: int) -> np.ndarray:
-    """Inputs for a weight-shared per-device head: the chained state plus the
-    device's own observation features (gain, capacity, exchange count) and
-    its own slice of every encoding appended so far. Relies on the
-    observation layout [gains | capacities | exchange counts | clock]."""
+def _row_features(chain: np.ndarray, selection: np.ndarray,
+                  n_devices: int) -> np.ndarray:
+    """Per-row features of a weight-shared per-device head, one row per
+    (sample, slot): the device's own observation features (gain, capacity,
+    exchange count) and its own slice of every encoding appended so far.
+    The head's input row is ``[chain[s] | features]``; ``neural`` takes the
+    two parts apart (a factored input). Relies on the observation layout
+    [gains | capacities | exchange counts | clock]."""
     m, k = selection.shape
-    dim = chain.shape[1]
-    n_enc = (dim - (3 * n_devices + 1)) // n_devices
+    n_enc = (chain.shape[1] - (3 * n_devices + 1)) // n_devices
     if n_enc < 0:
         raise ValueError("chained state narrower than the observation layout")
-    rows = np.repeat(np.arange(m), k)
-    sel = selection.reshape(-1)
-    feats = [chain[rows, sel], chain[rows, n_devices + sel],
-             chain[rows, 2 * n_devices + sel]]
-    offset = 3 * n_devices + 1
-    for j in range(n_enc):
-        feats.append(chain[rows, offset + j * n_devices + sel])
-    return np.concatenate([chain[rows], np.stack(feats, axis=1)], axis=1)
+    offsets = np.concatenate([np.arange(3) * n_devices,
+                              3 * n_devices + 1 + np.arange(n_enc) * n_devices])
+    cols = (selection[:, :, None] + offsets).reshape(m, k * len(offsets))
+    return np.take_along_axis(chain, cols, axis=1).reshape(m * k, len(offsets))
 
 
 def row_head_extra_features(chain_dim: int, n_devices: int) -> int:
@@ -231,7 +239,8 @@ class BranchPass:
     """Batched branch evaluation with everything updates need.
 
     For "rows" branches the gradient arrays have one row per (sample, device)
-    pair; ``rows_per_sample`` records the expansion factor.
+    pair; ``rows_per_sample`` records the expansion factor, and
+    ``activations[0]`` is the factored input ``(inputs, row features)``.
     """
 
     logp: np.ndarray           # (M,)
@@ -246,8 +255,8 @@ def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
                actions: np.ndarray, selection: np.ndarray,
                n_devices: int) -> BranchPass:
     m, k = selection.shape
-    row_in = _row_head_inputs(inputs, selection, n_devices)
-    out, acts = forward_cached(net, row_in)       # (M*K, L)
+    out, acts = forward_cached(net, inputs,        # (M*K, L)
+                               _row_features(inputs, selection, n_devices))
     lp = log_softmax(out)
     p = np.exp(lp)
     flat = actions.reshape(-1)
@@ -455,10 +464,10 @@ class _PpoAgentBase(_ChainPolicy):
             else:
                 action = _sample_topk(logits, spec.slots, self.sample_rng)
             return action, _topk_log_prob(logits, action)
-        row_in = _row_head_inputs(net_in[None, :],
-                                  np.asarray(selection)[None, :],
-                                  self.n_devices)
-        mat = forward(net, row_in)  # (K, L)
+        chain = net_in[None, :]
+        feats = _row_features(chain, np.asarray(selection)[None, :],
+                              self.n_devices)
+        mat = forward(net, chain, feats)  # (K, L)
         if greedy:
             action = mat.argmax(axis=1)
         else:

@@ -200,12 +200,12 @@ class RoundOutcome:
             "round": self.round_index,
             "mode": self.mode.value,
             "selection": list(self.selection),
-            "q": [round(float(x), 9) for x in self.q],
+            "q": [round(x, 9) for x in self.q.tolist()],
             "server_q": round(self.server_q, 9),
-            "perplexities": [round(float(x), 6) for x in self.perplexities],
+            "perplexities": [round(x, 6) for x in self.perplexities.tolist()],
             "server_perplexity": round(self.server_perplexity, 6),
-            "exchanges": [int(x) for x in self.exchanges_this_round],
-            "payload_bytes": [float(x) for x in self.payload_bytes],
+            "exchanges": self.exchanges_this_round.tolist(),
+            "payload_bytes": self.payload_bytes.tolist(),
         })
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from fedemu.neural import backward, forward
 
 
-def finite_difference_grads(net, x, upstream, h=1e-5):
+def finite_difference_grads(net, x, upstream, h=1e-5, feats=None):
     grads = []
     for p in net.parameters():
         g = np.zeros_like(p)
@@ -14,9 +14,9 @@ def finite_difference_grads(net, x, upstream, h=1e-5):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            up = float((forward(net, x) * upstream).sum())
+            up = float((forward(net, x, feats) * upstream).sum())
             p[idx] = orig - h
-            down = float((forward(net, x) * upstream).sum())
+            down = float((forward(net, x, feats) * upstream).sum())
             p[idx] = orig
             g[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -24,12 +24,13 @@ def finite_difference_grads(net, x, upstream, h=1e-5):
     return grads
 
 
-def max_relative_error(net, x, upstream):
+def max_relative_error(net, x, upstream, feats=None):
     """Worst-case relative disagreement between analytic and numeric
     gradients; denominators are floored so finite-difference noise on
-    near-zero entries reads as a small absolute error instead of blowing up."""
-    analytic = backward(net, x, upstream)
-    numeric = finite_difference_grads(net, x, upstream)
+    near-zero entries reads as a small absolute error instead of blowing up.
+    ``feats`` makes ``x`` the shared part of a factored input."""
+    analytic = backward(net, x, upstream, feats=feats)
+    numeric = finite_difference_grads(net, x, upstream, feats=feats)
     worst = 0.0
     for a, n in zip(analytic, numeric):
         denom = np.maximum(np.abs(a) + np.abs(n), 1e-2)

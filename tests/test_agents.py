@@ -15,9 +15,10 @@ from fedemu.agents import (
     default_branches,
     gae,
     _eval_branch,
+    _row_features,
 )
 from fedemu.env import AdaptiveFedEnv, EnvParams
-from fedemu.neural import adam_step, backward, forward
+from fedemu.neural import adam_step, backward, forward, forward_cached, log_softmax
 
 OBS_DIM = 31
 BRANCHES = default_branches(10, 5, 4, 4)
@@ -146,6 +147,59 @@ class TestAct:
             runs.append([agent.act(obs).branch_actions for _ in range(20)])
         for acts_a, acts_b in zip(*runs):
             assert all(np.array_equal(x, y) for x, y in zip(acts_a, acts_b))
+
+
+
+def _row_head_inputs(chain, selection, n_devices):
+    """Reference: the concatenated rows-head input, one row per (sample,
+    slot): the chained state, then the device's gain, capacity and exchange
+    count, then its slice of every appended encoding."""
+    m, k = selection.shape
+    n_enc = (chain.shape[1] - (3 * n_devices + 1)) // n_devices
+    rows = np.repeat(np.arange(m), k)
+    sel = selection.reshape(-1)
+    feats = [chain[rows, sel], chain[rows, n_devices + sel],
+             chain[rows, 2 * n_devices + sel]]
+    offset = 3 * n_devices + 1
+    for j in range(n_enc):
+        feats.append(chain[rows, offset + j * n_devices + sel])
+    return np.concatenate([chain[rows], np.stack(feats, axis=1)], axis=1)
+
+
+class TestRowHeads:
+    def test_features_complete_the_concatenated_input(self):
+        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=4)
+        buffer = rollout_env(agent, seed=4, steps=12)
+        selection = buffer.actions[0][:12]
+        for chain in buffer.inputs[1:]:
+            chain = chain[:12]
+            got = np.concatenate([np.repeat(chain, 5, axis=0),
+                                  _row_features(chain, selection, 10)], axis=1)
+            assert np.array_equal(got, _row_head_inputs(chain, selection, 10))
+
+    @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
+    def test_eval_matches_concatenated_path(self, agent_cls):
+        agent = agent_cls(OBS_DIM, BRANCHES, seed=5)
+        buffer = rollout_env(agent, seed=5, steps=16)
+        selection = buffer.actions[0][:16]
+        rng = np.random.default_rng(5)
+        for b in (1, 2, 3):
+            net = agent._branch_net(b)
+            inputs = buffer.inputs[b if agent.chained else 0][:16]
+            actions = buffer.actions[b][:16]
+            ev = _eval_branch(net, agent.branches[b], inputs, actions,
+                              selection, agent.n_devices)
+            row_in = _row_head_inputs(inputs, selection, agent.n_devices)
+            out, acts = forward_cached(net, row_in)
+            lp = log_softmax(out)
+            want_logp = lp[np.arange(80), actions.reshape(-1)].reshape(16, 5)
+            assert np.allclose(ev.logp, want_logp.sum(axis=1),
+                               rtol=1e-12, atol=0)
+            upstream = rng.standard_normal(out.shape)
+            for g, w in zip(backward(net, ev.activations[0], upstream,
+                                     ev.activations),
+                            backward(net, row_in, upstream, acts)):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 class TestRatioAndClip:

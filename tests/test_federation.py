@@ -10,6 +10,7 @@ from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
     ActionBundle,
     FederationMode,
+    RoundOutcome,
     disseminate,
     local_tuning,
     run_round,
@@ -192,6 +193,23 @@ class TestRunRound:
         assert row["mode"] == "fedpeat"
         assert row["selection"] == [0, 1]
         assert len(row["q"]) == env.world.n_devices
+
+    def test_json_row_bytes(self):
+        outcome = RoundOutcome(
+            round_index=3, mode=FederationMode.FEDPEAT, selection=(0, 2),
+            q=np.array([0.1234567891234, 0.0, 2.0 / 3.0]),
+            server_q=0.4567891234567,
+            perplexities=np.array([28.71582142668, 30.0, 29.1234565]),
+            server_perplexity=27.5,
+            exchanges_this_round=np.array([1, 0, 0]),
+            payload_bytes=np.array([1.5e8, 0.0, 0.0]),
+            footprints=np.array([1e9, 2e9]), rates=np.array([1e6, 0.0, 2e6]))
+        assert outcome.to_json_row() == (
+            '{"round": 3, "mode": "fedpeat", "selection": [0, 2], '
+            '"q": [0.123456789, 0.0, 0.666666667], "server_q": 0.456789123, '
+            '"perplexities": [28.715821, 30.0, 29.123456], '
+            '"server_perplexity": 27.5, "exchanges": [1, 0, 0], '
+            '"payload_bytes": [150000000.0, 0.0, 0.0]}')
 
 
 class TestActionBundle:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedemu.agents import _sample_topk, _topk_log_prob
 from fedemu.neural import (
@@ -14,6 +15,7 @@ from fedemu.neural import (
     categorical_sample,
     forward,
     forward_cached,
+    log_softmax,
 )
 
 # every network shape the controllers instantiate (N=10, K=5, L=4, G=4);
@@ -105,6 +107,63 @@ class TestBackward:
             assert np.allclose(a, b, atol=1e-12)
 
 
+
+def _scale_close(got, want, rel):
+    """Equal to within ``rel`` of the reference array's largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want), initial=0.0) <= rel * max(
+        np.max(np.abs(want), initial=0.0), 1e-300)
+
+
+class TestFactoredInput:
+    """A rows head's input [x[s] | feats[s*K + j]] passed in two parts must
+    behave exactly like the concatenated matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), k=st.integers(1, 6), d=st.integers(1, 9),
+           e=st.integers(1, 5),
+           hidden=st.lists(st.integers(1, 12), min_size=0, max_size=3),
+           out=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_concatenated_input(self, m, k, d, e, hidden, out, seed):
+        rng = np.random.default_rng(seed)
+        net = Mlp.init([d + e, *hidden, out], rng, scale=100.0)
+        x = rng.standard_normal((m, d))
+        feats = rng.standard_normal((m * k, e))
+        row_in = np.concatenate([np.repeat(x, k, axis=0), feats], axis=1)
+        upstream = rng.standard_normal((m * k, out))
+
+        assert _scale_close(forward(net, x, feats), forward(net, row_in), 1e-12)
+        got_out, got_acts = forward_cached(net, x, feats)
+        want_out, want_acts = forward_cached(net, row_in)
+        assert _scale_close(got_out, want_out, 1e-12)
+        assert isinstance(got_acts[0], tuple)
+        for a, b in zip(got_acts[1:], want_acts[1:]):
+            assert _scale_close(a, b, 1e-12)
+        want = backward(net, row_in, upstream)
+        for grads in (backward(net, x, upstream, feats=feats),
+                      backward(net, got_acts[0], upstream, got_acts)):
+            for g, w in zip(grads, want):
+                assert _scale_close(g, w, 1e-12)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        net = Mlp.init([7 + 3, 8, 8, 4], rng, scale=100.0)
+        x = rng.standard_normal((3, 7))
+        feats = rng.standard_normal((3 * 4, 3))
+        upstream = rng.standard_normal((3 * 4, 4))
+        assert max_relative_error(net, x, upstream, feats) < 1e-4
+
+    def test_shape_errors(self):
+        net = Mlp.init([5, 4, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="do not split"):
+            forward(net, np.zeros((2, 3)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            forward(net, np.zeros((2, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            forward(net, np.zeros(3), np.zeros((4, 2)))
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         w = [np.array([1.0, -2.0])]
@@ -117,6 +176,32 @@ class TestAdam:
         st = AdamState.for_params(w, lr=0.01)
         adam_step(w, [np.array([0.37])], st)
         assert w[0][0] - 5.0 == pytest.approx(-0.01, rel=1e-6)
+
+    def test_in_place_matches_reference_formula(self):
+        def reference_step(params, grads, state):
+            state.step += 1
+            b1c = 1.0 - state.beta1 ** state.step
+            b2c = 1.0 - state.beta2 ** state.step
+            for p, g, m, v in zip(params, grads, state.m, state.v):
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * g * g
+                p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+
+        rng = np.random.default_rng(21)
+        net = Mlp.init([604, 64, 64, 4], rng)
+        ref = net.clone()
+        st_new = AdamState.for_params(net.parameters(), lr=1e-3)
+        st_ref = AdamState.for_params(ref.parameters(), lr=1e-3)
+        for _ in range(50):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for p in net.parameters()]
+            adam_step(net.parameters(), grads, st_new)
+            reference_step(ref.parameters(), grads, st_ref)
+        for a, b in zip(net.parameters() + st_new.m + st_new.v,
+                        ref.parameters() + st_ref.m + st_ref.v):
+            assert np.array_equal(a, b)
 
     def test_scalar_quadratic_converges(self):
         # oracle: running this descent lands within 0.2 of the optimum
@@ -185,6 +270,44 @@ class TestPlackettLuce:
             math.exp(_topk_log_prob(logits, list(perm)))
             for perm in itertools.permutations(range(4)))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def _masked_loop_log_prob(logits, indices):
+        """Reference: one masked log-softmax per draw."""
+        available = np.ones(len(logits), dtype=bool)
+        logp = 0.0
+        for idx in indices:
+            masked = np.where(available, logits, -np.inf)
+            logp += float(log_softmax(masked)[idx])
+            available[idx] = False
+        return logp
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), k_frac=st.floats(0.0, 1.0),
+           scale=st.sampled_from([1e-3, 1.0, 10.0, 100.0, 1e3]),
+           greedy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_log_prob_matches_masked_loop(self, n, k_frac, scale, greedy,
+                                          seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal(n) * scale
+        k = max(1, round(k_frac * n))
+        order = (np.argsort(-logits, kind="stable") if greedy
+                 else rng.permutation(n))
+        idx = order[:k]
+        want = self._masked_loop_log_prob(logits, idx)
+        # rounding grows with the logits' size, so the floor is 1, not 0
+        assert abs(_topk_log_prob(logits, idx) - want) <= 1e-10 * max(
+            abs(want), 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_full_permutation_and_greedy_order(self, scale):
+        rng = np.random.default_rng(13)
+        logits = rng.standard_normal(200) * scale
+        for idx in (rng.permutation(200), np.argsort(-logits)[:20],
+                    np.argsort(-logits)):
+            want = self._masked_loop_log_prob(logits, idx)
+            assert abs(_topk_log_prob(logits, idx) - want) <= 1e-10 * max(
+                abs(want), 1.0)
 
     def test_k_larger_than_n_rejected(self):
         rng = np.random.default_rng(11)
