@@ -176,10 +176,13 @@ def transmission_delay(selected, changed, emulator_bytes, rate):
 def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
     """Turn discrete per-device levels into absolute Hz/W allocations.
 
-    Selected devices get budget * level / sum(levels over selected); the
-    share of the highest selected index is defined as the remainder so the
-    sequential sum in index order equals the budget exactly. Unselected
-    devices get zero. Returns (bandwidth, power) arrays over all devices.
+    Selected devices get budget * level / sum(levels over selected),
+    rounded to a multiple of the budget's ulp; the share of the highest
+    selected index is the remainder. Every partial sum of such multiples is
+    exact, so the shares sum to the budget exactly in any order. (Taking the
+    remainder of unrounded shares misses by an ulp when it is a rounding
+    tie.) Unselected devices get zero. Returns (bandwidth, power) arrays over
+    all devices.
     """
     selection = np.sort(selection)
     if selection.size == 0:
@@ -192,9 +195,9 @@ def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
         raise ValueError("levels must be positive for selected devices")
     budgets = np.array([[params.bandwidth_budget], [params.power_budget]])
     shares = budgets * levels / levels.sum(axis=1, keepdims=True)
-    acc = (np.add.accumulate(shares[:, :-1], axis=1)[:, -1]
-           if selection.size > 1 else 0.0)
-    shares[:, -1] = budgets[:, 0] - acc
+    ulp = np.spacing(budgets)
+    shares[:, :-1] = np.round(shares[:, :-1] / ulp) * ulp
+    shares[:, -1] = budgets[:, 0] - shares[:, :-1].sum(axis=1)
     out = np.zeros((2, n))
     out[:, selection] = shares
     return out[0], out[1]

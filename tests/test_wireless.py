@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedemu.simcore import DeviceState
 from fedemu.wireless import (
@@ -166,6 +167,37 @@ class TestAllocateBudgets:
             assert (bw >= 0).all() and (pw >= 0).all()
             unsel = [i for i in range(n) if i not in sel]
             assert all(bw[i] == 0 and pw[i] == 0 for i in unsel)
+
+    def test_remainder_tie_sums_exact(self):
+        # the remainder of unrounded shares is a rounding tie here: it missed
+        # the budget by one ulp (2**-19 Hz)
+        params = self.params(b=16548286433.25348)
+        levels = np.array([1.0, 0.0, 1.0, 0.0, 4.0, 0.0])
+        bw, pw = allocate_budgets(levels, levels, [0, 2, 4], params)
+        assert sum(bw.tolist()) == params.bandwidth_budget
+        assert sum(pw.tolist()) == params.power_budget
+        assert bw[4] == pytest.approx(params.bandwidth_budget * 4 / 6,
+                                      rel=1e-15)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60),
+           budget=st.floats(7e9, 20e9), power=st.floats(0.1, 100.0))
+    def test_budget_sums_exact_property(self, data, n, budget, power):
+        sel = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        level = st.integers(1, 4)
+        levels_b = np.zeros(n)
+        levels_p = np.zeros(n)
+        levels_b[sel] = data.draw(st.lists(level, min_size=len(sel),
+                                           max_size=len(sel)))
+        levels_p[sel] = data.draw(st.lists(level, min_size=len(sel),
+                                           max_size=len(sel)))
+        params = self.params(b=budget, p=power)
+        bw, pw = allocate_budgets(levels_b, levels_p, sel, params)
+        assert sum(bw.tolist()) == budget
+        assert sum(pw.tolist()) == power
+        assert (bw[sel] > 0).all() and (pw[sel] > 0).all()
+        shares = levels_b[sel] / levels_b[sel].sum() * budget
+        assert np.allclose(bw[sel], shares, rtol=1e-12, atol=0)
 
 
 class TestMobility:
