@@ -201,14 +201,9 @@ def _topk_log_prob(logits: np.ndarray, indices) -> float:
     if unchosen.sum() != len(logits) - len(idx):
         raise ValueError("indices must be distinct")
     z = logits - logits.max()
-    rest = z[unchosen]
-    if rest.size:
-        top = rest.max()
-        log_rest = top + np.log(np.exp(rest - top).sum())
-    else:
-        log_rest = -np.inf
     chosen = z[idx]
     tail = np.logaddexp.accumulate(chosen[::-1])[::-1]
+    log_rest = np.logaddexp.reduce(z[unchosen])  # -inf when K = N
     return float((chosen - np.logaddexp(log_rest, tail)).sum())
 
 

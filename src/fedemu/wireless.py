@@ -194,9 +194,9 @@ def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
     if (levels <= 0).any():
         raise ValueError("levels must be positive for selected devices")
     budgets = np.array([[params.bandwidth_budget], [params.power_budget]])
-    shares = budgets * levels / levels.sum(axis=1, keepdims=True)
     ulp = np.spacing(budgets)
-    shares[:, :-1] = np.round(shares[:, :-1] / ulp) * ulp
+    shares = np.rint(budgets / ulp * levels
+                     / levels.sum(axis=1, keepdims=True)) * ulp
     shares[:, -1] = budgets[:, 0] - shares[:, :-1].sum(axis=1)
     out = np.zeros((2, n))
     out[:, selection] = shares
