@@ -149,7 +149,6 @@ class TestAct:
             assert all(np.array_equal(x, y) for x, y in zip(acts_a, acts_b))
 
 
-
 def _row_head_inputs(chain, selection, n_devices):
     """Reference: the concatenated rows-head input, one row per (sample,
     slot): the chained state, then the device's gain, capacity and exchange

@@ -107,7 +107,6 @@ class TestBackward:
             assert np.allclose(a, b, atol=1e-12)
 
 
-
 def _scale_close(got, want, rel):
     """Equal to within ``rel`` of the reference array's largest entry."""
     got, want = np.asarray(got), np.asarray(want)
