@@ -127,16 +127,16 @@ def forward_cached(net: Mlp, x: np.ndarray, feats=None):
     return h, activations
 
 
-def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray,
-             activations=None, feats=None):
+def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None):
     """Exact gradients of sum(grad_out * output) w.r.t. every parameter.
 
     Returns a list matching ``net.parameters()`` order. Batched inputs sum
     gradients over the batch. When ``activations`` is given, the input is
-    read from ``activations[0]`` and ``x``/``feats`` are not used.
+    read from ``activations[0]`` and ``x`` is not used; a factored input is
+    given this way, through the activations of ``forward_cached``.
     """
     if activations is None:
-        _, activations = forward_cached(net, x, feats)
+        _, activations = forward_cached(net, x)
     x, feats = (activations[0] if isinstance(activations[0], tuple)
                 else (activations[0], None))
     single = x.ndim == 1

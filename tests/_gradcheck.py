@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fedemu.neural import backward, forward
+from fedemu.neural import backward, forward, forward_cached
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5, feats=None):
@@ -29,7 +29,8 @@ def max_relative_error(net, x, upstream, feats=None):
     gradients; denominators are floored so finite-difference noise on
     near-zero entries reads as a small absolute error instead of blowing up.
     ``feats`` makes ``x`` the shared part of a factored input."""
-    analytic = backward(net, x, upstream, feats=feats)
+    _, acts = forward_cached(net, x, feats)
+    analytic = backward(net, acts[0], upstream, acts)
     numeric = finite_difference_grads(net, x, upstream, feats=feats)
     worst = 0.0
     for a, n in zip(analytic, numeric):

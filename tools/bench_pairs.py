@@ -85,7 +85,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 12-21 or 2,5,7")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--save", type=Path, help="write every run's JSON here")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -103,9 +102,6 @@ def main(argv=None) -> int:
             print(f"seed {seed} {side}: correct={r['correct']} "
                   f"failed={r['failed']}/{r['attempted']}", file=sys.stderr)
         pairs.append((result["parent"], result["change"]))
-    if args.save:
-        args.save.write_text(json.dumps(
-            [{"parent": p, "change": c} for p, c in pairs], indent=1))
     print(table(args.workload, pairs, better))
     return 0
 
