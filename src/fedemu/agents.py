@@ -4,17 +4,27 @@ The branched controller factors the joint action into four heads evaluated in
 sequence (device selection, bandwidth levels, power levels, retention), each
 consuming the observation concatenated with encodings of the actions already
 taken. One critic with a hard-synced target network supplies advantages via
-GAE. Baselines reuse the same branch math: independent per-branch
-actor-critic learners, and separate per-branch actors sharing one critic.
+GAE.
+
+The three learners are one PPO update (``_PpoAgentBase``) and differ only in
+how the heads are grouped into actor units and which critic feeds each unit:
+SABPPO has one unit over the chained heads and one critic; IterRL and HAPPO
+have one unit per head, fed the base observation, with a critic per unit
+(IterRL) or one shared critic (HAPPO). Each unit's ratio is that of its own
+joint action, the sum of its heads' log-probs. Two sampling baselines, random
+and fixed full-model, run the same chain without networks.
 
 All stochastic draws go through named per-agent streams so that runs are
-bit-reproducible and so the three update paths consume randomness from
-comparable sources.
+bit-reproducible: head ``b`` is initialised from ``(seed, 0, b)``, actor unit
+``i`` shuffles with ``(seed, 2, i)``, critic ``c`` is initialised from
+``(seed, 0, 100 + c)`` and shuffles with ``(seed, 3, c)``, and actions are
+drawn from ``(seed, 1)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,10 +96,6 @@ class BranchSpec:
     slots: int
     encode_width: int
 
-    @property
-    def out_dim(self) -> int:
-        return self.n_options
-
 
 def default_branches(n_devices: int, select_k: int, levels: int,
                      grid_size: int) -> list[BranchSpec]:
@@ -107,7 +113,6 @@ class StepAction:
 
     branch_actions: list[np.ndarray]   # one int array per branch
     branch_logps: np.ndarray
-    joint_logp: float
     inputs: list[np.ndarray]           # chained branch inputs, s1 first
 
 
@@ -120,7 +125,6 @@ class TrajectoryBuffer:
         self.inputs = [np.zeros((capacity, d)) for d in input_dims]
         self.actions = [np.zeros((capacity, s), dtype=int) for s in slots]
         self.branch_logps = np.zeros((capacity, self.n_branches))
-        self.joint_logps = np.zeros(capacity)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
         self.final_obs = None
@@ -139,7 +143,6 @@ class TrajectoryBuffer:
             self.inputs[b][i] = step.inputs[b]
             self.actions[b][i] = step.branch_actions[b]
         self.branch_logps[i] = step.branch_logps
-        self.joint_logps[i] = step.joint_logp
         self.rewards[i] = reward
         self.dones[i] = done
         self.final_obs = next_obs
@@ -223,10 +226,6 @@ def _row_features(chain: np.ndarray, selection: np.ndarray,
                               3 * n_devices + 1 + np.arange(n_enc) * n_devices])
     cols = (selection[:, :, None] + offsets).reshape(m, k * len(offsets))
     return np.take_along_axis(chain, cols, axis=1).reshape(m * k, len(offsets))
-
-
-def row_head_extra_features(chain_dim: int, n_devices: int) -> int:
-    return 3 + (chain_dim - (3 * n_devices + 1)) // n_devices
 
 
 @dataclass
@@ -346,26 +345,20 @@ class _CriticBundle:
 
 
 class _ActorUnit:
-    """A group of branch heads updated together under one optimiser."""
+    """The heads of branches ``branch_ids``, updated together under one
+    optimiser and one shuffle stream."""
 
-    def __init__(self, specs: list[BranchSpec], input_dims: list[int],
-                 cfg: PpoConfig, seed: int, index: int):
-        self.specs = specs
-        self.nets = []
-        for j, (spec, dim) in enumerate(zip(specs, input_dims)):
-            init_rng = stream(seed, 0, index + j)
-            self.nets.append(Mlp.init([dim, *cfg.hidden, spec.out_dim], init_rng))
-        params = []
-        for net in self.nets:
-            params.extend(net.parameters())
-        self.opt = AdamState.for_params(params, lr=cfg.actor_lr)
+    def __init__(self, branch_ids: list[int], branches: list[BranchSpec],
+                 input_dims: list[int], cfg: PpoConfig, seed: int, index: int):
+        self.branch_ids = branch_ids
+        self.nets = [Mlp.init([input_dims[b], *cfg.hidden,
+                               branches[b].n_options], stream(seed, 0, b))
+                     for b in branch_ids]
+        self.opt = AdamState.for_params(self.parameters(), lr=cfg.actor_lr)
         self.shuffle = stream(seed, 2, index)
 
     def parameters(self):
-        params = []
-        for net in self.nets:
-            params.extend(net.parameters())
-        return params
+        return [p for net in self.nets for p in net.parameters()]
 
 
 class _ChainPolicy:
@@ -398,13 +391,8 @@ class _ChainPolicy:
             enc = _encode_branch_action(spec, action, selection, self.n_devices)
             if enc.size:
                 chain = np.concatenate([chain, enc])
-        logps = np.array(logps)
-        return StepAction(
-            branch_actions=actions,
-            branch_logps=logps,
-            joint_logp=float(logps.sum()),
-            inputs=inputs,
-        )
+        return StepAction(branch_actions=actions, branch_logps=np.array(logps),
+                          inputs=inputs)
 
     def update(self, buffer) -> dict:
         return {}
@@ -417,41 +405,63 @@ class _ChainPolicy:
 
 
 class _PpoAgentBase(_ChainPolicy):
-    """Shared collection/update machinery for the three learners."""
+    """The PPO learner of all three controllers.
+
+    A chained agent has one actor unit over every branch, each head fed the
+    chained state; an unchained agent has one unit per branch, each head fed
+    the base observation. Every unit's ratio is that of its own joint action.
+    There is one critic, or one per unit when ``critic_per_unit`` is set.
+    """
+
+    critic_per_unit = False
 
     def __init__(self, obs_dim: int, branches: list[BranchSpec],
-                 cfg: PpoConfig | None = None, seed: int = 0,
-                 chained: bool = True):
+                 cfg: PpoConfig | None = None, seed: int = 0):
         super().__init__(branches, seed)
         self.obs_dim = obs_dim
         self.cfg = cfg or PpoConfig()
-        self.chained = chained
-        self.input_dims = self._input_dims()
+        input_dims = self._input_dims()
+        groups = ([list(range(len(branches)))] if self.chained
+                  else [[b] for b in range(len(branches))])
+        self.units = [_ActorUnit(ids, branches, input_dims, self.cfg, seed, i)
+                      for i, ids in enumerate(groups)]
+        n_critics = len(self.units) if self.critic_per_unit else 1
+        self.critics = [_CriticBundle(obs_dim, self.cfg, seed, c)
+                        for c in range(n_critics)]
+        self.branch_nets = [net for unit in self.units for net in unit.nets]
+
+    @property
+    def network_count(self) -> int:
+        return len(self.units) + len(self.critics)
+
+    def components(self):
+        return ([(f"actor{i}", u) for i, u in enumerate(self.units)],
+                [(f"critic{c}", b) for c, b in enumerate(self.critics)])
+
+    def _chain_dims(self) -> list[int]:
+        """Width of the chained state each branch sees."""
+        return list(accumulate((s.encode_width for s in self.branches[:-1]),
+                               initial=self.obs_dim))
 
     def _input_dims(self) -> list[int]:
+        """Input width of each head; a "rows" head also sees one column of
+        each per-device block (see ``_row_features``)."""
+        n = self.n_devices
         dims = []
-        d = self.obs_dim
-        for spec in self.branches:
-            base = d if self.chained else self.obs_dim
+        for spec, d in zip(self.branches, self._chain_dims()):
+            if not self.chained:
+                d = self.obs_dim
             if spec.kind == "rows":
-                base += row_head_extra_features(base, self.branches[0].n_options)
-            dims.append(base)
-            d += spec.encode_width
+                d += 3 + (d - (3 * n + 1)) // n
+            dims.append(d)
         return dims
 
-    # subclasses provide: _branch_net(b)
-
     def make_buffer(self) -> TrajectoryBuffer:
-        chained_dims = []
-        d = self.obs_dim
-        for spec in self.branches:
-            chained_dims.append(d)
-            d += spec.encode_width
-        return TrajectoryBuffer(self.cfg.segment, chained_dims,
+        return TrajectoryBuffer(self.cfg.segment, self._chain_dims(),
                                 [s.slots for s in self.branches])
 
     def _branch_action(self, b, spec, net_in, selection, greedy):
-        net = self._branch_net(b)
+        net = self.branch_nets[b]
         if spec.kind == "topk":
             logits = forward(net, net_in)
             if greedy:
@@ -471,22 +481,40 @@ class _PpoAgentBase(_ChainPolicy):
         return action, float(log_softmax(mat)[
             np.arange(len(selection)), action].sum())
 
-    def evaluate_logps(self, buffer: TrajectoryBuffer):
-        """Per-branch and joint log-probs of the stored actions under the
-        current parameters (no gradients)."""
-        m = buffer.size
-        selection = buffer.actions[0][:m]
-        per_branch = np.zeros((m, len(self.branches)))
-        for b, spec in enumerate(self.branches):
-            inputs = (buffer.inputs[b][:m] if self.chained
-                      else buffer.inputs[0][:m])
-            ev = _eval_branch(self._branch_net(b), spec, inputs,
-                              buffer.actions[b][:m], selection,
-                              self.n_devices)
-            per_branch[:, b] = ev.logp
-        return per_branch.sum(axis=1), per_branch
+    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer,
+                idx) -> list[BranchPass]:
+        """Evaluate the unit's heads on the stored samples ``idx``."""
+        selection = buffer.actions[0][idx]
+        return [_eval_branch(net, self.branches[b],
+                             buffer.inputs[b if self.chained else 0][idx],
+                             buffer.actions[b][idx], selection, self.n_devices)
+                for b, net in zip(unit.branch_ids, unit.nets)]
 
-    # -- update helpers -------------------------------------------------
+    def evaluate_logps(self, buffer: TrajectoryBuffer) -> np.ndarray:
+        """(M, branches) log-probs of the stored actions under the current
+        parameters."""
+        idx = slice(0, buffer.size)
+        return np.column_stack([p.logp for unit in self.units
+                                for p in self._passes(unit, buffer, idx)])
+
+    def update(self, buffer: TrajectoryBuffer) -> dict:
+        """Every unit's actor epochs against its critic's advantages, then
+        every critic's epochs. Actors and critics share no state within an
+        update, so this gives the same result as interleaving them."""
+        if buffer.size == 0:
+            raise ValueError("cannot update from an empty batch")
+        returns = [self._advantages(buffer, critic) for critic in self.critics]
+        advs = [self._normalized(adv) for adv, _ in returns]
+        stats = {"policy_loss": [], "value_loss": [], "entropy": [],
+                 "clip_frac": []}
+        for i, unit in enumerate(self.units):
+            adv = advs[i if self.critic_per_unit else 0]
+            for _ in range(self.cfg.epochs):
+                self._actor_epoch(unit, buffer, adv, stats)
+        for critic, (_, targets) in zip(self.critics, returns):
+            for _ in range(self.cfg.epochs):
+                self._critic_epoch(critic, buffer, targets, stats)
+        return {k: (float(np.mean(v)) if v else 0.0) for k, v in stats.items()}
 
     def _advantages(self, buffer: TrajectoryBuffer, critic: _CriticBundle):
         m = buffer.size
@@ -509,72 +537,36 @@ class _PpoAgentBase(_ChainPolicy):
             return adv  # degenerate batch: proceed unnormalised
         return (adv - adv.mean()) / std
 
-    def _actor_epoch(self, unit: _ActorUnit, buffer, adv, old_logps,
-                     joint: bool, stats):
-        """One optimisation epoch for one actor unit over shuffled
-        minibatches. ``joint`` selects whether the ratio uses the summed
-        log-prob of all of the unit's branches or each branch alone (both are
-        equivalent when the unit holds a single branch)."""
+    def _actor_epoch(self, unit: _ActorUnit, buffer, adv, stats):
+        """One clipped-surrogate epoch for one actor unit over shuffled
+        minibatches. The ratio is that of the unit's joint action: the sum of
+        its branches' log-probs, new against stored."""
         cfg = self.cfg
         m = buffer.size
         perm = unit.shuffle.permutation(m)
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            selection = buffer.actions[0][idx]
-            passes = []
-            for j, spec in enumerate(unit.specs):
-                b = self.branches.index(spec)
-                inputs = (buffer.inputs[b][idx] if self.chained
-                          else buffer.inputs[0][idx])
-                passes.append((j, _eval_branch(unit.nets[j], spec, inputs,
-                                               buffer.actions[b][idx],
-                                               selection, self.n_devices)))
+            passes = self._passes(unit, buffer, idx)
             a = adv[idx]
+            old = buffer.branch_logps[idx][:, unit.branch_ids].sum(axis=1)
+            ratio = np.exp(sum(p.logp for p in passes) - old)
+            surr1 = ratio * a
+            surr2 = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * a
+            inside = np.abs(ratio - 1.0) <= cfg.clip_eps
+            coef = np.where((surr1 <= surr2) | inside, surr1, 0.0) / len(idx)
             grads = []
-            obj_terms = []
-            ent_terms = []
-
-            def branch_grads(j, p, coef):
-                if p.rows_per_sample > 1:
-                    coef = np.repeat(coef, p.rows_per_sample)
-                upstream = (coef[:, None] * p.grad_logp
+            for net, p in zip(unit.nets, passes):
+                row_coef = np.repeat(coef, p.rows_per_sample)
+                upstream = (row_coef[:, None] * p.grad_logp
                             + cfg.entropy_coef * p.grad_entropy / len(idx))
-                grads.extend(backward(unit.nets[j], p.activations[0],
-                                      -upstream, p.activations))
-                ent_terms.append(p.entropy.mean())
-
-            if joint:
-                logp_new = sum(p.logp for _, p in passes)
-                logp_old = old_logps[idx].sum(axis=1) if old_logps.ndim == 2 \
-                    else old_logps[idx]
-                ratio = np.exp(logp_new - logp_old)
-                coef = self._surrogate_coef(ratio, a, stats)
-                for j, p in passes:
-                    branch_grads(j, p, coef)
-                obj_terms.append(float(np.minimum(
-                    ratio * a, np.clip(ratio, 1 - cfg.clip_eps,
-                                       1 + cfg.clip_eps) * a).mean()))
-            else:
-                for j, p in passes:
-                    b = self.branches.index(unit.specs[j])
-                    ratio = np.exp(p.logp - old_logps[idx, b])
-                    coef = self._surrogate_coef(ratio, a, stats)
-                    branch_grads(j, p, coef)
-                    obj_terms.append(float(np.minimum(
-                        ratio * a, np.clip(ratio, 1 - cfg.clip_eps,
-                                           1 + cfg.clip_eps) * a).mean()))
+                grads.extend(backward(net, p.activations[0], -upstream,
+                                      p.activations))
             adam_step(unit.parameters(), grads, unit.opt)
-            stats["policy_loss"].append(-float(np.mean(obj_terms)))
-            stats["entropy"].append(float(np.mean(ent_terms)))
-
-    def _surrogate_coef(self, ratio, adv, stats):
-        cfg = self.cfg
-        surr1 = ratio * adv
-        surr2 = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv
-        inside = np.abs(ratio - 1.0) <= cfg.clip_eps
-        active = (surr1 <= surr2) | inside
-        stats["clip_frac"].append(float((~inside).mean()))
-        return np.where(active, adv * ratio, 0.0) / len(ratio)
+            stats["clip_frac"].append(float((~inside).mean()))
+            stats["policy_loss"].append(
+                -float(np.minimum(surr1, surr2).mean()))
+            stats["entropy"].append(float(np.mean([p.entropy.mean()
+                                                   for p in passes])))
 
     def _critic_epoch(self, critic: _CriticBundle, buffer, targets, stats):
         cfg = self.cfg
@@ -587,134 +579,33 @@ class _PpoAgentBase(_ChainPolicy):
                                            cfg.target_sync)
             stats["value_loss"].append(loss)
 
-    @staticmethod
-    def _finalize(stats) -> dict:
-        return {k: (float(np.mean(v)) if v else 0.0) for k, v in stats.items()}
-
-    @staticmethod
-    def _new_stats() -> dict:
-        return {"policy_loss": [], "value_loss": [], "entropy": [],
-                "clip_frac": []}
-
     def rng_streams(self) -> dict:
         streams = super().rng_streams()
         actors, critics = self.components()
-        for name, unit in actors:
-            streams[f"{name}/shuffle"] = unit.shuffle
-        for name, bundle in critics:
-            streams[f"{name}/shuffle"] = bundle.shuffle
+        for name, part in actors + critics:
+            streams[f"{name}/shuffle"] = part.shuffle
         return streams
 
 
 class SabppoAgent(_PpoAgentBase):
-    """Single branched actor (joint ratio) plus one critic with target."""
-
-    def __init__(self, obs_dim, branches, cfg=None, seed=0):
-        super().__init__(obs_dim, branches, cfg, seed, chained=True)
-        self.actor = _ActorUnit(branches, self.input_dims, self.cfg, seed, 0)
-        self.critic = _CriticBundle(obs_dim, self.cfg, seed, 0)
-
-    @property
-    def network_count(self) -> int:
-        return 2  # branched actor counts as one network, plus the critic
-
-    def components(self):
-        return [("actor0", self.actor)], [("critic0", self.critic)]
-
-    def _branch_net(self, b):
-        return self.actor.nets[b]
-
-    def update(self, buffer: TrajectoryBuffer) -> dict:
-        if buffer.size == 0:
-            raise ValueError("cannot update from an empty batch")
-        adv_raw, targets = self._advantages(buffer, self.critic)
-        adv = self._normalized(adv_raw)
-        stats = self._new_stats()
-        old = buffer.joint_logps[:buffer.size]
-        for _ in range(self.cfg.epochs):
-            self._actor_epoch(self.actor, buffer, adv, old, True, stats)
-            self._critic_epoch(self.critic, buffer, targets, stats)
-        return self._finalize(stats)
+    """SABPPO: one actor unit over the chained heads, so the ratio is that of
+    the joint action, and one critic with a hard-synced target."""
 
 
 class IterRlAgent(_PpoAgentBase):
-    """Independent actor-critic learner per branch; all consume the base
-    observation."""
+    """IterRL: an independent actor-critic learner per branch; every head
+    sees the base observation."""
 
-    def __init__(self, obs_dim, branches, cfg=None, seed=0):
-        super().__init__(obs_dim, branches, cfg, seed, chained=False)
-        self.units = [
-            _ActorUnit([spec], [self.input_dims[b]], self.cfg, seed, b)
-            for b, spec in enumerate(branches)
-        ]
-        self.critics = [
-            _CriticBundle(obs_dim, self.cfg, seed, b)
-            for b in range(len(branches))
-        ]
-
-    @property
-    def network_count(self) -> int:
-        return 2 * len(self.branches)
-
-    def components(self):
-        return ([(f"actor{b}", u) for b, u in enumerate(self.units)],
-                [(f"critic{b}", c) for b, c in enumerate(self.critics)])
-
-    def _branch_net(self, b):
-        return self.units[b].nets[0]
-
-    def update(self, buffer: TrajectoryBuffer) -> dict:
-        if buffer.size == 0:
-            raise ValueError("cannot update from an empty batch")
-        stats = self._new_stats()
-        old = buffer.branch_logps[:buffer.size]
-        for b, unit in enumerate(self.units):
-            critic = self.critics[b]
-            adv_raw, targets = self._advantages(buffer, critic)
-            adv = self._normalized(adv_raw)
-            for _ in range(self.cfg.epochs):
-                self._actor_epoch(unit, buffer, adv, old, False, stats)
-            for _ in range(self.cfg.epochs):
-                self._critic_epoch(critic, buffer, targets, stats)
-        return self._finalize(stats)
+    chained = False
+    critic_per_unit = True
 
 
 class HappoAgent(_PpoAgentBase):
-    """Separate per-branch actors sharing a single critic, updated
-    simultaneously with per-branch ratios."""
+    """HAPPO (Kuba et al., ICLR 2022): a separate actor per branch, each with
+    its own ratio, all fed the advantages of one shared critic; every head
+    sees the base observation."""
 
-    def __init__(self, obs_dim, branches, cfg=None, seed=0):
-        super().__init__(obs_dim, branches, cfg, seed, chained=False)
-        self.units = [
-            _ActorUnit([spec], [self.input_dims[b]], self.cfg, seed, b)
-            for b, spec in enumerate(branches)
-        ]
-        self.critic = _CriticBundle(obs_dim, self.cfg, seed, 0)
-
-    @property
-    def network_count(self) -> int:
-        return len(self.branches) + 1
-
-    def components(self):
-        return ([(f"actor{b}", u) for b, u in enumerate(self.units)],
-                [("critic0", self.critic)])
-
-    def _branch_net(self, b):
-        return self.units[b].nets[0]
-
-    def update(self, buffer: TrajectoryBuffer) -> dict:
-        if buffer.size == 0:
-            raise ValueError("cannot update from an empty batch")
-        adv_raw, targets = self._advantages(buffer, self.critic)
-        adv = self._normalized(adv_raw)
-        stats = self._new_stats()
-        old = buffer.branch_logps[:buffer.size]
-        for unit in self.units:
-            for _ in range(self.cfg.epochs):
-                self._actor_epoch(unit, buffer, adv, old, False, stats)
-        for _ in range(self.cfg.epochs):
-            self._critic_epoch(self.critic, buffer, targets, stats)
-        return self._finalize(stats)
+    chained = False
 
 
 class RandomPolicy(_ChainPolicy):

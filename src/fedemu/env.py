@@ -16,7 +16,6 @@ population, mobility and channel parameters moves positions or gains.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -143,7 +142,6 @@ class AdaptiveFedEnv:
         self.world: World | None = None
         self.round_index = 0
         self.last_outcome = None
-        self.trace_sink = None  # optional file-like, one JSON line per step
 
     # -- lifecycle -----------------------------------------------------
 
@@ -219,21 +217,6 @@ class AdaptiveFedEnv:
         self.round_index += 1
         done = self.round_index >= p.rounds
         obs = self._observation()
-
-        if self.trace_sink is not None:
-            self.trace_sink.write(json.dumps({
-                "round": outcome.round_index,
-                "action": {
-                    "selection": list(action.selection),
-                    "bandwidth_levels": list(action.bandwidth_levels),
-                    "power_levels": list(action.power_levels),
-                    "retentions": list(action.retentions),
-                },
-                "reward": {"r_d": r_d, "r_p": r_p, "r_s": r_s,
-                           "penalty": penalty, "total": reward.total},
-                "max_q": outcome.max_q,
-                "observation": [float(x) for x in obs],
-            }) + "\n")
 
         return obs, reward, done
 

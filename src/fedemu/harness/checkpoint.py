@@ -16,77 +16,47 @@ import numpy as np
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 
-def _net_arrays(prefix: str, net) -> dict:
-    out = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"{prefix}/layer{i}/w"] = w
-        out[f"{prefix}/layer{i}/b"] = b
-    return out
-
-
-def _opt_arrays(prefix: str, opt) -> dict:
-    out = {}
-    for t, (m, v) in enumerate(zip(opt.m, opt.v)):
-        out[f"{prefix}/m{t}"] = m
-        out[f"{prefix}/v{t}"] = v
-    return out
-
-
-def agent_arrays(agent) -> tuple[dict, dict]:
-    """Collect (arrays, meta) for any agent kind."""
+def _state_arrays(agent) -> dict:
+    """Ordered key -> live array map of every learned array of the agent;
+    save writes these arrays, restore assigns into them in place."""
     arrays: dict[str, np.ndarray] = {}
-    meta: dict = {"opt_steps": {}, "critic_updates": {}, "rng": {}}
-    actors, critics = agent.components()
-    for name, unit in actors:
-        for j, net in enumerate(unit.nets):
-            arrays.update(_net_arrays(f"{name}/net{j}", net))
-        arrays.update(_opt_arrays(f"{name}/opt", unit.opt))
-        meta["opt_steps"][name] = unit.opt.step
-    for name, bundle in critics:
-        arrays.update(_net_arrays(f"{name}/net", bundle.net))
-        arrays.update(_net_arrays(f"{name}/target", bundle.target))
-        arrays.update(_opt_arrays(f"{name}/opt", bundle.opt))
-        meta["opt_steps"][name] = bundle.opt.step
-        meta["critic_updates"][name] = bundle.updates
-    for name, gen in agent.rng_streams().items():
-        meta["rng"][name] = json.loads(json.dumps(gen.bit_generator.state))
-    return arrays, meta
 
+    def add_net(prefix, net):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"{prefix}/layer{i}/w"] = w
+            arrays[f"{prefix}/layer{i}/b"] = b
 
-def restore_agent(agent, arrays: dict, meta: dict) -> None:
-    def load_net(prefix, net):
-        for i in range(len(net.weights)):
-            net.weights[i][...] = arrays[f"{prefix}/layer{i}/w"]
-            net.biases[i][...] = arrays[f"{prefix}/layer{i}/b"]
-
-    def load_opt(prefix, opt, step):
-        for t in range(len(opt.m)):
-            opt.m[t][...] = arrays[f"{prefix}/m{t}"]
-            opt.v[t][...] = arrays[f"{prefix}/v{t}"]
-        opt.step = step
+    def add_opt(prefix, opt):
+        for t, (m, v) in enumerate(zip(opt.m, opt.v)):
+            arrays[f"{prefix}/m{t}"] = m
+            arrays[f"{prefix}/v{t}"] = v
 
     actors, critics = agent.components()
     for name, unit in actors:
         for j, net in enumerate(unit.nets):
-            load_net(f"{name}/net{j}", net)
-        load_opt(f"{name}/opt", unit.opt, meta["opt_steps"][name])
+            add_net(f"{name}/net{j}", net)
+        add_opt(f"{name}/opt", unit.opt)
     for name, bundle in critics:
-        load_net(f"{name}/net", bundle.net)
-        load_net(f"{name}/target", bundle.target)
-        load_opt(f"{name}/opt", bundle.opt, meta["opt_steps"][name])
-        bundle.updates = meta["critic_updates"][name]
-    for name, gen in agent.rng_streams().items():
-        state = meta["rng"].get(name)
-        if state is not None:
-            gen.bit_generator.state = state
+        add_net(f"{name}/net", bundle.net)
+        add_net(f"{name}/target", bundle.target)
+        add_opt(f"{name}/opt", bundle.opt)
+    return arrays
 
 
 def save_checkpoint(path, agent, *, step: int, episode: int,
                     extra: dict | None = None) -> None:
     """Write <path>.npz and <path>.json side by side."""
     path = Path(path)
-    arrays, meta = agent_arrays(agent)
-    meta.update({"step": step, "episode": episode})
+    arrays = _state_arrays(agent)
+    actors, critics = agent.components()
+    meta = {
+        "opt_steps": {name: part.opt.step for name, part in actors + critics},
+        "critic_updates": {name: bundle.updates for name, bundle in critics},
+        "rng": {name: json.loads(json.dumps(gen.bit_generator.state))
+                for name, gen in agent.rng_streams().items()},
+        "step": step,
+        "episode": episode,
+    }
     if extra:
         meta.update(extra)
     np.savez(str(path) + ".npz", **arrays)
@@ -102,8 +72,17 @@ def load_checkpoint(path, agent) -> dict:
     """Restore agent state in place; returns the checkpoint meta."""
     path = Path(path)
     with open(str(path) + ".json") as fh:
-        manifest = json.load(fh)
+        meta = json.load(fh)["meta"]
     with np.load(str(path) + ".npz") as data:
-        arrays = {k: data[k] for k in data.files}
-    restore_agent(agent, arrays, manifest["meta"])
-    return manifest["meta"]
+        for key, live in _state_arrays(agent).items():
+            live[...] = data[key]
+    actors, critics = agent.components()
+    for name, part in actors + critics:
+        part.opt.step = meta["opt_steps"][name]
+    for name, bundle in critics:
+        bundle.updates = meta["critic_updates"][name]
+    for name, gen in agent.rng_streams().items():
+        state = meta["rng"].get(name)
+        if state is not None:
+            gen.bit_generator.state = state
+    return meta

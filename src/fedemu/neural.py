@@ -12,8 +12,9 @@ first layer then computes ``repeat(x @ W1[:d], K) + feats @ W1[d:]`` and its
 weight gradient ``[x.T @ g.reshape(M, K, H).sum(1) ; feats.T @ g]``, so the
 (M*K, d + e) concatenation is never built.
 
-Also provides the categorical distribution; the selection branch's
-Plackett-Luce (Gumbel-top-k) sampler lives with the agents.
+Also provides ``log_softmax``, the categorical log-probabilities of the
+per-device heads; the selection branch's Plackett-Luce (Gumbel-top-k) sampler
+lives with the agents.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "backward",
     "adam_step",
     "log_softmax",
-    "categorical_sample",
-    "categorical_log_prob",
 ]
 
 
@@ -66,10 +65,6 @@ class Mlp:
             out.append(w)
             out.append(b)
         return out
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 def _first_layer(net: Mlp, x: np.ndarray, feats) -> np.ndarray:
@@ -216,14 +211,3 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-
-def categorical_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
-    """Sample an index from softmax(logits); returns (index, log prob)."""
-    logp = log_softmax(logits)
-    p = np.exp(logp)
-    idx = int(rng.choice(len(p), p=p / p.sum()))
-    return idx, float(logp[idx])
-
-
-def categorical_log_prob(logits: np.ndarray, index: int) -> float:
-    return float(log_softmax(logits)[index])

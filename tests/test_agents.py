@@ -109,12 +109,6 @@ class TestPpoConfig:
 
 
 class TestAct:
-    def test_joint_logp_is_branch_sum(self):
-        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
-        obs = np.random.default_rng(0).standard_normal(OBS_DIM)
-        sa = agent.act(obs)
-        assert sa.joint_logp == pytest.approx(sa.branch_logps.sum(), abs=1e-12)
-
     def test_greedy_is_reproducible(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
         obs = np.random.default_rng(1).standard_normal(OBS_DIM)
@@ -183,7 +177,7 @@ class TestRowHeads:
         selection = buffer.actions[0][:16]
         rng = np.random.default_rng(5)
         for b in (1, 2, 3):
-            net = agent._branch_net(b)
+            net = agent.branch_nets[b]
             inputs = buffer.inputs[b if agent.chained else 0][:16]
             actions = buffer.actions[b][:16]
             ev = _eval_branch(net, agent.branches[b], inputs, actions,
@@ -205,11 +199,11 @@ class TestRatioAndClip:
     def test_ratio_identity_before_updates(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=1)
         buffer = rollout_env(agent, seed=1)
-        joint_new, per_branch = agent.evaluate_logps(buffer)
-        stored = buffer.joint_logps[:buffer.size]
-        assert np.max(np.abs(np.exp(joint_new - stored) - 1.0)) < 1e-12
-        assert np.allclose(per_branch, buffer.branch_logps[:buffer.size],
-                           atol=1e-12)
+        per_branch = agent.evaluate_logps(buffer)
+        stored = buffer.branch_logps[:buffer.size]
+        ratio = np.exp(per_branch.sum(axis=1) - stored.sum(axis=1))
+        assert np.max(np.abs(ratio - 1.0)) < 1e-12
+        assert np.allclose(per_branch, stored, atol=1e-12)
 
     def test_clipped_never_exceeds_unclipped(self):
         rng = np.random.default_rng(2)
@@ -227,15 +221,15 @@ class TestRatioAndClip:
         buffer = rollout_env(agent, seed=4, steps=32)
         # constant reward + constant value function -> flat advantages? not
         # quite: make advantages exactly zero by zeroing rewards and critic
-        for net in (agent.critic.net, agent.critic.target):
+        for net in (agent.critics[0].net, agent.critics[0].target):
             for w in net.weights:
                 w[...] = 0.0
             for b in net.biases:
                 b[...] = 0.0
         buffer.rewards[:] = 0.0
-        before = [p.copy() for p in agent.actor.parameters()]
+        before = [p.copy() for p in agent.units[0].parameters()]
         agent.update(buffer)
-        after = agent.actor.parameters()
+        after = agent.units[0].parameters()
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
 
@@ -245,18 +239,18 @@ class TestRatioAndClip:
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=5)
         buffer = rollout_env(agent, seed=5, steps=16)
         # fake stored log-probs so every ratio lands at 1 + 2*eps
-        joint_new, _ = agent.evaluate_logps(buffer)
-        buffer.joint_logps[:buffer.size] = joint_new - np.log(1 + 2 * cfg.clip_eps)
+        buffer.branch_logps[:buffer.size] = agent.evaluate_logps(buffer)
+        buffer.branch_logps[:buffer.size, 0] -= np.log(1 + 2 * cfg.clip_eps)
         # make advantages strictly positive: zero critic, positive rewards
-        for net in (agent.critic.net, agent.critic.target):
+        for net in (agent.critics[0].net, agent.critics[0].target):
             for w in net.weights:
                 w[...] = 0.0
             for b in net.biases:
                 b[...] = 0.0
         buffer.rewards[:] = 1.0
-        before = [p.copy() for p in agent.actor.parameters()]
+        before = [p.copy() for p in agent.units[0].parameters()]
         agent.update(buffer)
-        for b, a in zip(before, agent.actor.parameters()):
+        for b, a in zip(before, agent.units[0].parameters()):
             assert np.array_equal(b, a)
 
     def test_unit_ratio_gradient_is_plain_policy_gradient(self):
@@ -268,27 +262,28 @@ class TestRatioAndClip:
 
         # manual REINFORCE-style step: ratio is exactly 1 before updates, so
         # the surrogate gradient reduces to mean(adv * dlogp)
-        adv, _ = twin._advantages(buffer, twin.critic)
+        adv, _ = twin._advantages(buffer, twin.critics[0])
         m = buffer.size
-        perm = twin.actor.shuffle.permutation(m)  # mirror the update's order
+        unit = twin.units[0]
+        perm = unit.shuffle.permutation(m)  # mirror the update's order
         idx = perm[:cfg.minibatch]
         grads = []
         selection = buffer.actions[0][idx]
         for b, spec in enumerate(twin.branches):
-            ev = _eval_branch(twin.actor.nets[b], spec, buffer.inputs[b][idx],
+            ev = _eval_branch(unit.nets[b], spec, buffer.inputs[b][idx],
                               buffer.actions[b][idx], selection,
                               twin.n_devices)
             coef = adv[idx] / len(idx)
             if ev.rows_per_sample > 1:
                 coef = np.repeat(coef, ev.rows_per_sample)
             upstream = coef[:, None] * ev.grad_logp
-            grads.extend(backward(twin.actor.nets[b], ev.activations[0],
+            grads.extend(backward(unit.nets[b], ev.activations[0],
                                   -upstream, ev.activations))
-        adam_step(twin.actor.parameters(), grads, twin.actor.opt)
+        adam_step(unit.parameters(), grads, unit.opt)
 
         agent.update(buffer)
-        for manual, updated in zip(twin.actor.parameters(),
-                                   agent.actor.parameters()):
+        for manual, updated in zip(unit.parameters(),
+                                   agent.units[0].parameters()):
             assert np.allclose(manual, updated, atol=1e-12)
 
 
@@ -296,23 +291,23 @@ class TestCriticAndTargets:
     def test_advantages_use_target_critic_only(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=7)
         buffer = rollout_env(agent, seed=7, steps=50)
-        adv_before, _ = agent._advantages(buffer, agent.critic)
+        adv_before, _ = agent._advantages(buffer, agent.critics[0])
         # trash the online critic; advantages must not move
         rng = np.random.default_rng(0)
-        for w in agent.critic.net.weights:
+        for w in agent.critics[0].net.weights:
             w += rng.standard_normal(w.shape)
-        adv_after, _ = agent._advantages(buffer, agent.critic)
+        adv_after, _ = agent._advantages(buffer, agent.critics[0])
         assert np.array_equal(adv_before, adv_after)
 
     def test_target_frozen_within_sync_interval(self):
         cfg = PpoConfig(segment=32, minibatch=8, epochs=2, target_sync=10_000)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=8)
         buffer = rollout_env(agent, seed=8, steps=32)
-        target_before = [w.copy() for w in agent.critic.target.weights]
+        target_before = [w.copy() for w in agent.critics[0].target.weights]
         agent.update(buffer)
         assert any(not np.array_equal(a, b) for a, b in
-                   zip(agent.critic.net.weights, target_before))
-        for a, b in zip(agent.critic.target.weights, target_before):
+                   zip(agent.critics[0].net.weights, target_before))
+        for a, b in zip(agent.critics[0].target.weights, target_before):
             assert np.array_equal(a, b)
 
     def test_target_syncs_at_interval(self):
@@ -320,7 +315,8 @@ class TestCriticAndTargets:
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=9)
         buffer = rollout_env(agent, seed=9, steps=32)
         agent.update(buffer)
-        for a, b in zip(agent.critic.target.weights, agent.critic.net.weights):
+        critic = agent.critics[0]
+        for a, b in zip(critic.target.weights, critic.net.weights):
             assert np.array_equal(a, b)
 
 
@@ -359,8 +355,28 @@ class TestBaselines:
         sab = agents["sabppo"]
         for other in ("iterrl", "happo"):
             unit = agents[other].units[0]
-            for w_a, w_b in zip(sab.actor.nets[0].weights, unit.nets[0].weights):
+            for w_a, w_b in zip(sab.units[0].nets[0].weights,
+                                unit.nets[0].weights):
                 assert np.allclose(w_a, w_b, atol=1e-12)
+
+    @pytest.mark.parametrize("copied", [(0, 1, 2, 3), (2,)])
+    def test_iterrl_with_happo_critic_updates_like_happo(self, copied):
+        # IterRL differs from HAPPO only in its critics, unit i reading
+        # critic i: where that critic equals HAPPO's one critic, the unit
+        # updates bit-identically to HAPPO's; elsewhere it does not. Critic 0
+        # is initialised from the same stream as HAPPO's critic.
+        cfg = PpoConfig(segment=24, minibatch=10, epochs=2)
+        happo = HappoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=11)
+        iterrl = IterRlAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=11)
+        buffer = rollout_env(happo, seed=11)
+        for c in copied:
+            iterrl.critics[c] = copy.deepcopy(happo.critics[0])
+        happo.update(buffer)
+        iterrl.update(buffer)
+        for i, (h, r) in enumerate(zip(happo.units, iterrl.units)):
+            same = all(np.array_equal(a, b)
+                       for a, b in zip(h.parameters(), r.parameters()))
+            assert same == (i in copied or i == 0)
 
     def test_baseline_updates_run(self):
         for cls in (IterRlAgent, HappoAgent):

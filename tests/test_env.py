@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 from pathlib import Path
@@ -203,18 +202,6 @@ class TestStep:
             return rewards
 
         assert run() == run()
-
-    def test_trace_sink_receives_rows(self):
-        env = AdaptiveFedEnv(small_params())
-        env.reset(seed=0)
-        sink = io.StringIO()
-        env.trace_sink = sink
-        env.step(fixed_action(env))
-        row = json.loads(sink.getvalue())
-        assert set(row) >= {"round", "action", "reward", "max_q", "observation"}
-        assert row["reward"]["total"] == pytest.approx(
-            row["reward"]["r_d"] + row["reward"]["r_p"]
-            + row["reward"]["r_s"] + row["reward"]["penalty"])
 
 
 class TestDecode:

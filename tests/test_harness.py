@@ -34,6 +34,67 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# metrics.csv rows of the tiny config in test_tiny_config_golden, recorded
+# before the three learners shared one PPO update
+TINY_GOLDEN = {
+    "sabppo": [
+        (0, -402.09410001252644, -0.17604641943843333, -149.41805359308802,
+         -2.5, -250.0, 28.715821426688002, -0.017604641943843324,
+         1.0659849235697636, 1.0),
+        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+    ],
+    "iterrl": [
+        (0, -374.6939483163347, -1.9049044128466803, -149.289043903488, -3.5,
+         -220.0, 28.678126617088004, -0.19049044128466802, 0.8850887447732699,
+         1.4),
+        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+    ],
+    "happo": [
+        (0, -374.6939483163347, -1.9049044128466803, -149.289043903488, -3.5,
+         -220.0, 28.678126617088004, -0.19049044128466802, 0.8850887447732699,
+         1.4),
+        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
+         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
+         0.6833179969261618, 1.0),
+    ],
+    "random": [
+        (0, -642.8069561996983, -1.6672224650935168, -150.63973373460482,
+         -10.5, -480.0, 29.0346144181248, -0.1667222465093517,
+         0.9355190376383838, 4.2),
+        (10, -660.6284873911648, 0.3625933665952911, -149.99108075776002,
+         -11.0, -500.0, 28.810346165760002, 0.0362593366595291,
+         1.1679278357026164, 4.4),
+        (20, -622.5734894692245, -2.1315158890389077, -150.4419735801856,
+         -10.0, -460.0, 29.034317782425603, -0.21315158890389077,
+         0.8810801247015305, 4.0),
+    ],
+    "fedft": [
+        (0, -292.17182524377756, 1.416517832062472, -148.83834307584, -4.75,
+         -140.0, 28.456653731840003, 0.14165178320624722, 1.2763205581159567,
+         1.9),
+        (10, -342.22011172989204, 1.6636611059479343, -148.88377283584, -5.0,
+         -190.0, 28.440557250559998, 0.16636611059479348, 1.2972040399078772,
+         2.0),
+        (20, -352.4566805053813, 1.1100666971787363, -148.81674720256, -4.75,
+         -200.0, 28.441475409920002, 0.11100666971787365, 1.2296754778018077,
+         1.9),
+    ],
+}
+
+
 class TestConfig:
     def test_round_trip_through_yaml(self, tmp_path):
         config = tiny_config(agent="happo", seed=3)
@@ -75,6 +136,18 @@ class TestConfig:
 
 
 class TestTrain:
+    def test_tiny_config_golden(self, tmp_path):
+        env = dataclasses.replace(EnvParams(), n_devices=4, select_k=2,
+                                  rounds=5)
+        for agent, rows in TINY_GOLDEN.items():
+            config = ExperimentConfig(
+                agent=agent, env=env, ppo=PpoConfig(segment=10, minibatch=5),
+                total_steps=20, eval_interval=10, seed=3)
+            cmd_train(config, tmp_path / agent)
+            lines = (tmp_path / agent / "metrics.csv").read_text().splitlines()
+            got = [tuple(map(float, line.split(","))) for line in lines[1:]]
+            assert got == [pytest.approx(row, rel=1e-9) for row in rows], agent
+
     def test_zero_steps_writes_manifest_and_empty_metrics(self, tmp_path):
         result = cmd_train(tiny_config(total_steps=0), tmp_path / "run0")
         assert (tmp_path / "run0" / "manifest.json").exists()
@@ -140,14 +213,18 @@ class TestCheckpoint:
         buffer = rollout_env(agent, params=config.env, seed=0,
                              steps=agent.cfg.segment)
         agent.update(buffer)
+        # a target sync, so the target differs from a fresh agent's too
+        agent.critics[0].target = agent.critics[0].net.clone()
         save_checkpoint(tmp_path / "ck", agent, step=50, episode=5)
 
         twin = build_agent(config)
         meta = load_checkpoint(tmp_path / "ck", agent=twin)
         assert meta["step"] == 50 and meta["episode"] == 5
-        for a, b in zip(agent.actor.parameters(), twin.actor.parameters()):
+        for a, b in zip(agent.units[0].parameters(),
+                        twin.units[0].parameters()):
             assert np.array_equal(a, b)
-        for a, b in zip(agent.critic.target.weights, twin.critic.target.weights):
+        for a, b in zip(agent.critics[0].target.weights,
+                        twin.critics[0].target.weights):
             assert np.array_equal(a, b)
         obs = np.random.default_rng(0).standard_normal(config.env.observation_dim)
         # identical sampling stream state after restore
