@@ -31,6 +31,7 @@ import numpy as np
 from .neural import (
     AdamState,
     Mlp,
+    Scratch,
     adam_step,
     backward,
     forward,
@@ -113,18 +114,20 @@ class StepAction:
 
     branch_actions: list[np.ndarray]   # one int array per branch
     branch_logps: np.ndarray
-    inputs: list[np.ndarray]           # chained branch inputs, s1 first
+    inputs: list[np.ndarray]           # chained branch inputs, s1 first;
+                                       # only s1 for an unchained policy
 
 
 class TrajectoryBuffer:
-    """Fixed-capacity per-segment storage for PPO updates."""
+    """Fixed-capacity per-segment storage for PPO updates: one input array
+    per recorded input width (every chained input, or only the base
+    observation) and one action array per branch."""
 
     def __init__(self, capacity: int, input_dims: list[int], slots: list[int]):
         self.capacity = capacity
-        self.n_branches = len(input_dims)
         self.inputs = [np.zeros((capacity, d)) for d in input_dims]
         self.actions = [np.zeros((capacity, s), dtype=int) for s in slots]
-        self.branch_logps = np.zeros((capacity, self.n_branches))
+        self.branch_logps = np.zeros((capacity, len(slots)))
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
         self.final_obs = None
@@ -139,9 +142,10 @@ class TrajectoryBuffer:
         i = self.size
         if i >= self.capacity:
             raise RuntimeError("trajectory buffer is full")
-        for b in range(self.n_branches):
-            self.inputs[b][i] = step.inputs[b]
-            self.actions[b][i] = step.branch_actions[b]
+        for store, x in zip(self.inputs, step.inputs, strict=True):
+            store[i] = x
+        for store, a in zip(self.actions, step.branch_actions, strict=True):
+            store[i] = a
         self.branch_logps[i] = step.branch_logps
         self.rewards[i] = reward
         self.dones[i] = done
@@ -247,10 +251,11 @@ class BranchPass:
 
 def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
                actions: np.ndarray, selection: np.ndarray,
-               n_devices: int) -> BranchPass:
+               n_devices: int, scratch=None) -> BranchPass:
     m, k = selection.shape
     out, acts = forward_cached(net, inputs,        # (M*K, L)
-                               _row_features(inputs, selection, n_devices))
+                               _row_features(inputs, selection, n_devices),
+                               scratch)
     lp = log_softmax(out)
     p = np.exp(lp)
     flat = actions.reshape(-1)
@@ -265,37 +270,79 @@ def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
 
 
 def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray) -> BranchPass:
-    out, acts = forward_cached(net, inputs)
+               actions: np.ndarray, scratch=None) -> BranchPass:
+    """Plackett-Luce evaluation of the stored draws, in closed form.
+
+    Draw j picks from A_j, the unchosen logits plus a_j..a_{K-1}, with
+    log-normaliser L_j (as in ``_topk_log_prob``), log-probabilities
+    lp_ij = z_i - L_j and entropy H_j = -sum_i p_ij lp_ij. Over the K draws,
+    d logp / dz_i = [i chosen] - sum_j p_ij and
+    d entropy / dz_i = -sum_j p_ij (lp_ij + H_j), summing over the draws
+    with i in A_j. A chosen a_m is in A_j for j <= m: a (K, K) triangle per
+    sample. An unchosen logit is in every A_j, and its lp_ij splits into
+    u_i = z_i - top and rho_j = top - L_j, top the largest unchosen logit.
+    Every exponent is <= 0, and probabilities only ever multiply these
+    log-probabilities, never raw logits, so rounding does not grow with the
+    logits' spread.
+    """
+    out, acts = forward_cached(net, inputs, scratch=scratch)
     m, n = out.shape
-    rows = np.arange(m)
-    available = np.ones((m, n), dtype=bool)
-    logp = np.zeros(m)
-    grad_logp = np.zeros((m, n))
-    entropy = np.zeros(m)
-    grad_ent = np.zeros((m, n))
-    for k in range(spec.slots):
-        masked = np.where(available, out, -np.inf)
-        lp = log_softmax(masked)
-        lp_safe = np.where(available, lp, 0.0)  # avoid 0 * -inf at masked slots
-        p = np.where(available, np.exp(lp_safe), 0.0)
-        a_k = actions[:, k]
-        logp += lp[rows, a_k]
-        grad_logp -= p
-        grad_logp[rows, a_k] += 1.0
-        h_k = -(p * lp_safe).sum(axis=1)
-        entropy += h_k
-        grad_ent += -p * (lp_safe + h_k[:, None])
-        available[rows, a_k] = False
-    return BranchPass(logp, grad_logp, entropy, grad_ent, acts)
+    k = actions.shape[1]
+    rows = np.arange(m)[:, None]
+    z = out - out.max(axis=1, keepdims=True)
+    chosen = z[rows, actions]                                        # (M, K)
+    log_norm = np.logaddexp.accumulate(chosen[:, ::-1], axis=1)[:, ::-1]
+    if k < n:
+        u = z.copy()
+        u[rows, actions] = -np.inf
+        top = u.max(axis=1, keepdims=True)
+        u -= top
+        e = np.exp(u)                                        # 0 where chosen
+        u[rows, actions] = 0.0                        # keeps e * u finite
+        mass = e.sum(axis=1, keepdims=True)
+        log_norm = np.logaddexp(top + np.log(mass), log_norm)
+        rho = top - log_norm                                         # (M, K)
+        r = np.exp(rho)
+    # lp and p of a_m at draw j; a_m is gone after draw m
+    lp = chosen[:, :, None] - log_norm[:, None, :]
+    tri = np.exp(lp, out=np.zeros_like(lp), where=np.tri(k, dtype=bool))
+    tri_lp = tri * lp
+    ent = -tri_lp.sum(axis=1)                                        # H_j
+    if k < n:
+        ent -= r * ((e * u).sum(axis=1, keepdims=True) + rho * mass)
+        total = r.sum(axis=1, keepdims=True)
+        grad_logp = e * -total
+        grad_ent = -e * (u * total
+                         + (r * (rho + ent)).sum(axis=1, keepdims=True))
+    else:
+        grad_logp, grad_ent = np.zeros((m, n)), np.zeros((m, n))
+    p_chosen = tri.sum(axis=2)
+    grad_logp[rows, actions] = 1.0 - p_chosen
+    grad_ent[rows, actions] = (-tri_lp.sum(axis=2)
+                               - (tri @ ent[:, :, None])[:, :, 0])
+    return BranchPass((chosen - log_norm).sum(axis=1), grad_logp,
+                      ent.sum(axis=1), grad_ent, acts)
 
 
 def _eval_branch(net, spec, inputs, actions, selection=None,
-                 n_devices: int = 0) -> BranchPass:
+                 n_devices: int = 0, scratch=None) -> BranchPass:
+    """Evaluate one head on stored samples; with a ``scratch`` the returned
+    activations are its work arrays (see ``neural``)."""
     if spec.kind == "topk":
-        return _eval_topk(net, spec, inputs, actions)
+        return _eval_topk(net, spec, inputs, actions, scratch)
     return _eval_rows(net, spec, inputs, actions, np.asarray(selection),
-                      n_devices)
+                      n_devices, scratch)
+
+
+def _gather(rows: np.ndarray, idx, scratch) -> np.ndarray:
+    """``rows[idx]``, written into the scratch's input array if there is
+    one."""
+    if scratch is None:
+        return rows[idx]
+    # mode "clip" writes straight into out, where the default "raise" goes
+    # through a temporary; idx comes from a permutation, so nothing clips
+    return np.take(rows, idx, axis=0, mode="clip",
+                   out=scratch.take("x", len(idx), rows.shape[1]))
 
 
 def _encode_branch_action(spec: BranchSpec, action: np.ndarray,
@@ -331,13 +378,14 @@ class _CriticBundle:
     def target_values(self, batch: np.ndarray) -> np.ndarray:
         return forward(self.target, batch)[:, 0]
 
-    def minibatch_update(self, inputs, targets, sync_interval) -> float:
-        pred, acts = forward_cached(self.net, inputs)
+    def minibatch_update(self, inputs, targets, sync_interval,
+                         scratch=None) -> float:
+        pred, acts = forward_cached(self.net, inputs, scratch=scratch)
         err = pred[:, 0] - targets
         loss = float((err ** 2).mean())
         upstream = (2.0 * err / len(err))[:, None]
-        grads = backward(self.net, inputs, upstream, acts)
-        adam_step(self.net.parameters(), grads, self.opt)
+        backward(self.net, inputs, upstream, acts, scratch, self.opt.grads)
+        adam_step(self.net.parameters(), self.opt.grads, self.opt, scratch)
         self.updates += 1
         if self.updates % sync_interval == 0:
             self.target = self.net.clone()
@@ -363,8 +411,9 @@ class _ActorUnit:
 
 class _ChainPolicy:
     """Runs the branch chain once per step; subclasses choose each branch's
-    action. Chained inputs are always recorded so the trajectory layout is
-    identical across agent kinds."""
+    action. A chained policy feeds each branch the observation plus the
+    encodings of the actions already taken, and records every such input; an
+    unchained one feeds and records the observation alone."""
 
     chained = True
     network_count = 0
@@ -375,22 +424,22 @@ class _ChainPolicy:
         self.n_devices = branches[0].n_options
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
-        obs = np.asarray(obs, dtype=float)
-        chain = obs
-        inputs, actions, logps = [], [], []
+        chain = np.asarray(obs, dtype=float)
+        inputs, actions, logps = [chain], [], []
         selection = None
         for b, spec in enumerate(self.branches):
-            inputs.append(chain)
-            action, logp = self._branch_action(
-                b, spec, chain if self.chained else obs, selection, greedy)
+            action, logp = self._branch_action(b, spec, chain, selection,
+                                               greedy)
             action = np.asarray(action, dtype=int)
             if spec.kind == "topk":
                 selection = action
             actions.append(action)
             logps.append(logp)
-            enc = _encode_branch_action(spec, action, selection, self.n_devices)
-            if enc.size:
+            if self.chained and b + 1 < len(self.branches):
+                enc = _encode_branch_action(spec, action, selection,
+                                            self.n_devices)
                 chain = np.concatenate([chain, enc])
+                inputs.append(chain)
         return StepAction(branch_actions=actions, branch_logps=np.array(logps),
                           inputs=inputs)
 
@@ -429,6 +478,10 @@ class _PpoAgentBase(_ChainPolicy):
         self.critics = [_CriticBundle(obs_dim, self.cfg, seed, c)
                         for c in range(n_critics)]
         self.branch_nets = [net for unit in self.units for net in unit.nets]
+        # the activations of a unit's heads live until its backward pass, one
+        # set per head; backward, Adam, other units and the critics run one
+        # after another and share the first set
+        self._scratch = [Scratch() for _ in range(max(map(len, groups)))]
 
     @property
     def network_count(self) -> int:
@@ -457,7 +510,8 @@ class _PpoAgentBase(_ChainPolicy):
         return dims
 
     def make_buffer(self) -> TrajectoryBuffer:
-        return TrajectoryBuffer(self.cfg.segment, self._chain_dims(),
+        dims = self._chain_dims() if self.chained else [self.obs_dim]
+        return TrajectoryBuffer(self.cfg.segment, dims,
                                 [s.slots for s in self.branches])
 
     def _branch_action(self, b, spec, net_in, selection, greedy):
@@ -481,14 +535,18 @@ class _PpoAgentBase(_ChainPolicy):
         return action, float(log_softmax(mat)[
             np.arange(len(selection)), action].sum())
 
-    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer,
-                idx) -> list[BranchPass]:
-        """Evaluate the unit's heads on the stored samples ``idx``."""
+    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, idx,
+                scratch=None) -> list[BranchPass]:
+        """Evaluate the unit's heads on the stored samples ``idx``, head j
+        in ``scratch[j]`` when given."""
         selection = buffer.actions[0][idx]
+        slots = scratch or [None] * len(unit.nets)
         return [_eval_branch(net, self.branches[b],
-                             buffer.inputs[b if self.chained else 0][idx],
-                             buffer.actions[b][idx], selection, self.n_devices)
-                for b, net in zip(unit.branch_ids, unit.nets)]
+                             _gather(buffer.inputs[b if self.chained else 0],
+                                     idx, slot),
+                             buffer.actions[b][idx], selection, self.n_devices,
+                             slot)
+                for b, net, slot in zip(unit.branch_ids, unit.nets, slots)]
 
     def evaluate_logps(self, buffer: TrajectoryBuffer) -> np.ndarray:
         """(M, branches) log-probs of the stored actions under the current
@@ -546,7 +604,7 @@ class _PpoAgentBase(_ChainPolicy):
         perm = unit.shuffle.permutation(m)
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            passes = self._passes(unit, buffer, idx)
+            passes = self._passes(unit, buffer, idx, self._scratch)
             a = adv[idx]
             old = buffer.branch_logps[idx][:, unit.branch_ids].sum(axis=1)
             ratio = np.exp(sum(p.logp for p in passes) - old)
@@ -554,14 +612,17 @@ class _PpoAgentBase(_ChainPolicy):
             surr2 = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * a
             inside = np.abs(ratio - 1.0) <= cfg.clip_eps
             coef = np.where((surr1 <= surr2) | inside, surr1, 0.0) / len(idx)
-            grads = []
+            grads, at = unit.opt.grads, 0
+            work = self._scratch[0]
             for net, p in zip(unit.nets, passes):
                 row_coef = np.repeat(coef, p.rows_per_sample)
                 upstream = (row_coef[:, None] * p.grad_logp
                             + cfg.entropy_coef * p.grad_entropy / len(idx))
-                grads.extend(backward(net, p.activations[0], -upstream,
-                                      p.activations))
-            adam_step(unit.parameters(), grads, unit.opt)
+                n_arrays = 2 * len(net.weights)
+                backward(net, p.activations[0], -upstream, p.activations,
+                         work, grads[at:at + n_arrays])
+                at += n_arrays
+            adam_step(unit.parameters(), grads, unit.opt, work)
             stats["clip_frac"].append(float((~inside).mean()))
             stats["policy_loss"].append(
                 -float(np.minimum(surr1, surr2).mean()))
@@ -573,10 +634,11 @@ class _PpoAgentBase(_ChainPolicy):
         m = buffer.size
         perm = critic.shuffle.permutation(m)
         obs = buffer.inputs[0][:m]
+        work = self._scratch[0]
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            loss = critic.minibatch_update(obs[idx], targets[idx],
-                                           cfg.target_sync)
+            loss = critic.minibatch_update(_gather(obs, idx, work),
+                                           targets[idx], cfg.target_sync, work)
             stats["value_loss"].append(loss)
 
     def rng_streams(self) -> dict:
@@ -610,6 +672,8 @@ class HappoAgent(_PpoAgentBase):
 
 class RandomPolicy(_ChainPolicy):
     """Uniform over every branch's space; feasible by construction."""
+
+    chained = False
 
     def _branch_action(self, b, spec, net_in, selection, greedy):
         if spec.kind == "topk":

@@ -196,16 +196,28 @@ class RoundOutcome:
         return worst
 
     def to_json_row(self) -> str:
+        # q and payload_bytes are exact 0.0 off the selection, so only the
+        # selected entries are rounded; each distinct perplexity is rounded
+        # once
+        sel = list(self.selection)
+        q = [0.0] * len(self.q)
+        payload = [0.0] * len(self.payload_bytes)
+        for i, qi, bytes_i in zip(sel, self.q[sel].tolist(),
+                                  self.payload_bytes[sel].tolist()):
+            q[i] = round(qi, 9)
+            payload[i] = bytes_i
+        levels, which = np.unique(self.perplexities, return_inverse=True)
+        rounded = [round(x, 6) for x in levels.tolist()]
         return json.dumps({
             "round": self.round_index,
             "mode": self.mode.value,
-            "selection": list(self.selection),
-            "q": [round(x, 9) for x in self.q.tolist()],
+            "selection": sel,
+            "q": q,
             "server_q": round(self.server_q, 9),
-            "perplexities": [round(x, 6) for x in self.perplexities.tolist()],
+            "perplexities": [rounded[i] for i in which.tolist()],
             "server_perplexity": round(self.server_perplexity, 6),
             "exchanges": self.exchanges_this_round.tolist(),
-            "payload_bytes": self.payload_bytes.tolist(),
+            "payload_bytes": payload,
         })
 
 

@@ -12,6 +12,17 @@ first layer then computes ``repeat(x @ W1[:d], K) + feats @ W1[d:]`` and its
 weight gradient ``[x.T @ g.reshape(M, K, H).sum(1) ; feats.T @ g]``, so the
 (M*K, d + e) concatenation is never built.
 
+A training loop passes a ``Scratch`` to ``forward_cached``, ``backward`` and
+``adam_step``; the hidden activations, the output, the backpropagated row
+gradients and Adam's temporary are then written into its work arrays instead
+of fresh ones. A scratch array stays valid until the same scratch is next
+written under the same name: the output and activations of a
+``forward_cached`` call until the next ``forward_cached`` with that scratch,
+the row gradients only within one ``backward``. So two heads whose
+activations must both live until their backward passes need two scratches,
+while passes that run one after another can share one. Callers that pass no
+scratch get fresh arrays.
+
 Also provides ``log_softmax``, the categorical log-probabilities of the
 per-device heads; the selection branch's Plackett-Luce (Gumbel-top-k) sampler
 lives with the agents.
@@ -20,13 +31,14 @@ lives with the agents.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Mlp",
     "AdamState",
+    "Scratch",
     "forward",
     "forward_cached",
     "backward",
@@ -67,14 +79,52 @@ class Mlp:
         return out
 
 
-def _first_layer(net: Mlp, x: np.ndarray, feats) -> np.ndarray:
+class Scratch:
+    """Work arrays that ``forward_cached``, ``backward`` and ``adam_step``
+    reuse from call to call, so a training loop does not allocate (and fault
+    in) the same memory for every minibatch.
+
+    There is one array per (name, width), sized by the most rows asked for so
+    far; a call with fewer rows gets a row-prefix view of it. What a call
+    returns through a scratch is valid until the same scratch is next
+    written (see the module docstring).
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def take(self, name, rows: int, cols: int) -> np.ndarray:
+        arr = self._arrays.get((name, cols))
+        if arr is None or len(arr) < rows:
+            arr = self._arrays[name, cols] = np.empty((rows, cols))
+        return arr[:rows]
+
+
+def _empty(scratch: Scratch | None, name, rows: int, cols: int) -> np.ndarray:
+    """A fresh (rows, cols) array, or the scratch's work array for ``name``."""
+    if scratch is None:
+        return np.empty((rows, cols))
+    return scratch.take(name, rows, cols)
+
+
+def _matmul(a: np.ndarray, w: np.ndarray, scratch, name) -> np.ndarray:
+    """``a @ w``, written into the scratch's work array for ``name`` when
+    there is a scratch."""
+    if scratch is None:
+        return a @ w
+    return np.matmul(a, w, out=scratch.take(name, len(a), w.shape[1]))
+
+
+def _first_layer(net: Mlp, x: np.ndarray, feats, scratch) -> np.ndarray:
     """Pre-activation of the first layer, for a plain or a factored input."""
     w, b = net.weights[0], net.biases[0]
     if feats is None:
         if x.shape[-1] != net.layer_sizes[0]:
             raise ValueError(f"input size {x.shape[-1]} does not match net "
                              f"input {net.layer_sizes[0]}")
-        return x @ w + b
+        h = _matmul(x, w, scratch, ("z", 0))
+        h += b
+        return h
     if x.ndim != 2 or feats.ndim != 2:
         raise ValueError("a factored input needs a 2-D shared matrix and "
                          "2-D per-row features")
@@ -84,51 +134,64 @@ def _first_layer(net: Mlp, x: np.ndarray, feats) -> np.ndarray:
                          f"{net.layer_sizes[0]}")
     if m == 0 or rows % m:
         raise ValueError(f"{rows} feature rows do not split over {m} samples")
-    h = (feats @ w[d:]).reshape(m, rows // m, -1)
-    h += (x @ w[:d])[:, None, :]
-    h = h.reshape(rows, -1)
+    h = _matmul(feats, w[d:], scratch, ("z", 0))
+    shared = _matmul(x, w[:d], scratch, "shared")
+    per_sample = h.reshape(m, rows // m, -1)
+    per_sample += shared[:, None, :]
     h += b
+    return h
+
+
+def _run(net: Mlp, x, feats, scratch, activations: list | None):
+    """Forward pass; appends every layer's input to ``activations`` when it
+    is a list. tanh is applied in place, so a hidden pre-activation array
+    becomes that layer's activation."""
+    h = np.asarray(x, dtype=float)
+    if feats is not None:
+        feats = np.asarray(feats, dtype=float)
+    if activations is not None:
+        activations.append(h if feats is None else (h, feats))
+    h = _first_layer(net, h, feats, scratch)
+    for i, (w, b) in enumerate(zip(net.weights[1:], net.biases[1:]), 1):
+        np.tanh(h, out=h)
+        if activations is not None:
+            activations.append(h)
+        h = _matmul(h, w, scratch, ("z", i))
+        h += b
     return h
 
 
 def forward(net: Mlp, x: np.ndarray, feats=None) -> np.ndarray:
     """Forward pass; accepts a vector or a batch of row vectors, or a
     factored input (see the module docstring)."""
-    h = np.asarray(x, dtype=float)
-    if feats is not None:
-        feats = np.asarray(feats, dtype=float)
-    h = _first_layer(net, h, feats)
-    for w, b in zip(net.weights[1:], net.biases[1:]):
-        h = np.tanh(h) @ w + b
-    return h
+    return _run(net, x, feats, None, None)
 
 
-def forward_cached(net: Mlp, x: np.ndarray, feats=None):
+def forward_cached(net: Mlp, x: np.ndarray, feats=None,
+                   scratch: Scratch | None = None):
     """Forward pass that also returns the activations needed by backward.
 
     ``activations[0]`` is the input: the array ``x``, or the pair
-    ``(x, feats)`` for a factored input.
+    ``(x, feats)`` for a factored input. With a ``scratch`` the output and
+    the hidden activations are its work arrays.
     """
-    h = np.asarray(x, dtype=float)
-    if feats is not None:
-        feats = np.asarray(feats, dtype=float)
-    activations = [h if feats is None else (h, feats)]
-    h = _first_layer(net, h, feats)
-    for w, b in zip(net.weights[1:], net.biases[1:]):
-        h = np.tanh(h)
-        activations.append(h)
-        h = h @ w + b
-    activations.append(h)
-    return h, activations
+    activations = []
+    out = _run(net, x, feats, scratch, activations)
+    activations.append(out)
+    return out, activations
 
 
-def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None):
+def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
+             scratch: Scratch | None = None, out: list | None = None):
     """Exact gradients of sum(grad_out * output) w.r.t. every parameter.
 
-    Returns a list matching ``net.parameters()`` order. Batched inputs sum
-    gradients over the batch. When ``activations`` is given, the input is
-    read from ``activations[0]`` and ``x`` is not used; a factored input is
-    given this way, through the activations of ``forward_cached``.
+    Returns a list matching ``net.parameters()`` order: ``out`` when given
+    (arrays of the parameters' shapes, such as an optimiser's ``grads``
+    views), which is filled in place. Batched inputs sum gradients over the
+    batch. When ``activations`` is given, the input is read from
+    ``activations[0]`` and ``x`` is not used; a factored input is given this
+    way, through the activations of ``forward_cached``. With a ``scratch``
+    the backpropagated row gradients live in its work arrays.
     """
     if activations is None:
         _, activations = forward_cached(net, x)
@@ -141,69 +204,114 @@ def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None):
     g = np.asarray(grad_out, dtype=float)
     if single:
         g = g[None, :]
+    if out is None:
+        out = [np.empty_like(p) for p in net.parameters()]
+    rows = len(g)
     n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
+        grad_w, grad_b = out[2 * i], out[2 * i + 1]
         if i < n_layers - 1:
             # activations[i+1] stores tanh output; derivative is 1 - tanh^2
-            g = g * (1.0 - acts[i + 1] ** 2)
+            d = _empty(scratch, "d", rows, g.shape[1])
+            np.square(acts[i + 1], out=d)
+            np.subtract(1.0, d, out=d)
+            g = np.multiply(g, d, out=d)
         if i == 0 and feats is not None:
             # shared rows get the summed gradient of their K feature rows
-            m = len(x)
-            grads_w[0] = np.concatenate([
-                x.T @ g.reshape(m, -1, g.shape[1]).sum(axis=1), feats.T @ g])
+            m, d_shared = x.shape
+            per_sample = np.sum(g.reshape(m, -1, g.shape[1]), axis=1,
+                                out=_empty(scratch, "gsum", m, g.shape[1]))
+            np.matmul(x.T, per_sample, out=grad_w[:d_shared])
+            np.matmul(feats.T, g, out=grad_w[d_shared:])
         else:
-            grads_w[i] = acts[i].T @ g
-        grads_b[i] = g.sum(axis=0)
+            np.matmul(acts[i].T, g, out=grad_w)
+        np.sum(g, axis=0, out=grad_b)
         if i > 0:
-            g = g @ net.weights[i].T
-    out = []
-    for gw, gb in zip(grads_w, grads_b):
-        out.append(gw)
-        out.append(gb)
+            w = net.weights[i]
+            g = np.matmul(g, w.T, out=_empty(scratch, "g", rows, w.shape[0]))
     return out
 
 
-@dataclass
 class AdamState:
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """ADAM hyper-parameters and state for a fixed list of parameter arrays.
+
+    The first and second moments and the gradient are each one flat buffer;
+    ``m``, ``v`` and ``grads`` are per-array views of them in parameter
+    order, so one step is a few whole-buffer ufunc calls and ``backward`` can
+    write gradients straight into ``grads``.
+    """
+
+    def __init__(self, shapes, lr: float = 3e-4, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step = 0
+        self._shapes = [tuple(s) for s in shapes]
+        n = sum(int(np.prod(s)) for s in self._shapes)
+        self._m, self._v, self._g = np.zeros(n), np.zeros(n), np.zeros(n)
+        self._make_views()
+
+    def _make_views(self):
+        self.m, self.v, self.grads = (self.views(flat)
+                                      for flat in (self._m, self._v, self._g))
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a flat array laid out like the moments."""
+        out, lo = [], 0
+        for shape in self._shapes:
+            hi = lo + int(np.prod(shape))
+            out.append(flat[lo:hi].reshape(shape))
+            lo = hi
+        return out
+
+    # a copy (deepcopy, pickle) must rebuild the views over its own buffers
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("m", "v", "grads")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._make_views()
 
     @staticmethod
     def for_params(params, lr: float = 3e-4) -> "AdamState":
-        return AdamState(lr=lr,
-                         m=[np.zeros_like(p) for p in params],
-                         v=[np.zeros_like(p) for p in params])
+        return AdamState([np.shape(p) for p in params], lr=lr)
 
 
-def adam_step(params, grads, state: AdamState):
-    """Standard bias-corrected ADAM update, applied in place."""
+def adam_step(params, grads, state: AdamState,
+              scratch: Scratch | None = None):
+    """Standard bias-corrected ADAM update, applied in place.
+
+    ``grads`` may be the state's own ``grads`` views, already filled by
+    ``backward``; other arrays are copied into them. The step leaves the
+    ``grads`` buffer holding its denominator, not the gradient. Its one
+    other temporary is a scratch work array when a ``scratch`` is given, so
+    optimisers that step one after another can share it.
+    """
+    if grads is not state.grads:
+        for dst, src in zip(state.grads, grads, strict=True):
+            dst[...] = src
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # two temporaries per array; same operations, in the same order, as
-        # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
-        t = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += t
-        np.multiply(g, 1.0 - state.beta2, out=t)
-        t *= g
-        v *= state.beta2
-        v += t
-        den = np.divide(v, b2c)
-        np.sqrt(den, out=den)
-        den += state.eps
-        np.divide(m, b1c, out=t)
-        t *= state.lr
-        t /= den
-        p -= t
+    g, m, v = state._g, state._m, state._v
+    t = _empty(scratch, "adam", len(g), 1)[:, 0]
+    # same operations, in the same order, as
+    # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+    np.multiply(g, 1.0 - state.beta1, out=t)
+    m *= state.beta1
+    m += t
+    np.multiply(g, 1.0 - state.beta2, out=t)
+    t *= g
+    v *= state.beta2
+    v += t
+    den = np.divide(v, b2c, out=g)  # g is spent: it holds the denominator
+    np.sqrt(den, out=den)
+    den += state.eps
+    np.divide(m, b1c, out=t)
+    t *= state.lr
+    t /= den
+    for p, delta in zip(params, state.views(t), strict=True):
+        p -= delta
     return params
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedemu.agents import RandomPolicy, default_branches
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
     ActionBundle,
@@ -193,6 +194,36 @@ class TestRunRound:
         assert row["mode"] == "fedpeat"
         assert row["selection"] == [0, 1]
         assert len(row["q"]) == env.world.n_devices
+
+    def test_json_row_matches_reference_over_an_episode(self):
+        def reference_row(o):
+            return json.dumps({
+                "round": o.round_index,
+                "mode": o.mode.value,
+                "selection": list(o.selection),
+                "q": [round(x, 9) for x in o.q.tolist()],
+                "server_q": round(o.server_q, 9),
+                "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
+                "server_perplexity": round(o.server_perplexity, 6),
+                "exchanges": o.exchanges_this_round.tolist(),
+                "payload_bytes": o.payload_bytes.tolist(),
+            })
+
+        params = dataclasses.replace(EnvParams(), n_devices=60, select_k=8,
+                                     rounds=40)
+        env = AdaptiveFedEnv(params)
+        policy = RandomPolicy(default_branches(60, 8, params.levels,
+                                               len(params.retention_grid)),
+                              seed=3)
+        obs, done, rows = env.reset(seed=3), False, 0
+        while not done:
+            step = policy.act(obs)
+            obs, _, done = env.step(
+                env.decode_branch_actions(*step.branch_actions))
+            outcome = env.last_outcome
+            assert outcome.to_json_row() == reference_row(outcome)
+            rows += 1
+        assert rows == 40
 
     def test_json_row_bytes(self):
         outcome = RoundOutcome(

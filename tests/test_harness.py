@@ -8,7 +8,11 @@ import yaml
 from fedemu.agents import PpoConfig
 from fedemu.env import EnvParams
 from fedemu.harness import cli
-from fedemu.harness.checkpoint import load_checkpoint, save_checkpoint
+from fedemu.harness.checkpoint import (
+    _state_arrays,
+    load_checkpoint,
+    save_checkpoint,
+)
 from fedemu.harness.compare import cmd_compare
 from fedemu.harness.config import (
     ExperimentConfig,
@@ -231,6 +235,30 @@ class TestCheckpoint:
         x = agent.act(obs).branch_actions
         y = twin.act(obs).branch_actions
         assert all(np.array_equal(p, q) for p, q in zip(x, y))
+
+    @pytest.mark.parametrize("kind", ["sabppo", "iterrl", "happo"])
+    def test_update_after_load_is_bit_identical(self, kind, tmp_path):
+        """Each optimiser keeps its moments in one flat buffer that the
+        checkpoint reaches through per-array views; a load must write
+        through them, so the next update of the loaded agent is the
+        original's, bit for bit."""
+        from test_agents import rollout_env
+        config = tiny_config(agent=kind)
+        agent = build_agent(config)
+        for seed in (0, 1):
+            agent.update(rollout_env(agent, params=config.env, seed=seed))
+        save_checkpoint(tmp_path / "ck", agent, step=100, episode=0)
+        twin = build_agent(config)
+        load_checkpoint(tmp_path / "ck", agent=twin)
+
+        buffer = rollout_env(agent, params=config.env, seed=2)
+        agent.update(buffer)
+        twin.update(buffer)
+        want, got = _state_arrays(agent), _state_arrays(twin)
+        assert list(want) == list(got)
+        assert any(key.endswith("/m0") for key in want)  # moments included
+        for key in want:
+            assert np.array_equal(want[key], got[key]), key
 
     def test_manifest_lists_all_fields(self, tmp_path):
         config = tiny_config()

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from fedemu.agents import _sample_topk, _topk_log_prob
 from fedemu.neural import (
     AdamState,
     Mlp,
+    Scratch,
     adam_step,
     backward,
     forward,
@@ -159,6 +161,41 @@ class TestFactoredInput:
             forward(net, np.zeros(3), np.zeros((4, 2)))
 
 
+class TestScratch:
+    def test_matches_fresh_arrays_and_reuses_memory(self):
+        rng = np.random.default_rng(41)
+        net = Mlp.init([7 + 3, 8, 8, 4], rng, scale=100.0)
+        scratch = Scratch()
+        opt = AdamState.for_params(net.parameters())
+        first = None
+        for m in (5, 5, 2):  # the short last minibatch gets row-prefix views
+            x = rng.standard_normal((m, 7))
+            feats = rng.standard_normal((m * 4, 3))
+            upstream = rng.standard_normal((m * 4, 4))
+            want_out, want_acts = forward_cached(net, x, feats)
+            want = backward(net, None, upstream, want_acts)
+            out, acts = forward_cached(net, x, feats, scratch)
+            assert np.array_equal(out, want_out)
+            for a, b in zip(acts[1:], want_acts[1:]):
+                assert np.array_equal(a, b)
+            got = backward(net, None, upstream, acts, scratch, opt.grads)
+            assert got is opt.grads
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            first = first or acts[1:]
+            for a, b in zip(acts[1:], first):
+                assert np.shares_memory(a, b)
+
+    def test_no_scratch_gives_fresh_arrays(self):
+        rng = np.random.default_rng(42)
+        net = Mlp.init([6, 8, 3], rng)
+        x = rng.standard_normal((4, 6))
+        out_a, acts_a = forward_cached(net, x)
+        out_b, acts_b = forward_cached(net, x)
+        assert not np.shares_memory(out_a, out_b)
+        assert not np.shares_memory(acts_a[1], acts_b[1])
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         w = [np.array([1.0, -2.0])]
@@ -196,6 +233,22 @@ class TestAdam:
             reference_step(ref.parameters(), grads, st_ref)
         for a, b in zip(net.parameters() + st_new.m + st_new.v,
                         ref.parameters() + st_ref.m + st_ref.v):
+            assert np.array_equal(a, b)
+
+    def test_copies_keep_views_on_their_own_flat_buffers(self):
+        params = [np.zeros((3, 2)), np.zeros(2)]
+        st = AdamState.for_params(params, lr=0.1)
+        twin = copy.deepcopy(st)
+        for state in (st, twin):
+            for views in (state.m, state.v, state.grads):
+                assert views[0].base is not None
+                assert views[0].base is views[1].base
+        assert not np.shares_memory(st.m[0], twin.m[0])
+        p_a, p_b = [p.copy() for p in params], [p.copy() for p in params]
+        adam_step(p_a, [np.ones((3, 2)), np.ones(2)], st)
+        adam_step(p_b, [np.ones((3, 2)), np.ones(2)], twin)
+        assert np.all(st.m[0] != 0.0)
+        for a, b in zip(p_a + st.m + st.v, p_b + twin.m + twin.v):
             assert np.array_equal(a, b)
 
     def test_scalar_quadratic_converges(self):
