@@ -3,8 +3,10 @@
 Observations hold per-device channel gain, remaining memory headroom and
 exchange-count features plus the episode clock. Actions arrive as four
 branch index groups (device selection, bandwidth levels, power levels,
-retention grid indices) and rewards follow the weighted delay / perplexity /
-exchange objective with large per-violation penalties for the memory and
+retention grid indices); ``decode_branch_actions`` maps them to values and
+``step`` checks the joint action against the action space, once, before the
+world changes. Rewards follow the weighted delay / perplexity / exchange
+objective with large per-violation penalties for the memory and
 exchange-cap constraints. Observations and penalties are array operations
 over the world's per-device arrays.
 
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import ActionBundle, FederationMode, World, run_round
+from .federation import (
+    ActionBundle,
+    ActionDecodeError,
+    FederationMode,
+    World,
+    run_round,
+)
 from .simcore import (
     AdapterSpec,
     DeviceProfile,
@@ -32,10 +40,6 @@ from .simcore import (
 from .wireless import ChannelParams, MobilityModel, dbm_per_hz_to_watts
 
 __all__ = ["EnvParams", "RewardBreakdown", "ActionDecodeError", "AdaptiveFedEnv"]
-
-
-class ActionDecodeError(ValueError):
-    """Raised when raw branch outputs cannot form a valid joint action."""
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,7 @@ class AdaptiveFedEnv:
         return self._observation()
 
     def step(self, action: ActionBundle):
+        """Check the action, run one round and return (obs, reward, done)."""
         if self.world is None:
             raise RuntimeError("reset() must be called before step()")
         self._validate(action)
@@ -206,7 +211,7 @@ class AdaptiveFedEnv:
         sel = list(action.selection)
         capacity = self.world.profile.memory_capacity
         violations = int(
-            np.count_nonzero(outcome.footprints[sel]
+            np.count_nonzero(outcome.footprints
                              > capacity[sel] / p.mem_fraction_q)
             + np.count_nonzero(self.world.exchange_count > p.exchange_cap))
         penalty = p.kappa * violations if violations else 0.0
@@ -224,53 +229,39 @@ class AdaptiveFedEnv:
 
     def decode_branch_actions(self, selection_indices, bandwidth_indices,
                               power_indices, retention_indices) -> ActionBundle:
-        """Map raw branch index groups onto a feasible joint action."""
-        p = self.params
-        sel = [int(i) for i in selection_indices]
-        if len(sel) != p.select_k:
-            raise ActionDecodeError(
-                f"selection must pick {p.select_k} devices, got {len(sel)}")
-        if len(set(sel)) != len(sel):
-            raise ActionDecodeError("selection indices must be distinct")
-        if any(i < 0 or i >= p.n_devices for i in sel):
-            raise ActionDecodeError("selection index out of range")
-
-        def levels(indices, what):
-            idx = [int(i) for i in indices]
-            if len(idx) != p.select_k:
-                raise ActionDecodeError(f"{what} must supply one level per slot")
-            if any(i < 0 or i >= p.levels for i in idx):
-                raise ActionDecodeError(f"{what} index out of range")
-            return tuple(i + 1 for i in idx)
-
+        """Map raw branch index groups onto a joint action: levels count
+        from 1 and retention indices look up the grid. ``step`` checks the
+        result against the action space."""
+        grid = self.params.retention_grid
         ret_idx = [int(i) for i in retention_indices]
-        if len(ret_idx) != p.select_k:
-            raise ActionDecodeError("retention must supply one index per slot")
-        if any(i < 0 or i >= len(p.retention_grid) for i in ret_idx):
-            raise ActionDecodeError("retention index out of range")
-
+        # a negative index would wrap around the grid
+        if not all(0 <= i < len(grid) for i in ret_idx):
+            raise ActionDecodeError(
+                f"retention indices must lie in [0, {len(grid)})")
         return ActionBundle(
-            selection=tuple(sel),
-            bandwidth_levels=levels(bandwidth_indices, "bandwidth"),
-            power_levels=levels(power_indices, "power"),
-            retentions=tuple(p.retention_grid[i] for i in ret_idx),
+            selection=tuple(int(i) for i in selection_indices),
+            bandwidth_levels=tuple(int(i) + 1 for i in bandwidth_indices),
+            power_levels=tuple(int(i) + 1 for i in power_indices),
+            retentions=tuple(grid[i] for i in ret_idx),
         )
 
     # -- helpers -------------------------------------------------------
 
     def _validate(self, action: ActionBundle):
+        """Reject an action outside the action space, naming the field."""
         p = self.params
         if len(action.selection) != p.select_k:
-            raise ActionDecodeError("wrong selection size")
-        if any(i < 0 or i >= p.n_devices for i in action.selection):
-            raise ActionDecodeError("selection index out of range")
-        for lv in (action.bandwidth_levels, action.power_levels):
-            if any(not 1 <= v <= p.levels for v in lv):
-                raise ActionDecodeError("level out of range")
-        grid = set(p.retention_grid)
-        if self.mode is FederationMode.FEDPEAT and any(
-                r not in grid for r in action.retentions):
-            raise ActionDecodeError("retention not on the configured grid")
+            raise ActionDecodeError(f"selection must pick {p.select_k} devices")
+        if not all(0 <= i < p.n_devices for i in action.selection):
+            raise ActionDecodeError(
+                f"selection indices must lie in [0, {p.n_devices})")
+        for name in ("bandwidth_levels", "power_levels"):
+            if not all(1 <= v <= p.levels for v in getattr(action, name)):
+                raise ActionDecodeError(f"{name} must lie in [1, {p.levels}]")
+        if self.mode is FederationMode.FEDPEAT and not all(
+                r in p.retention_grid for r in action.retentions):
+            raise ActionDecodeError(
+                f"retentions must lie on the grid {p.retention_grid}")
 
     def _observation(self) -> np.ndarray:
         p = self.params

@@ -1,6 +1,6 @@
 """Round structure of the collaborative tuning loop.
 
-One round: the orchestrator's decoded action picks devices, compressed-model
+One round: the orchestrator's joint action picks devices, compressed-model
 retentions and downlink resource levels; changed emulators are shipped, and
 the selected devices (plus the server, which always trains on its own data)
 tune locally, which moves their perplexity toward the surrogate's value for
@@ -8,10 +8,11 @@ their retention. Adapter weights are not simulated: no reward, observation
 or metric reads them. Three federation modes cover per-device compression, a
 pinned full frozen backbone, and full-model federated tuning.
 
-The world holds the device population as arrays (struct of arrays), and a
-round is a fixed number of array operations whatever the population size.
-Mobility and fading draw from their own named streams, so no other setting
-moves the channel.
+The world holds the device population as arrays (struct of arrays). A round
+works on arrays aligned with the selection and scatters them into the
+N-length outcome once, so it is a fixed number of array operations whatever
+the population size. Mobility and fading draw from their own named streams,
+so no other setting moves the channel.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .simcore import (
     AdapterSpec,
     DeviceProfile,
-    EmulatorSpec,
     ModelSpec,
     PerplexitySurrogate,
     compute_delay,
@@ -46,11 +46,10 @@ from .wireless import (
 
 __all__ = [
     "FederationMode",
+    "ActionDecodeError",
     "ActionBundle",
     "World",
     "RoundOutcome",
-    "disseminate",
-    "local_tuning",
     "run_round",
 ]
 
@@ -59,6 +58,10 @@ class FederationMode(str, enum.Enum):
     FEDPEAT = "fedpeat"   # controller picks per-device retention
     FEDPEFT = "fedpeft"   # full frozen backbone, adapters only
     FEDFT = "fedft"       # full model shipped and trained every round
+
+
+class ActionDecodeError(ValueError):
+    """Raised when a joint action does not fit the action space."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,12 @@ class ActionBundle:
     def __post_init__(self):
         k = len(self.selection)
         if len(set(self.selection)) != k:
-            raise ValueError("selection indices must be distinct")
+            raise ActionDecodeError("selection indices must be distinct")
         if not (len(self.bandwidth_levels) == len(self.power_levels)
                 == len(self.retentions) == k):
-            raise ValueError("per-selected fields must match selection length")
+            raise ActionDecodeError(
+                "bandwidth_levels, power_levels and retentions must each "
+                "hold one entry per selected device")
 
 
 @dataclass
@@ -90,8 +95,9 @@ class World:
     Entry i of every per-device array belongs to device i: ``position`` and
     ``waypoint`` are (N, 2), waypoint rows are NaN between mobility legs,
     ``retention`` is NaN before a device's first emulator. The server is
-    scalar. Mobility and fading each draw from their own stream;
-    constructing the world draws the first fading sample.
+    scalar; outside full-model mode it tunes the full-retention emulator plus
+    the adapter, ``server_params`` in all. Mobility and fading each draw from
+    their own stream; constructing the world draws the first fading sample.
     """
 
     model: ModelSpec
@@ -111,10 +117,9 @@ class World:
     retention: np.ndarray = field(init=False)
     perplexity: np.ndarray = field(init=False)
     exchange_count: np.ndarray = field(init=False)
-    memory_used: np.ndarray = field(init=False)
     gains: np.ndarray = field(init=False)
     server_perplexity: float = field(init=False)
-    _emulator_cache: dict = field(default_factory=dict, init=False, repr=False)
+    server_params: float = field(init=False)
 
     def __post_init__(self):
         n = len(self.position)
@@ -124,34 +129,14 @@ class World:
         self.retention = np.full(n, np.nan)
         self.perplexity = np.full(n, self.surrogate.p_init)
         self.exchange_count = np.zeros(n, dtype=int)
-        self.memory_used = np.zeros(n)
         self.server_perplexity = self.surrogate.p_init
+        self.server_params = (emulator_from_retention(
+            self.model, self.adapter_spec, 1.0).params + self.adapter_spec.params)
         self._sample_gains()
 
     @property
     def n_devices(self) -> int:
         return len(self.position)
-
-    def emulator(self, retention: float) -> EmulatorSpec:
-        spec = self._emulator_cache.get(retention)
-        if spec is None:
-            spec = emulator_from_retention(self.model, self.adapter_spec, retention)
-            self._emulator_cache[retention] = spec
-        return spec
-
-    def full_model_emulator(self) -> EmulatorSpec:
-        """Pseudo-emulator used in full-model mode: backbone plus adapter
-        together span the entire model."""
-        spec = self._emulator_cache.get("full")
-        if spec is None:
-            spec = EmulatorSpec(
-                retention=1.0,
-                layer_count=self.model.layer_count,
-                params=self.model.total_params - self.adapter_spec.params,
-                bytes=self.model.total_bytes - self.adapter_spec.bytes,
-            )
-            self._emulator_cache["full"] = spec
-        return spec
 
     def _sample_gains(self):
         dist = np.hypot(self.position[:, 0], self.position[:, 1])
@@ -165,15 +150,6 @@ class World:
 
 
 @dataclass
-class DisseminationResult:
-    """Per selected device, aligned with the selection."""
-
-    changed: np.ndarray
-    emulator: EmulatorSpec
-    payload_bytes: np.ndarray  # downlink cost if changed
-
-
-@dataclass
 class RoundOutcome:
     round_index: int
     mode: FederationMode
@@ -184,16 +160,14 @@ class RoundOutcome:
     server_perplexity: float
     exchanges_this_round: np.ndarray
     payload_bytes: np.ndarray
-    footprints: np.ndarray        # assigned memory per selected device
+    footprints: np.ndarray        # memory each selected device needs, aligned
+                                  # with the selection
     rates: np.ndarray
 
     @property
     def max_q(self) -> float:
-        sel = list(self.selection)
-        worst = self.server_q
-        if sel:
-            worst = max(worst, float(self.q[sel].max()))
-        return worst
+        # q is 0 off the selection and the server's time is never negative
+        return max(self.server_q, float(self.q.max()))
 
     def to_json_row(self) -> str:
         # q and payload_bytes are exact 0.0 off the selection, so only the
@@ -221,103 +195,73 @@ class RoundOutcome:
         })
 
 
-def disseminate(world: World, selection: np.ndarray, retention: np.ndarray,
-                mode: FederationMode) -> DisseminationResult:
-    """Assign emulators for the round and flag which selected devices need a
-    downlink transfer. Exchange counts, retentions and assigned memory are
-    updated here."""
-    if mode is FederationMode.FEDFT:
-        emulator = world.full_model_emulator()
-        changed = np.ones(len(selection), dtype=bool)
-        payload = np.full(len(selection), float(world.model.total_bytes))
-        footprint = memory_footprint(emulator, world.adapter_spec)
-    else:
-        emulator = emulator_from_retention(world.model, world.adapter_spec,
-                                           retention)
-        changed = world.retention[selection] != retention
-        payload = emulator.bytes
-        footprint = memory_footprint(emulator, world.adapter_spec)[changed]
-    moved = selection[changed]
-    world.exchange_count[moved] += 1
-    world.retention[moved] = retention[changed]
-    world.memory_used[moved] = footprint
-    return DisseminationResult(changed, emulator, payload)
-
-
-def local_tuning(perplexity, retention, epochs: int,
-                 surrogate: PerplexitySurrogate):
-    """Synthetic local tuning: perplexity decays toward the surrogate's final
-    value for the assigned retention; zero epochs change nothing."""
-    if epochs <= 0:
-        return perplexity
-    target = final_perplexity(surrogate, retention)
-    return perplexity_step(perplexity, True, target, surrogate.convergence_rate)
-
-
 def run_round(world: World, actions: ActionBundle, mode: FederationMode,
               round_index: int = 0) -> RoundOutcome:
-    """Execute one round: dissemination, downlink transfers, and local tuning
-    on the selected devices plus the server."""
-    n = world.n_devices
-    selection = np.asarray(actions.selection, dtype=int)
-    if mode is FederationMode.FEDPEAT:
-        retention = np.asarray(actions.retentions, dtype=float)
+    """Execute one round: emulator assignment, downlink transfers, and local
+    tuning on the selected devices plus the server.
+
+    Arrays are aligned with the selection until the outcome is built. A
+    selected device whose retention changed is sent its emulator and counts
+    an exchange; in full-model mode every selected device is sent the whole
+    model. Zero local epochs tune nothing.
+    """
+    sel = np.asarray(actions.selection, dtype=int)
+    k = sel.size
+    adapter = world.adapter_spec
+    if mode is FederationMode.FEDFT:
+        retention = np.ones(k)
+        changed = np.ones(k, dtype=bool)
+        params = server_params = world.model.total_params
+        payload = footprint = np.full(k, float(world.model.total_bytes))
     else:
-        retention = np.ones(len(selection))
+        retention = (np.asarray(actions.retentions, dtype=float)
+                     if mode is FederationMode.FEDPEAT else np.ones(k))
+        emulator = emulator_from_retention(world.model, adapter, retention)
+        changed = world.retention[sel] != retention
+        params = emulator.params + adapter.params
+        payload = emulator.bytes
+        footprint = memory_footprint(emulator, adapter)
+        server_params = world.server_params
+    moved = sel[changed]
+    world.exchange_count[moved] += 1
+    world.retention[moved] = retention[changed]
 
-    res = disseminate(world, selection, retention, mode)
-
-    bw_hz = pw_w = np.zeros(n)
-    if selection.size:
-        levels_bw = np.zeros(n)
-        levels_pw = np.zeros(n)
-        levels_bw[selection] = actions.bandwidth_levels
-        levels_pw[selection] = actions.power_levels
-        bw_hz, pw_w = allocate_budgets(levels_bw, levels_pw, selection,
-                                       world.channel)
-
-    rates = np.zeros(n)
-    rates[selection] = shannon_rate(bw_hz[selection], pw_w[selection],
-                                    world.gains[selection],
-                                    world.channel.noise_psd)
-    d_trans = transmission_delay(True, res.changed, res.payload_bytes,
-                                 rates[selection])
-    d_comp = compute_delay(world.profile.data_size[selection],
-                           world.profile.compute_speed[selection],
-                           res.emulator.params + world.adapter_spec.params,
-                           world.epochs)
-    world.perplexity[selection] = local_tuning(
-        world.perplexity[selection], retention, world.epochs, world.surrogate)
-
-    q = np.zeros(n)
-    q[selection] = d_comp + d_trans
-    payloads = np.zeros(n)
-    payloads[selection] = np.where(res.changed, res.payload_bytes, 0.0)
-    footprints = np.zeros(n)
-    footprints[selection] = world.memory_used[selection]
-    exchanges = np.zeros(n, dtype=int)
-    exchanges[selection] = res.changed
-
+    rates = np.zeros(k)
+    if k:
+        bw_hz, pw_w = allocate_budgets(actions.bandwidth_levels,
+                                       actions.power_levels, sel, world.channel)
+        rates = shannon_rate(bw_hz, pw_w, world.gains[sel],
+                             world.channel.noise_psd)
+    q = (compute_delay(world.profile.data_size[sel],
+                       world.profile.compute_speed[sel], params, world.epochs)
+         + transmission_delay(changed, payload, rates))
     # Server trains every round on its own shard; no downlink to itself.
-    server_emulator = (world.full_model_emulator() if mode is FederationMode.FEDFT
-                       else world.emulator(1.0))
     server_q = float(compute_delay(world.server.data_size,
-                                   world.server.compute_speed,
-                                   server_emulator.params + world.adapter_spec.params,
+                                   world.server.compute_speed, server_params,
                                    world.epochs))
-    world.server_perplexity = float(local_tuning(
-        world.server_perplexity, 1.0, world.epochs, world.surrogate))
+    if world.epochs > 0:
+        surrogate = world.surrogate
+        rate = surrogate.convergence_rate
+        world.perplexity[sel] = perplexity_step(
+            world.perplexity[sel], final_perplexity(surrogate, retention), rate)
+        world.server_perplexity = float(perplexity_step(
+            world.server_perplexity, final_perplexity(surrogate, 1.0), rate))
+
+    def scatter(values, dtype=float):
+        out = np.zeros(world.n_devices, dtype=dtype)
+        out[sel] = values
+        return out
 
     return RoundOutcome(
         round_index=round_index,
         mode=mode,
         selection=actions.selection,
-        q=q,
+        q=scatter(q),
         server_q=server_q,
         perplexities=world.perplexity.copy(),
         server_perplexity=world.server_perplexity,
-        exchanges_this_round=exchanges,
-        payload_bytes=payloads,
-        footprints=footprints,
-        rates=rates,
+        exchanges_this_round=scatter(changed, int),
+        payload_bytes=scatter(np.where(changed, payload, 0.0)),
+        footprints=footprint,
+        rates=scatter(rates),
     )

@@ -182,6 +182,9 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     run_dir.mkdir(parents=True, exist_ok=True)
 
     start_time = time.strftime("%Y-%m-%dT%H:%M:%S")
+    if resume and (run_dir / "manifest.json").exists():
+        with open(run_dir / "manifest.json") as fh:
+            start_time = json.load(fh)["start_time"]
     _write_manifest(run_dir, config, start_time, None)
 
     env = AdaptiveFedEnv(config.env)
@@ -195,10 +198,13 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
 
     step = 0
     episode = 0
+    n_updates = 0
     if resume and (run_dir / "checkpoint.json").exists():
         meta = load_checkpoint(ckpt_path, agent)
         step = meta["step"]
         episode = meta["episode"]
+        # update numbers run on from the rows already written
+        n_updates = len(timings_path.read_text().splitlines()) - 1
         metrics_fh = open(metrics_path, "a")
         timings_fh = open(timings_path, "a")
     else:
@@ -209,7 +215,6 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
 
     eval_env = AdaptiveFedEnv(config.env)
     eval_policy = _eval_policy(config, agent)
-    n_updates = 0
     final_metrics = None
 
     def run_eval(at_step, trace=False):
@@ -228,7 +233,9 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     try:
         obs = env.reset(_derived_seed(config.seed, 4, episode))
         while step < config.total_steps:
-            if step % config.eval_interval == 0:
+            # the run that saved the checkpoint evaluated at its step already
+            if step % config.eval_interval == 0 and (step > start_step
+                                                     or start_step == 0):
                 run_eval(step)
             step_action = agent.act(obs)
             bundle = env.decode_branch_actions(*step_action.branch_actions)

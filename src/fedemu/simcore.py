@@ -168,13 +168,11 @@ def final_perplexity(s: PerplexitySurrogate, retention):
     return s.a * retention ** 2 + s.b * retention + s.c + s.lora_delta
 
 
-def perplexity_step(perplexity, participated, target, rate: float):
-    """One-round perplexity update: exponential approach to ``target`` where
-    the device participated, otherwise unchanged."""
+def perplexity_step(perplexity, target, rate: float):
+    """One round of local tuning: exponential approach to ``target``."""
     if (np.asarray(target) <= 0).any():
         raise ValueError("target perplexity must be positive")
-    step = target + (perplexity - target) * (1.0 - rate)
-    return np.where(participated, step, perplexity)
+    return target + (perplexity - target) * (1.0 - rate)
 
 
 def compute_delay(data_size, compute_speed, params, epochs: int):

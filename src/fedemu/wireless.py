@@ -164,40 +164,35 @@ def shannon_rate(bandwidth, power, gain, noise_psd: float):
     return bandwidth * np.log2(1.0 + snr)
 
 
-def transmission_delay(selected, changed, emulator_bytes, rate):
-    """Seconds to push a changed emulator downlink; zero unless the device is
-    selected and its emulator actually changed."""
-    rate = np.where(np.logical_and(selected, changed), rate, np.inf)
+def transmission_delay(changed, emulator_bytes, rate):
+    """Seconds to push an emulator downlink; zero where it did not change."""
+    rate = np.where(changed, rate, np.inf)
     if (rate <= 0).any():
         raise ValueError("cannot transmit a changed emulator at zero rate")
     return 8.0 * emulator_bytes / rate
 
 
 def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
-    """Turn discrete per-device levels into absolute Hz/W allocations.
+    """Turn the selected devices' discrete levels into absolute Hz/W.
 
-    Selected devices get budget * level / sum(levels over selected),
+    Levels, ``selection`` and the returned (bandwidth, power) arrays are
+    aligned with each other. A device gets budget * level / sum(levels),
     rounded to a multiple of the budget's ulp; the share of the highest
     selected index is the remainder. Every partial sum of such multiples is
     exact, so the shares sum to the budget exactly in any order. (Taking the
     remainder of unrounded shares misses by an ulp when it is a rounding
-    tie.) Unselected devices get zero. Returns (bandwidth, power) arrays over
-    all devices.
+    tie.)
     """
-    selection = np.sort(selection)
-    if selection.size == 0:
+    if len(selection) == 0:
         raise ValueError("cannot allocate budgets over an empty selection")
-    n = len(levels_bw)
-    if selection[0] < 0 or selection[-1] >= n:
-        raise ValueError("selection index out of range")
-    levels = np.array([levels_bw, levels_pw], dtype=float)[:, selection]
+    levels = np.array([levels_bw, levels_pw], dtype=float)
     if (levels <= 0).any():
         raise ValueError("levels must be positive for selected devices")
     budgets = np.array([[params.bandwidth_budget], [params.power_budget]])
     ulp = np.spacing(budgets)
     shares = np.rint(budgets / ulp * levels
                      / levels.sum(axis=1, keepdims=True)) * ulp
-    shares[:, -1] = budgets[:, 0] - shares[:, :-1].sum(axis=1)
-    out = np.zeros((2, n))
-    out[:, selection] = shares
-    return out[0], out[1]
+    last = np.argmax(selection)
+    shares[:, last] = 0.0
+    shares[:, last] = budgets[:, 0] - shares.sum(axis=1)
+    return shares[0], shares[1]

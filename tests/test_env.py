@@ -227,17 +227,23 @@ class TestDecode:
                                       [0] * 5)
 
     def test_out_of_range_rejected(self):
+        # decode maps indices to values; step checks the action space (only
+        # the retention grid lookup is guarded at decode)
         env = AdaptiveFedEnv()
         env.reset(seed=0)
         with pytest.raises(ActionDecodeError):
-            env.decode_branch_actions([0, 1, 2, 3, 10], [0] * 5, [0] * 5,
-                                      [0] * 5)
+            env.step(env.decode_branch_actions([0, 1, 2, 3, 10], [0] * 5,
+                                               [0] * 5, [0] * 5))
         with pytest.raises(ActionDecodeError):
-            env.decode_branch_actions([0, 1, 2, 3, 4], [4] * 5, [0] * 5,
-                                      [0] * 5)
+            env.step(env.decode_branch_actions([0, 1, 2, 3, 4], [4] * 5,
+                                               [0] * 5, [0] * 5))
         with pytest.raises(ActionDecodeError):
-            env.decode_branch_actions([0, 1, 2, 3, 4], [0] * 5, [0] * 5,
-                                      [9] * 5)
+            env.step(env.decode_branch_actions([0, 1, 2, 3, 4], [0] * 5,
+                                               [0] * 5, [9] * 5))
+        # a negative index must not wrap around the grid
+        with pytest.raises(ActionDecodeError, match="retention"):
+            env.step(env.decode_branch_actions([0, 1, 2, 3, 4], [0] * 5,
+                                               [0] * 5, [0, 0, 0, 0, -1]))
 
     def test_golden_fixture(self):
         with open(FIXTURES / "decode_golden.json") as fh:
@@ -253,6 +259,59 @@ class TestDecode:
         assert list(bundle.bandwidth_levels) == exp["bandwidth_levels"]
         assert list(bundle.power_levels) == exp["power_levels"]
         assert list(bundle.retentions) == exp["retentions"]
+
+
+class TestStepRejects:
+    """A hand-built action outside the action space is refused by step
+    before the world changes, with a message naming the field."""
+
+    @staticmethod
+    def world_state(env):
+        w = env.world
+        arrays = [w.position, w.waypoint, w.pause_left, w.leg_speed,
+                  w.retention, w.perplexity, w.exchange_count, w.gains]
+        return ([a.copy() for a in arrays], w.server_perplexity,
+                w.mobility_rng.bit_generator.state,
+                w.fading_rng.bit_generator.state, env.round_index)
+
+    @pytest.mark.parametrize("field,value", [
+        ("selection", (0, 4)),
+        ("selection", (-1, 2)),
+        ("bandwidth_levels", (1, 5)),
+        ("bandwidth_levels", (0, 1)),
+        ("power_levels", (5, 1)),
+        ("power_levels", (1, -1)),
+        ("retentions", (0.25, 0.3)),
+    ])
+    def test_rejected_before_world_changes(self, field, value):
+        env = AdaptiveFedEnv(small_params())
+        env.reset(seed=0)
+        env.step(fixed_action(env))  # retentions and counts no longer initial
+        before = self.world_state(env)
+        action = dataclasses.replace(fixed_action(env), **{field: value})
+        with pytest.raises(ActionDecodeError, match=field):
+            env.step(action)
+        after = self.world_state(env)
+        for a, b in zip(before[0], after[0]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert before[1:] == after[1:]
+
+    def test_wrong_count_rejected(self):
+        env = AdaptiveFedEnv(small_params())
+        env.reset(seed=0)
+        action = ActionBundle(selection=(0, 1, 2), bandwidth_levels=(1,) * 3,
+                              power_levels=(1,) * 3, retentions=(0.25,) * 3)
+        with pytest.raises(ActionDecodeError, match="selection"):
+            env.step(action)
+
+    def test_off_grid_retention_accepted_outside_fedpeat(self):
+        # fedpeft and fedft ignore the retention field
+        for mode in ("fedpeft", "fedft"):
+            env = AdaptiveFedEnv(small_params(mode=mode))
+            env.reset(seed=0)
+            action = dataclasses.replace(fixed_action(env),
+                                         retentions=(0.3, 0.3))
+            env.step(action)
 
 
 class TestStreams:

@@ -10,13 +10,17 @@ from fedemu.agents import RandomPolicy, default_branches
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
     ActionBundle,
+    ActionDecodeError,
     FederationMode,
     RoundOutcome,
-    disseminate,
-    local_tuning,
     run_round,
 )
-from fedemu.simcore import DeviceState, final_perplexity, perplexity_step
+from fedemu.simcore import (
+    DeviceState,
+    emulator_from_retention,
+    final_perplexity,
+    perplexity_step,
+)
 from fedemu.wireless import (
     channel_gain,
     shannon_rate,
@@ -43,9 +47,9 @@ def bundle(selection, retentions, levels=None):
 
 
 def spread(world, retentions, mode=FederationMode.FEDPEAT):
-    """disseminate() on a {device: retention} mapping."""
-    return disseminate(world, np.array(list(retentions), dtype=int),
-                       np.array(list(retentions.values()), dtype=float), mode)
+    """run_round() on a {device: retention} mapping."""
+    return run_round(world, bundle(list(retentions), retentions.values()),
+                     mode)
 
 
 class TestDisseminate:
@@ -53,7 +57,7 @@ class TestDisseminate:
         env = make_env()
         world = env.world
         res = spread(world, {0: 0.5, 1: 0.5})
-        assert res.changed[0] and res.changed[1]
+        assert res.exchanges_this_round[0] and res.exchanges_this_round[1]
         assert world.exchange_count[0] == 1
 
     def test_same_retention_is_free(self):
@@ -61,7 +65,7 @@ class TestDisseminate:
         world = env.world
         spread(world, {0: 0.5})
         res = spread(world, {0: 0.5})
-        assert not res.changed[0]
+        assert not res.exchanges_this_round[0]
         assert world.exchange_count[0] == 1
 
     def test_retention_change_is_counted(self):
@@ -69,7 +73,7 @@ class TestDisseminate:
         world = env.world
         spread(world, {0: 0.5})
         res = spread(world, {0: 0.75})
-        assert res.changed[0]
+        assert res.exchanges_this_round[0]
         assert world.exchange_count[0] == 2
 
     def test_fedft_ships_everything_every_round(self):
@@ -77,42 +81,46 @@ class TestDisseminate:
         world = env.world
         for _ in range(3):
             res = spread(world, {0: 1.0}, FederationMode.FEDFT)
-            assert res.changed[0]
+            assert res.exchanges_this_round[0]
             assert res.payload_bytes[0] == 2_630_000_000
 
     def test_memory_used_updated(self):
         env = make_env()
         world = env.world
-        spread(world, {0: 0.5})
-        emulator = world.emulator(0.5)
-        expected = emulator.bytes + world.adapter_spec.bytes
-        assert world.memory_used[0] == expected
+        for _ in range(2):  # assigned, then kept
+            res = spread(world, {0: 0.5})
+            emulator = emulator_from_retention(world.model, world.adapter_spec,
+                                               0.5)
+            expected = emulator.bytes + world.adapter_spec.bytes
+            assert res.footprints[0] == expected
 
 
 class TestLocalTuning:
     def test_zero_epochs_unchanged(self):
-        env = make_env()
+        env = make_env(local_epochs=0)
         world = env.world
         before = world.perplexity.copy()
-        p = local_tuning(world.perplexity, 0.5, 0, world.surrogate)
-        assert p.tolist() == before.tolist()
+        spread(world, {0: 0.5, 1: 0.5})
+        assert world.perplexity.tolist() == before.tolist()
+        assert world.server_perplexity == world.surrogate.p_init
 
     def test_fixed_point_at_optimum(self):
-        env = make_env()
+        env = make_env(local_epochs=3)
         world = env.world
         target = final_perplexity(world.surrogate, 0.5)
-        at_optimum = np.full(world.n_devices, target)
-        p = local_tuning(at_optimum, 0.5, 3, world.surrogate)
-        assert np.allclose(p, at_optimum)
+        world.perplexity[:] = target
+        at_optimum = world.perplexity.copy()
+        spread(world, {0: 0.5, 1: 0.5})
+        assert np.allclose(world.perplexity, at_optimum)
 
     def test_perplexity_follows_surrogate_step(self):
         env = make_env()
         world = env.world
         target = final_perplexity(world.surrogate, 0.5)
-        expected = perplexity_step(world.perplexity[0], True, target,
+        expected = perplexity_step(world.perplexity[0], target,
                                    world.surrogate.convergence_rate)
-        got = local_tuning(world.perplexity[0], 0.5, 2, world.surrogate)
-        assert got == pytest.approx(expected, abs=1e-12)
+        spread(world, {0: 0.5})
+        assert world.perplexity[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestRunRound:
@@ -149,8 +157,7 @@ class TestRunRound:
             rate = shannon_rate(total_b * share, total_p * share, gains[dev],
                                 world.channel.noise_psd)
             assert outcome.rates[dev] == pytest.approx(rate, rel=1e-9)
-            d_trans = transmission_delay(True, True,
-                                         world.model.total_bytes, rate)
+            d_trans = transmission_delay(True, world.model.total_bytes, rate)
             d_comp = (world.epochs * world.profile.data_size[dev]
                       * world.model.total_params
                       / world.profile.compute_speed[dev])
@@ -162,7 +169,7 @@ class TestRunRound:
         act = bundle([0, 1], (1.0, 1.0))
         outcome = run_round(world, act, FederationMode.FEDFT)
         sel_q = outcome.q[[0, 1]]
-        d_trans = [transmission_delay(True, True, world.model.total_bytes,
+        d_trans = [transmission_delay(True, world.model.total_bytes,
                                       outcome.rates[d]) for d in (0, 1)]
         assert outcome.max_q == pytest.approx(max(sel_q))
         assert max(d_trans) / outcome.max_q > 0.5
@@ -245,12 +252,12 @@ class TestRunRound:
 
 class TestActionBundle:
     def test_duplicate_selection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ActionDecodeError, match="selection"):
             ActionBundle(selection=(1, 1), bandwidth_levels=(1, 1),
                          power_levels=(1, 1), retentions=(0.5, 0.5))
 
     def test_misaligned_fields_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ActionDecodeError, match="bandwidth_levels"):
             ActionBundle(selection=(0, 1), bandwidth_levels=(1,),
                          power_levels=(1, 1), retentions=(0.5, 0.5))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,65 +39,13 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-# metrics.csv rows of the tiny config in test_tiny_config_golden, recorded
-# before the three learners shared one PPO update
-TINY_GOLDEN = {
-    "sabppo": [
-        (0, -402.09410001252644, -0.17604641943843333, -149.41805359308802,
-         -2.5, -250.0, 28.715821426688002, -0.017604641943843324,
-         1.0659849235697636, 1.0),
-        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-    ],
-    "iterrl": [
-        (0, -374.6939483163347, -1.9049044128466803, -149.289043903488, -3.5,
-         -220.0, 28.678126617088004, -0.19049044128466802, 0.8850887447732699,
-         1.4),
-        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-    ],
-    "happo": [
-        (0, -374.6939483163347, -1.9049044128466803, -149.289043903488, -3.5,
-         -220.0, 28.678126617088004, -0.19049044128466802, 0.8850887447732699,
-         1.4),
-        (10, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-        (20, -308.05788127182313, -4.709572968975142, -150.84830830284798,
-         -2.5, -150.0, 29.167538408448003, -0.4709572968975143,
-         0.6833179969261618, 1.0),
-    ],
-    "random": [
-        (0, -642.8069561996983, -1.6672224650935168, -150.63973373460482,
-         -10.5, -480.0, 29.0346144181248, -0.1667222465093517,
-         0.9355190376383838, 4.2),
-        (10, -660.6284873911648, 0.3625933665952911, -149.99108075776002,
-         -11.0, -500.0, 28.810346165760002, 0.0362593366595291,
-         1.1679278357026164, 4.4),
-        (20, -622.5734894692245, -2.1315158890389077, -150.4419735801856,
-         -10.0, -460.0, 29.034317782425603, -0.21315158890389077,
-         0.8810801247015305, 4.0),
-    ],
-    "fedft": [
-        (0, -292.17182524377756, 1.416517832062472, -148.83834307584, -4.75,
-         -140.0, 28.456653731840003, 0.14165178320624722, 1.2763205581159567,
-         1.9),
-        (10, -342.22011172989204, 1.6636611059479343, -148.88377283584, -5.0,
-         -190.0, 28.440557250559998, 0.16636611059479348, 1.2972040399078772,
-         2.0),
-        (20, -352.4566805053813, 1.1100666971787363, -148.81674720256, -4.75,
-         -200.0, 28.441475409920002, 0.11100666971787365, 1.2296754778018077,
-         1.9),
-    ],
-}
+# metrics.csv rows of the tiny config in test_tiny_config_golden for every
+# agent kind in every federation mode; the fedpeat rows were recorded before
+# the three learners shared one PPO update, the fedpeft and fedft rows before
+# run_round became one pass over selection-aligned arrays
+TINY_GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "tiny_metrics_golden.json")
+    .read_text())["rows"]
 
 
 class TestConfig:
@@ -141,16 +90,20 @@ class TestConfig:
 
 class TestTrain:
     def test_tiny_config_golden(self, tmp_path):
-        env = dataclasses.replace(EnvParams(), n_devices=4, select_k=2,
-                                  rounds=5)
-        for agent, rows in TINY_GOLDEN.items():
-            config = ExperimentConfig(
-                agent=agent, env=env, ppo=PpoConfig(segment=10, minibatch=5),
-                total_steps=20, eval_interval=10, seed=3)
-            cmd_train(config, tmp_path / agent)
-            lines = (tmp_path / agent / "metrics.csv").read_text().splitlines()
-            got = [tuple(map(float, line.split(","))) for line in lines[1:]]
-            assert got == [pytest.approx(row, rel=1e-9) for row in rows], agent
+        for mode, by_agent in TINY_GOLDEN.items():
+            env = dataclasses.replace(EnvParams(), n_devices=4, select_k=2,
+                                      rounds=5, mode=mode)
+            for agent, rows in by_agent.items():
+                config = ExperimentConfig(
+                    agent=agent, env=env,
+                    ppo=PpoConfig(segment=10, minibatch=5),
+                    total_steps=20, eval_interval=10, seed=3)
+                run_dir = tmp_path / f"{mode}_{agent}"
+                cmd_train(config, run_dir)
+                lines = (run_dir / "metrics.csv").read_text().splitlines()
+                got = [list(map(float, line.split(","))) for line in lines[1:]]
+                assert got == [pytest.approx(row, rel=1e-9) for row in rows], (
+                    mode, agent)
 
     def test_zero_steps_writes_manifest_and_empty_metrics(self, tmp_path):
         result = cmd_train(tiny_config(total_steps=0), tmp_path / "run0")
@@ -275,6 +228,44 @@ class TestCheckpoint:
         longer = dataclasses.replace(config, total_steps=200)
         result = cmd_train(longer, tmp_path / "run", resume=True)
         assert result.steps == 200
+
+    def test_resume_writes_no_duplicate_row(self, tmp_path):
+        # stopped at a segment and episode boundary, so the resumed run is
+        # the uninterrupted one, row for row
+        config = tiny_config(total_steps=100, eval_interval=50)
+        cmd_train(config, tmp_path / "run")
+        longer = dataclasses.replace(config, total_steps=200)
+        cmd_train(longer, tmp_path / "run", resume=True)
+        cmd_train(longer, tmp_path / "straight")
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "0", "50", "100", "150", "200"]
+        assert lines == (tmp_path / "straight" / "metrics.csv"
+                         ).read_text().splitlines()
+
+    def test_resume_keeps_manifest_start_time(self, tmp_path):
+        config = tiny_config(total_steps=50)
+        cmd_train(config, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["start_time"] = "2000-01-01T00:00:00"
+        path.write_text(json.dumps(manifest))
+        cmd_train(dataclasses.replace(config, total_steps=100),
+                  tmp_path / "run", resume=True)
+        manifest = json.loads(path.read_text())
+        assert manifest["start_time"] == "2000-01-01T00:00:00"
+        assert manifest["end_time"] is not None
+        assert manifest["config"]["total_steps"] == 100
+
+    def test_resume_continues_update_numbers(self, tmp_path):
+        config = tiny_config(total_steps=100)  # segment 50: two updates
+        cmd_train(config, tmp_path / "run")
+        cmd_train(dataclasses.replace(config, total_steps=200),
+                  tmp_path / "run", resume=True)
+        lines = (tmp_path / "run" / "timings.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(u), int(s)) for u, s, _ in rows] == [
+            (1, 50), (2, 100), (3, 150), (4, 200)]
 
 
 class TestCompare:

@@ -121,19 +121,15 @@ class TestFinalPerplexity:
 
 class TestPerplexityStep:
     def test_zero_rate_keeps_value(self):
-        assert perplexity_step(31.9, True, 13.22, 0.0) == 31.9
+        assert perplexity_step(31.9, 13.22, 0.0) == 31.9
 
     def test_fixed_point(self):
-        assert perplexity_step(13.22, True, 13.22, 0.3) == 13.22
-        assert perplexity_step(13.22, False, 13.22, 0.3) == 13.22
+        assert perplexity_step(13.22, 13.22, 0.3) == 13.22
 
     def test_one_participation(self):
         # 13.22 + 18.68 * 0.9
-        got = perplexity_step(31.9, True, 13.22, 0.1)
+        got = perplexity_step(31.9, 13.22, 0.1)
         assert got == pytest.approx(30.032, abs=1e-12)
-
-    def test_non_participation_unchanged(self):
-        assert perplexity_step(20.0, False, 13.22, 0.5) == 20.0
 
     def test_contraction_property(self):
         rng = np.random.default_rng(11)
@@ -141,7 +137,7 @@ class TestPerplexityStep:
             p = rng.uniform(5.0, 40.0)
             target = rng.uniform(5.0, 40.0)
             rate = rng.uniform(0.0, 1.0)
-            new = perplexity_step(p, True, target, rate)
+            new = perplexity_step(p, target, rate)
             assert abs(new - target) <= (1 - rate) * abs(p - target) + 1e-12
 
 
