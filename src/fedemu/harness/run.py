@@ -181,8 +181,10 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
             f"run directory {run_dir} is not empty; pass resume=True to continue")
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    # a run continues only from a checkpoint; without one it starts over
+    resuming = resume and (run_dir / "checkpoint.json").exists()
     start_time = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if resume and (run_dir / "manifest.json").exists():
+    if resuming:
         with open(run_dir / "manifest.json") as fh:
             start_time = json.load(fh)["start_time"]
     _write_manifest(run_dir, config, start_time, None)
@@ -199,7 +201,7 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     step = 0
     episode = 0
     n_updates = 0
-    if resume and (run_dir / "checkpoint.json").exists():
+    if resuming:
         meta = load_checkpoint(ckpt_path, agent)
         step = meta["step"]
         episode = meta["episode"]

@@ -257,6 +257,21 @@ class TestCheckpoint:
         assert manifest["end_time"] is not None
         assert manifest["config"]["total_steps"] == 100
 
+    def test_resume_without_checkpoint_starts_over(self, tmp_path):
+        # an earlier attempt stopped after the manifest, before any checkpoint
+        config = tiny_config(total_steps=50)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        path = run_dir / "manifest.json"
+        path.write_text(json.dumps({"start_time": "2000-01-01T00:00:00"}))
+        cmd_train(config, run_dir, resume=True)
+        assert json.loads(path.read_text())["start_time"] != (
+            "2000-01-01T00:00:00")
+        fresh = tmp_path / "fresh"
+        cmd_train(config, fresh)
+        assert ((run_dir / "metrics.csv").read_text()
+                == (fresh / "metrics.csv").read_text())
+
     def test_resume_continues_update_numbers(self, tmp_path):
         config = tiny_config(total_steps=100)  # segment 50: two updates
         cmd_train(config, tmp_path / "run")

@@ -32,9 +32,11 @@ def test_compare_names_differing_files(tmp_path):
     assert output_digests.compare(a, b) == ["rounds.jsonl"]
 
 
-def test_checkout_against_itself_is_identical(capsys):
-    rc = output_digests.main(["--parent", str(_ROOT),
-                              "--only", "tiny-random-fedft"])
+def test_checkout_against_itself_is_identical(capsys, monkeypatch):
+    tiny = output_digests.fixed_configs()["tiny-random-fedft"]
+    monkeypatch.setattr(output_digests, "fixed_configs",
+                        lambda: {"tiny-random-fedft": tiny})
+    rc = output_digests.main(["--parent", str(_ROOT)])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "tiny-random-fedft: identical" in out

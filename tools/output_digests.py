@@ -1,7 +1,6 @@
 """Compare the outputs of fixed training runs between two checkouts.
 
     python3 tools/output_digests.py --parent ../parent [--change .]
-        [--only NAME,...]
 
 ``--parent`` is a checkout of the commit to compare against, for example made
 with ``git clone`` and ``git checkout HEAD~1``; ``--change`` defaults to this
@@ -107,16 +106,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, default=ROOT)
-    ap.add_argument("--only", help="comma-separated run names")
     args = ap.parse_args(argv)
 
     configs = fixed_configs()
-    if args.only:
-        names = args.only.split(",")
-        unknown = sorted(set(names) - set(configs))
-        if unknown:
-            ap.error(f"unknown run names {unknown}; known: {sorted(configs)}")
-        configs = {name: configs[name] for name in names}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     differing = 0
     with tempfile.TemporaryDirectory() as work:
