@@ -19,6 +19,7 @@ population, mobility and channel parameters moves positions or gains.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,16 +234,20 @@ class AdaptiveFedEnv:
         from 1 and retention indices look up the grid. ``step`` checks the
         result against the action space."""
         grid = self.params.retention_grid
-        ret_idx = [int(i) for i in retention_indices]
+        ret_idx = np.asarray(retention_indices).tolist()
         # a negative index would wrap around the grid
-        if not all(0 <= i < len(grid) for i in ret_idx):
+        if ret_idx and not (0 <= min(ret_idx) and max(ret_idx) < len(grid)):
             raise ActionDecodeError(
                 f"retention indices must lie in [0, {len(grid)})")
+        try:
+            retentions = tuple(map(grid.__getitem__, ret_idx))
+        except TypeError:
+            raise ActionDecodeError("retention indices must be integers") from None
         return ActionBundle(
-            selection=tuple(int(i) for i in selection_indices),
-            bandwidth_levels=tuple(int(i) + 1 for i in bandwidth_indices),
-            power_levels=tuple(int(i) + 1 for i in power_indices),
-            retentions=tuple(grid[i] for i in ret_idx),
+            selection=tuple(np.asarray(selection_indices).tolist()),
+            bandwidth_levels=tuple((np.asarray(bandwidth_indices) + 1).tolist()),
+            power_levels=tuple((np.asarray(power_indices) + 1).tolist()),
+            retentions=retentions,
         )
 
     # -- helpers -------------------------------------------------------
@@ -252,14 +257,17 @@ class AdaptiveFedEnv:
         p = self.params
         if len(action.selection) != p.select_k:
             raise ActionDecodeError(f"selection must pick {p.select_k} devices")
-        if not all(0 <= i < p.n_devices for i in action.selection):
-            raise ActionDecodeError(
-                f"selection indices must lie in [0, {p.n_devices})")
-        for name in ("bandwidth_levels", "power_levels"):
-            if not all(1 <= v <= p.levels for v in getattr(action, name)):
-                raise ActionDecodeError(f"{name} must lie in [1, {p.levels}]")
-        if self.mode is FederationMode.FEDPEAT and not all(
-                r in p.retention_grid for r in action.retentions):
+        for name, lo, hi in (("selection", 0, p.n_devices - 1),
+                             ("bandwidth_levels", 1, p.levels),
+                             ("power_levels", 1, p.levels)):
+            try:
+                values = list(map(operator.index, getattr(action, name)))
+            except TypeError:
+                raise ActionDecodeError(f"{name} must be integers") from None
+            if values and not (lo <= min(values) and max(values) <= hi):
+                raise ActionDecodeError(f"{name} must lie in [{lo}, {hi}]")
+        if (self.mode is FederationMode.FEDPEAT
+                and not set(action.retentions) <= set(p.retention_grid)):
             raise ActionDecodeError(
                 f"retentions must lie on the grid {p.retention_grid}")
 

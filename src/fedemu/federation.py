@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "ActionBundle",
     "World",
     "RoundOutcome",
+    "RoundTraceWriter",
     "run_round",
 ]
 
@@ -169,30 +171,67 @@ class RoundOutcome:
         # q is 0 off the selection and the server's time is never negative
         return max(self.server_q, float(self.q.max()))
 
-    def to_json_row(self) -> str:
-        # q and payload_bytes are exact 0.0 off the selection, so only the
-        # selected entries are rounded; each distinct perplexity is rounded
-        # once
-        sel = list(self.selection)
-        q = [0.0] * len(self.q)
-        payload = [0.0] * len(self.payload_bytes)
-        for i, qi, bytes_i in zip(sel, self.q[sel].tolist(),
-                                  self.payload_bytes[sel].tolist()):
-            q[i] = round(qi, 9)
-            payload[i] = bytes_i
-        levels, which = np.unique(self.perplexities, return_inverse=True)
-        rounded = [round(x, 6) for x in levels.tolist()]
-        return json.dumps({
-            "round": self.round_index,
-            "mode": self.mode.value,
-            "selection": sel,
-            "q": q,
-            "server_q": round(self.server_q, 9),
-            "perplexities": [rounded[i] for i in which.tolist()],
-            "server_perplexity": round(self.server_perplexity, 6),
-            "exchanges": self.exchanges_this_round.tolist(),
-            "payload_bytes": payload,
-        })
+
+def _number(x: float) -> str:
+    """JSON text of a float, as ``json.dumps`` writes it."""
+    return x.__repr__() if math.isfinite(x) else json.dumps(x)
+
+
+class RoundTraceWriter:
+    """Writes one JSON line per round to ``file``: the round index, mode and
+    selection, and the per-device ``q`` (rounded to 1e-9 s), perplexities
+    (rounded to 1e-6), exchanges and payload bytes, plus the server's
+    ``q`` and perplexity.
+
+    Each line is ``json.dumps`` of that row's dict, built in O(K) Python
+    work per round: entries of ``q``, ``exchanges`` and ``payload_bytes``
+    off the selection are zero (``run_round`` scatters them so), and the
+    text of each perplexity is kept from the previous line and rendered
+    again only where its bits changed. The first line of an episode renders
+    every perplexity.
+    """
+
+    def __init__(self, file):
+        self._file = file
+        self._perplexity = np.empty(0)
+        self._perplexity_text: list[str] = []
+
+    def write(self, outcome: RoundOutcome) -> None:
+        sel = list(outcome.selection)
+        n = len(outcome.perplexities)
+        q = ["0.0"] * n
+        payload = ["0.0"] * n
+        exchanges = ["0"] * n
+        for i, qi, bytes_i, ex in zip(
+                sel, outcome.q[sel].tolist(), outcome.payload_bytes[sel].tolist(),
+                outcome.exchanges_this_round[sel].tolist()):
+            q[i] = _number(round(qi, 9))
+            payload[i] = _number(bytes_i)
+            exchanges[i] = str(ex)
+
+        perplexity = outcome.perplexities.copy()
+        if outcome.round_index == 0 or n != len(self._perplexity):
+            self._perplexity_text = [""] * n
+            changed = np.arange(n)
+        else:
+            changed = np.flatnonzero(perplexity.view(np.int64)
+                                     != self._perplexity.view(np.int64))
+        text = self._perplexity_text
+        for i, x in zip(changed.tolist(), perplexity[changed].tolist()):
+            text[i] = _number(round(x, 6))
+        self._perplexity = perplexity
+
+        self._file.write(
+            f'{{"round": {outcome.round_index}, '
+            f'"mode": {json.dumps(outcome.mode.value)}, '
+            f'"selection": [{", ".join(map(str, sel))}], '
+            f'"q": [{", ".join(q)}], '
+            f'"server_q": {_number(round(outcome.server_q, 9))}, '
+            f'"perplexities": [{", ".join(text)}], '
+            '"server_perplexity": '
+            f'{_number(round(outcome.server_perplexity, 6))}, '
+            f'"exchanges": [{", ".join(exchanges)}], '
+            f'"payload_bytes": [{", ".join(payload)}]}}\n')
 
 
 def run_round(world: World, actions: ActionBundle, mode: FederationMode,

@@ -5,7 +5,8 @@ Run directory layout:
     metrics.csv     deterministic evaluation curve (schema below)
     timings.csv     wall-clock seconds per optimisation update (not
                     deterministic, hence kept out of metrics.csv)
-    rounds.jsonl    round traces from the final evaluation pass
+    rounds.jsonl    round traces from the final evaluation pass, one JSON
+                    line per round (``federation.RoundTraceWriter``)
     checkpoint.npz / checkpoint.json   networks, ADAM state, RNG streams
 
 Metrics columns (one row per evaluation point, means over eval episodes):
@@ -38,6 +39,7 @@ from ..agents import (
     default_branches,
 )
 from ..env import AdaptiveFedEnv
+from ..federation import RoundTraceWriter
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict
 
@@ -101,6 +103,7 @@ def evaluate(config: ExperimentConfig, policy, env: AdaptiveFedEnv | None = None
     env = env or AdaptiveFedEnv(p)
     episodes = episodes or config.eval_episodes
     totals = {k: [] for k in METRICS_COLUMNS if k != "step"}
+    trace = RoundTraceWriter(trace_file) if trace_file is not None else None
     for ep in range(episodes):
         obs = env.reset(_derived_seed(config.seed, 5, ep))
         done = False
@@ -121,8 +124,8 @@ def evaluate(config: ExperimentConfig, policy, env: AdaptiveFedEnv | None = None
             log_delays.append(np.log(max_q))
             delays.append(outcome.max_q)
             exchanges += int(outcome.exchanges_this_round.sum())
-            if trace_file is not None:
-                trace_file.write(outcome.to_json_row() + "\n")
+            if trace is not None:
+                trace.write(outcome)
         totals["eval_reward"].append(sums["reward"])
         totals["r_d"].append(sums["r_d"])
         totals["r_p"].append(sums["r_p"])

@@ -117,15 +117,17 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
         lo, hi = model.speed_range
         leg_speed[need] = lo + (hi - lo) * u[:, 2]
     # paused devices have no waypoint, so their rows are NaN and neither
-    # comparison below selects them
+    # comparison below selects them; updates go through ``where`` masks, so
+    # rows outside a mask are never divided or moved
     delta = waypoint - position
     dist = np.sqrt(np.vecdot(delta, delta))  # bit-equal to np.linalg.norm
     go = dist > leg_speed
     stop = dist <= leg_speed
-    position[go] += delta[go] * (leg_speed[go] / dist[go])[:, None]
-    position[stop] = waypoint[stop]
-    waypoint[stop] = np.nan
-    pause_left[stop] = model.waypoint_pause
+    scale = np.divide(leg_speed, dist, out=np.zeros_like(dist), where=go)
+    np.add(position, delta * scale[:, None], out=position, where=go[:, None])
+    np.copyto(position, waypoint, where=stop[:, None])
+    np.copyto(waypoint, np.nan, where=stop[:, None])
+    np.copyto(pause_left, model.waypoint_pause, where=stop)
 
 
 def rician_fading_power(k: float, rng: np.random.Generator, shape=()):

@@ -244,6 +244,9 @@ class TestDecode:
         with pytest.raises(ActionDecodeError, match="retention"):
             env.step(env.decode_branch_actions([0, 1, 2, 3, 4], [0] * 5,
                                                [0] * 5, [0, 0, 0, 0, -1]))
+        with pytest.raises(ActionDecodeError, match="retention"):
+            env.step(env.decode_branch_actions([0, 1, 2, 3, 4], [0] * 5,
+                                               [0] * 5, [0, 0, 0, 0, 1.5]))
 
     def test_golden_fixture(self):
         with open(FIXTURES / "decode_golden.json") as fh:
@@ -274,6 +277,16 @@ class TestStepRejects:
                 w.mobility_rng.bit_generator.state,
                 w.fading_rng.bit_generator.state, env.round_index)
 
+    def assert_rejected_before_world_changes(self, env, action, field):
+        env.step(fixed_action(env))  # retentions and counts no longer initial
+        before = self.world_state(env)
+        with pytest.raises(ActionDecodeError, match=field):
+            env.step(action)
+        after = self.world_state(env)
+        for a, b in zip(before[0], after[0]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert before[1:] == after[1:]
+
     @pytest.mark.parametrize("field,value", [
         ("selection", (0, 4)),
         ("selection", (-1, 2)),
@@ -282,19 +295,25 @@ class TestStepRejects:
         ("power_levels", (5, 1)),
         ("power_levels", (1, -1)),
         ("retentions", (0.25, 0.3)),
+        # in range, but not integers
+        ("selection", (0.0, 1)),
+        ("bandwidth_levels", (1.5, 2.5)),
+        ("power_levels", (2.0, 1)),
     ])
     def test_rejected_before_world_changes(self, field, value):
         env = AdaptiveFedEnv(small_params())
         env.reset(seed=0)
-        env.step(fixed_action(env))  # retentions and counts no longer initial
-        before = self.world_state(env)
         action = dataclasses.replace(fixed_action(env), **{field: value})
-        with pytest.raises(ActionDecodeError, match=field):
-            env.step(action)
-        after = self.world_state(env)
-        for a, b in zip(before[0], after[0]):
-            assert np.array_equal(a, b, equal_nan=True)
-        assert before[1:] == after[1:]
+        self.assert_rejected_before_world_changes(env, action, field)
+
+    def test_non_integer_action_rejected_before_world_changes(self):
+        # fractional indices and levels are within range; they must not be
+        # truncated into the world
+        env = AdaptiveFedEnv(small_params())
+        env.reset(seed=0)
+        action = ActionBundle(selection=(0.7, 2.9), bandwidth_levels=(1.5, 2.5),
+                              power_levels=(1, 1), retentions=(0.5, 0.5))
+        self.assert_rejected_before_world_changes(env, action, "selection")
 
     def test_wrong_count_rejected(self):
         env = AdaptiveFedEnv(small_params())

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from fedemu.federation import (
     ActionDecodeError,
     FederationMode,
     RoundOutcome,
+    RoundTraceWriter,
     run_round,
 )
 from fedemu.simcore import (
@@ -196,39 +198,29 @@ class TestRunRound:
         env = make_env()
         outcome = run_round(env.world, bundle([0, 1], (0.5, 0.5)),
                             FederationMode.FEDPEAT)
-        row = json.loads(outcome.to_json_row())
+        row = json.loads(trace_lines([outcome])[0])
         assert row["round"] == 0
         assert row["mode"] == "fedpeat"
         assert row["selection"] == [0, 1]
         assert len(row["q"]) == env.world.n_devices
 
     def test_json_row_matches_reference_over_an_episode(self):
-        def reference_row(o):
-            return json.dumps({
-                "round": o.round_index,
-                "mode": o.mode.value,
-                "selection": list(o.selection),
-                "q": [round(x, 9) for x in o.q.tolist()],
-                "server_q": round(o.server_q, 9),
-                "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
-                "server_perplexity": round(o.server_perplexity, 6),
-                "exchanges": o.exchanges_this_round.tolist(),
-                "payload_bytes": o.payload_bytes.tolist(),
-            })
-
         params = dataclasses.replace(EnvParams(), n_devices=60, select_k=8,
                                      rounds=40)
         env = AdaptiveFedEnv(params)
         policy = RandomPolicy(default_branches(60, 8, params.levels,
                                                len(params.retention_grid)),
                               seed=3)
+        buf = io.StringIO()
+        writer = RoundTraceWriter(buf)
         obs, done, rows = env.reset(seed=3), False, 0
         while not done:
             step = policy.act(obs)
             obs, _, done = env.step(
                 env.decode_branch_actions(*step.branch_actions))
             outcome = env.last_outcome
-            assert outcome.to_json_row() == reference_row(outcome)
+            writer.write(outcome)
+            assert buf.getvalue().splitlines()[-1] == reference_row(outcome)
             rows += 1
         assert rows == 40
 
@@ -242,12 +234,85 @@ class TestRunRound:
             exchanges_this_round=np.array([1, 0, 0]),
             payload_bytes=np.array([1.5e8, 0.0, 0.0]),
             footprints=np.array([1e9, 2e9]), rates=np.array([1e6, 0.0, 2e6]))
-        assert outcome.to_json_row() == (
+        buf = io.StringIO()
+        RoundTraceWriter(buf).write(outcome)
+        assert buf.getvalue() == (
             '{"round": 3, "mode": "fedpeat", "selection": [0, 2], '
             '"q": [0.123456789, 0.0, 0.666666667], "server_q": 0.456789123, '
             '"perplexities": [28.715821, 30.0, 29.123456], '
             '"server_perplexity": 27.5, "exchanges": [1, 0, 0], '
-            '"payload_bytes": [150000000.0, 0.0, 0.0]}')
+            '"payload_bytes": [150000000.0, 0.0, 0.0]}\n')
+
+
+def reference_row(o):
+    """The trace line of one outcome: json.dumps of the full row dict."""
+    return json.dumps({
+        "round": o.round_index,
+        "mode": o.mode.value,
+        "selection": list(o.selection),
+        "q": [round(x, 9) for x in o.q.tolist()],
+        "server_q": round(o.server_q, 9),
+        "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
+        "server_perplexity": round(o.server_perplexity, 6),
+        "exchanges": o.exchanges_this_round.tolist(),
+        "payload_bytes": o.payload_bytes.tolist(),
+    })
+
+
+def trace_lines(outcomes):
+    """Lines one RoundTraceWriter writes for ``outcomes``, in order."""
+    buf = io.StringIO()
+    writer = RoundTraceWriter(buf)
+    for outcome in outcomes:
+        writer.write(outcome)
+    return buf.getvalue().splitlines()
+
+
+class TestRoundTraceWriter:
+    @pytest.mark.parametrize("mode", ["fedpeat", "fedpeft", "fedft"])
+    @pytest.mark.parametrize("n,k", [(12, 3), (5, 5)])
+    def test_matches_reference_across_episodes(self, mode, n, k):
+        # one writer over two episodes, as evaluate() uses it; the reset
+        # puts every perplexity back to p_init
+        params = dataclasses.replace(EnvParams(), n_devices=n, select_k=k,
+                                     rounds=15, mode=mode)
+        env = AdaptiveFedEnv(params)
+        policy = RandomPolicy(default_branches(n, k, params.levels,
+                                               len(params.retention_grid)),
+                              seed=1)
+        outcomes = []
+        for seed in (4, 5):
+            obs, done = env.reset(seed=seed), False
+            assert (env.world.perplexity == params.p_init).all()
+            while not done:
+                step = policy.act(obs)
+                obs, _, done = env.step(
+                    env.decode_branch_actions(*step.branch_actions))
+                outcomes.append(env.last_outcome)
+        assert outcomes[-1].round_index == 14
+        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+
+    def test_non_finite_and_signed_zero(self):
+        def outcome(round_index, perplexities, q):
+            n = len(perplexities)
+            return RoundOutcome(
+                round_index=round_index, mode=FederationMode.FEDPEFT,
+                selection=(1, 2), q=np.array(q), server_q=float("inf"),
+                perplexities=np.array(perplexities),
+                server_perplexity=float("nan"),
+                exchanges_this_round=np.array([0, 1, 0, 0]),
+                payload_bytes=np.array([0.0, 2.5e7, 0.0, 0.0]),
+                footprints=np.ones(2), rates=np.ones(n))
+
+        outcomes = [
+            outcome(0, [30.0, 0.0, float("nan"), 29.0],
+                    [0.0, 1.0, float("inf"), 0.0]),
+            outcome(1, [30.0, -0.0, float("nan"), float("-inf")],
+                    [0.0, float("nan"), -0.0, 0.0]),
+            outcome(2, [30.0, 0.0, 1e-7, float("-inf")],
+                    [0.0, 1e-10, -1e-10, 0.0]),
+        ]
+        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
 
 
 class TestActionBundle:

@@ -19,6 +19,9 @@ def test_fixed_configs_cover_every_agent_and_mode():
     assert "target-sync-sabppo" in configs and "mid-iterrl-s2" in configs
     for config in configs.values():
         config_from_dict(config)
+    evals = output_digests.eval_runs()
+    assert set(evals.values()) == {"tiny-sabppo-fedpeat", "wide-rollout-s2"}
+    assert not set(evals) & set(configs)
 
 
 def test_compare_names_differing_files(tmp_path):
@@ -36,8 +39,14 @@ def test_checkout_against_itself_is_identical(capsys, monkeypatch):
     tiny = output_digests.fixed_configs()["tiny-random-fedft"]
     monkeypatch.setattr(output_digests, "fixed_configs",
                         lambda: {"tiny-random-fedft": tiny})
+    monkeypatch.setattr(output_digests, "eval_runs",
+                        lambda: {"eval-tiny-random-fedft": "tiny-random-fedft"})
     rc = output_digests.main(["--parent", str(_ROOT)])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "tiny-random-fedft: identical" in out
-    assert "1 of 1 runs identical" in out
+    assert "eval.json=None" in out.splitlines()[0]
+    eval_line = out.splitlines()[1]
+    assert eval_line.startswith("eval-tiny-random-fedft: identical")
+    assert "eval.json=None" not in eval_line
+    assert "2 of 2 runs identical" in out

@@ -8,6 +8,7 @@ from fedemu.simcore import DeviceState
 from fedemu.wireless import (
     ChannelParams,
     MobilityModel,
+    advance_mobility,
     allocate_budgets,
     channel_gain,
     dbm_per_hz_to_watts,
@@ -225,6 +226,28 @@ class TestMobility:
             pos = step_mobility(st, self.model, rng)
             assert np.hypot(*(pos - prev)) <= self.model.speed_range[1] + 1e-9
             prev = pos.copy()
+
+    @pytest.mark.parametrize("speed_range,pause", [
+        ((0.0, 0.0), 2), ((1.0, 10.0), 0), ((0.0, 0.0), 0)])
+    def test_advance_raises_no_float_warnings(self, speed_range, pause):
+        model = MobilityModel(area_radius=50.0, speed_range=speed_range,
+                              waypoint_pause=pause)
+        rng = np.random.default_rng(7)
+        n = 16
+        position = rng.uniform(-30.0, 30.0, size=(n, 2))
+        waypoint = np.full((n, 2), np.nan)
+        waypoint[0] = position[0]  # device 0 starts on its waypoint
+        pause_left = np.zeros(n, dtype=int)
+        leg_speed = np.full(n, speed_range[0])
+        start = position.copy()
+        with np.errstate(all="raise"):
+            for _ in range(20):
+                advance_mobility(position, waypoint, pause_left, leg_speed,
+                                 model, rng)
+        assert np.isfinite(position).all()
+        if speed_range == (0.0, 0.0):
+            # legs of speed 0 never move a device off its start
+            assert np.array_equal(position, start)
 
     def test_seed42_golden_trace(self):
         # frozen from the first implementation run

@@ -1,13 +1,15 @@
 """Run benchmark pairs, parent against change, and print a comparison table.
 
-    python3 tools/bench_pairs.py --parent ../parent --workload mid-iterrl \
-        --seeds 12-21 --seconds 30
+    python3 tools/bench_pairs.py --parent ../parent \
+        --workload desk-sabppo,wide-rollout,mid-iterrl --seeds 12-21 --seconds 30
 
 ``--parent`` is a checkout of the commit to compare against, for example made
 with ``git worktree add ../parent HEAD~1``; ``--change`` defaults to this
-checkout. Each seed gives one pair of ``bench/run.py`` runs, one in each
-checkout; the pairs alternate parent-first and change-first so that slow
-drift of the host does not favour one side. For every metric the table shows
+checkout. ``--workload`` takes one workload or a comma-separated list. Each
+seed gives one pair of ``bench/run.py`` runs per workload, one in each
+checkout; the pairs of a workload alternate parent-first and change-first so
+that slow drift of the host does not favour one side. One table holds the
+rows of every workload. For every metric and workload the table shows
 the median and quartiles of each side, the ratio of the medians and the
 number of pairs the change wins ("better" comes from ``BENCHMARK.json``).
 """
@@ -61,19 +63,22 @@ def summary(values) -> str:
     return f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]"
 
 
-def table(workload: str, pairs: list[tuple[dict, dict]], better: dict) -> str:
+def table(results: dict[str, list[tuple[dict, dict]]], better: dict) -> str:
+    """Markdown table over ``{workload: [(parent, change), ...]}``."""
     rows = ["| workload | metric | parent | change | ratio | wins |",
             "|---|---|---|---|---|---|"]
-    names = [n for n in pairs[0][0]["metrics"] if n in better]
-    for name in names:
-        par = [p["metrics"][name]["value"] for p, _ in pairs]
-        chg = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1.0 if better[name] == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
-        med_p = float(np.median(par))
-        ratio = float(np.median(chg)) / med_p if med_p else float("nan")
-        rows.append(f"| {workload} | {name} | {summary(par)} | {summary(chg)} "
-                    f"| {ratio:.3g}x | {wins}/{len(pairs)} |")
+    for workload, pairs in results.items():
+        names = [n for n in pairs[0][0]["metrics"] if n in better]
+        for name in names:
+            par = [p["metrics"][name]["value"] for p, _ in pairs]
+            chg = [c["metrics"][name]["value"] for _, c in pairs]
+            sign = 1.0 if better[name] == "higher" else -1.0
+            wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+            med_p = float(np.median(par))
+            ratio = float(np.median(chg)) / med_p if med_p else float("nan")
+            rows.append(f"| {workload} | {name} | {summary(par)} "
+                        f"| {summary(chg)} | {ratio:.3g}x "
+                        f"| {wins}/{len(pairs)} |")
     return "\n".join(rows)
 
 
@@ -81,7 +86,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, default=ROOT)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="a workload or a comma-separated list")
     ap.add_argument("--seeds", required=True, help="e.g. 12-21 or 2,5,7")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -91,18 +97,20 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs = []
+    workloads = args.workload.split(",")
+    results = {workload: [] for workload in workloads}
     for k, seed in enumerate(parse_seeds(args.seeds)):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        result = {}
-        for side in order:
-            result[side] = run_once(sides[side], args.workload, seed,
-                                    args.seconds, args.trace)
-            r = result[side]
-            print(f"seed {seed} {side}: correct={r['correct']} "
-                  f"failed={r['failed']}/{r['attempted']}", file=sys.stderr)
-        pairs.append((result["parent"], result["change"]))
-    print(table(args.workload, pairs, better))
+        for workload in workloads:
+            result = {}
+            for side in order:
+                result[side] = run_once(sides[side], workload, seed,
+                                        args.seconds, args.trace)
+                r = result[side]
+                print(f"{workload} seed {seed} {side}: correct={r['correct']} "
+                      f"failed={r['failed']}/{r['attempted']}", file=sys.stderr)
+            results[workload].append((result["parent"], result["change"]))
+    print(table(results, better))
     return 0
 
 

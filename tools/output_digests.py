@@ -14,8 +14,9 @@ eval every 10, segment 10, minibatch 5) for all five agent kinds in all three
 federation modes, and a config whose critic targets sync inside updates
 (seed 5, N=30, K=5, 20 rounds, 150 steps, eval every 50, segment 25,
 minibatch 8, ``target_sync`` 7) for the three learners, and the three
-benchmark workloads on seed 2. All of them take about 10 s per checkout on a
-2-vCPU host.
+benchmark workloads on seed 2. The eval runs evaluate the tiny sabppo run in
+fedpeat mode and the wide-rollout run. All of them take about 10 s per
+checkout on a 2-vCPU host.
 
 Prints one line per run and exits 1 if any digest differs.
 """
@@ -34,24 +35,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-OUTPUTS = ("metrics.csv", "rounds.jsonl", "checkpoint.npz", "checkpoint.json")
+OUTPUTS = ("metrics.csv", "rounds.jsonl", "checkpoint.npz", "checkpoint.json",
+           "eval.json")
 AGENTS = ("sabppo", "iterrl", "happo", "random", "fedft")
 LEARNERS = ("sabppo", "iterrl", "happo")
 MODES = ("fedpeat", "fedpeft", "fedft")
 BENCH_SEED = 2
 
-# Runs every config of a JSON mapping {name: config} into <out>/<name>.
+# Runs every config of a JSON mapping {name: config} into <out>/<name>, then
+# evaluates a copy of each finished run of a mapping {name: trained run} in
+# <out>/<name>.
 CHILD = """
-import json, sys
+import json, shutil, sys
 from pathlib import Path
 import fedemu
 from fedemu.harness.config import config_from_dict
-from fedemu.harness.run import cmd_train
-src, configs, out = Path(sys.argv[1]), json.loads(sys.argv[2]), Path(sys.argv[3])
+from fedemu.harness.run import cmd_eval, cmd_train
+src, out = Path(sys.argv[1]), Path(sys.argv[4])
+configs, evals = json.loads(sys.argv[2]), json.loads(sys.argv[3])
 if Path(fedemu.__file__).resolve().parent.parent != src.resolve():
     sys.exit(f"fedemu was imported from {fedemu.__file__}, not from {src}")
 for name, config in configs.items():
     cmd_train(config_from_dict(config), run_dir=out / name)
+for name, trained in evals.items():
+    shutil.copytree(out / trained, out / name)
+    cmd_eval(out / name)
 """
 
 
@@ -78,12 +86,20 @@ def fixed_configs() -> dict[str, dict]:
     return configs
 
 
-def run_configs(checkout: Path, configs: dict[str, dict], out: Path) -> None:
+def eval_runs() -> dict[str, str]:
+    """Trained run each eval run copies and evaluates, by eval run name."""
+    return {"eval-tiny-sabppo-fedpeat": "tiny-sabppo-fedpeat",
+            f"eval-wide-rollout-s{BENCH_SEED}": f"wide-rollout-s{BENCH_SEED}"}
+
+
+def run_configs(checkout: Path, configs: dict[str, dict],
+                evals: dict[str, str], out: Path) -> None:
     src = checkout / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), json.dumps(configs), str(out)],
+        [sys.executable, "-c", CHILD, str(src), json.dumps(configs),
+         json.dumps(evals), str(out)],
         cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"runs in {checkout} failed:\n"
@@ -109,12 +125,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     configs = fixed_configs()
+    evals = eval_runs()
+    runs = [*configs, *evals]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     differing = 0
     with tempfile.TemporaryDirectory() as work:
         for side, checkout in sides.items():
-            run_configs(checkout, configs, Path(work) / side)
-        for name in configs:
+            run_configs(checkout, configs, evals, Path(work) / side)
+        for name in runs:
             want = digests(Path(work) / "parent" / name)
             got = digests(Path(work) / "change" / name)
             bad = compare(want, got)
@@ -126,7 +144,7 @@ def main(argv=None) -> int:
             else:
                 print(f"{name}: identical " + " ".join(
                     f"{f}={str(got[f])[:12]}" for f in OUTPUTS))
-    print(f"{len(configs) - differing} of {len(configs)} runs identical")
+    print(f"{len(runs) - differing} of {len(runs)} runs identical")
     return 1 if differing else 0
 
 
