@@ -6,6 +6,10 @@ consuming the observation concatenated with encodings of the actions already
 taken. One critic with a hard-synced target network supplies advantages via
 GAE.
 
+The PPO buffer holds each step's observation and branch actions. An update
+rebuilds the chained inputs with ``act``'s encoder and takes the behaviour
+log-probs from its starting parameters, which collected the whole segment.
+
 The three learners are one PPO update (``_PpoAgentBase``) and differ only in
 how the heads are grouped into actor units and which critic feeds each unit:
 SABPPO has one unit over the chained heads and one critic; IterRL and HAPPO
@@ -24,7 +28,6 @@ drawn from ``(seed, 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -77,6 +80,10 @@ class PpoConfig:
             raise ValueError("gamma and lambda must lie in (0, 1]")
         if self.epochs < 1 or self.target_sync < 1:
             raise ValueError("epochs and target sync interval must be >= 1")
+        if self.segment < 1:
+            raise ValueError("segment must be >= 1")
+        if self.minibatch < 1:
+            raise ValueError("minibatch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,25 +93,24 @@ class BranchSpec:
     kind "topk" draws ``slots`` distinct indices out of ``n_options`` without
     replacement. kind "rows" applies one weight-shared head per selected
     device (the head sees the chained state plus that device's own features),
-    so the per-device mapping generalises across devices. ``encode_width`` is
-    the width of the feature block this branch appends to the chained state
-    for downstream branches.
+    so the per-device mapping generalises across devices. Every branch but
+    the last appends an N-wide block to the chained state (see
+    ``_encode``).
     """
 
     name: str
     kind: str
     n_options: int
     slots: int
-    encode_width: int
 
 
 def default_branches(n_devices: int, select_k: int, levels: int,
                      grid_size: int) -> list[BranchSpec]:
     return [
-        BranchSpec("selection", "topk", n_devices, select_k, n_devices),
-        BranchSpec("bandwidth", "rows", levels, select_k, n_devices),
-        BranchSpec("power", "rows", levels, select_k, n_devices),
-        BranchSpec("retention", "rows", grid_size, select_k, 0),
+        BranchSpec("selection", "topk", n_devices, select_k),
+        BranchSpec("bandwidth", "rows", levels, select_k),
+        BranchSpec("power", "rows", levels, select_k),
+        BranchSpec("retention", "rows", grid_size, select_k),
     ]
 
 
@@ -113,21 +119,18 @@ class StepAction:
     """What the controller hands back for one environment step."""
 
     branch_actions: list[np.ndarray]   # one int array per branch
-    branch_logps: np.ndarray
-    inputs: list[np.ndarray]           # chained branch inputs, s1 first;
-                                       # only s1 for an unchained policy
 
 
 class TrajectoryBuffer:
-    """Fixed-capacity per-segment storage for PPO updates: one input array
-    per recorded input width (every chained input, or only the base
-    observation) and one action array per branch."""
+    """Fixed-capacity per-segment storage for PPO updates: each step's
+    observation, one action array per branch, the reward, the done flag and
+    the latest next observation. Head inputs and behaviour log-probs are
+    derived from these in the update."""
 
-    def __init__(self, capacity: int, input_dims: list[int], slots: list[int]):
+    def __init__(self, capacity: int, obs_dim: int, slots: list[int]):
         self.capacity = capacity
-        self.inputs = [np.zeros((capacity, d)) for d in input_dims]
+        self.obs = np.zeros((capacity, obs_dim))
         self.actions = [np.zeros((capacity, s), dtype=int) for s in slots]
-        self.branch_logps = np.zeros((capacity, len(slots)))
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
         self.final_obs = None
@@ -137,16 +140,14 @@ class TrajectoryBuffer:
     def full(self) -> bool:
         return self.size >= self.capacity
 
-    def add(self, step: StepAction, reward: float, done: bool,
-            next_obs: np.ndarray):
+    def add(self, obs: np.ndarray, step: StepAction, reward: float,
+            done: bool, next_obs: np.ndarray):
         i = self.size
         if i >= self.capacity:
             raise RuntimeError("trajectory buffer is full")
-        for store, x in zip(self.inputs, step.inputs, strict=True):
-            store[i] = x
+        self.obs[i] = obs
         for store, a in zip(self.actions, step.branch_actions, strict=True):
             store[i] = a
-        self.branch_logps[i] = step.branch_logps
         self.rewards[i] = reward
         self.dones[i] = done
         self.final_obs = next_obs
@@ -193,25 +194,6 @@ def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
     noisy = logits + rng.gumbel(size=logits.shape)
     order = np.argsort(-noisy, kind="stable")[:k]
     return order
-
-
-def _topk_log_prob(logits: np.ndarray, indices) -> float:
-    """Plackett-Luce log-probability of drawing ``indices`` in order.
-
-    Draw j picks from the unchosen logits plus indices[j:], so its
-    log-normaliser is logaddexp(logsumexp(unchosen), logsumexp(chosen[j:]));
-    one reversed cumulative logaddexp gives all K of them in O(N + K).
-    """
-    idx = np.asarray(indices, dtype=int)
-    unchosen = np.ones(len(logits), dtype=bool)
-    unchosen[idx] = False
-    if unchosen.sum() != len(logits) - len(idx):
-        raise ValueError("indices must be distinct")
-    z = logits - logits.max()
-    chosen = z[idx]
-    tail = np.logaddexp.accumulate(chosen[::-1])[::-1]
-    log_rest = np.logaddexp.reduce(z[unchosen])  # -inf when K = N
-    return float((chosen - np.logaddexp(log_rest, tail)).sum())
 
 
 def _row_features(chain: np.ndarray, selection: np.ndarray,
@@ -274,7 +256,7 @@ def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
     """Plackett-Luce evaluation of the stored draws, in closed form.
 
     Draw j picks from A_j, the unchosen logits plus a_j..a_{K-1}, with
-    log-normaliser L_j (as in ``_topk_log_prob``), log-probabilities
+    log-normaliser L_j (the log-sum-exp over A_j), log-probabilities
     lp_ij = z_i - L_j and entropy H_j = -sum_i p_ij lp_ij. Over the K draws,
     d logp / dz_i = [i chosen] - sum_j p_ij and
     d entropy / dz_i = -sum_j p_ij (lp_ij + H_j), summing over the draws
@@ -345,18 +327,20 @@ def _gather(rows: np.ndarray, idx, scratch) -> np.ndarray:
                    out=scratch.take("x", len(idx), rows.shape[1]))
 
 
-def _encode_branch_action(spec: BranchSpec, action: np.ndarray,
-                          selection: np.ndarray, n_devices: int) -> np.ndarray:
-    """Feature block appended to the chained state after a branch acts."""
-    if spec.encode_width == 0:
-        return np.zeros(0)
-    vec = np.zeros(spec.encode_width)
+def _encode(spec: BranchSpec, action: np.ndarray, selection: np.ndarray,
+            n_devices: int) -> np.ndarray:
+    """(M, N) block appended to the chained state after a branch acts on M
+    samples: a one-hot of the selected devices, or each selected device's
+    share of the summed levels (level + 1) of a "rows" branch."""
+    m = len(action)
+    block = np.zeros((m, n_devices))
+    rows = np.arange(m)[:, None]
     if spec.kind == "topk":
-        vec[action] = 1.0
+        block[rows, action] = 1.0
     else:
         levels = action + 1.0
-        vec[selection] = levels / levels.sum()
-    return vec
+        block[rows, selection] = levels / levels.sum(axis=1, keepdims=True)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +396,8 @@ class _ActorUnit:
 class _ChainPolicy:
     """Runs the branch chain once per step; subclasses choose each branch's
     action. A chained policy feeds each branch the observation plus the
-    encodings of the actions already taken, and records every such input; an
-    unchained one feeds and records the observation alone."""
+    encodings of the actions already taken (``_encode``); an unchained one
+    feeds the observation alone. Branch 0 is the device selection."""
 
     chained = True
     network_count = 0
@@ -424,27 +408,17 @@ class _ChainPolicy:
         self.n_devices = branches[0].n_options
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
-        chain = np.asarray(obs, dtype=float)
-        inputs, actions, logps = [chain], [], []
-        selection = None
+        chain = np.asarray(obs, dtype=float)[None, :]
+        actions = []
         for b, spec in enumerate(self.branches):
-            action, logp = self._branch_action(b, spec, chain, selection,
-                                               greedy)
-            action = np.asarray(action, dtype=int)
-            if spec.kind == "topk":
-                selection = action
-            actions.append(action)
-            logps.append(logp)
-            if self.chained and b + 1 < len(self.branches):
-                enc = _encode_branch_action(spec, action, selection,
-                                            self.n_devices)
-                chain = np.concatenate([chain, enc])
-                inputs.append(chain)
-        return StepAction(branch_actions=actions, branch_logps=np.array(logps),
-                          inputs=inputs)
-
-    def update(self, buffer) -> dict:
-        return {}
+            if b and self.chained:
+                enc = _encode(self.branches[b - 1], actions[-1][None, :],
+                              actions[0][None, :], self.n_devices)
+                chain = np.concatenate([chain, enc], axis=1)
+            action = self._branch_action(b, spec, chain,
+                                         actions[0] if b else None, greedy)
+            actions.append(np.asarray(action, dtype=int))
+        return StepAction(branch_actions=actions)
 
     def components(self):
         return [], []
@@ -491,84 +465,97 @@ class _PpoAgentBase(_ChainPolicy):
         return ([(f"actor{i}", u) for i, u in enumerate(self.units)],
                 [(f"critic{c}", b) for c, b in enumerate(self.critics)])
 
-    def _chain_dims(self) -> list[int]:
-        """Width of the chained state each branch sees."""
-        return list(accumulate((s.encode_width for s in self.branches[:-1]),
-                               initial=self.obs_dim))
-
     def _input_dims(self) -> list[int]:
         """Input width of each head; a "rows" head also sees one column of
         each per-device block (see ``_row_features``)."""
         n = self.n_devices
         dims = []
-        for spec, d in zip(self.branches, self._chain_dims()):
-            if not self.chained:
-                d = self.obs_dim
+        for b, spec in enumerate(self.branches):
+            d = self.obs_dim + b * n if self.chained else self.obs_dim
             if spec.kind == "rows":
                 d += 3 + (d - (3 * n + 1)) // n
             dims.append(d)
         return dims
 
     def make_buffer(self) -> TrajectoryBuffer:
-        dims = self._chain_dims() if self.chained else [self.obs_dim]
-        return TrajectoryBuffer(self.cfg.segment, dims,
+        return TrajectoryBuffer(self.cfg.segment, self.obs_dim,
                                 [s.slots for s in self.branches])
 
     def _branch_action(self, b, spec, net_in, selection, greedy):
         net = self.branch_nets[b]
         if spec.kind == "topk":
-            logits = forward(net, net_in)
+            logits = forward(net, net_in)[0]
             if greedy:
-                action = _topk_greedy(logits, spec.slots)
-            else:
-                action = _sample_topk(logits, spec.slots, self.sample_rng)
-            return action, _topk_log_prob(logits, action)
-        chain = net_in[None, :]
-        feats = _row_features(chain, np.asarray(selection)[None, :],
-                              self.n_devices)
-        mat = forward(net, chain, feats)  # (K, L)
-        if greedy:
-            action = mat.argmax(axis=1)
-        else:
-            noisy = mat + self.sample_rng.gumbel(size=mat.shape)
-            action = noisy.argmax(axis=1)
-        return action, float(log_softmax(mat)[
-            np.arange(len(selection)), action].sum())
+                return _topk_greedy(logits, spec.slots)
+            return _sample_topk(logits, spec.slots, self.sample_rng)
+        feats = _row_features(net_in, selection[None, :], self.n_devices)
+        mat = forward(net, net_in, feats)  # (K, L)
+        if not greedy:
+            mat = mat + self.sample_rng.gumbel(size=mat.shape)
+        return mat.argmax(axis=1)
 
-    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, idx,
-                scratch=None) -> list[BranchPass]:
-        """Evaluate the unit's heads on the stored samples ``idx``, head j
-        in ``scratch[j]`` when given."""
+    def _head_inputs(self, buffer: TrajectoryBuffer) -> list[np.ndarray]:
+        """Each head's input for the stored steps: the chained states rebuilt
+        from the stored observations and actions, each a column prefix of one
+        array, or the observations for an unchained agent."""
+        m, n = buffer.size, self.n_devices
+        obs = buffer.obs[:m]
+        if not self.chained:
+            return [obs] * len(self.branches)
+        actions = [a[:m] for a in buffer.actions]
+        blocks = [_encode(spec, a, actions[0], n)
+                  for spec, a in zip(self.branches[:-1], actions)]
+        chain = np.concatenate([obs, *blocks], axis=1)
+        return [chain[:, :self.obs_dim + b * n]
+                for b in range(len(self.branches))]
+
+    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, inputs,
+                idx, scratch=None) -> list[BranchPass]:
+        """Evaluate the unit's heads on the stored samples ``idx``, head b
+        fed ``inputs[b]`` and head j of the unit evaluated in ``scratch[j]``
+        when given."""
         selection = buffer.actions[0][idx]
         slots = scratch or [None] * len(unit.nets)
         return [_eval_branch(net, self.branches[b],
-                             _gather(buffer.inputs[b if self.chained else 0],
-                                     idx, slot),
+                             _gather(inputs[b], idx, slot),
                              buffer.actions[b][idx], selection, self.n_devices,
                              slot)
                 for b, net, slot in zip(unit.branch_ids, unit.nets, slots)]
 
     def evaluate_logps(self, buffer: TrajectoryBuffer) -> np.ndarray:
         """(M, branches) log-probs of the stored actions under the current
-        parameters."""
-        idx = slice(0, buffer.size)
-        return np.column_stack([p.logp for unit in self.units
-                                for p in self._passes(unit, buffer, idx)])
+        parameters, evaluated a minibatch at a time in the update's work
+        arrays."""
+        inputs = self._head_inputs(buffer)
+        m, size = buffer.size, self.cfg.minibatch
+        logps = np.empty((m, len(self.branches)))
+        for unit in self.units:
+            for start in range(0, m, size):
+                idx = np.arange(start, min(start + size, m))
+                passes = self._passes(unit, buffer, inputs, idx, self._scratch)
+                for b, p in zip(unit.branch_ids, passes):
+                    logps[idx, b] = p.logp
+        return logps
 
     def update(self, buffer: TrajectoryBuffer) -> dict:
         """Every unit's actor epochs against its critic's advantages, then
         every critic's epochs. Actors and critics share no state within an
-        update, so this gives the same result as interleaving them."""
+        update, so this gives the same result as interleaving them. The
+        behaviour log-probs are those of the parameters the update starts
+        from, which collected the whole segment."""
         if buffer.size == 0:
             raise ValueError("cannot update from an empty batch")
+        behaviour = self.evaluate_logps(buffer)
+        inputs = self._head_inputs(buffer)
         returns = [self._advantages(buffer, critic) for critic in self.critics]
         advs = [self._normalized(adv) for adv, _ in returns]
         stats = {"policy_loss": [], "value_loss": [], "entropy": [],
                  "clip_frac": []}
         for i, unit in enumerate(self.units):
             adv = advs[i if self.critic_per_unit else 0]
+            old = behaviour[:, unit.branch_ids].sum(axis=1)
             for _ in range(self.cfg.epochs):
-                self._actor_epoch(unit, buffer, adv, stats)
+                self._actor_epoch(unit, buffer, inputs, adv, old, stats)
         for critic, (_, targets) in zip(self.critics, returns):
             for _ in range(self.cfg.epochs):
                 self._critic_epoch(critic, buffer, targets, stats)
@@ -576,8 +563,7 @@ class _PpoAgentBase(_ChainPolicy):
 
     def _advantages(self, buffer: TrajectoryBuffer, critic: _CriticBundle):
         m = buffer.size
-        obs = buffer.inputs[0][:m]
-        v = critic.target_values(obs)
+        v = critic.target_values(buffer.obs[:m])
         v_next = np.empty(m)
         v_next[:-1] = v[1:]
         v_next[-1] = (critic.target_values(buffer.final_obs[None, :])[0]
@@ -595,19 +581,19 @@ class _PpoAgentBase(_ChainPolicy):
             return adv  # degenerate batch: proceed unnormalised
         return (adv - adv.mean()) / std
 
-    def _actor_epoch(self, unit: _ActorUnit, buffer, adv, stats):
+    def _actor_epoch(self, unit: _ActorUnit, buffer, inputs, adv, old, stats):
         """One clipped-surrogate epoch for one actor unit over shuffled
         minibatches. The ratio is that of the unit's joint action: the sum of
-        its branches' log-probs, new against stored."""
+        its branches' log-probs, new against the behaviour log-probs
+        ``old``."""
         cfg = self.cfg
         m = buffer.size
         perm = unit.shuffle.permutation(m)
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            passes = self._passes(unit, buffer, idx, self._scratch)
+            passes = self._passes(unit, buffer, inputs, idx, self._scratch)
             a = adv[idx]
-            old = buffer.branch_logps[idx][:, unit.branch_ids].sum(axis=1)
-            ratio = np.exp(sum(p.logp for p in passes) - old)
+            ratio = np.exp(sum(p.logp for p in passes) - old[idx])
             surr1 = ratio * a
             surr2 = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * a
             inside = np.abs(ratio - 1.0) <= cfg.clip_eps
@@ -633,7 +619,7 @@ class _PpoAgentBase(_ChainPolicy):
         cfg = self.cfg
         m = buffer.size
         perm = critic.shuffle.permutation(m)
-        obs = buffer.inputs[0][:m]
+        obs = buffer.obs[:m]
         work = self._scratch[0]
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
@@ -677,13 +663,9 @@ class RandomPolicy(_ChainPolicy):
 
     def _branch_action(self, b, spec, net_in, selection, greedy):
         if spec.kind == "topk":
-            action = _sample_topk(np.zeros(spec.n_options), spec.slots,
-                                  self.sample_rng)
-            # Plackett-Luce with equal logits: prod_j 1 / (N - j)
-            return action, -float(np.log(spec.n_options
-                                         - np.arange(spec.slots)).sum())
-        action = self.sample_rng.integers(0, spec.n_options, size=spec.slots)
-        return action, -spec.slots * float(np.log(spec.n_options))
+            return _sample_topk(np.zeros(spec.n_options), spec.slots,
+                                self.sample_rng)
+        return self.sample_rng.integers(0, spec.n_options, size=spec.slots)
 
 
 class FixedFullModelPolicy(RandomPolicy):
@@ -694,4 +676,4 @@ class FixedFullModelPolicy(RandomPolicy):
         if spec.kind == "topk":
             return super()._branch_action(b, spec, net_in, selection, greedy)
         level = spec.n_options - 1 if spec.name == "retention" else 0
-        return np.full(spec.slots, level), 0.0
+        return np.full(spec.slots, level)

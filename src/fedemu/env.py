@@ -103,6 +103,20 @@ class EnvParams:
 
     mode: str = "fedpeat"
 
+    def __post_init__(self):
+        if self.n_devices < 1:
+            raise ValueError("n_devices must be >= 1")
+        if not 1 <= self.select_k <= self.n_devices:
+            raise ValueError("select_k must lie in [1, n_devices]")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.levels < 1:
+            raise ValueError("levels must be >= 1")
+        if not (self.retention_grid
+                and all(0.0 < r <= 1.0 for r in self.retention_grid)):
+            raise ValueError("retention_grid must be non-empty with every "
+                             "value in (0, 1]")
+
     @property
     def observation_dim(self) -> int:
         return 3 * self.n_devices + 1

@@ -17,6 +17,11 @@ Metrics columns (one row per evaluation point, means over eval episodes):
     log_delay   mean over rounds of ln(max per-device round time, s)
     mean_delay  mean over rounds of max per-device round time, s
     exchanges   emulator exchanges per 10 rounds per device
+
+An evaluation depends only on the config and the agent's parameters: every
+evaluation row of a sampling baseline is the same, ``cmd_eval`` reproduces a
+run's final row, and a run resumed at a segment and episode boundary writes
+the rows of the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -96,10 +101,12 @@ def _eval_policy(config: ExperimentConfig, agent):
     return agent
 
 
-def evaluate(config: ExperimentConfig, policy, env: AdaptiveFedEnv | None = None,
+def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
              episodes: int | None = None, trace_file=None) -> dict:
-    """Greedy evaluation over fixed per-episode seeds; returns metric means."""
+    """Greedy evaluation over fixed per-episode seeds; returns metric means.
+    A sampling baseline acts through a fixed-seed twin made for each call."""
     p = config.env
+    policy = _eval_policy(config, agent)
     env = env or AdaptiveFedEnv(p)
     episodes = episodes or config.eval_episodes
     totals = {k: [] for k in METRICS_COLUMNS if k != "step"}
@@ -219,14 +226,13 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
         timings_fh.write("update,step,seconds\n")
 
     eval_env = AdaptiveFedEnv(config.env)
-    eval_policy = _eval_policy(config, agent)
     final_metrics = None
 
     def run_eval(at_step, trace=False):
         nonlocal final_metrics
         trace_fh = open(run_dir / "rounds.jsonl", "w") if trace else None
         try:
-            row = evaluate(config, eval_policy, env=eval_env, trace_file=trace_fh)
+            row = evaluate(config, agent, env=eval_env, trace_file=trace_fh)
         finally:
             if trace_fh:
                 trace_fh.close()
@@ -246,7 +252,7 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
             bundle = env.decode_branch_actions(*step_action.branch_actions)
             next_obs, reward, done = env.step(bundle)
             if trainable:
-                buffer.add(step_action, reward.total, done, next_obs)
+                buffer.add(obs, step_action, reward.total, done, next_obs)
                 if buffer.full:
                     t0 = time.perf_counter()
                     agent.update(buffer)
@@ -284,10 +290,9 @@ def cmd_eval(run_dir, episodes: int | None = None, out_path=None) -> dict:
     agent = build_agent(config)
     if (run_dir / "checkpoint.json").exists():
         load_checkpoint(run_dir / "checkpoint", agent)
-    policy = _eval_policy(config, agent)
     trace_path = Path(out_path) if out_path else run_dir / "rounds.jsonl"
     with open(trace_path, "w") as trace_fh:
-        row = evaluate(config, policy, episodes=episodes, trace_file=trace_fh)
+        row = evaluate(config, agent, episodes=episodes, trace_file=trace_fh)
     with open(run_dir / "eval.json", "w") as fh:
         json.dump(row, fh, indent=1)
     return row

@@ -58,11 +58,6 @@ class ModelSpec:
     def adapter_layer_count(self) -> int:
         return self.adapter_top_layers + self.adapter_bottom_layers
 
-    @property
-    def droppable_layers(self) -> int:
-        """Backbone layers available to the compressed stand-in."""
-        return self.layer_count - self.adapter_layer_count
-
 
 @dataclass(frozen=True)
 class AdapterSpec:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedemu import agents as agents_module
 from fedemu.agents import (
     BranchSpec,
     FixedFullModelPolicy,
@@ -46,7 +47,7 @@ def rollout_env(agent, params=None, seed=0, steps=None):
         sa = agent.act(obs)
         bundle = env.decode_branch_actions(*sa.branch_actions)
         nxt, reward, done = env.step(bundle)
-        buffer.add(sa, reward.total, done, nxt)
+        buffer.add(obs, sa, reward.total, done, nxt)
         if done:
             episode += 1
             obs = env.reset(seed=seed + 1000 * episode)
@@ -118,6 +119,18 @@ class TestPpoConfig:
             PpoConfig(epochs=0)
 
 
+def _encode_one(spec, action, selection, n_devices):
+    """Reference: the per-sample encoder the chained state was built with
+    when every act stored its heads' inputs, one feature block per branch."""
+    vec = np.zeros(n_devices)
+    if spec.kind == "topk":
+        vec[action] = 1.0
+    else:
+        levels = action + 1.0
+        vec[selection] = levels / levels.sum()
+    return vec
+
+
 class TestAct:
     def test_greedy_is_reproducible(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
@@ -129,9 +142,9 @@ class TestAct:
 
     def test_chained_input_dims(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
-        obs = np.zeros(OBS_DIM)
-        sa = agent.act(obs)
-        assert [len(s) for s in sa.inputs] == [31, 41, 51, 61]
+        buffer = rollout_env(agent, steps=3)
+        assert [x.shape for x in agent._head_inputs(buffer)] == [
+            (3, 31), (3, 41), (3, 51), (3, 61)]
 
     @pytest.mark.parametrize("policy", [
         IterRlAgent(OBS_DIM, BRANCHES, seed=0),
@@ -141,12 +154,30 @@ class TestAct:
     def test_unchained_policies_record_only_the_observation(self, policy):
         obs = np.random.default_rng(2).standard_normal(OBS_DIM)
         sa = policy.act(obs)
-        assert len(sa.inputs) == 1 and np.array_equal(sa.inputs[0], obs)
+        assert [f.name for f in dataclasses.fields(sa)] == ["branch_actions"]
         if hasattr(policy, "make_buffer"):
             buffer = policy.make_buffer()
-            assert [x.shape[1] for x in buffer.inputs] == [OBS_DIM]
-            buffer.add(sa, 1.0, False, obs)
-            assert np.array_equal(buffer.inputs[0][0], obs)
+            buffer.add(obs, sa, 1.0, False, obs)
+            inputs = policy._head_inputs(buffer)
+            assert len(inputs) == 4
+            assert all(np.array_equal(x, obs[None, :]) for x in inputs)
+
+    @pytest.mark.parametrize("n,k", [(10, 5), (40, 20)])
+    def test_rebuilt_chain_matches_per_sample_encoder(self, n, k):
+        params = EnvParams(n_devices=n, select_k=k)
+        branches = default_branches(n, k, params.levels,
+                                    len(params.retention_grid))
+        agent = SabppoAgent(params.observation_dim, branches, seed=13)
+        buffer = rollout_env(agent, params, seed=13, steps=30)
+        inputs = agent._head_inputs(buffer)
+        for t in range(30):
+            chain = buffer.obs[t]
+            selection = buffer.actions[0][t]
+            for b, spec in enumerate(branches):
+                got = inputs[b][t]
+                assert got.tobytes() == chain.tobytes(), (t, b)
+                chain = np.concatenate([chain, _encode_one(
+                    spec, buffer.actions[b][t], selection, n)])
 
     def test_fresh_agent_selection_marginals_near_uniform(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=3)
@@ -189,8 +220,7 @@ class TestRowHeads:
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=4)
         buffer = rollout_env(agent, seed=4, steps=12)
         selection = buffer.actions[0][:12]
-        for chain in buffer.inputs[1:]:
-            chain = chain[:12]
+        for chain in agent._head_inputs(buffer)[1:]:
             got = np.concatenate([np.repeat(chain, 5, axis=0),
                                   _row_features(chain, selection, 10)], axis=1)
             assert np.array_equal(got, _row_head_inputs(chain, selection, 10))
@@ -203,7 +233,7 @@ class TestRowHeads:
         rng = np.random.default_rng(5)
         for b in (1, 2, 3):
             net = agent.branch_nets[b]
-            inputs = buffer.inputs[b if agent.chained else 0][:16]
+            inputs = agent._head_inputs(buffer)[b]
             actions = buffer.actions[b][:16]
             ev = _eval_branch(net, agent.branches[b], inputs, actions,
                               selection, agent.n_devices)
@@ -265,7 +295,7 @@ class TestEvalTopk:
         order = (np.argsort(-logits, axis=1, kind="stable") if greedy
                  else np.stack([rng.permutation(n) for _ in range(m)]))
         actions = order[:, :k]
-        spec = BranchSpec("selection", "topk", n, k, n)
+        spec = BranchSpec("selection", "topk", n, k)
         got = _eval_topk(_logits_head(n), spec, logits, actions)
         want = _masked_loop_eval_topk(logits, actions)
         for g, w in zip((got.logp, got.grad_logp, got.entropy,
@@ -278,7 +308,7 @@ class TestEvalTopk:
         rng = np.random.default_rng(40 + n)
         logits = rng.standard_normal((2, n)) * 2.0
         actions = np.stack([rng.permutation(n)[:k] for _ in range(2)])
-        spec = BranchSpec("selection", "topk", n, k, n)
+        spec = BranchSpec("selection", "topk", n, k)
         head = _logits_head(n)
         ev = _eval_topk(head, spec, logits, actions)
         h = 1e-6
@@ -316,14 +346,33 @@ class TestUpdateMemory:
 
 
 class TestRatioAndClip:
-    def test_ratio_identity_before_updates(self):
-        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=1)
-        buffer = rollout_env(agent, seed=1)
-        per_branch = agent.evaluate_logps(buffer)
-        stored = buffer.branch_logps[:buffer.size]
-        ratio = np.exp(per_branch.sum(axis=1) - stored.sum(axis=1))
-        assert np.max(np.abs(ratio - 1.0)) < 1e-12
-        assert np.allclose(per_branch, stored, atol=1e-12)
+    def test_behaviour_logps_match_acting_nets(self, monkeypatch):
+        """The behaviour log-probs an update starts from are those of the
+        nets' outputs when they acted: masked-loop Plackett-Luce for the
+        selection, a categorical per selected device for the other heads."""
+        outputs = []
+
+        def recording_forward(net, x, feats=None):
+            out = forward(net, x, feats)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(agents_module, "forward", recording_forward)
+        for agent_cls in (SabppoAgent, IterRlAgent):
+            agent = agent_cls(OBS_DIM, BRANCHES,
+                              cfg=PpoConfig(segment=40, minibatch=16), seed=1)
+            outputs.clear()
+            buffer = rollout_env(agent, seed=1)
+            want = np.zeros((40, 4))
+            for t in range(40):
+                logits, *mats = outputs[4 * t:4 * t + 4]
+                sel = buffer.actions[0][t]
+                want[t, 0] = _masked_loop_eval_topk(logits, sel[None, :])[0][0]
+                for b, mat in enumerate(mats, 1):
+                    want[t, b] = log_softmax(mat)[np.arange(5),
+                                                  buffer.actions[b][t]].sum()
+            got = agent.evaluate_logps(buffer)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_clipped_never_exceeds_unclipped(self):
         rng = np.random.default_rng(2)
@@ -358,9 +407,15 @@ class TestRatioAndClip:
                         normalize_advantages=False)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=5)
         buffer = rollout_env(agent, seed=5, steps=16)
-        # fake stored log-probs so every ratio lands at 1 + 2*eps
-        buffer.branch_logps[:buffer.size] = agent.evaluate_logps(buffer)
-        buffer.branch_logps[:buffer.size, 0] -= np.log(1 + 2 * cfg.clip_eps)
+        # shift the behaviour log-probs so every ratio lands at 1 + 2*eps
+        behaviour = agent.evaluate_logps
+
+        def shifted(buf):
+            logps = behaviour(buf)
+            logps[:, 0] -= np.log(1 + 2 * cfg.clip_eps)
+            return logps
+
+        agent.evaluate_logps = shifted
         # make advantages strictly positive: zero critic, positive rewards
         for net in (agent.critics[0].net, agent.critics[0].target):
             for w in net.weights:
@@ -389,8 +444,9 @@ class TestRatioAndClip:
         idx = perm[:cfg.minibatch]
         grads = []
         selection = buffer.actions[0][idx]
+        inputs = twin._head_inputs(buffer)
         for b, spec in enumerate(twin.branches):
-            ev = _eval_branch(unit.nets[b], spec, buffer.inputs[b][idx],
+            ev = _eval_branch(unit.nets[b], spec, inputs[b][idx],
                               buffer.actions[b][idx], selection,
                               twin.n_devices)
             coef = adv[idx] / len(idx)
@@ -449,7 +505,7 @@ class TestBaselines:
     def test_single_branch_degenerate_equivalence(self):
         # with one branch every learner is plain PPO; identical seeds must
         # produce identical updates
-        branch = [BranchSpec("selection", "topk", 6, 2, 0)]
+        branch = [BranchSpec("selection", "topk", 6, 2)]
         cfg = PpoConfig(segment=40, minibatch=20, epochs=2)
         agents = {
             "sabppo": SabppoAgent(12, branch, cfg=cfg, seed=42),
@@ -464,7 +520,8 @@ class TestBaselines:
             buffer = agent.make_buffer()
             for t in range(40):
                 sa = agent.act(observations[t])
-                buffer.add(sa, rewards[t], t % 8 == 7, observations[t + 1])
+                buffer.add(observations[t], sa, rewards[t], t % 8 == 7,
+                           observations[t + 1])
             stats[name] = agent.update(buffer)
         for key in ("policy_loss", "value_loss", "entropy", "clip_frac"):
             assert stats["iterrl"][key] == pytest.approx(stats["sabppo"][key],
@@ -580,7 +637,7 @@ class TestToyWorldLearning:
                 sa = agent.act(obs)
                 bundle = env.decode_branch_actions(*sa.branch_actions)
                 nxt, reward, done = env.step(bundle)
-                buffer.add(sa, reward.total, done, nxt)
+                buffer.add(obs, sa, reward.total, done, nxt)
                 if buffer.full:
                     agent.update(buffer)
                     buffer.clear()

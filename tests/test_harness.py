@@ -42,7 +42,9 @@ def tiny_config(**overrides):
 # metrics.csv rows of the tiny config in test_tiny_config_golden for every
 # agent kind in every federation mode; the fedpeat rows were recorded before
 # the three learners shared one PPO update, the fedpeft and fedft rows before
-# run_round became one pass over selection-aligned arrays
+# run_round became one pass over selection-aligned arrays. A sampling
+# baseline's evaluation rows all repeat its step-0 row, because every
+# evaluation builds the baseline's fixed-seed twin afresh
 TINY_GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "tiny_metrics_golden.json")
     .read_text())["rows"]
@@ -75,10 +77,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(agent="dqn")
 
+    @pytest.mark.parametrize("section,values,field", [
+        ("env", {"n_devices": 4, "select_k": 5}, "select_k"),
+        ("env", {"select_k": 0}, "select_k"),
+        ("env", {"n_devices": 0}, "n_devices"),
+        ("env", {"rounds": 0}, "rounds"),
+        ("env", {"levels": 0}, "levels"),
+        ("env", {"retention_grid": []}, "retention_grid"),
+        ("env", {"retention_grid": [0.0, 1.0]}, "retention_grid"),
+        ("env", {"retention_grid": [0.5, 1.5]}, "retention_grid"),
+        ("ppo", {"segment": 0}, "segment"),
+        ("ppo", {"minibatch": 0}, "minibatch"),
+    ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items())
+                      if isinstance(v, dict) else v))
+    def test_bad_value_rejected_naming_the_field(self, section, values, field):
+        with pytest.raises(ValueError, match=field):
+            config_from_dict({section: values})
+
     def test_overrides(self):
         config = apply_overrides(default_config(),
-                                 ["env.n_devices=4", "seed=9",
-                                  "ppo.entropy_coef=0.0"])
+                                 ["env.n_devices=4", "env.select_k=2",
+                                  "seed=9", "ppo.entropy_coef=0.0"])
         assert config.env.n_devices == 4
         assert config.seed == 9
         assert config.ppo.entropy_coef == 0.0
@@ -231,17 +250,21 @@ class TestCheckpoint:
 
     def test_resume_writes_no_duplicate_row(self, tmp_path):
         # stopped at a segment and episode boundary, so the resumed run is
-        # the uninterrupted one, row for row
-        config = tiny_config(total_steps=100, eval_interval=50)
-        cmd_train(config, tmp_path / "run")
-        longer = dataclasses.replace(config, total_steps=200)
-        cmd_train(longer, tmp_path / "run", resume=True)
-        cmd_train(longer, tmp_path / "straight")
-        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-        assert [line.split(",")[0] for line in lines[1:]] == [
-            "0", "50", "100", "150", "200"]
-        assert lines == (tmp_path / "straight" / "metrics.csv"
-                         ).read_text().splitlines()
+        # the uninterrupted one, row for row, for a learner and for the
+        # sampling baselines
+        for kind in ("sabppo", "random", "fedft"):
+            config = tiny_config(agent=kind, total_steps=100, eval_interval=50)
+            run, straight = tmp_path / f"{kind}-run", tmp_path / kind
+            cmd_train(config, run)
+            longer = dataclasses.replace(config, total_steps=200)
+            cmd_train(longer, run, resume=True)
+            cmd_train(longer, straight)
+            lines = (run / "metrics.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [
+                "0", "50", "100", "150", "200"]
+            assert lines == (straight / "metrics.csv").read_text().splitlines()
+            assert ((run / "rounds.jsonl").read_bytes()
+                    == (straight / "rounds.jsonl").read_bytes())
 
     def test_resume_keeps_manifest_start_time(self, tmp_path):
         config = tiny_config(total_steps=50)
@@ -348,18 +371,22 @@ class TestPlots:
 
 
 class TestEvalCommand:
-    def test_eval_reproduces_final_metrics(self, tmp_path):
-        config = tiny_config()
+    @pytest.mark.parametrize("kind", ["sabppo", "iterrl", "happo", "random",
+                                      "fedft"])
+    def test_eval_reproduces_final_metrics(self, kind, tmp_path):
+        config = tiny_config(agent=kind)
         result = cmd_train(config, tmp_path / "run")
+        trace = (tmp_path / "run" / "rounds.jsonl").read_bytes()
         row = cmd_eval(tmp_path / "run")
-        assert row["eval_reward"] == pytest.approx(
-            result.final_metrics["eval_reward"])
+        assert row == result.final_metrics
+        assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == trace
         assert (tmp_path / "run" / "eval.json").exists()
 
 
 class TestCli:
     def test_print_config(self, capsys):
-        assert cli.main(["print-config", "--set", "env.n_devices=3"]) == 0
+        assert cli.main(["print-config", "--set", "env.n_devices=3",
+                         "--set", "env.select_k=2"]) == 0
         printed = yaml.safe_load(capsys.readouterr().out)
         assert printed["env"]["n_devices"] == 3
 

@@ -1,5 +1,8 @@
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -33,6 +36,22 @@ def test_compare_names_differing_files(tmp_path):
     b = output_digests.digests(tmp_path / "b")
     assert a["checkpoint.npz"] is None
     assert output_digests.compare(a, b) == ["rounds.jsonl"]
+
+
+def test_npz_differences_count_arrays_and_relative_change(tmp_path):
+    same = np.arange(6.0).reshape(2, 3)
+    np.savez(tmp_path / "a.npz", w=np.array([1.0, -4.0]), b=np.array([0.5]),
+             c=same)
+    np.savez(tmp_path / "b.npz", w=np.array([1.0, -4.0 + 2.0**-38]),
+             b=np.array([0.5 + 2.0**-30]), c=same.copy())
+    count, ratio = output_digests.npz_differences(tmp_path / "a.npz",
+                                                  tmp_path / "b.npz")
+    assert count == 2 and ratio == 2.0**-29
+    assert output_digests.npz_differences(tmp_path / "a.npz",
+                                          tmp_path / "a.npz") == (0, 0.0)
+    np.savez(tmp_path / "c.npz", w=np.array([1.0, -4.0]), b=np.array([0.5]))
+    assert output_digests.npz_differences(tmp_path / "a.npz",
+                                          tmp_path / "c.npz") == (1, math.inf)
 
 
 def test_checkout_against_itself_is_identical(capsys, monkeypatch):

@@ -7,7 +7,10 @@ with ``git clone`` and ``git checkout HEAD~1``; ``--change`` defaults to this
 checkout. Each checkout runs the fixed configs through ``cmd_train`` in one
 child process with that checkout's ``src`` first on the path and BLAS pinned
 to one thread. Then the sha256 of ``metrics.csv``, ``rounds.jsonl``,
-``checkpoint.npz`` and ``checkpoint.json`` of every run is compared.
+``checkpoint.npz``, ``checkpoint.json`` and ``eval.json`` of every run is
+compared. Where ``checkpoint.npz`` differs, the line also gives the number of
+differing arrays and the largest ratio of an array's largest change to its
+largest parent entry, which tells rounding from a real change.
 
 The fixed configs are the tiny config (seed 3, N=4, K=2, 5 rounds, 20 steps,
 eval every 10, segment 10, minibatch 5) for all five agent kinds in all three
@@ -26,12 +29,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,6 +124,25 @@ def compare(parent: dict, change: dict) -> list[str]:
     return [name for name in OUTPUTS if parent[name] != change[name]]
 
 
+def npz_differences(parent: Path, change: Path) -> tuple[int, float]:
+    """(arrays that differ, largest max|change| / max|parent array| over
+    them) between two ``.npz`` files; an array missing on one side or
+    reshaped counts with an infinite ratio."""
+    count, worst = 0, 0.0
+    with np.load(parent) as old, np.load(change) as new:
+        for key in sorted(set(old.files) | set(new.files)):
+            a = old[key] if key in old.files else None
+            b = new[key] if key in new.files else None
+            if a is None or b is None or a.shape != b.shape:
+                count, worst = count + 1, math.inf
+            elif not np.array_equal(a, b):
+                count += 1
+                scale = float(np.max(np.abs(a)))
+                delta = float(np.max(np.abs(b - a)))
+                worst = max(worst, delta / scale if scale else math.inf)
+    return count, worst
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -138,9 +163,17 @@ def main(argv=None) -> int:
             bad = compare(want, got)
             differing += bool(bad)
             if bad:
-                print(f"{name}: DIFFERS in " + ", ".join(
+                line = f"{name}: DIFFERS in " + ", ".join(
                     f"{f} ({str(want[f])[:12]} -> {str(got[f])[:12]})"
-                    for f in bad))
+                    for f in bad)
+                if "checkpoint.npz" in bad and None not in (
+                        want["checkpoint.npz"], got["checkpoint.npz"]):
+                    count, ratio = npz_differences(
+                        Path(work) / "parent" / name / "checkpoint.npz",
+                        Path(work) / "change" / name / "checkpoint.npz")
+                    line += (f"; checkpoint.npz: {count} arrays differ, "
+                             f"largest relative change {ratio:.2g}")
+                print(line)
             else:
                 print(f"{name}: identical " + " ".join(
                     f"{f}={str(got[f])[:12]}" for f in OUTPUTS))
