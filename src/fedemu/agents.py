@@ -7,8 +7,11 @@ taken. One critic with a hard-synced target network supplies advantages via
 GAE.
 
 The PPO buffer holds each step's observation and branch actions. An update
-rebuilds the chained inputs with ``act``'s encoder and takes the behaviour
-log-probs from its starting parameters, which collected the whole segment.
+derives from them, once, every head's input (the chained states rebuilt with
+``act``'s encoder) and every rows head's per-device features; each minibatch
+gathers from both. The behaviour log-probs come from the log-prob part alone
+of each head's evaluation, under the update's starting parameters, which
+collected the whole segment.
 
 The three learners are one PPO update (``_PpoAgentBase``) and differ only in
 how the heads are grouped into actor units and which critic feeds each unit:
@@ -27,6 +30,7 @@ drawn from ``(seed, 1)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +186,16 @@ def gae(rewards, values, next_values, dones, gamma: float, lam: float) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _topk_greedy(logits: np.ndarray, k: int) -> np.ndarray:
-    return np.argsort(-logits, kind="stable")[:k]
+def _top_k(x: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-x, kind="stable")[:k]`` for finite keys, sorting only
+    the keys at or above the k-th largest value, which the stable sort keeps
+    in index order among equals."""
+    if k >= len(x):
+        return np.argsort(-x, kind="stable")[:k]
+    neg = -x
+    kth = np.partition(neg, k - 1)[k - 1]
+    top = (neg <= kth).nonzero()[0]
+    return top[neg[top].argsort(kind="stable")[:k]]
 
 
 def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
@@ -191,9 +203,18 @@ def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
     sequential softmax sampling without replacement (Plackett-Luce)."""
     if k > len(logits):
         raise ValueError(f"cannot draw {k} distinct items from {len(logits)}")
-    noisy = logits + rng.gumbel(size=logits.shape)
-    order = np.argsort(-noisy, kind="stable")[:k]
-    return order
+    return _top_k(logits + rng.gumbel(size=logits.shape), k)
+
+
+@functools.cache
+def _feature_columns(n_devices: int, width: int) -> np.ndarray:
+    """Columns of device 0's gain, capacity and exchange count and of its
+    entry in each encoded block, in a chained state ``width`` wide."""
+    n_enc = (width - (3 * n_devices + 1)) // n_devices
+    if n_enc < 0:
+        raise ValueError("chained state narrower than the observation layout")
+    j = np.arange(3 + n_enc)
+    return j * n_devices + (j >= 3)   # the clock sits between obs and blocks
 
 
 def _row_features(chain: np.ndarray, selection: np.ndarray,
@@ -205,13 +226,8 @@ def _row_features(chain: np.ndarray, selection: np.ndarray,
     two parts apart (a factored input). Relies on the observation layout
     [gains | capacities | exchange counts | clock]."""
     m, k = selection.shape
-    n_enc = (chain.shape[1] - (3 * n_devices + 1)) // n_devices
-    if n_enc < 0:
-        raise ValueError("chained state narrower than the observation layout")
-    offsets = np.concatenate([np.arange(3) * n_devices,
-                              3 * n_devices + 1 + np.arange(n_enc) * n_devices])
-    cols = (selection[:, :, None] + offsets).reshape(m, k * len(offsets))
-    return np.take_along_axis(chain, cols, axis=1).reshape(m * k, len(offsets))
+    cols = selection[:, :, None] + _feature_columns(n_devices, chain.shape[1])
+    return chain[np.arange(m)[:, None, None], cols].reshape(m * k, -1)
 
 
 @dataclass
@@ -232,17 +248,19 @@ class BranchPass:
 
 
 def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray, selection: np.ndarray,
-               n_devices: int, scratch=None) -> BranchPass:
-    m, k = selection.shape
-    out, acts = forward_cached(net, inputs,        # (M*K, L)
-                               _row_features(inputs, selection, n_devices),
-                               scratch)
+               actions: np.ndarray, feats: np.ndarray, scratch=None,
+               logp_only: bool = False):
+    """A rows head on the factored input ``(inputs, feats)``, ``feats`` the
+    (M*K, e) ``_row_features``; only the (M,) log-probs if ``logp_only``."""
+    m, k = actions.shape
+    out, acts = forward_cached(net, inputs, feats, scratch)     # (M*K, L)
     lp = log_softmax(out)
-    p = np.exp(lp)
     flat = actions.reshape(-1)
     ar = np.arange(m * k)
     logp = lp[ar, flat].reshape(m, k).sum(axis=1)
+    if logp_only:
+        return logp
+    p = np.exp(lp)
     grad = -p
     grad[ar, flat] += 1.0
     ent_rows = -(p * lp).sum(axis=1)
@@ -252,8 +270,10 @@ def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
 
 
 def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray, scratch=None) -> BranchPass:
-    """Plackett-Luce evaluation of the stored draws, in closed form.
+               actions: np.ndarray, feats=None, scratch=None,
+               logp_only: bool = False):
+    """Plackett-Luce evaluation of the stored draws, in closed form; only
+    the (M,) log-probs if ``logp_only``. ``feats`` is not used.
 
     Draw j picks from A_j, the unchosen logits plus a_j..a_{K-1}, with
     log-normaliser L_j (the log-sum-exp over A_j), log-probabilities
@@ -280,17 +300,20 @@ def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
         top = u.max(axis=1, keepdims=True)
         u -= top
         e = np.exp(u)                                        # 0 where chosen
-        u[rows, actions] = 0.0                        # keeps e * u finite
         mass = e.sum(axis=1, keepdims=True)
         log_norm = np.logaddexp(top + np.log(mass), log_norm)
-        rho = top - log_norm                                         # (M, K)
-        r = np.exp(rho)
+    logp = (chosen - log_norm).sum(axis=1)
+    if logp_only:
+        return logp
     # lp and p of a_m at draw j; a_m is gone after draw m
     lp = chosen[:, :, None] - log_norm[:, None, :]
     tri = np.exp(lp, out=np.zeros_like(lp), where=np.tri(k, dtype=bool))
     tri_lp = tri * lp
     ent = -tri_lp.sum(axis=1)                                        # H_j
     if k < n:
+        u[rows, actions] = 0.0                        # keeps e * u finite
+        rho = top - log_norm                                         # (M, K)
+        r = np.exp(rho)
         ent -= r * ((e * u).sum(axis=1, keepdims=True) + rho * mass)
         total = r.sum(axis=1, keepdims=True)
         grad_logp = e * -total
@@ -302,45 +325,43 @@ def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
     grad_logp[rows, actions] = 1.0 - p_chosen
     grad_ent[rows, actions] = (-tri_lp.sum(axis=2)
                                - (tri @ ent[:, :, None])[:, :, 0])
-    return BranchPass((chosen - log_norm).sum(axis=1), grad_logp,
-                      ent.sum(axis=1), grad_ent, acts)
+    return BranchPass(logp, grad_logp, ent.sum(axis=1), grad_ent, acts)
 
 
-def _eval_branch(net, spec, inputs, actions, selection=None,
-                 n_devices: int = 0, scratch=None) -> BranchPass:
-    """Evaluate one head on stored samples; with a ``scratch`` the returned
-    activations are its work arrays (see ``neural``)."""
-    if spec.kind == "topk":
-        return _eval_topk(net, spec, inputs, actions, scratch)
-    return _eval_rows(net, spec, inputs, actions, np.asarray(selection),
-                      n_devices, scratch)
+def _eval_branch(net, spec, inputs, actions, feats=None, scratch=None,
+                 logp_only: bool = False):
+    """Evaluate one head on stored samples, a rows head on the factored
+    input ``(inputs, feats)``; with a ``scratch`` the returned activations
+    are its work arrays (see ``neural``). ``logp_only`` runs only the
+    log-prob prefix of the pass and returns the log-probs."""
+    evaluate = _eval_topk if spec.kind == "topk" else _eval_rows
+    return evaluate(net, spec, inputs, actions, feats, scratch, logp_only)
 
 
-def _gather(rows: np.ndarray, idx, scratch) -> np.ndarray:
-    """``rows[idx]``, written into the scratch's input array if there is
-    one."""
+def _gather(rows: np.ndarray, idx, scratch, name="x") -> np.ndarray:
+    """``rows[idx]``, written into the scratch's work array for ``name`` if
+    there is one."""
     if scratch is None:
         return rows[idx]
     # mode "clip" writes straight into out, where the default "raise" goes
     # through a temporary; idx comes from a permutation, so nothing clips
     return np.take(rows, idx, axis=0, mode="clip",
-                   out=scratch.take("x", len(idx), rows.shape[1]))
+                   out=scratch.take(name, len(idx), rows.shape[1]))
 
 
 def _encode(spec: BranchSpec, action: np.ndarray, selection: np.ndarray,
-            n_devices: int) -> np.ndarray:
-    """(M, N) block appended to the chained state after a branch acts on M
-    samples: a one-hot of the selected devices, or each selected device's
-    share of the summed levels (level + 1) of a "rows" branch."""
-    m = len(action)
-    block = np.zeros((m, n_devices))
-    rows = np.arange(m)[:, None]
+            out: np.ndarray) -> None:
+    """Write into ``out``, the (M, N) block of the chained state after a
+    branch acts on M samples, a one-hot of the selected devices, or each
+    selected device's share of the summed levels (level + 1) of a "rows"
+    branch."""
+    out[...] = 0.0
+    rows = np.arange(len(action))[:, None]
     if spec.kind == "topk":
-        block[rows, action] = 1.0
+        out[rows, action] = 1.0
     else:
         levels = action + 1.0
-        block[rows, selection] = levels / levels.sum(axis=1, keepdims=True)
-    return block
+        out[rows, selection] = levels / levels.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +429,16 @@ class _ChainPolicy:
         self.n_devices = branches[0].n_options
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
-        chain = np.asarray(obs, dtype=float)[None, :]
+        d, n = len(obs), self.n_devices
+        row = np.empty((1, d + (len(self.branches) - 1) * n))
+        row[0, :d] = obs
         actions = []
         for b, spec in enumerate(self.branches):
             if b and self.chained:
-                enc = _encode(self.branches[b - 1], actions[-1][None, :],
-                              actions[0][None, :], self.n_devices)
-                chain = np.concatenate([chain, enc], axis=1)
+                at = d + (b - 1) * n
+                _encode(self.branches[b - 1], actions[-1][None, :],
+                        actions[0][None, :], row[:, at:at + n])
+            chain = row[:, :d + b * n] if self.chained else row[:, :d]
             action = self._branch_action(b, spec, chain,
                                          actions[0] if b else None, greedy)
             actions.append(np.asarray(action, dtype=int))
@@ -473,7 +497,7 @@ class _PpoAgentBase(_ChainPolicy):
         for b, spec in enumerate(self.branches):
             d = self.obs_dim + b * n if self.chained else self.obs_dim
             if spec.kind == "rows":
-                d += 3 + (d - (3 * n + 1)) // n
+                d += len(_feature_columns(n, d))
             dims.append(d)
         return dims
 
@@ -486,7 +510,7 @@ class _PpoAgentBase(_ChainPolicy):
         if spec.kind == "topk":
             logits = forward(net, net_in)[0]
             if greedy:
-                return _topk_greedy(logits, spec.slots)
+                return _top_k(logits, spec.slots)
             return _sample_topk(logits, spec.slots, self.sample_rng)
         feats = _row_features(net_in, selection[None, :], self.n_devices)
         mat = forward(net, net_in, feats)  # (K, L)
@@ -494,47 +518,61 @@ class _PpoAgentBase(_ChainPolicy):
             mat = mat + self.sample_rng.gumbel(size=mat.shape)
         return mat.argmax(axis=1)
 
-    def _head_inputs(self, buffer: TrajectoryBuffer) -> list[np.ndarray]:
-        """Each head's input for the stored steps: the chained states rebuilt
-        from the stored observations and actions, each a column prefix of one
-        array, or the observations for an unchained agent."""
+    def _head_inputs(self, buffer: TrajectoryBuffer):
+        """What an update derives once from the stored steps: ``inputs[b]``,
+        head b's input (the chained states rebuilt through ``_encode``, each
+        a column prefix of one array, or the observations for an unchained
+        agent), and ``feats[b]``, a rows head's (M, K*e) ``_row_features``
+        of every sample (None for the selection head)."""
         m, n = buffer.size, self.n_devices
         obs = buffer.obs[:m]
-        if not self.chained:
-            return [obs] * len(self.branches)
-        actions = [a[:m] for a in buffer.actions]
-        blocks = [_encode(spec, a, actions[0], n)
-                  for spec, a in zip(self.branches[:-1], actions)]
-        chain = np.concatenate([obs, *blocks], axis=1)
-        return [chain[:, :self.obs_dim + b * n]
-                for b in range(len(self.branches))]
+        selection = buffer.actions[0][:m]
+        inputs = [obs] * len(self.branches)
+        if self.chained:
+            chain = np.empty((m, self.obs_dim + (len(self.branches) - 1) * n))
+            chain[:, :self.obs_dim] = obs
+            for b, spec in enumerate(self.branches[:-1]):
+                at = self.obs_dim + b * n
+                _encode(spec, buffer.actions[b][:m], selection,
+                        chain[:, at:at + n])
+            inputs = [chain[:, :self.obs_dim + b * n]
+                      for b in range(len(self.branches))]
+        feats = [_row_features(x, selection, n).reshape(m, -1)
+                 if spec.kind == "rows" else None
+                 for spec, x in zip(self.branches, inputs)]
+        return inputs, feats
 
-    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, inputs,
-                idx, scratch=None) -> list[BranchPass]:
-        """Evaluate the unit's heads on the stored samples ``idx``, head b
-        fed ``inputs[b]`` and head j of the unit evaluated in ``scratch[j]``
-        when given."""
-        selection = buffer.actions[0][idx]
-        slots = scratch or [None] * len(unit.nets)
-        return [_eval_branch(net, self.branches[b],
-                             _gather(inputs[b], idx, slot),
-                             buffer.actions[b][idx], selection, self.n_devices,
-                             slot)
-                for b, net, slot in zip(unit.branch_ids, unit.nets, slots)]
+    def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, derived,
+                idx, scratch=None, logp_only: bool = False) -> list:
+        """``_eval_branch`` of the unit's heads on the stored samples
+        ``idx``, gathered from ``derived`` (see ``_head_inputs``); head j of
+        the unit works in ``scratch[j]`` when given."""
+        inputs, feats = derived
+        out = []
+        for b, net, slot in zip(unit.branch_ids, unit.nets,
+                                scratch or [None] * len(unit.nets)):
+            actions = buffer.actions[b][idx]
+            f = feats[b]
+            if f is not None:
+                f = _gather(f, idx, slot, "feats").reshape(actions.size, -1)
+            out.append(_eval_branch(net, self.branches[b],
+                                    _gather(inputs[b], idx, slot), actions, f,
+                                    slot, logp_only))
+        return out
 
-    def evaluate_logps(self, buffer: TrajectoryBuffer) -> np.ndarray:
+    def evaluate_logps(self, buffer: TrajectoryBuffer,
+                       derived=None) -> np.ndarray:
         """(M, branches) log-probs of the stored actions under the current
         parameters, evaluated a minibatch at a time in the update's work
-        arrays."""
-        inputs = self._head_inputs(buffer)
+        arrays from ``derived``, ``_head_inputs(buffer)`` if not given."""
+        derived = derived or self._head_inputs(buffer)
         m, size = buffer.size, self.cfg.minibatch
         logps = np.empty((m, len(self.branches)))
         for unit in self.units:
             for start in range(0, m, size):
                 idx = np.arange(start, min(start + size, m))
-                passes = self._passes(unit, buffer, inputs, idx, self._scratch)
-                for b, p in zip(unit.branch_ids, passes):
-                    logps[idx, b] = p.logp
+                logps[idx[:, None], unit.branch_ids] = np.stack(self._passes(
+                    unit, buffer, derived, idx, self._scratch, True), axis=1)
         return logps
 
     def update(self, buffer: TrajectoryBuffer) -> dict:
@@ -545,8 +583,8 @@ class _PpoAgentBase(_ChainPolicy):
         from, which collected the whole segment."""
         if buffer.size == 0:
             raise ValueError("cannot update from an empty batch")
-        behaviour = self.evaluate_logps(buffer)
-        inputs = self._head_inputs(buffer)
+        derived = self._head_inputs(buffer)
+        behaviour = self.evaluate_logps(buffer, derived)
         returns = [self._advantages(buffer, critic) for critic in self.critics]
         advs = [self._normalized(adv) for adv, _ in returns]
         stats = {"policy_loss": [], "value_loss": [], "entropy": [],
@@ -555,7 +593,7 @@ class _PpoAgentBase(_ChainPolicy):
             adv = advs[i if self.critic_per_unit else 0]
             old = behaviour[:, unit.branch_ids].sum(axis=1)
             for _ in range(self.cfg.epochs):
-                self._actor_epoch(unit, buffer, inputs, adv, old, stats)
+                self._actor_epoch(unit, buffer, derived, adv, old, stats)
         for critic, (_, targets) in zip(self.critics, returns):
             for _ in range(self.cfg.epochs):
                 self._critic_epoch(critic, buffer, targets, stats)
@@ -581,7 +619,7 @@ class _PpoAgentBase(_ChainPolicy):
             return adv  # degenerate batch: proceed unnormalised
         return (adv - adv.mean()) / std
 
-    def _actor_epoch(self, unit: _ActorUnit, buffer, inputs, adv, old, stats):
+    def _actor_epoch(self, unit, buffer, derived, adv, old, stats):
         """One clipped-surrogate epoch for one actor unit over shuffled
         minibatches. The ratio is that of the unit's joint action: the sum of
         its branches' log-probs, new against the behaviour log-probs
@@ -591,7 +629,7 @@ class _PpoAgentBase(_ChainPolicy):
         perm = unit.shuffle.permutation(m)
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            passes = self._passes(unit, buffer, inputs, idx, self._scratch)
+            passes = self._passes(unit, buffer, derived, idx, self._scratch)
             a = adv[idx]
             ratio = np.exp(sum(p.logp for p in passes) - old[idx])
             surr1 = ratio * a

@@ -26,6 +26,7 @@ the rows of the uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -102,47 +103,52 @@ def _eval_policy(config: ExperimentConfig, agent):
 
 
 def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
-             episodes: int | None = None, trace_file=None) -> dict:
-    """Greedy evaluation over fixed per-episode seeds; returns metric means.
-    A sampling baseline acts through a fixed-seed twin made for each call."""
+             episodes: int | None = None, trace_path=None) -> dict:
+    """Greedy evaluation over fixed per-episode seeds; returns metric means
+    and writes the round trace to ``trace_path`` if given. A sampling
+    baseline acts through a fixed-seed twin made for each call."""
+    if episodes is not None and episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     p = config.env
     policy = _eval_policy(config, agent)
     env = env or AdaptiveFedEnv(p)
     episodes = episodes or config.eval_episodes
     totals = {k: [] for k in METRICS_COLUMNS if k != "step"}
-    trace = RoundTraceWriter(trace_file) if trace_file is not None else None
-    for ep in range(episodes):
-        obs = env.reset(_derived_seed(config.seed, 5, ep))
-        done = False
-        sums = {"reward": 0.0, "r_d": 0.0, "r_p": 0.0, "r_s": 0.0,
-                "penalty": 0.0}
-        log_delays, delays, exchanges = [], [], 0
-        while not done:
-            step_action = policy.act(obs, greedy=True)
-            bundle = env.decode_branch_actions(*step_action.branch_actions)
-            obs, reward, done = env.step(bundle)
-            outcome = env.last_outcome
-            sums["reward"] += reward.total
-            sums["r_d"] += reward.r_d
-            sums["r_p"] += reward.r_p
-            sums["r_s"] += reward.r_s
-            sums["penalty"] += reward.penalty
-            max_q = max(outcome.max_q, p.delay_floor)
-            log_delays.append(np.log(max_q))
-            delays.append(outcome.max_q)
-            exchanges += int(outcome.exchanges_this_round.sum())
-            if trace is not None:
-                trace.write(outcome)
-        totals["eval_reward"].append(sums["reward"])
-        totals["r_d"].append(sums["r_d"])
-        totals["r_p"].append(sums["r_p"])
-        totals["r_s"].append(sums["r_s"])
-        totals["penalty"].append(sums["penalty"])
-        totals["perplexity"].append(float(env.last_outcome.perplexities.mean()))
-        totals["log_delay"].append(float(np.mean(log_delays)))
-        totals["mean_delay"].append(float(np.mean(delays)))
-        totals["exchanges"].append(
-            exchanges / (p.n_devices * p.rounds / 10.0))
+    with (open(trace_path, "w") if trace_path is not None
+          else contextlib.nullcontext()) as trace_fh:
+        trace = RoundTraceWriter(trace_fh) if trace_fh else None
+        for ep in range(episodes):
+            obs = env.reset(_derived_seed(config.seed, 5, ep))
+            done = False
+            sums = {"reward": 0.0, "r_d": 0.0, "r_p": 0.0, "r_s": 0.0,
+                    "penalty": 0.0}
+            log_delays, delays, exchanges = [], [], 0
+            while not done:
+                step_action = policy.act(obs, greedy=True)
+                bundle = env.decode_branch_actions(*step_action.branch_actions)
+                obs, reward, done = env.step(bundle)
+                outcome = env.last_outcome
+                sums["reward"] += reward.total
+                sums["r_d"] += reward.r_d
+                sums["r_p"] += reward.r_p
+                sums["r_s"] += reward.r_s
+                sums["penalty"] += reward.penalty
+                max_q = max(outcome.max_q, p.delay_floor)
+                log_delays.append(np.log(max_q))
+                delays.append(outcome.max_q)
+                exchanges += int(outcome.exchanges_this_round.sum())
+                if trace is not None:
+                    trace.write(outcome)
+            totals["eval_reward"].append(sums["reward"])
+            totals["r_d"].append(sums["r_d"])
+            totals["r_p"].append(sums["r_p"])
+            totals["r_s"].append(sums["r_s"])
+            totals["penalty"].append(sums["penalty"])
+            totals["perplexity"].append(float(env.last_outcome.perplexities.mean()))
+            totals["log_delay"].append(float(np.mean(log_delays)))
+            totals["mean_delay"].append(float(np.mean(delays)))
+            totals["exchanges"].append(
+                exchanges / (p.n_devices * p.rounds / 10.0))
     return {k: float(np.mean(v)) for k, v in totals.items()}
 
 
@@ -230,12 +236,8 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
 
     def run_eval(at_step, trace=False):
         nonlocal final_metrics
-        trace_fh = open(run_dir / "rounds.jsonl", "w") if trace else None
-        try:
-            row = evaluate(config, agent, env=eval_env, trace_file=trace_fh)
-        finally:
-            if trace_fh:
-                trace_fh.close()
+        row = evaluate(config, agent, env=eval_env,
+                       trace_path=run_dir / "rounds.jsonl" if trace else None)
         metrics_fh.write(_format_row(row, at_step) + "\n")
         metrics_fh.flush()
         final_metrics = row
@@ -290,9 +292,8 @@ def cmd_eval(run_dir, episodes: int | None = None, out_path=None) -> dict:
     agent = build_agent(config)
     if (run_dir / "checkpoint.json").exists():
         load_checkpoint(run_dir / "checkpoint", agent)
-    trace_path = Path(out_path) if out_path else run_dir / "rounds.jsonl"
-    with open(trace_path, "w") as trace_fh:
-        row = evaluate(config, agent, episodes=episodes, trace_file=trace_fh)
+    row = evaluate(config, agent, episodes=episodes,
+                   trace_path=out_path or run_dir / "rounds.jsonl")
     with open(run_dir / "eval.json", "w") as fh:
         json.dump(row, fh, indent=1)
     return row

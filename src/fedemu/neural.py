@@ -235,18 +235,23 @@ def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
 class AdamState:
     """ADAM hyper-parameters and state for a fixed list of parameter arrays.
 
-    The first and second moments and the gradient are each one flat buffer;
-    ``m``, ``v`` and ``grads`` are per-array views of them in parameter
-    order, so one step is a few whole-buffer ufunc calls and ``backward`` can
-    write gradients straight into ``grads``.
+    The first and second moments and the gradient are each one flat buffer
+    laid out as the parameters end to end, in parameter order; ``_layout``
+    records each array's (offset, size, shape) in it once. ``m``, ``v`` and
+    ``grads`` are per-array views of the buffers, so one step is a few
+    whole-buffer ufunc calls and ``backward`` can write gradients straight
+    into ``grads``.
     """
 
     def __init__(self, shapes, lr: float = 3e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step = 0
-        self._shapes = [tuple(s) for s in shapes]
-        n = sum(int(np.prod(s)) for s in self._shapes)
+        self._layout, n = [], 0
+        for shape in shapes:
+            size = int(np.prod(shape))
+            self._layout.append((n, size, tuple(shape)))
+            n += size
         self._m, self._v, self._g = np.zeros(n), np.zeros(n), np.zeros(n)
         self._make_views()
 
@@ -256,12 +261,8 @@ class AdamState:
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a flat array laid out like the moments."""
-        out, lo = [], 0
-        for shape in self._shapes:
-            hi = lo + int(np.prod(shape))
-            out.append(flat[lo:hi].reshape(shape))
-            lo = hi
-        return out
+        return [flat[lo:lo + size].reshape(shape)
+                for lo, size, shape in self._layout]
 
     # a copy (deepcopy, pickle) must rebuild the views over its own buffers
     def __getstate__(self):

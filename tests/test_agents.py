@@ -20,6 +20,7 @@ from fedemu.agents import (
     _eval_branch,
     _eval_topk,
     _row_features,
+    _top_k,
 )
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.neural import (
@@ -28,6 +29,7 @@ from fedemu.neural import (
     backward,
     forward,
     forward_cached,
+    Scratch,
     log_softmax,
 )
 
@@ -143,7 +145,7 @@ class TestAct:
     def test_chained_input_dims(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
         buffer = rollout_env(agent, steps=3)
-        assert [x.shape for x in agent._head_inputs(buffer)] == [
+        assert [x.shape for x in agent._head_inputs(buffer)[0]] == [
             (3, 31), (3, 41), (3, 51), (3, 61)]
 
     @pytest.mark.parametrize("policy", [
@@ -158,7 +160,7 @@ class TestAct:
         if hasattr(policy, "make_buffer"):
             buffer = policy.make_buffer()
             buffer.add(obs, sa, 1.0, False, obs)
-            inputs = policy._head_inputs(buffer)
+            inputs, _ = policy._head_inputs(buffer)
             assert len(inputs) == 4
             assert all(np.array_equal(x, obs[None, :]) for x in inputs)
 
@@ -169,7 +171,7 @@ class TestAct:
                                     len(params.retention_grid))
         agent = SabppoAgent(params.observation_dim, branches, seed=13)
         buffer = rollout_env(agent, params, seed=13, steps=30)
-        inputs = agent._head_inputs(buffer)
+        inputs, _ = agent._head_inputs(buffer)
         for t in range(30):
             chain = buffer.obs[t]
             selection = buffer.actions[0][t]
@@ -178,6 +180,32 @@ class TestAct:
                 assert got.tobytes() == chain.tobytes(), (t, b)
                 chain = np.concatenate([chain, _encode_one(
                     spec, buffer.actions[b][t], selection, n)])
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_acting_chain_matches_per_sample_encoder(self, greedy,
+                                                     monkeypatch):
+        """The chained state ``act`` writes in place and hands each head
+        equals the chain of per-sample encodings."""
+        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=11)
+        recorded = []
+        branch_action = agent._branch_action
+
+        def recording(b, spec, net_in, selection, greedy):
+            recorded.append(net_in.copy())
+            return branch_action(b, spec, net_in, selection, greedy)
+
+        monkeypatch.setattr(agent, "_branch_action", recording)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            obs = rng.standard_normal(OBS_DIM)
+            recorded.clear()
+            actions = agent.act(obs, greedy=greedy).branch_actions
+            chain = obs
+            for b, spec in enumerate(BRANCHES):
+                assert recorded[b].shape == (1, len(chain))
+                assert recorded[b].tobytes() == chain.tobytes(), b
+                chain = np.concatenate([chain, _encode_one(
+                    spec, actions[b], actions[0], 10)])
 
     def test_fresh_agent_selection_marginals_near_uniform(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=3)
@@ -215,15 +243,69 @@ def _row_head_inputs(chain, selection, n_devices):
     return np.concatenate([chain[rows], np.stack(feats, axis=1)], axis=1)
 
 
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                         min_size=1, max_size=40),
+           data=st.data())
+    def test_matches_stable_argsort_on_ties(self, keys, data):
+        x = np.array(keys)
+        k = data.draw(st.integers(1, len(x)))
+        want = np.argsort(-x, kind="stable")[:k]
+        assert np.array_equal(_top_k(x, k), want)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_stable_argsort_at_wide_size(self, integer):
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            x = rng.gumbel(size=1000)
+            if integer:
+                x = np.round(x * 3)
+            assert np.array_equal(_top_k(x, 50),
+                                  np.argsort(-x, kind="stable")[:50])
+
+
 class TestRowHeads:
     def test_features_complete_the_concatenated_input(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=4)
         buffer = rollout_env(agent, seed=4, steps=12)
         selection = buffer.actions[0][:12]
-        for chain in agent._head_inputs(buffer)[1:]:
+        for chain in agent._head_inputs(buffer)[0][1:]:
             got = np.concatenate([np.repeat(chain, 5, axis=0),
                                   _row_features(chain, selection, 10)], axis=1)
             assert np.array_equal(got, _row_head_inputs(chain, selection, 10))
+
+    @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
+    def test_update_features_equal_minibatch_features(self, agent_cls,
+                                                      monkeypatch):
+        """The row features an update derives once for the whole segment,
+        gathered for a minibatch, equal that minibatch's own features."""
+        agent = agent_cls(OBS_DIM, BRANCHES,
+                          cfg=PpoConfig(segment=40, minibatch=16), seed=7)
+        buffer = rollout_env(agent, seed=7)
+        derived = agent._head_inputs(buffer)
+        inputs, feats = derived
+        assert feats[0] is None
+        gathered = []
+        monkeypatch.setattr(
+            agents_module, "_eval_branch",
+            lambda net, spec, x, actions, f, *rest: gathered.append(
+                None if f is None else f.copy()))
+        perm = np.random.default_rng(7).permutation(40)
+        for start in range(0, 40, 16):
+            idx = perm[start:start + 16]
+            selection = buffer.actions[0][idx]
+            for unit in agent.units:
+                for scratch in (None, [Scratch() for _ in unit.nets]):
+                    gathered.clear()
+                    agent._passes(unit, buffer, derived, idx, scratch)
+                    for b, f in zip(unit.branch_ids, gathered, strict=True):
+                        if b == 0:
+                            assert f is None
+                            continue
+                        want = _row_features(inputs[b][idx], selection, 10)
+                        assert f.shape == want.shape
+                        assert f.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
     def test_eval_matches_concatenated_path(self, agent_cls):
@@ -233,10 +315,11 @@ class TestRowHeads:
         rng = np.random.default_rng(5)
         for b in (1, 2, 3):
             net = agent.branch_nets[b]
-            inputs = agent._head_inputs(buffer)[b]
+            inputs = agent._head_inputs(buffer)[0][b]
             actions = buffer.actions[b][:16]
             ev = _eval_branch(net, agent.branches[b], inputs, actions,
-                              selection, agent.n_devices)
+                              _row_features(inputs, selection,
+                                            agent.n_devices))
             row_in = _row_head_inputs(inputs, selection, agent.n_devices)
             out, acts = forward_cached(net, row_in)
             lp = log_softmax(out)
@@ -374,6 +457,22 @@ class TestRatioAndClip:
             got = agent.evaluate_logps(buffer)
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
+    def test_behaviour_logps_equal_full_pass(self, agent_cls):
+        """The log-prob part alone gives the log-probs of the full
+        evaluation, bit for bit."""
+        agent = agent_cls(OBS_DIM, BRANCHES,
+                          cfg=PpoConfig(segment=40, minibatch=16), seed=2)
+        buffer = rollout_env(agent, seed=2)
+        got = agent.evaluate_logps(buffer)
+        derived = agent._head_inputs(buffer)
+        for unit in agent.units:
+            for start in range(0, 40, 16):
+                idx = np.arange(start, min(start + 16, 40))
+                passes = agent._passes(unit, buffer, derived, idx)
+                for b, p in zip(unit.branch_ids, passes):
+                    assert got[idx, b].tobytes() == p.logp.tobytes()
+
     def test_clipped_never_exceeds_unclipped(self):
         rng = np.random.default_rng(2)
         eps = 0.2
@@ -410,8 +509,8 @@ class TestRatioAndClip:
         # shift the behaviour log-probs so every ratio lands at 1 + 2*eps
         behaviour = agent.evaluate_logps
 
-        def shifted(buf):
-            logps = behaviour(buf)
+        def shifted(buf, *derived):
+            logps = behaviour(buf, *derived)
             logps[:, 0] -= np.log(1 + 2 * cfg.clip_eps)
             return logps
 
@@ -444,11 +543,12 @@ class TestRatioAndClip:
         idx = perm[:cfg.minibatch]
         grads = []
         selection = buffer.actions[0][idx]
-        inputs = twin._head_inputs(buffer)
+        inputs, _ = twin._head_inputs(buffer)
         for b, spec in enumerate(twin.branches):
             ev = _eval_branch(unit.nets[b], spec, inputs[b][idx],
-                              buffer.actions[b][idx], selection,
-                              twin.n_devices)
+                              buffer.actions[b][idx],
+                              _row_features(inputs[b][idx], selection,
+                                            twin.n_devices))
             coef = adv[idx] / len(idx)
             if ev.rows_per_sample > 1:
                 coef = np.repeat(coef, ev.rows_per_sample)

@@ -25,7 +25,13 @@ from fedemu.harness.config import (
     save_config,
 )
 from fedemu.harness.plots import cmd_export_plots, polyline_svg
-from fedemu.harness.run import METRICS_COLUMNS, build_agent, cmd_eval, cmd_train
+from fedemu.harness.run import (
+    METRICS_COLUMNS,
+    build_agent,
+    cmd_eval,
+    cmd_train,
+    evaluate,
+)
 
 
 def tiny_config(**overrides):
@@ -381,6 +387,22 @@ class TestEvalCommand:
         assert row == result.final_metrics
         assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == trace
         assert (tmp_path / "run" / "eval.json").exists()
+
+    @pytest.mark.parametrize("episodes", [-1, 0])
+    def test_fewer_than_one_episode_rejected(self, episodes, tmp_path,
+                                             capsys):
+        config = tiny_config(agent="random", total_steps=20, eval_interval=10)
+        cmd_train(config, tmp_path / "run")
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate(config, build_agent(config), episodes=episodes)
+        trace = (tmp_path / "run" / "rounds.jsonl").read_bytes()
+        with pytest.raises(ValueError, match="episodes"):
+            cmd_eval(tmp_path / "run", episodes=episodes)
+        rc = cli.main(["eval", "--run", str(tmp_path / "run"),
+                       "--episodes", str(episodes)])
+        assert rc == 2 and "episodes" in capsys.readouterr().err
+        assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == trace
+        assert not (tmp_path / "run" / "eval.json").exists()
 
 
 class TestCli:

@@ -251,6 +251,19 @@ class TestAdam:
         for a, b in zip(p_a + st.m + st.v, p_b + twin.m + twin.v):
             assert np.array_equal(a, b)
 
+    def test_views_are_per_shape_slices_of_the_flat_array(self):
+        shapes = [(3, 4), (4,), (1, 1), (0, 5), (2, 1, 3), ()]
+        st = AdamState(shapes)
+        flat = np.arange(24.0)
+        lo = 0
+        for view, shape in zip(st.views(flat), shapes, strict=True):
+            size = math.prod(shape)
+            assert view.shape == shape
+            assert np.array_equal(view, flat[lo:lo + size].reshape(shape))
+            assert size == 0 or np.shares_memory(view, flat)
+            lo += size
+        assert lo == len(flat) == len(st._m)
+
     def test_scalar_quadratic_converges(self):
         # oracle: running this descent lands within 0.2 of the optimum
         w = [np.array([0.0])]

@@ -20,6 +20,10 @@ def test_fixed_configs_cover_every_agent_and_mode():
     assert {configs[n]["env"]["mode"] for n in tiny} == {
         "fedpeat", "fedpeft", "fedft"}
     assert "target-sync-sabppo" in configs and "mid-iterrl-s2" in configs
+    for agent in ("sabppo", "random"):
+        env = configs[f"all-selected-{agent}"]["env"]
+        assert env["n_devices"] == env["select_k"] == 5
+    assert configs["tiny-sabppo-fedpeat"]["env"]["n_devices"] == 4
     for config in configs.values():
         config_from_dict(config)
     evals = output_digests.eval_runs()

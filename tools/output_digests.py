@@ -14,12 +14,14 @@ largest parent entry, which tells rounding from a real change.
 
 The fixed configs are the tiny config (seed 3, N=4, K=2, 5 rounds, 20 steps,
 eval every 10, segment 10, minibatch 5) for all five agent kinds in all three
-federation modes, and a config whose critic targets sync inside updates
-(seed 5, N=30, K=5, 20 rounds, 150 steps, eval every 50, segment 25,
-minibatch 8, ``target_sync`` 7) for the three learners, and the three
-benchmark workloads on seed 2. The eval runs evaluate the tiny sabppo run in
-fedpeat mode and the wide-rollout run. All of them take about 10 s per
-checkout on a 2-vCPU host.
+federation modes; the tiny fedpeat config with every device selected (N=K=5)
+for sabppo and random, which covers the full-sort path of the selection
+top-k and a selection head with no unchosen logits; a config whose critic
+targets sync inside updates (seed 5, N=30, K=5, 20 rounds, 150 steps, eval
+every 50, segment 25, minibatch 8, ``target_sync`` 7) for the three
+learners; and the three benchmark workloads on seed 2. The eval runs
+evaluate the tiny sabppo run in fedpeat mode and the wide-rollout run. All
+of them take about 10 s per checkout on a 2-vCPU host.
 
 Prints one line per run and exits 1 if any digest differs.
 """
@@ -80,6 +82,10 @@ def fixed_configs() -> dict[str, dict]:
                 "env": {"n_devices": 4, "select_k": 2, "rounds": 5,
                         "mode": mode},
                 "ppo": {"segment": 10, "minibatch": 5}}
+    for agent in ("sabppo", "random"):
+        config = json.loads(json.dumps(configs[f"tiny-{agent}-fedpeat"]))
+        config["env"].update(n_devices=5, select_k=5)
+        configs[f"all-selected-{agent}"] = config
     for agent in LEARNERS:
         configs[f"target-sync-{agent}"] = {
             "agent": agent, "seed": 5, "total_steps": 150, "eval_interval": 50,
