@@ -185,12 +185,14 @@ def gae(rewards, values, next_values, dones, gamma: float, lam: float) -> np.nda
 # branch evaluation used by sampling and by updates
 # ---------------------------------------------------------------------------
 
+_PARTITION_FROM = 256   # from about this many keys np.partition beats a sort
+
 
 def _top_k(x: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(-x, kind="stable")[:k]`` for finite keys, sorting only
-    the keys at or above the k-th largest value, which the stable sort keeps
-    in index order among equals."""
-    if k >= len(x):
+    """``np.argsort(-x, kind="stable")[:k]`` for finite keys; from
+    ``_PARTITION_FROM`` keys on it sorts only the keys at or above the k-th
+    largest value, which the stable sort keeps in index order among equals."""
+    if len(x) < _PARTITION_FROM:
         return np.argsort(-x, kind="stable")[:k]
     neg = -x
     kth = np.partition(neg, k - 1)[k - 1]
@@ -214,7 +216,9 @@ def _feature_columns(n_devices: int, width: int) -> np.ndarray:
     if n_enc < 0:
         raise ValueError("chained state narrower than the observation layout")
     j = np.arange(3 + n_enc)
-    return j * n_devices + (j >= 3)   # the clock sits between obs and blocks
+    cols = j * n_devices + (j >= 3)   # the clock sits between obs and blocks
+    cols.flags.writeable = False      # shared by every caller
+    return cols
 
 
 def _row_features(chain: np.ndarray, selection: np.ndarray,
@@ -270,10 +274,9 @@ def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
 
 
 def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray, feats=None, scratch=None,
-               logp_only: bool = False):
+               actions: np.ndarray, scratch=None, logp_only: bool = False):
     """Plackett-Luce evaluation of the stored draws, in closed form; only
-    the (M,) log-probs if ``logp_only``. ``feats`` is not used.
+    the (M,) log-probs if ``logp_only``.
 
     Draw j picks from A_j, the unchosen logits plus a_j..a_{K-1}, with
     log-normaliser L_j (the log-sum-exp over A_j), log-probabilities
@@ -334,8 +337,9 @@ def _eval_branch(net, spec, inputs, actions, feats=None, scratch=None,
     input ``(inputs, feats)``; with a ``scratch`` the returned activations
     are its work arrays (see ``neural``). ``logp_only`` runs only the
     log-prob prefix of the pass and returns the log-probs."""
-    evaluate = _eval_topk if spec.kind == "topk" else _eval_rows
-    return evaluate(net, spec, inputs, actions, feats, scratch, logp_only)
+    if spec.kind == "topk":
+        return _eval_topk(net, spec, inputs, actions, scratch, logp_only)
+    return _eval_rows(net, spec, inputs, actions, feats, scratch, logp_only)
 
 
 def _gather(rows: np.ndarray, idx, scratch, name="x") -> np.ndarray:
@@ -523,10 +527,10 @@ class _PpoAgentBase(_ChainPolicy):
         head b's input (the chained states rebuilt through ``_encode``, each
         a column prefix of one array, or the observations for an unchained
         agent), and ``feats[b]``, a rows head's (M, K*e) ``_row_features``
-        of every sample (None for the selection head)."""
+        of every sample (None for the selection head). Unchained heads all
+        see the observations, so they share one features array."""
         m, n = buffer.size, self.n_devices
-        obs = buffer.obs[:m]
-        selection = buffer.actions[0][:m]
+        obs, selection = buffer.obs[:m], buffer.actions[0][:m]
         inputs = [obs] * len(self.branches)
         if self.chained:
             chain = np.empty((m, self.obs_dim + (len(self.branches) - 1) * n))
@@ -537,9 +541,11 @@ class _PpoAgentBase(_ChainPolicy):
                         chain[:, at:at + n])
             inputs = [chain[:, :self.obs_dim + b * n]
                       for b in range(len(self.branches))]
-        feats = [_row_features(x, selection, n).reshape(m, -1)
-                 if spec.kind == "rows" else None
-                 for spec, x in zip(self.branches, inputs)]
+        feats, last = [], None
+        for spec, x in zip(self.branches, inputs):
+            if spec.kind == "rows" and x is not last:
+                last, f = x, _row_features(x, selection, n).reshape(m, -1)
+            feats.append(f if spec.kind == "rows" else None)
         return inputs, feats
 
     def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, derived,
@@ -560,12 +566,10 @@ class _PpoAgentBase(_ChainPolicy):
                                     slot, logp_only))
         return out
 
-    def evaluate_logps(self, buffer: TrajectoryBuffer,
-                       derived=None) -> np.ndarray:
+    def evaluate_logps(self, buffer: TrajectoryBuffer, derived) -> np.ndarray:
         """(M, branches) log-probs of the stored actions under the current
         parameters, evaluated a minibatch at a time in the update's work
-        arrays from ``derived``, ``_head_inputs(buffer)`` if not given."""
-        derived = derived or self._head_inputs(buffer)
+        arrays from ``derived`` (see ``_head_inputs``)."""
         m, size = buffer.size, self.cfg.minibatch
         logps = np.empty((m, len(self.branches)))
         for unit in self.units:
@@ -608,8 +612,7 @@ class _PpoAgentBase(_ChainPolicy):
                       if buffer.final_obs is not None else 0.0)
         adv = gae(buffer.rewards[:m], v, v_next, buffer.dones[:m],
                   self.cfg.gamma, self.cfg.lam)
-        targets = adv + v
-        return adv, targets
+        return adv, adv + v
 
     def _normalized(self, adv: np.ndarray) -> np.ndarray:
         if not self.cfg.normalize_advantages:
@@ -624,8 +627,7 @@ class _PpoAgentBase(_ChainPolicy):
         minibatches. The ratio is that of the unit's joint action: the sum of
         its branches' log-probs, new against the behaviour log-probs
         ``old``."""
-        cfg = self.cfg
-        m = buffer.size
+        cfg, m = self.cfg, buffer.size
         perm = unit.shuffle.permutation(m)
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
@@ -654,8 +656,7 @@ class _PpoAgentBase(_ChainPolicy):
                                                    for p in passes])))
 
     def _critic_epoch(self, critic: _CriticBundle, buffer, targets, stats):
-        cfg = self.cfg
-        m = buffer.size
+        cfg, m = self.cfg, buffer.size
         perm = critic.shuffle.permutation(m)
         obs = buffer.obs[:m]
         work = self._scratch[0]

@@ -140,10 +140,8 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
                 if trace is not None:
                     trace.write(outcome)
             totals["eval_reward"].append(sums["reward"])
-            totals["r_d"].append(sums["r_d"])
-            totals["r_p"].append(sums["r_p"])
-            totals["r_s"].append(sums["r_s"])
-            totals["penalty"].append(sums["penalty"])
+            for key in ("r_d", "r_p", "r_s", "penalty"):
+                totals[key].append(sums[key])
             totals["perplexity"].append(float(env.last_outcome.perplexities.mean()))
             totals["log_delay"].append(float(np.mean(log_delays)))
             totals["mean_delay"].append(float(np.mean(delays)))

@@ -18,7 +18,9 @@ from fedemu.agents import (
     default_branches,
     gae,
     _eval_branch,
+    _PARTITION_FROM,
     _eval_topk,
+    _feature_columns,
     _row_features,
     _top_k,
 )
@@ -250,6 +252,8 @@ class TestTopK:
            data=st.data())
     def test_matches_stable_argsort_on_ties(self, keys, data):
         x = np.array(keys)
+        if data.draw(st.booleans()):   # long enough for the partition path
+            x = np.resize(x, data.draw(st.integers(_PARTITION_FROM, 400)))
         k = data.draw(st.integers(1, len(x)))
         want = np.argsort(-x, kind="stable")[:k]
         assert np.array_equal(_top_k(x, k), want)
@@ -274,6 +278,8 @@ class TestRowHeads:
             got = np.concatenate([np.repeat(chain, 5, axis=0),
                                   _row_features(chain, selection, 10)], axis=1)
             assert np.array_equal(got, _row_head_inputs(chain, selection, 10))
+        with pytest.raises(ValueError):   # cached offsets are shared
+            _feature_columns(10, chain.shape[1])[0] = 1
 
     @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
     def test_update_features_equal_minibatch_features(self, agent_cls,
@@ -286,6 +292,8 @@ class TestRowHeads:
         derived = agent._head_inputs(buffer)
         inputs, feats = derived
         assert feats[0] is None
+        if not agent.chained:   # every unchained head sees the observations
+            assert feats[1] is feats[2] is feats[3]
         gathered = []
         monkeypatch.setattr(
             agents_module, "_eval_branch",
@@ -454,7 +462,7 @@ class TestRatioAndClip:
                 for b, mat in enumerate(mats, 1):
                     want[t, b] = log_softmax(mat)[np.arange(5),
                                                   buffer.actions[b][t]].sum()
-            got = agent.evaluate_logps(buffer)
+            got = agent.evaluate_logps(buffer, agent._head_inputs(buffer))
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
@@ -464,8 +472,8 @@ class TestRatioAndClip:
         agent = agent_cls(OBS_DIM, BRANCHES,
                           cfg=PpoConfig(segment=40, minibatch=16), seed=2)
         buffer = rollout_env(agent, seed=2)
-        got = agent.evaluate_logps(buffer)
         derived = agent._head_inputs(buffer)
+        got = agent.evaluate_logps(buffer, derived)
         for unit in agent.units:
             for start in range(0, 40, 16):
                 idx = np.arange(start, min(start + 16, 40))
