@@ -42,7 +42,6 @@ from .neural import (
     adam_step,
     backward,
     forward,
-    forward_cached,
     log_softmax,
 )
 from .simcore import stream
@@ -251,13 +250,14 @@ class BranchPass:
     rows_per_sample: int = 1
 
 
-def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray, feats: np.ndarray, scratch=None,
-               logp_only: bool = False):
+def _eval_rows(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
+               feats: np.ndarray, scratch=None, logp_only: bool = False):
     """A rows head on the factored input ``(inputs, feats)``, ``feats`` the
-    (M*K, e) ``_row_features``; only the (M,) log-probs if ``logp_only``."""
+    (M*K, e) ``_row_features``; only the (M,) log-probs if ``logp_only``.
+    With a ``scratch`` the returned activations are its work arrays (see
+    ``neural``)."""
     m, k = actions.shape
-    out, acts = forward_cached(net, inputs, feats, scratch)     # (M*K, L)
+    out, acts = forward(net, inputs, feats, scratch)            # (M*K, L)
     lp = log_softmax(out)
     flat = actions.reshape(-1)
     ar = np.arange(m * k)
@@ -273,8 +273,8 @@ def _eval_rows(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
     return BranchPass(logp, grad, entropy, grad_ent, acts, rows_per_sample=k)
 
 
-def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
-               actions: np.ndarray, scratch=None, logp_only: bool = False):
+def _eval_topk(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
+               scratch=None, logp_only: bool = False):
     """Plackett-Luce evaluation of the stored draws, in closed form; only
     the (M,) log-probs if ``logp_only``.
 
@@ -290,7 +290,7 @@ def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
     log-probabilities, never raw logits, so rounding does not grow with the
     logits' spread.
     """
-    out, acts = forward_cached(net, inputs, scratch=scratch)
+    out, acts = forward(net, inputs, scratch=scratch)
     m, n = out.shape
     k = actions.shape[1]
     rows = np.arange(m)[:, None]
@@ -331,17 +331,6 @@ def _eval_topk(net: Mlp, spec: BranchSpec, inputs: np.ndarray,
     return BranchPass(logp, grad_logp, ent.sum(axis=1), grad_ent, acts)
 
 
-def _eval_branch(net, spec, inputs, actions, feats=None, scratch=None,
-                 logp_only: bool = False):
-    """Evaluate one head on stored samples, a rows head on the factored
-    input ``(inputs, feats)``; with a ``scratch`` the returned activations
-    are its work arrays (see ``neural``). ``logp_only`` runs only the
-    log-prob prefix of the pass and returns the log-probs."""
-    if spec.kind == "topk":
-        return _eval_topk(net, spec, inputs, actions, scratch, logp_only)
-    return _eval_rows(net, spec, inputs, actions, feats, scratch, logp_only)
-
-
 def _gather(rows: np.ndarray, idx, scratch, name="x") -> np.ndarray:
     """``rows[idx]``, written into the scratch's work array for ``name`` if
     there is one."""
@@ -380,21 +369,21 @@ class _CriticBundle:
         init_rng = stream(seed, 0, 100 + index)
         self.net = Mlp.init([obs_dim, *cfg.hidden, 1], init_rng)
         self.target = self.net.clone()
-        self.opt = AdamState.for_params(self.net.parameters(), lr=cfg.critic_lr)
+        self.opt = AdamState(self.net.parameters(), lr=cfg.critic_lr)
         self.updates = 0
         self.shuffle = stream(seed, 3, index)
 
     def target_values(self, batch: np.ndarray) -> np.ndarray:
-        return forward(self.target, batch)[:, 0]
+        return forward(self.target, batch)[0][:, 0]
 
     def minibatch_update(self, inputs, targets, sync_interval,
                          scratch=None) -> float:
-        pred, acts = forward_cached(self.net, inputs, scratch=scratch)
+        pred, acts = forward(self.net, inputs, scratch=scratch)
         err = pred[:, 0] - targets
         loss = float((err ** 2).mean())
         upstream = (2.0 * err / len(err))[:, None]
-        backward(self.net, inputs, upstream, acts, scratch, self.opt.grads)
-        adam_step(self.net.parameters(), self.opt.grads, self.opt, scratch)
+        backward(self.net, upstream, acts, self.opt.grads, scratch)
+        adam_step(self.opt, scratch)
         self.updates += 1
         if self.updates % sync_interval == 0:
             self.target = self.net.clone()
@@ -411,11 +400,9 @@ class _ActorUnit:
         self.nets = [Mlp.init([input_dims[b], *cfg.hidden,
                                branches[b].n_options], stream(seed, 0, b))
                      for b in branch_ids]
-        self.opt = AdamState.for_params(self.parameters(), lr=cfg.actor_lr)
+        self.opt = AdamState([p for net in self.nets for p in net.parameters()],
+                             lr=cfg.actor_lr)
         self.shuffle = stream(seed, 2, index)
-
-    def parameters(self):
-        return [p for net in self.nets for p in net.parameters()]
 
 
 class _ChainPolicy:
@@ -425,7 +412,6 @@ class _ChainPolicy:
     feeds the observation alone. Branch 0 is the device selection."""
 
     chained = True
-    network_count = 0
 
     def __init__(self, branches: list[BranchSpec], seed: int = 0):
         self.branches = branches
@@ -485,10 +471,6 @@ class _PpoAgentBase(_ChainPolicy):
         # after another and share the first set
         self._scratch = [Scratch() for _ in range(max(map(len, groups)))]
 
-    @property
-    def network_count(self) -> int:
-        return len(self.units) + len(self.critics)
-
     def components(self):
         return ([(f"actor{i}", u) for i, u in enumerate(self.units)],
                 [(f"critic{c}", b) for c, b in enumerate(self.critics)])
@@ -512,12 +494,12 @@ class _PpoAgentBase(_ChainPolicy):
     def _branch_action(self, b, spec, net_in, selection, greedy):
         net = self.branch_nets[b]
         if spec.kind == "topk":
-            logits = forward(net, net_in)[0]
+            logits = forward(net, net_in)[0][0]
             if greedy:
                 return _top_k(logits, spec.slots)
             return _sample_topk(logits, spec.slots, self.sample_rng)
         feats = _row_features(net_in, selection[None, :], self.n_devices)
-        mat = forward(net, net_in, feats)  # (K, L)
+        mat = forward(net, net_in, feats)[0]  # (K, L)
         if not greedy:
             mat = mat + self.sample_rng.gumbel(size=mat.shape)
         return mat.argmax(axis=1)
@@ -550,20 +532,23 @@ class _PpoAgentBase(_ChainPolicy):
 
     def _passes(self, unit: _ActorUnit, buffer: TrajectoryBuffer, derived,
                 idx, scratch=None, logp_only: bool = False) -> list:
-        """``_eval_branch`` of the unit's heads on the stored samples
-        ``idx``, gathered from ``derived`` (see ``_head_inputs``); head j of
-        the unit works in ``scratch[j]`` when given."""
+        """The unit's heads evaluated on the stored samples ``idx``, gathered
+        from ``derived`` (see ``_head_inputs``): ``_eval_topk`` for a head
+        without row features, ``_eval_rows`` for the others. Head j of the
+        unit works in ``scratch[j]`` when given; ``logp_only`` runs only the
+        log-prob part of each pass and returns the log-probs."""
         inputs, feats = derived
         out = []
         for b, net, slot in zip(unit.branch_ids, unit.nets,
                                 scratch or [None] * len(unit.nets)):
             actions = buffer.actions[b][idx]
-            f = feats[b]
-            if f is not None:
-                f = _gather(f, idx, slot, "feats").reshape(actions.size, -1)
-            out.append(_eval_branch(net, self.branches[b],
-                                    _gather(inputs[b], idx, slot), actions, f,
-                                    slot, logp_only))
+            x = _gather(inputs[b], idx, slot)
+            if feats[b] is None:
+                out.append(_eval_topk(net, x, actions, slot, logp_only))
+            else:
+                f = _gather(feats[b], idx, slot, "feats").reshape(
+                    actions.size, -1)
+                out.append(_eval_rows(net, x, actions, f, slot, logp_only))
         return out
 
     def evaluate_logps(self, buffer: TrajectoryBuffer, derived) -> np.ndarray:
@@ -645,10 +630,10 @@ class _PpoAgentBase(_ChainPolicy):
                 upstream = (row_coef[:, None] * p.grad_logp
                             + cfg.entropy_coef * p.grad_entropy / len(idx))
                 n_arrays = 2 * len(net.weights)
-                backward(net, p.activations[0], -upstream, p.activations,
-                         work, grads[at:at + n_arrays])
+                backward(net, -upstream, p.activations,
+                         grads[at:at + n_arrays], work)
                 at += n_arrays
-            adam_step(unit.parameters(), grads, unit.opt, work)
+            adam_step(unit.opt, work)
             stats["clip_frac"].append(float((~inside).mean()))
             stats["policy_loss"].append(
                 -float(np.minimum(surr1, surr2).mean()))

@@ -112,6 +112,12 @@ class EnvParams:
             raise ValueError("rounds must be >= 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.local_epochs < 0:
+            raise ValueError("local_epochs must be >= 0")
+        if self.exchange_fraction_c <= 0:
+            raise ValueError("exchange_fraction_c must be > 0")
+        if self.data_size_range[0] > self.data_size_range[1]:
+            raise ValueError("data_size_range must have low <= high")
         if not (self.retention_grid
                 and all(0.0 < r <= 1.0 for r in self.retention_grid)):
             raise ValueError("retention_grid must be non-empty with every "

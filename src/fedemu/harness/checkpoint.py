@@ -43,8 +43,7 @@ def _state_arrays(agent) -> dict:
     return arrays
 
 
-def save_checkpoint(path, agent, *, step: int, episode: int,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(path, agent, *, step: int, episode: int) -> None:
     """Write <path>.npz and <path>.json side by side."""
     path = Path(path)
     arrays = _state_arrays(agent)
@@ -57,8 +56,6 @@ def save_checkpoint(path, agent, *, step: int, episode: int,
         "step": step,
         "episode": episode,
     }
-    if extra:
-        meta.update(extra)
     np.savez(str(path) + ".npz", **arrays)
     manifest = {
         "fields": [{"key": k, "shape": list(arrays[k].shape)} for k in arrays],
@@ -69,13 +66,20 @@ def save_checkpoint(path, agent, *, step: int, episode: int,
 
 
 def load_checkpoint(path, agent) -> dict:
-    """Restore agent state in place; returns the checkpoint meta."""
+    """Restore agent state in place; returns the checkpoint meta. A saved
+    array of another shape than the agent's raises ValueError first."""
     path = Path(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)["meta"]
+    arrays = _state_arrays(agent)
     with np.load(str(path) + ".npz") as data:
-        for key, live in _state_arrays(agent).items():
-            live[...] = data[key]
+        saved = {key: data[key] for key in arrays}
+    for key, live in arrays.items():
+        if saved[key].shape != live.shape:
+            raise ValueError(f"checkpoint array {key} has shape "
+                             f"{saved[key].shape}, the agent's {live.shape}")
+    for key, live in arrays.items():
+        live[...] = saved[key]
     actors, critics = agent.components()
     for name, part in actors + critics:
         part.opt.step = meta["opt_steps"][name]

@@ -1,8 +1,10 @@
 """Minimal feed-forward networks with hand-written backprop and ADAM.
 
 Only the fixed topology used by the controllers is supported: tanh hidden
-layers, linear output. Networks are value objects; forward works on single
-vectors or batches (rows).
+layers, linear output. Networks are value objects. ``forward`` returns the
+output and the activations that ``backward`` takes; ``backward`` fills an
+``AdamState``'s ``grads``, from which ``adam_step`` steps the parameters the
+state was built over.
 
 A weight-shared per-device head sees, for each of K selected devices, the
 same chained state plus a few features of that device. Its input may be
@@ -12,16 +14,15 @@ first layer then computes ``repeat(x @ W1[:d], K) + feats @ W1[d:]`` and its
 weight gradient ``[x.T @ g.reshape(M, K, H).sum(1) ; feats.T @ g]``, so the
 (M*K, d + e) concatenation is never built.
 
-A training loop passes a ``Scratch`` to ``forward_cached``, ``backward`` and
-``adam_step``; the hidden activations, the output, the backpropagated row
-gradients and Adam's temporary are then written into its work arrays instead
-of fresh ones. A scratch array stays valid until the same scratch is next
-written under the same name: the output and activations of a
-``forward_cached`` call until the next ``forward_cached`` with that scratch,
-the row gradients only within one ``backward``. So two heads whose
-activations must both live until their backward passes need two scratches,
-while passes that run one after another can share one. Callers that pass no
-scratch get fresh arrays.
+A training loop passes a ``Scratch`` to all three calls; the hidden
+activations, the output, the backpropagated row gradients and Adam's
+temporary are then written into its work arrays instead of fresh ones. A
+scratch array stays valid until the same scratch is next written under the
+same name: the output and activations of a ``forward`` until the next
+``forward`` with that scratch, the row gradients only within one
+``backward``. So two heads whose activations must both live until their
+backward passes need two scratches, while passes that run one after another
+can share one. Callers that pass no scratch get fresh arrays.
 
 Also provides ``log_softmax``, the categorical log-probabilities of the
 per-device heads; the selection branch's Plackett-Luce (Gumbel-top-k) sampler
@@ -40,7 +41,6 @@ __all__ = [
     "AdamState",
     "Scratch",
     "forward",
-    "forward_cached",
     "backward",
     "adam_step",
     "log_softmax",
@@ -80,7 +80,7 @@ class Mlp:
 
 
 class Scratch:
-    """Work arrays that ``forward_cached``, ``backward`` and ``adam_step``
+    """Work arrays that ``forward``, ``backward`` and ``adam_step``
     reuse from call to call, so a training loop does not allocate (and fault
     in) the same memory for every minibatch.
 
@@ -142,70 +142,37 @@ def _first_layer(net: Mlp, x: np.ndarray, feats, scratch) -> np.ndarray:
     return h
 
 
-def _run(net: Mlp, x, feats, scratch, activations: list | None):
-    """Forward pass; appends every layer's input to ``activations`` when it
-    is a list. tanh is applied in place, so a hidden pre-activation array
-    becomes that layer's activation."""
-    h = np.asarray(x, dtype=float)
+def forward(net: Mlp, x: np.ndarray, feats=None,
+            scratch: Scratch | None = None):
+    """Forward pass over a batch of rows, or a factored input (see the module
+    docstring); returns ``(output, activations)``, every layer's input as
+    ``backward`` reads it: ``activations[0]`` is ``x``, or ``(x, feats)``
+    for a factored input. tanh is applied in place, so a hidden
+    pre-activation array becomes that layer's activation. With a ``scratch``
+    the output and the hidden activations are its work arrays."""
+    x = np.asarray(x, dtype=float)
     if feats is not None:
         feats = np.asarray(feats, dtype=float)
-    if activations is not None:
-        activations.append(h if feats is None else (h, feats))
-    h = _first_layer(net, h, feats, scratch)
+    activations = [x if feats is None else (x, feats)]
+    h = _first_layer(net, x, feats, scratch)
     for i, (w, b) in enumerate(zip(net.weights[1:], net.biases[1:]), 1):
         np.tanh(h, out=h)
-        if activations is not None:
-            activations.append(h)
+        activations.append(h)
         h = _matmul(h, w, scratch, ("z", i))
         h += b
-    return h
+    return h, activations
 
 
-def forward(net: Mlp, x: np.ndarray, feats=None) -> np.ndarray:
-    """Forward pass; accepts a vector or a batch of row vectors, or a
-    factored input (see the module docstring)."""
-    return _run(net, x, feats, None, None)
-
-
-def forward_cached(net: Mlp, x: np.ndarray, feats=None,
-                   scratch: Scratch | None = None):
-    """Forward pass that also returns the activations needed by backward.
-
-    ``activations[0]`` is the input: the array ``x``, or the pair
-    ``(x, feats)`` for a factored input. With a ``scratch`` the output and
-    the hidden activations are its work arrays.
-    """
-    activations = []
-    out = _run(net, x, feats, scratch, activations)
-    activations.append(out)
-    return out, activations
-
-
-def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
-             scratch: Scratch | None = None, out: list | None = None):
-    """Exact gradients of sum(grad_out * output) w.r.t. every parameter.
-
-    Returns a list matching ``net.parameters()`` order: ``out`` when given
-    (arrays of the parameters' shapes, such as an optimiser's ``grads``
-    views), which is filled in place. Batched inputs sum gradients over the
-    batch. When ``activations`` is given, the input is read from
-    ``activations[0]`` and ``x`` is not used; a factored input is given this
-    way, through the activations of ``forward_cached``. With a ``scratch``
-    the backpropagated row gradients live in its work arrays.
-    """
-    if activations is None:
-        _, activations = forward_cached(net, x)
+def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
+             scratch: Scratch | None = None) -> list:
+    """Exact gradients of sum(grad_out * output) w.r.t. every parameter,
+    summed over the batch, for the ``activations`` of a ``forward``. Writes
+    them into ``out`` (arrays of the parameters' shapes in ``parameters()``
+    order, such as an optimiser's ``grads``) and returns it. With a
+    ``scratch`` the backpropagated row gradients live in its work arrays."""
     x, feats = (activations[0] if isinstance(activations[0], tuple)
                 else (activations[0], None))
-    single = x.ndim == 1
-    acts = [x] + activations[1:]
-    if single:
-        acts = [a[None, :] for a in acts]
-    g = np.asarray(grad_out, dtype=float)
-    if single:
-        g = g[None, :]
-    if out is None:
-        out = [np.empty_like(p) for p in net.parameters()]
+    g = grad_out
     rows = len(g)
     n_layers = len(net.weights)
     for i in range(n_layers - 1, -1, -1):
@@ -213,7 +180,7 @@ def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
         if i < n_layers - 1:
             # activations[i+1] stores tanh output; derivative is 1 - tanh^2
             d = _empty(scratch, "d", rows, g.shape[1])
-            np.square(acts[i + 1], out=d)
+            np.square(activations[i + 1], out=d)
             np.subtract(1.0, d, out=d)
             g = np.multiply(g, d, out=d)
         if i == 0 and feats is not None:
@@ -224,7 +191,7 @@ def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
             np.matmul(x.T, per_sample, out=grad_w[:d_shared])
             np.matmul(feats.T, g, out=grad_w[d_shared:])
         else:
-            np.matmul(acts[i].T, g, out=grad_w)
+            np.matmul(activations[i].T, g, out=grad_w)
         np.sum(g, axis=0, out=grad_b)
         if i > 0:
             w = net.weights[i]
@@ -233,25 +200,26 @@ def backward(net: Mlp, x: np.ndarray, grad_out: np.ndarray, activations=None,
 
 
 class AdamState:
-    """ADAM hyper-parameters and state for a fixed list of parameter arrays.
+    """ADAM hyper-parameters and state for the parameter arrays ``params``,
+    which ``adam_step`` updates in place.
 
     The first and second moments and the gradient are each one flat buffer
     laid out as the parameters end to end, in parameter order; ``_layout``
     records each array's (offset, size, shape) in it once. ``m``, ``v`` and
     ``grads`` are per-array views of the buffers, so one step is a few
     whole-buffer ufunc calls and ``backward`` can write gradients straight
-    into ``grads``.
+    into ``grads``. A deepcopy of an agent steps the copy's own arrays.
     """
 
-    def __init__(self, shapes, lr: float = 3e-4, beta1: float = 0.9,
+    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step = 0
         self._layout, n = [], 0
-        for shape in shapes:
-            size = int(np.prod(shape))
-            self._layout.append((n, size, tuple(shape)))
-            n += size
+        for p in self.params:
+            self._layout.append((n, p.size, p.shape))
+            n += p.size
         self._m, self._v, self._g = np.zeros(n), np.zeros(n), np.zeros(n)
         self._make_views()
 
@@ -273,24 +241,16 @@ class AdamState:
         self.__dict__.update(state)
         self._make_views()
 
-    @staticmethod
-    def for_params(params, lr: float = 3e-4) -> "AdamState":
-        return AdamState([np.shape(p) for p in params], lr=lr)
 
+def adam_step(state: AdamState, scratch: Scratch | None = None) -> None:
+    """Standard bias-corrected ADAM update of ``state.params`` from
+    ``state.grads``, applied in place.
 
-def adam_step(params, grads, state: AdamState,
-              scratch: Scratch | None = None):
-    """Standard bias-corrected ADAM update, applied in place.
-
-    ``grads`` may be the state's own ``grads`` views, already filled by
-    ``backward``; other arrays are copied into them. The step leaves the
-    ``grads`` buffer holding its denominator, not the gradient. Its one
-    other temporary is a scratch work array when a ``scratch`` is given, so
-    optimisers that step one after another can share it.
+    The step leaves the ``grads`` buffer holding its denominator, not the
+    gradient. Its one other temporary is a scratch work array when a
+    ``scratch`` is given, so optimisers that step one after another can
+    share it.
     """
-    if grads is not state.grads:
-        for dst, src in zip(state.grads, grads, strict=True):
-            dst[...] = src
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
@@ -311,9 +271,8 @@ def adam_step(params, grads, state: AdamState,
     np.divide(m, b1c, out=t)
     t *= state.lr
     t /= den
-    for p, delta in zip(params, state.views(t), strict=True):
+    for p, delta in zip(state.params, state.views(t), strict=True):
         p -= delta
-    return params
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from fedemu.neural import backward, forward, forward_cached
+from fedemu.neural import backward, forward
+
+
+def grads_of(net, upstream, activations):
+    """``backward``'s gradients for the activations of one ``forward``,
+    written into fresh arrays."""
+    return backward(net, upstream, activations,
+                    [np.empty_like(p) for p in net.parameters()])
+
+
+def analytic_grads(net, x, upstream, feats=None):
+    return grads_of(net, upstream, forward(net, x, feats)[1])
 
 
 def finite_difference_grads(net, x, upstream, h=1e-5, feats=None):
@@ -14,9 +25,9 @@ def finite_difference_grads(net, x, upstream, h=1e-5, feats=None):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            up = float((forward(net, x, feats) * upstream).sum())
+            up = float((forward(net, x, feats)[0] * upstream).sum())
             p[idx] = orig - h
-            down = float((forward(net, x, feats) * upstream).sum())
+            down = float((forward(net, x, feats)[0] * upstream).sum())
             p[idx] = orig
             g[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -29,8 +40,7 @@ def max_relative_error(net, x, upstream, feats=None):
     gradients; denominators are floored so finite-difference noise on
     near-zero entries reads as a small absolute error instead of blowing up.
     ``feats`` makes ``x`` the shared part of a factored input."""
-    _, acts = forward_cached(net, x, feats)
-    analytic = backward(net, acts[0], upstream, acts)
+    analytic = analytic_grads(net, x, upstream, feats)
     numeric = finite_difference_grads(net, x, upstream, feats=feats)
     worst = 0.0
     for a, n in zip(analytic, numeric):

@@ -17,8 +17,8 @@ from fedemu.agents import (
     SabppoAgent,
     default_branches,
     gae,
-    _eval_branch,
     _PARTITION_FROM,
+    _eval_rows,
     _eval_topk,
     _feature_columns,
     _row_features,
@@ -28,12 +28,11 @@ from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.neural import (
     Mlp,
     adam_step,
-    backward,
     forward,
-    forward_cached,
     Scratch,
     log_softmax,
 )
+from _gradcheck import grads_of
 
 OBS_DIM = 31
 BRANCHES = default_branches(10, 5, 4, 4)
@@ -296,9 +295,11 @@ class TestRowHeads:
             assert feats[1] is feats[2] is feats[3]
         gathered = []
         monkeypatch.setattr(
-            agents_module, "_eval_branch",
-            lambda net, spec, x, actions, f, *rest: gathered.append(
-                None if f is None else f.copy()))
+            agents_module, "_eval_topk",
+            lambda net, x, actions, *rest: gathered.append(None))
+        monkeypatch.setattr(
+            agents_module, "_eval_rows",
+            lambda net, x, actions, f, *rest: gathered.append(f.copy()))
         perm = np.random.default_rng(7).permutation(40)
         for start in range(0, 40, 16):
             idx = perm[start:start + 16]
@@ -325,19 +326,17 @@ class TestRowHeads:
             net = agent.branch_nets[b]
             inputs = agent._head_inputs(buffer)[0][b]
             actions = buffer.actions[b][:16]
-            ev = _eval_branch(net, agent.branches[b], inputs, actions,
-                              _row_features(inputs, selection,
-                                            agent.n_devices))
+            ev = _eval_rows(net, inputs, actions,
+                            _row_features(inputs, selection, agent.n_devices))
             row_in = _row_head_inputs(inputs, selection, agent.n_devices)
-            out, acts = forward_cached(net, row_in)
+            out, acts = forward(net, row_in)
             lp = log_softmax(out)
             want_logp = lp[np.arange(80), actions.reshape(-1)].reshape(16, 5)
             assert np.allclose(ev.logp, want_logp.sum(axis=1),
                                rtol=1e-12, atol=0)
             upstream = rng.standard_normal(out.shape)
-            for g, w in zip(backward(net, ev.activations[0], upstream,
-                                     ev.activations),
-                            backward(net, row_in, upstream, acts)):
+            for g, w in zip(grads_of(net, upstream, ev.activations),
+                            grads_of(net, upstream, acts)):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
@@ -386,8 +385,7 @@ class TestEvalTopk:
         order = (np.argsort(-logits, axis=1, kind="stable") if greedy
                  else np.stack([rng.permutation(n) for _ in range(m)]))
         actions = order[:, :k]
-        spec = BranchSpec("selection", "topk", n, k)
-        got = _eval_topk(_logits_head(n), spec, logits, actions)
+        got = _eval_topk(_logits_head(n), logits, actions)
         want = _masked_loop_eval_topk(logits, actions)
         for g, w in zip((got.logp, got.grad_logp, got.entropy,
                          got.grad_entropy), want):
@@ -399,17 +397,16 @@ class TestEvalTopk:
         rng = np.random.default_rng(40 + n)
         logits = rng.standard_normal((2, n)) * 2.0
         actions = np.stack([rng.permutation(n)[:k] for _ in range(2)])
-        spec = BranchSpec("selection", "topk", n, k)
         head = _logits_head(n)
-        ev = _eval_topk(head, spec, logits, actions)
+        ev = _eval_topk(head, logits, actions)
         h = 1e-6
         for s in range(2):
             for i in range(n):
                 up, down = logits.copy(), logits.copy()
                 up[s, i] += h
                 down[s, i] -= h
-                hi = _eval_topk(head, spec, up, actions)
-                lo = _eval_topk(head, spec, down, actions)
+                hi = _eval_topk(head, up, actions)
+                lo = _eval_topk(head, down, actions)
                 fd_ent = (hi.entropy[s] - lo.entropy[s]) / (2 * h)
                 fd_logp = (hi.logp[s] - lo.logp[s]) / (2 * h)
                 assert abs(fd_ent - ev.grad_entropy[s, i]) < 1e-7
@@ -436,6 +433,39 @@ class TestUpdateMemory:
         assert peak < 2 * 2**20
 
 
+class TestCopies:
+    @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
+    def test_update_of_a_copy_leaves_the_original(self, agent_cls):
+        """Every optimiser of a deep copy steps the copy's own net arrays, so
+        updating the copy leaves the original's nets and moments as they
+        were."""
+        cfg = PpoConfig(segment=20, minibatch=10, epochs=1)
+        agent = agent_cls(OBS_DIM, BRANCHES, cfg=cfg, seed=3)
+        buffer = rollout_env(agent, seed=3)
+        twin = copy.deepcopy(agent)
+
+        def parts(a):
+            actors, critics = a.components()
+            return ([(u.opt, [p for net in u.nets for p in net.parameters()])
+                     for _, u in actors]
+                    + [(c.opt, c.net.parameters()) for _, c in critics])
+
+        def state(a):
+            return [x.copy() for opt, arrays in parts(a)
+                    for x in arrays + opt.m + opt.v]
+
+        for a in (agent, twin):
+            for opt, arrays in parts(a):
+                assert all(p is q for p, q in zip(opt.params, arrays,
+                                                  strict=True))
+        before = state(agent)
+        twin.update(buffer)
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(before, state(twin)))
+        for a, b in zip(before, state(agent), strict=True):
+            assert np.array_equal(a, b)
+
+
 class TestRatioAndClip:
     def test_behaviour_logps_match_acting_nets(self, monkeypatch):
         """The behaviour log-probs an update starts from are those of the
@@ -443,10 +473,10 @@ class TestRatioAndClip:
         selection, a categorical per selected device for the other heads."""
         outputs = []
 
-        def recording_forward(net, x, feats=None):
-            out = forward(net, x, feats)
-            outputs.append(out)
-            return out
+        def recording_forward(net, x, feats=None, scratch=None):
+            result = forward(net, x, feats, scratch)
+            outputs.append(result[0])
+            return result
 
         monkeypatch.setattr(agents_module, "forward", recording_forward)
         for agent_cls in (SabppoAgent, IterRlAgent):
@@ -503,9 +533,9 @@ class TestRatioAndClip:
             for b in net.biases:
                 b[...] = 0.0
         buffer.rewards[:] = 0.0
-        before = [p.copy() for p in agent.units[0].parameters()]
+        before = [p.copy() for p in agent.units[0].opt.params]
         agent.update(buffer)
-        after = agent.units[0].parameters()
+        after = agent.units[0].opt.params
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
 
@@ -530,9 +560,9 @@ class TestRatioAndClip:
             for b in net.biases:
                 b[...] = 0.0
         buffer.rewards[:] = 1.0
-        before = [p.copy() for p in agent.units[0].parameters()]
+        before = [p.copy() for p in agent.units[0].opt.params]
         agent.update(buffer)
-        for b, a in zip(before, agent.units[0].parameters()):
+        for b, a in zip(before, agent.units[0].opt.params):
             assert np.array_equal(b, a)
 
     def test_unit_ratio_gradient_is_plain_policy_gradient(self):
@@ -552,22 +582,22 @@ class TestRatioAndClip:
         grads = []
         selection = buffer.actions[0][idx]
         inputs, _ = twin._head_inputs(buffer)
-        for b, spec in enumerate(twin.branches):
-            ev = _eval_branch(unit.nets[b], spec, inputs[b][idx],
-                              buffer.actions[b][idx],
-                              _row_features(inputs[b][idx], selection,
-                                            twin.n_devices))
+        for b, net in enumerate(unit.nets):
+            x, actions = inputs[b][idx], buffer.actions[b][idx]
+            ev = (_eval_topk(net, x, actions) if b == 0 else _eval_rows(
+                net, x, actions, _row_features(x, selection, twin.n_devices)))
             coef = adv[idx] / len(idx)
             if ev.rows_per_sample > 1:
                 coef = np.repeat(coef, ev.rows_per_sample)
             upstream = coef[:, None] * ev.grad_logp
-            grads.extend(backward(unit.nets[b], ev.activations[0],
-                                  -upstream, ev.activations))
-        adam_step(unit.parameters(), grads, unit.opt)
+            grads.extend(grads_of(net, -upstream, ev.activations))
+        for dst, g in zip(unit.opt.grads, grads, strict=True):
+            dst[...] = g
+        adam_step(unit.opt)
 
         agent.update(buffer)
-        for manual, updated in zip(unit.parameters(),
-                                   agent.units[0].parameters()):
+        for manual, updated in zip(unit.opt.params,
+                                   agent.units[0].opt.params):
             assert np.allclose(manual, updated, atol=1e-12)
 
 
@@ -606,9 +636,13 @@ class TestCriticAndTargets:
 
 class TestBaselines:
     def test_network_counts(self):
-        assert SabppoAgent(OBS_DIM, BRANCHES, seed=0).network_count == 2
-        assert IterRlAgent(OBS_DIM, BRANCHES, seed=0).network_count == 8
-        assert HappoAgent(OBS_DIM, BRANCHES, seed=0).network_count == 5
+        def count(agent):
+            actors, critics = agent.components()
+            return len(actors) + len(critics)
+
+        assert count(SabppoAgent(OBS_DIM, BRANCHES, seed=0)) == 2
+        assert count(IterRlAgent(OBS_DIM, BRANCHES, seed=0)) == 8
+        assert count(HappoAgent(OBS_DIM, BRANCHES, seed=0)) == 5
 
     def test_single_branch_degenerate_equivalence(self):
         # with one branch every learner is plain PPO; identical seeds must
@@ -660,7 +694,7 @@ class TestBaselines:
         iterrl.update(buffer)
         for i, (h, r) in enumerate(zip(happo.units, iterrl.units)):
             same = all(np.array_equal(a, b)
-                       for a, b in zip(h.parameters(), r.parameters()))
+                       for a, b in zip(h.opt.params, r.opt.params))
             assert same == (i in copied or i == 0)
 
     def test_baseline_updates_run(self):

@@ -92,6 +92,10 @@ class TestConfig:
         ("env", {"retention_grid": []}, "retention_grid"),
         ("env", {"retention_grid": [0.0, 1.0]}, "retention_grid"),
         ("env", {"retention_grid": [0.5, 1.5]}, "retention_grid"),
+        ("env", {"local_epochs": -1}, "local_epochs"),
+        ("env", {"exchange_fraction_c": 0.0}, "exchange_fraction_c"),
+        ("env", {"exchange_fraction_c": -5.0}, "exchange_fraction_c"),
+        ("env", {"data_size_range": [350, 150]}, "data_size_range"),
         ("ppo", {"segment": 0}, "segment"),
         ("ppo", {"minibatch": 0}, "minibatch"),
     ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items())
@@ -202,8 +206,8 @@ class TestCheckpoint:
         twin = build_agent(config)
         meta = load_checkpoint(tmp_path / "ck", agent=twin)
         assert meta["step"] == 50 and meta["episode"] == 5
-        for a, b in zip(agent.units[0].parameters(),
-                        twin.units[0].parameters()):
+        for a, b in zip(agent.units[0].opt.params,
+                        twin.units[0].opt.params):
             assert np.array_equal(a, b)
         for a, b in zip(agent.critics[0].target.weights,
                         twin.critics[0].target.weights):
@@ -300,6 +304,21 @@ class TestCheckpoint:
         cmd_train(config, fresh)
         assert ((run_dir / "metrics.csv").read_text()
                 == (fresh / "metrics.csv").read_text())
+
+    def test_resume_refuses_arrays_of_another_shape(self, tmp_path):
+        # levels 1 -> 4 widens the rows heads' output layer from (64, 1) to
+        # (64, 4); nothing of the agent is restored
+        cmd_train(tiny_config(total_steps=50, env_overrides={"levels": 1}),
+                  tmp_path / "run")
+        config = tiny_config(total_steps=100)
+        agent = build_agent(config)
+        fresh = [a.copy() for a in _state_arrays(agent).values()]
+        with pytest.raises(ValueError, match="actor0/net1/layer2/w"):
+            load_checkpoint(tmp_path / "run" / "checkpoint", agent)
+        for a, b in zip(fresh, _state_arrays(agent).values(), strict=True):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="actor0/net1/layer2/w"):
+            cmd_train(config, tmp_path / "run", resume=True)
 
     def test_resume_continues_update_numbers(self, tmp_path):
         config = tiny_config(total_steps=100)  # segment 50: two updates
@@ -429,6 +448,17 @@ class TestCli:
                        "--run-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_resume_with_other_device_count_exits_naming_the_key(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        save_config(tiny_config(total_steps=50), cfg_path)
+        args = ["train", "--config", str(cfg_path),
+                "--run-dir", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        rc = cli.main(args + ["--resume", "--set", "env.n_devices=5"])
+        assert rc == 2
+        assert "actor0/net0/layer0/w" in capsys.readouterr().err
 
     def test_export_plots_via_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

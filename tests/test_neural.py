@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedemu.agents import BranchSpec, _eval_topk, _sample_topk
+from fedemu.agents import _eval_topk, _sample_topk
 from fedemu.neural import (
     AdamState,
     Mlp,
@@ -14,7 +14,6 @@ from fedemu.neural import (
     adam_step,
     backward,
     forward,
-    forward_cached,
     log_softmax,
 )
 
@@ -36,18 +35,18 @@ class TestForward:
         net = Mlp([3, 4, 2],
                   [np.zeros((3, 4)), np.zeros((4, 2))],
                   [np.zeros(4), np.zeros(2)])
-        assert forward(net, np.ones(3)).tolist() == [0.0, 0.0]
+        assert forward(net, np.ones((1, 3)))[0][0].tolist() == [0.0, 0.0]
 
     def test_affine_identity(self):
         net = Mlp([1, 1], [np.array([[2.0]])], [np.array([1.0])])
-        assert forward(net, np.array([3.0]))[0] == 7.0
+        assert forward(net, np.array([[3.0]]))[0][0, 0] == 7.0
 
     def test_golden_vector(self):
         # frozen from the first implementation run
         rng = np.random.default_rng(2024)
         net = Mlp.init([5, 8, 3], rng)
-        out = forward(net, np.array([0.5, -1.0, 2.0, 0.1, -0.3]))
-        assert out.tolist() == [-0.010270416418616226,
+        out, _ = forward(net, np.array([[0.5, -1.0, 2.0, 0.1, -0.3]]))
+        assert out[0].tolist() == [-0.010270416418616226,
                                 0.014299493891847044,
                                 0.016086168616745784]
 
@@ -55,32 +54,33 @@ class TestForward:
         rng = np.random.default_rng(3)
         net = Mlp.init([4, 6, 2], rng)
         xs = rng.standard_normal((5, 4))
-        batched = forward(net, xs)
+        batched, _ = forward(net, xs)
         for i in range(5):
-            assert np.allclose(batched[i], forward(net, xs[i]))
+            assert np.allclose(batched[i], forward(net, xs[i:i + 1])[0][0])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         net = Mlp.init([4, 6, 2], rng)
         with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+            forward(net, np.zeros((1, 5)))
 
 
-from _gradcheck import max_relative_error
+from _gradcheck import analytic_grads, grads_of, max_relative_error
 
 
 class TestBackward:
     def test_linear_grad_is_input(self):
         net = Mlp([3, 1], [np.zeros((3, 1))], [np.zeros(1)])
         x = np.array([1.5, -2.0, 0.5])
-        grads = backward(net, x, np.array([1.0]))
+        grads = analytic_grads(net, x[None, :], np.array([[1.0]]))
         assert np.allclose(grads[0][:, 0], x)
         assert grads[1][0] == 1.0
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(1)
         net = Mlp.init([4, 8, 3], rng)
-        grads = backward(net, rng.standard_normal(4), np.zeros(3))
+        grads = analytic_grads(net, rng.standard_normal((1, 4)),
+                               np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads)
 
     @pytest.mark.parametrize("shape", AGENT_SHAPES)
@@ -89,8 +89,8 @@ class TestBackward:
         small = [shape[0], 8, 8, shape[-1]]  # same depth, cheap FD sweep
         net = Mlp.init(small, rng, scale=100.0)
         for _ in range(3):
-            x = rng.standard_normal(small[0])
-            upstream = rng.standard_normal(small[-1])
+            x = rng.standard_normal((1, small[0]))
+            upstream = rng.standard_normal((1, small[-1]))
             assert max_relative_error(net, x, upstream) < 1e-4
 
     def test_batched_grads_sum_over_rows(self):
@@ -98,10 +98,11 @@ class TestBackward:
         net = Mlp.init([4, 6, 2], rng)
         xs = rng.standard_normal((7, 4))
         ups = rng.standard_normal((7, 2))
-        batched = backward(net, xs, ups)
+        batched = analytic_grads(net, xs, ups)
         acc = [np.zeros_like(g) for g in batched]
         for i in range(7):
-            for j, g in enumerate(backward(net, xs[i], ups[i])):
+            for j, g in enumerate(analytic_grads(net, xs[i:i + 1],
+                                                 ups[i:i + 1])):
                 acc[j] += g
         for a, b in zip(acc, batched):
             assert np.allclose(a, b, atol=1e-12)
@@ -132,15 +133,14 @@ class TestFactoredInput:
         row_in = np.concatenate([np.repeat(x, k, axis=0), feats], axis=1)
         upstream = rng.standard_normal((m * k, out))
 
-        assert _scale_close(forward(net, x, feats), forward(net, row_in), 1e-12)
-        got_out, got_acts = forward_cached(net, x, feats)
-        want_out, want_acts = forward_cached(net, row_in)
+        got_out, got_acts = forward(net, x, feats)
+        want_out, want_acts = forward(net, row_in)
         assert _scale_close(got_out, want_out, 1e-12)
         assert isinstance(got_acts[0], tuple)
-        for a, b in zip(got_acts[1:], want_acts[1:]):
+        for a, b in zip(got_acts[1:], want_acts[1:], strict=True):
             assert _scale_close(a, b, 1e-12)
-        want = backward(net, row_in, upstream)
-        for g, w in zip(backward(net, got_acts[0], upstream, got_acts), want):
+        want = grads_of(net, upstream, want_acts)
+        for g, w in zip(grads_of(net, upstream, got_acts), want):
             assert _scale_close(g, w, 1e-12)
 
     def test_matches_finite_differences(self):
@@ -166,32 +166,32 @@ class TestScratch:
         rng = np.random.default_rng(41)
         net = Mlp.init([7 + 3, 8, 8, 4], rng, scale=100.0)
         scratch = Scratch()
-        opt = AdamState.for_params(net.parameters())
+        opt = AdamState(net.parameters())
         first = None
         for m in (5, 5, 2):  # the short last minibatch gets row-prefix views
             x = rng.standard_normal((m, 7))
             feats = rng.standard_normal((m * 4, 3))
             upstream = rng.standard_normal((m * 4, 4))
-            want_out, want_acts = forward_cached(net, x, feats)
-            want = backward(net, None, upstream, want_acts)
-            out, acts = forward_cached(net, x, feats, scratch)
+            want_out, want_acts = forward(net, x, feats)
+            want = grads_of(net, upstream, want_acts)
+            out, acts = forward(net, x, feats, scratch)
             assert np.array_equal(out, want_out)
             for a, b in zip(acts[1:], want_acts[1:]):
                 assert np.array_equal(a, b)
-            got = backward(net, None, upstream, acts, scratch, opt.grads)
+            got = backward(net, upstream, acts, opt.grads, scratch)
             assert got is opt.grads
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-            first = first or acts[1:]
-            for a, b in zip(acts[1:], first):
+            first = first or [out, *acts[1:]]
+            for a, b in zip([out, *acts[1:]], first):
                 assert np.shares_memory(a, b)
 
     def test_no_scratch_gives_fresh_arrays(self):
         rng = np.random.default_rng(42)
         net = Mlp.init([6, 8, 3], rng)
         x = rng.standard_normal((4, 6))
-        out_a, acts_a = forward_cached(net, x)
-        out_b, acts_b = forward_cached(net, x)
+        out_a, acts_a = forward(net, x)
+        out_b, acts_b = forward(net, x)
         assert not np.shares_memory(out_a, out_b)
         assert not np.shares_memory(acts_a[1], acts_b[1])
 
@@ -199,15 +199,33 @@ class TestScratch:
 class TestAdam:
     def test_zero_gradient_no_move(self):
         w = [np.array([1.0, -2.0])]
-        st = AdamState.for_params(w, lr=0.1)
-        adam_step(w, [np.zeros(2)], st)
+        st = AdamState(w, lr=0.1)
+        st.grads[0][...] = 0.0
+        adam_step(st)
         assert w[0].tolist() == [1.0, -2.0]
 
     def test_first_step_is_lr_sign(self):
         w = [np.array([5.0])]
-        st = AdamState.for_params(w, lr=0.01)
-        adam_step(w, [np.array([0.37])], st)
+        st = AdamState(w, lr=0.01)
+        st.grads[0][...] = 0.37
+        adam_step(st)
         assert w[0][0] - 5.0 == pytest.approx(-0.01, rel=1e-6)
+
+    def test_steps_exactly_its_params_in_place(self):
+        rng = np.random.default_rng(22)
+        net = Mlp.init([5, 6, 3], rng)
+        arrays = net.parameters()
+        before = [p.copy() for p in arrays]
+        st = AdamState(arrays[:2], lr=0.1)   # the first layer only
+        assert all(p is q for p, q in zip(st.params, arrays[:2], strict=True))
+        for g in st.grads:
+            g[...] = rng.standard_normal(g.shape)
+        adam_step(st)
+        assert all(p is q for p, q in zip(net.parameters(), arrays))
+        for p, old in zip(arrays[:2], before[:2]):
+            assert np.all(p != old)
+        for p, old in zip(arrays[2:], before[2:]):
+            assert np.array_equal(p, old)
 
     def test_in_place_matches_reference_formula(self):
         def reference_step(params, grads, state):
@@ -224,12 +242,14 @@ class TestAdam:
         rng = np.random.default_rng(21)
         net = Mlp.init([604, 64, 64, 4], rng)
         ref = net.clone()
-        st_new = AdamState.for_params(net.parameters(), lr=1e-3)
-        st_ref = AdamState.for_params(ref.parameters(), lr=1e-3)
+        st_new = AdamState(net.parameters(), lr=1e-3)
+        st_ref = AdamState(ref.parameters(), lr=1e-3)
         for _ in range(50):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
                      for p in net.parameters()]
-            adam_step(net.parameters(), grads, st_new)
+            for dst, g in zip(st_new.grads, grads, strict=True):
+                dst[...] = g
+            adam_step(st_new)
             reference_step(ref.parameters(), grads, st_ref)
         for a, b in zip(net.parameters() + st_new.m + st_new.v,
                         ref.parameters() + st_ref.m + st_ref.v):
@@ -237,23 +257,26 @@ class TestAdam:
 
     def test_copies_keep_views_on_their_own_flat_buffers(self):
         params = [np.zeros((3, 2)), np.zeros(2)]
-        st = AdamState.for_params(params, lr=0.1)
+        st = AdamState(params, lr=0.1)
         twin = copy.deepcopy(st)
         for state in (st, twin):
             for views in (state.m, state.v, state.grads):
                 assert views[0].base is not None
                 assert views[0].base is views[1].base
         assert not np.shares_memory(st.m[0], twin.m[0])
-        p_a, p_b = [p.copy() for p in params], [p.copy() for p in params]
-        adam_step(p_a, [np.ones((3, 2)), np.ones(2)], st)
-        adam_step(p_b, [np.ones((3, 2)), np.ones(2)], twin)
+        assert not np.shares_memory(st.params[0], twin.params[0])
+        for state in (st, twin):
+            for g in state.grads:
+                g[...] = 1.0
+            adam_step(state)
         assert np.all(st.m[0] != 0.0)
-        for a, b in zip(p_a + st.m + st.v, p_b + twin.m + twin.v):
+        for a, b in zip(st.params + st.m + st.v,
+                        twin.params + twin.m + twin.v):
             assert np.array_equal(a, b)
 
     def test_views_are_per_shape_slices_of_the_flat_array(self):
         shapes = [(3, 4), (4,), (1, 1), (0, 5), (2, 1, 3), ()]
-        st = AdamState(shapes)
+        st = AdamState([np.zeros(shape) for shape in shapes])
         flat = np.arange(24.0)
         lo = 0
         for view, shape in zip(st.views(flat), shapes, strict=True):
@@ -267,9 +290,10 @@ class TestAdam:
     def test_scalar_quadratic_converges(self):
         # oracle: running this descent lands within 0.2 of the optimum
         w = [np.array([0.0])]
-        st = AdamState.for_params(w, lr=0.1)
+        st = AdamState(w, lr=0.1)
         for _ in range(100):
-            adam_step(w, [2 * (w[0] - 3.0)], st)
+            st.grads[0][...] = 2 * (w[0] - 3.0)
+            adam_step(st)
         assert abs(w[0][0] - 3.0) < 0.2
 
 
@@ -288,8 +312,7 @@ def _pl_log_prob(logits, draws):
     draws = np.atleast_2d(draws)
     n = len(logits)
     head = Mlp([n, n], [np.eye(n)], [np.zeros(n)])
-    spec = BranchSpec("selection", "topk", n, draws.shape[1])
-    return _eval_topk(head, spec, np.tile(logits, (len(draws), 1)), draws).logp
+    return _eval_topk(head, np.tile(logits, (len(draws), 1)), draws).logp
 
 
 class TestPlackettLuce:

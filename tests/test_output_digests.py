@@ -73,3 +73,7 @@ def test_checkout_against_itself_is_identical(capsys, monkeypatch):
     assert eval_line.startswith("eval-tiny-random-fedft: identical")
     assert "eval.json=None" not in eval_line
     assert "2 of 2 runs identical" in out
+    lines = sum(len(path.read_text().splitlines())
+                for path in (_ROOT / "src").rglob("*.py"))
+    assert out.splitlines()[-1] == (f"src/ lines: parent {lines}, "
+                                    f"change {lines}")

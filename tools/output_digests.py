@@ -23,7 +23,9 @@ learners; and the three benchmark workloads on seed 2. The eval runs
 evaluate the tiny sabppo run in fedpeat mode and the wide-rollout run. All
 of them take about 10 s per checkout on a 2-vCPU host.
 
-Prints one line per run and exits 1 if any digest differs.
+Prints one line per run, then the number of runs that are identical, then
+each checkout's ``src/`` line count (newlines in every ``*.py`` under
+``src/``, as ``wc -l`` counts them), and exits 1 if any digest differs.
 """
 
 from __future__ import annotations
@@ -149,6 +151,12 @@ def npz_differences(parent: Path, change: Path) -> tuple[int, float]:
     return count, worst
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of every ``*.py`` under the checkout's ``src/``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -184,6 +192,8 @@ def main(argv=None) -> int:
                 print(f"{name}: identical " + " ".join(
                     f"{f}={str(got[f])[:12]}" for f in OUTPUTS))
     print(f"{len(runs) - differing} of {len(runs)} runs identical")
+    print("src/ lines: " + ", ".join(f"{side} {src_lines(checkout)}"
+                                     for side, checkout in sides.items()))
     return 1 if differing else 0
 
 
