@@ -132,7 +132,7 @@ class TrajectoryBuffer:
 
     def __init__(self, capacity: int, obs_dim: int, slots: list[int]):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
+        self.obs = np.zeros((capacity, obs_dim), np.float32)
         self.actions = [np.zeros((capacity, s), dtype=int) for s in slots]
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
@@ -289,41 +289,50 @@ def _eval_topk(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
     Every exponent is <= 0, and probabilities only ever multiply these
     log-probabilities, never raw logits, so rounding does not grow with the
     logits' spread.
+
+    The forward's output array becomes ``grad_entropy``, and with a
+    ``scratch`` every other (M, N) or (M, K, K) array is its work array.
     """
-    out, acts = forward(net, inputs, scratch=scratch)
-    m, n = out.shape
+    z, acts = forward(net, inputs, scratch=scratch)
+    scratch = scratch or Scratch(z.dtype)
+    m, n = z.shape
     k = actions.shape[1]
     rows = np.arange(m)[:, None]
-    z = out - out.max(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
     chosen = z[rows, actions]                                        # (M, K)
     log_norm = np.logaddexp.accumulate(chosen[:, ::-1], axis=1)[:, ::-1]
     if k < n:
-        u = z.copy()
+        u = z                              # z's values are not read again
         u[rows, actions] = -np.inf
         top = u.max(axis=1, keepdims=True)
         u -= top
-        e = np.exp(u)                                        # 0 where chosen
+        e = np.exp(u, out=scratch.take("topk_e", m, n))      # 0 where chosen
         mass = e.sum(axis=1, keepdims=True)
         log_norm = np.logaddexp(top + np.log(mass), log_norm)
     logp = (chosen - log_norm).sum(axis=1)
     if logp_only:
         return logp
     # lp and p of a_m at draw j; a_m is gone after draw m
-    lp = chosen[:, :, None] - log_norm[:, None, :]
-    tri = np.exp(lp, out=np.zeros_like(lp), where=np.tri(k, dtype=bool))
-    tri_lp = tri * lp
+    lp, tri = (scratch.take(name, m, k * k).reshape(m, k, k)
+               for name in ("topk_lp", "topk_tri"))
+    np.subtract(chosen[:, :, None], log_norm[:, None, :], out=lp)
+    tri[...] = 0.0
+    np.exp(lp, out=tri, where=np.tri(k, dtype=bool))
+    tri_lp = np.multiply(tri, lp, out=lp)
     ent = -tri_lp.sum(axis=1)                                        # H_j
+    grad_logp = scratch.take("topk_grad", m, n)
+    grad_ent = z          # k = n: every entry of both is set below
     if k < n:
         u[rows, actions] = 0.0                        # keeps e * u finite
         rho = top - log_norm                                         # (M, K)
         r = np.exp(rho)
-        ent -= r * ((e * u).sum(axis=1, keepdims=True) + rho * mass)
+        eu = np.multiply(e, u, out=grad_logp).sum(axis=1, keepdims=True)
+        ent -= r * (eu + rho * mass)
         total = r.sum(axis=1, keepdims=True)
-        grad_logp = e * -total
-        grad_ent = -e * (u * total
-                         + (r * (rho + ent)).sum(axis=1, keepdims=True))
-    else:
-        grad_logp, grad_ent = np.zeros((m, n)), np.zeros((m, n))
+        np.multiply(e, -total, out=grad_logp)
+        u *= -total
+        u -= (r * (rho + ent)).sum(axis=1, keepdims=True)
+        u *= e                                             # u is grad_ent
     p_chosen = tri.sum(axis=2)
     grad_logp[rows, actions] = 1.0 - p_chosen
     grad_ent[rows, actions] = (-tri_lp.sum(axis=2)
@@ -420,7 +429,7 @@ class _ChainPolicy:
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
         d, n = len(obs), self.n_devices
-        row = np.empty((1, d + (len(self.branches) - 1) * n))
+        row = np.empty((1, d + (len(self.branches) - 1) * n), np.float32)
         row[0, :d] = obs
         actions = []
         for b, spec in enumerate(self.branches):
@@ -515,7 +524,8 @@ class _PpoAgentBase(_ChainPolicy):
         obs, selection = buffer.obs[:m], buffer.actions[0][:m]
         inputs = [obs] * len(self.branches)
         if self.chained:
-            chain = np.empty((m, self.obs_dim + (len(self.branches) - 1) * n))
+            chain = np.empty((m, self.obs_dim + (len(self.branches) - 1) * n),
+                             obs.dtype)
             chain[:, :self.obs_dim] = obs
             for b, spec in enumerate(self.branches[:-1]):
                 at = self.obs_dim + b * n
@@ -556,7 +566,7 @@ class _PpoAgentBase(_ChainPolicy):
         parameters, evaluated a minibatch at a time in the update's work
         arrays from ``derived`` (see ``_head_inputs``)."""
         m, size = buffer.size, self.cfg.minibatch
-        logps = np.empty((m, len(self.branches)))
+        logps = np.empty((m, len(self.branches)), np.float32)
         for unit in self.units:
             for start in range(0, m, size):
                 idx = np.arange(start, min(start + size, m))
@@ -617,7 +627,7 @@ class _PpoAgentBase(_ChainPolicy):
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
             passes = self._passes(unit, buffer, derived, idx, self._scratch)
-            a = adv[idx]
+            a = adv[idx].astype(np.float32)   # no float64 operand below
             ratio = np.exp(sum(p.logp for p in passes) - old[idx])
             surr1 = ratio * a
             surr2 = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * a

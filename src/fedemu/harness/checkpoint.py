@@ -66,18 +66,23 @@ def save_checkpoint(path, agent, *, step: int, episode: int) -> None:
 
 
 def load_checkpoint(path, agent) -> dict:
-    """Restore agent state in place; returns the checkpoint meta. A saved
-    array of another shape than the agent's raises ValueError first."""
+    """Restore agent state in place; returns the checkpoint meta. A missing
+    array, or a saved array of another shape or dtype than the agent's,
+    raises ValueError naming its key before anything is restored."""
     path = Path(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)["meta"]
     arrays = _state_arrays(agent)
     with np.load(str(path) + ".npz") as data:
-        saved = {key: data[key] for key in arrays}
+        saved = {key: data[key] for key in arrays if key in data.files}
     for key, live in arrays.items():
-        if saved[key].shape != live.shape:
-            raise ValueError(f"checkpoint array {key} has shape "
-                             f"{saved[key].shape}, the agent's {live.shape}")
+        if key not in saved:
+            raise ValueError(f"checkpoint has no array {key}")
+        for what in ("shape", "dtype"):
+            got, want = getattr(saved[key], what), getattr(live, what)
+            if got != want:
+                raise ValueError(f"checkpoint array {key} has {what} {got}, "
+                                 f"the agent's {want}")
     for key, live in arrays.items():
         live[...] = saved[key]
     actors, critics = agent.components()

@@ -24,6 +24,11 @@ same name: the output and activations of a ``forward`` until the next
 backward passes need two scratches, while passes that run one after another
 can share one. Callers that pass no scratch get fresh arrays.
 
+Learner arrays are float32: weights, biases, Adam moments and gradients,
+scratch work arrays and the inputs ``forward`` casts to its net's dtype.
+The environment, the reward and GAE stay float64. ``Mlp.init``'s ``dtype``
+exists so that tests can build float64 nets as oracles.
+
 Also provides ``log_softmax``, the categorical log-probabilities of the
 per-device heads; the selection branch's Plackett-Luce (Gumbel-top-k) sampler
 lives with the agents.
@@ -54,17 +59,19 @@ class Mlp:
     biases: list[np.ndarray]
 
     @staticmethod
-    def init(layer_sizes, rng: np.random.Generator, scale: float = 1.0) -> "Mlp":
+    def init(layer_sizes, rng: np.random.Generator, scale: float = 1.0,
+             dtype=np.float32) -> "Mlp":
         """Xavier-style initialisation; final layer scaled down so initial
-        policies are near-uniform."""
+        policies are near-uniform. Drawn in float64 for any ``dtype``."""
         weights, biases = [], []
         last = len(layer_sizes) - 2
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
             std = np.sqrt(2.0 / (fan_in + fan_out))
             if i == last:
                 std *= 0.01 * scale
-            weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
+            weights.append(rng.normal(0.0, std, size=(fan_in, fan_out))
+                           .astype(dtype))
+            biases.append(np.zeros(fan_out, dtype))
         return Mlp(list(layer_sizes), weights, biases)
 
     def clone(self) -> "Mlp":
@@ -84,27 +91,20 @@ class Scratch:
     reuse from call to call, so a training loop does not allocate (and fault
     in) the same memory for every minibatch.
 
-    There is one array per (name, width), sized by the most rows asked for so
-    far; a call with fewer rows gets a row-prefix view of it. What a call
-    returns through a scratch is valid until the same scratch is next
-    written (see the module docstring).
+    There is one array of the scratch's dtype, the nets', per (name, width),
+    sized by the most rows asked for so far; a call with fewer rows gets a
+    row-prefix view of it. What a call returns through a scratch is valid
+    until the same scratch is next written (see the module docstring).
     """
 
-    def __init__(self):
-        self._arrays: dict = {}
+    def __init__(self, dtype=np.float32):
+        self.dtype, self._arrays = dtype, {}
 
     def take(self, name, rows: int, cols: int) -> np.ndarray:
         arr = self._arrays.get((name, cols))
         if arr is None or len(arr) < rows:
-            arr = self._arrays[name, cols] = np.empty((rows, cols))
+            arr = self._arrays[name, cols] = np.empty((rows, cols), self.dtype)
         return arr[:rows]
-
-
-def _empty(scratch: Scratch | None, name, rows: int, cols: int) -> np.ndarray:
-    """A fresh (rows, cols) array, or the scratch's work array for ``name``."""
-    if scratch is None:
-        return np.empty((rows, cols))
-    return scratch.take(name, rows, cols)
 
 
 def _matmul(a: np.ndarray, w: np.ndarray, scratch, name) -> np.ndarray:
@@ -150,9 +150,10 @@ def forward(net: Mlp, x: np.ndarray, feats=None,
     for a factored input. tanh is applied in place, so a hidden
     pre-activation array becomes that layer's activation. With a ``scratch``
     the output and the hidden activations are its work arrays."""
-    x = np.asarray(x, dtype=float)
+    dtype = net.weights[0].dtype
+    x = np.asarray(x, dtype)
     if feats is not None:
-        feats = np.asarray(feats, dtype=float)
+        feats = np.asarray(feats, dtype)
     activations = [x if feats is None else (x, feats)]
     h = _first_layer(net, x, feats, scratch)
     for i, (w, b) in enumerate(zip(net.weights[1:], net.biases[1:]), 1):
@@ -172,14 +173,15 @@ def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
     ``scratch`` the backpropagated row gradients live in its work arrays."""
     x, feats = (activations[0] if isinstance(activations[0], tuple)
                 else (activations[0], None))
-    g = grad_out
+    scratch = scratch or Scratch(net.weights[0].dtype)   # fresh arrays
+    g = np.asarray(grad_out, scratch.dtype)   # float64 would upcast it all
     rows = len(g)
     n_layers = len(net.weights)
     for i in range(n_layers - 1, -1, -1):
         grad_w, grad_b = out[2 * i], out[2 * i + 1]
         if i < n_layers - 1:
             # activations[i+1] stores tanh output; derivative is 1 - tanh^2
-            d = _empty(scratch, "d", rows, g.shape[1])
+            d = scratch.take("d", rows, g.shape[1])
             np.square(activations[i + 1], out=d)
             np.subtract(1.0, d, out=d)
             g = np.multiply(g, d, out=d)
@@ -187,7 +189,7 @@ def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
             # shared rows get the summed gradient of their K feature rows
             m, d_shared = x.shape
             per_sample = np.sum(g.reshape(m, -1, g.shape[1]), axis=1,
-                                out=_empty(scratch, "gsum", m, g.shape[1]))
+                                out=scratch.take("gsum", m, g.shape[1]))
             np.matmul(x.T, per_sample, out=grad_w[:d_shared])
             np.matmul(feats.T, g, out=grad_w[d_shared:])
         else:
@@ -195,7 +197,7 @@ def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
         np.sum(g, axis=0, out=grad_b)
         if i > 0:
             w = net.weights[i]
-            g = np.matmul(g, w.T, out=_empty(scratch, "g", rows, w.shape[0]))
+            g = np.matmul(g, w.T, out=scratch.take("g", rows, w.shape[0]))
     return out
 
 
@@ -220,7 +222,8 @@ class AdamState:
         for p in self.params:
             self._layout.append((n, p.size, p.shape))
             n += p.size
-        self._m, self._v, self._g = np.zeros(n), np.zeros(n), np.zeros(n)
+        dtype = self.params[0].dtype
+        self._m, self._v, self._g = (np.zeros(n, dtype) for _ in range(3))
         self._make_views()
 
     def _make_views(self):
@@ -255,7 +258,8 @@ def adam_step(state: AdamState, scratch: Scratch | None = None) -> None:
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
     g, m, v = state._g, state._m, state._v
-    t = _empty(scratch, "adam", len(g), 1)[:, 0]
+    scratch = scratch or Scratch(g.dtype)
+    t = scratch.take("adam", len(g), 1)[:, 0]
     # same operations, in the same order, as
     # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
     np.multiply(g, 1.0 - state.beta1, out=t)

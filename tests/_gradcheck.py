@@ -39,7 +39,9 @@ def max_relative_error(net, x, upstream, feats=None):
     """Worst-case relative disagreement between analytic and numeric
     gradients; denominators are floored so finite-difference noise on
     near-zero entries reads as a small absolute error instead of blowing up.
-    ``feats`` makes ``x`` the shared part of a factored input."""
+    ``feats`` makes ``x`` the shared part of a factored input. Finite
+    differences need a float64 net (``Mlp.init(..., dtype=np.float64)``)."""
+    assert all(p.dtype == np.float64 for p in net.parameters())
     analytic = analytic_grads(net, x, upstream, feats)
     numeric = finite_difference_grads(net, x, upstream, feats=feats)
     worst = 0.0

@@ -163,7 +163,9 @@ class TestAct:
             buffer.add(obs, sa, 1.0, False, obs)
             inputs, _ = policy._head_inputs(buffer)
             assert len(inputs) == 4
-            assert all(np.array_equal(x, obs[None, :]) for x in inputs)
+            # the buffer stores the float32 inputs the nets read
+            assert all(np.array_equal(x, obs[None, :].astype(np.float32))
+                       for x in inputs)
 
     @pytest.mark.parametrize("n,k", [(10, 5), (40, 20)])
     def test_rebuilt_chain_matches_per_sample_encoder(self, n, k):
@@ -180,7 +182,8 @@ class TestAct:
                 got = inputs[b][t]
                 assert got.tobytes() == chain.tobytes(), (t, b)
                 chain = np.concatenate([chain, _encode_one(
-                    spec, buffer.actions[b][t], selection, n)])
+                    spec, buffer.actions[b][t], selection, n)
+                    .astype(np.float32)])
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_acting_chain_matches_per_sample_encoder(self, greedy,
@@ -201,12 +204,12 @@ class TestAct:
             obs = rng.standard_normal(OBS_DIM)
             recorded.clear()
             actions = agent.act(obs, greedy=greedy).branch_actions
-            chain = obs
+            chain = obs.astype(np.float32)   # the nets' input dtype
             for b, spec in enumerate(BRANCHES):
                 assert recorded[b].shape == (1, len(chain))
                 assert recorded[b].tobytes() == chain.tobytes(), b
                 chain = np.concatenate([chain, _encode_one(
-                    spec, actions[b], actions[0], 10)])
+                    spec, actions[b], actions[0], 10).astype(np.float32)])
 
     def test_fresh_agent_selection_marginals_near_uniform(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=3)
@@ -323,7 +326,7 @@ class TestRowHeads:
         selection = buffer.actions[0][:16]
         rng = np.random.default_rng(5)
         for b in (1, 2, 3):
-            net = agent.branch_nets[b]
+            net = _float64(agent.branch_nets[b])
             inputs = agent._head_inputs(buffer)[0][b]
             actions = buffer.actions[b][:16]
             ev = _eval_rows(net, inputs, actions,
@@ -338,6 +341,13 @@ class TestRowHeads:
             for g, w in zip(grads_of(net, upstream, ev.activations),
                             grads_of(net, upstream, acts)):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def _float64(net):
+    """A float64 copy of a net, so that two float64 paths can be compared
+    to float64 rounding."""
+    return Mlp(net.layer_sizes, [w.astype(np.float64) for w in net.weights],
+               [b.astype(np.float64) for b in net.biases])
 
 
 def _masked_loop_eval_topk(logits, actions):
@@ -466,6 +476,49 @@ class TestCopies:
             assert np.array_equal(a, b)
 
 
+class TestFloat32:
+    """The learner trains in float32. One float64 operand in an update
+    upcasts silently and brings back the float64 matmuls."""
+
+    @pytest.mark.parametrize("agent_cls",
+                             [SabppoAgent, IterRlAgent, HappoAgent])
+    def test_update_keeps_every_network_array_float32(self, agent_cls):
+        cfg = PpoConfig(segment=20, minibatch=10, epochs=1)
+        agent = agent_cls(OBS_DIM, BRANCHES, cfg=cfg, seed=3)
+        buffer = rollout_env(agent, seed=3)
+        agent.update(buffer)
+        actors, critics = agent.components()
+        nets = ([net for _, unit in actors for net in unit.nets]
+                + [net for _, c in critics for net in (c.net, c.target)])
+        arrays = [p for net in nets for p in net.parameters()]
+        for _, part in actors + critics:
+            arrays += [part.opt._m, part.opt._v, part.opt._g]
+        arrays += [a for s in agent._scratch for a in s._arrays.values()]
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert buffer.obs.dtype == np.float32
+        derived = agent._head_inputs(buffer)
+        for unit in agent.units:
+            for p in agent._passes(unit, buffer, derived, np.arange(10)):
+                assert all(a.dtype == np.float32 for a in (
+                    p.logp, p.grad_logp, p.entropy, p.grad_entropy))
+        obs64 = buffer.obs[:5].astype(np.float64)
+        for _, c in critics:
+            assert forward(c.net, obs64)[0].dtype == np.float32
+
+    def test_no_adam_moment_is_subnormal(self):
+        """Subnormal float32 arithmetic is many times slower; Adam's second
+        moment decays towards it where gradients are tiny."""
+        agent = IterRlAgent(OBS_DIM, BRANCHES, cfg=PpoConfig(segment=50),
+                            seed=21)
+        for seed in range(8):
+            agent.update(rollout_env(agent, seed=seed))
+        actors, critics = agent.components()
+        for _, part in actors + critics:
+            for flat in [part.opt._m, part.opt._v, *part.opt.params]:
+                a = np.abs(flat)
+                assert not np.any((a > 0) & (a < np.finfo(np.float32).tiny))
+
+
 class TestRatioAndClip:
     def test_behaviour_logps_match_acting_nets(self, monkeypatch):
         """The behaviour log-probs an update starts from are those of the
@@ -493,7 +546,10 @@ class TestRatioAndClip:
                     want[t, b] = log_softmax(mat)[np.arange(5),
                                                   buffer.actions[b][t]].sum()
             got = agent.evaluate_logps(buffer, agent._head_inputs(buffer))
-            assert np.max(np.abs(got - want)) <= 1e-12
+            # float32 nets: the batched pass and the one-row acting pass
+            # round differently, by a few float32 ulps of the log-prob
+            assert np.all(np.abs(got - want)
+                          <= 1e-6 * np.maximum(np.abs(want), 1.0))
 
     @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
     def test_behaviour_logps_equal_full_pass(self, agent_cls):
@@ -586,7 +642,7 @@ class TestRatioAndClip:
             x, actions = inputs[b][idx], buffer.actions[b][idx]
             ev = (_eval_topk(net, x, actions) if b == 0 else _eval_rows(
                 net, x, actions, _row_features(x, selection, twin.n_devices)))
-            coef = adv[idx] / len(idx)
+            coef = adv[idx].astype(np.float32) / len(idx)  # as the update
             if ev.rows_per_sample > 1:
                 coef = np.repeat(coef, ev.rows_per_sample)
             upstream = coef[:, None] * ev.grad_logp

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-_PARENT = Path("/nonexistent/parent")
+# as long as this checkout's path, which the change side defaults to
+_PARENT = Path("/" + "p" * (len(str(bench_pairs.ROOT)) - 1))
 
 
 def test_parse_seeds():
@@ -35,17 +37,20 @@ def test_failed_run_raises(tmp_path):
         bench_pairs.run_once(tmp_path, "mid-iterrl", 1, 1.0, 0)
 
 
+def _fake_run_once(calls):
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout == _PARENT else "change"
+        calls.append((workload, seed, side))
+        rate = 100.0 if side == "parent" else 100.0 + 20.0 * seed
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "host": {"git_sha": side}, **_result(train_steps_per_s=rate)}
+    return fake_run_once
+
+
 def test_several_workloads_in_one_table(capsys, monkeypatch):
     calls = []
 
-    def fake_run_once(checkout, workload, seed, seconds, trace):
-        calls.append((workload, seed, "parent" if checkout == _PARENT
-                      else "change"))
-        rate = 100.0 if checkout == _PARENT else 100.0 + 20.0 * seed
-        return {"correct": True, "failed": 0, "attempted": 1,
-                **_result(train_steps_per_s=rate)}
-
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once(calls))
     rc = bench_pairs.main(["--parent", str(_PARENT), "--workload",
                            "desk-sabppo,wide-rollout", "--seeds", "1-2"])
     assert rc == 0
@@ -60,3 +65,31 @@ def test_several_workloads_in_one_table(capsys, monkeypatch):
         "| 1.3x | 2/2 |",
         "| wide-rollout | train_steps_per_s | 100 [100, 100] | 130 [125, 135] "
         "| 1.3x | 2/2 |"]
+
+
+def test_out_records_hosts_and_every_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once([]))
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--parent", str(_PARENT), "--workload",
+                             "mid-iterrl", "--seeds", "1-3", "--seconds",
+                             "5", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["table"] == capsys.readouterr().out.strip()
+    assert record["seconds"] == 5 and record["trace"] == 0
+    pairs = record["pairs"]["mid-iterrl"]
+    assert [p["seed"] for p in pairs] == [1, 2, 3]
+    for p in pairs:
+        assert p["parent"]["host"] == {"git_sha": "parent"}
+        assert p["change"]["host"] == {"git_sha": "change"}
+        assert (p["change"]["metrics"]["train_steps_per_s"]["value"]
+                == 100.0 + 20.0 * p["seed"])
+
+
+def test_checkout_paths_of_unequal_length_are_refused(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once(calls))
+    rc = bench_pairs.main(["--parent", str(_PARENT) + "x", "--workload",
+                           "mid-iterrl", "--seeds", "1"])
+    assert rc == 2
+    assert calls == []
+    assert "differ in length" in capsys.readouterr().err

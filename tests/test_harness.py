@@ -320,6 +320,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="actor0/net1/layer2/w"):
             cmd_train(config, tmp_path / "run", resume=True)
 
+    def test_resume_refuses_another_agent_kind_naming_the_key(self,
+                                                              tmp_path):
+        # SABPPO has one actor unit; IterRL's second unit has no saved arrays
+        cmd_train(tiny_config(total_steps=50), tmp_path / "run")
+        agent = build_agent(tiny_config(agent="iterrl"))
+        fresh = [a.copy() for a in _state_arrays(agent).values()]
+        with pytest.raises(ValueError, match="no array actor1/net0/layer0/w"):
+            load_checkpoint(tmp_path / "run" / "checkpoint", agent)
+        for a, b in zip(fresh, _state_arrays(agent).values(), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_resume_refuses_float64_arrays(self, tmp_path):
+        """A float64 checkpoint would be rounded into the float32 nets, so
+        the resumed run would not continue the saved one exactly."""
+        config = tiny_config(total_steps=50)
+        agent = build_agent(config)
+        save_checkpoint(tmp_path / "ck", agent, step=0, episode=0)
+        with np.load(tmp_path / "ck.npz") as data:
+            arrays = {k: data[k].astype(np.float64) for k in data.files}
+        np.savez(tmp_path / "ck.npz", **arrays)
+        twin = build_agent(config)
+        fresh = [a.copy() for a in _state_arrays(twin).values()]
+        with pytest.raises(ValueError, match="checkpoint array actor0/net0/"
+                           "layer0/w has dtype float64, the agent's float32"):
+            load_checkpoint(tmp_path / "ck", twin)
+        for a, b in zip(fresh, _state_arrays(twin).values(), strict=True):
+            assert np.array_equal(a, b)
+
     def test_resume_continues_update_numbers(self, tmp_path):
         config = tiny_config(total_steps=100)  # segment 50: two updates
         cmd_train(config, tmp_path / "run")
@@ -459,6 +487,17 @@ class TestCli:
         rc = cli.main(args + ["--resume", "--set", "env.n_devices=5"])
         assert rc == 2
         assert "actor0/net0/layer0/w" in capsys.readouterr().err
+
+    def test_resume_with_other_agent_kind_exits_naming_the_key(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        save_config(tiny_config(total_steps=50), cfg_path)
+        args = ["train", "--config", str(cfg_path),
+                "--run-dir", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        rc = cli.main(args + ["--resume", "--set", "agent=iterrl"])
+        assert rc == 2
+        assert "actor1/net0/layer0/w" in capsys.readouterr().err
 
     def test_export_plots_via_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -44,11 +44,16 @@ class TestForward:
     def test_golden_vector(self):
         # frozen from the first implementation run
         rng = np.random.default_rng(2024)
-        net = Mlp.init([5, 8, 3], rng)
-        out, _ = forward(net, np.array([[0.5, -1.0, 2.0, 0.1, -0.3]]))
+        net = Mlp.init([5, 8, 3], rng, dtype=np.float64)
+        x = np.array([[0.5, -1.0, 2.0, 0.1, -0.3]])
+        out, _ = forward(net, x)
         assert out[0].tolist() == [-0.010270416418616226,
                                 0.014299493891847044,
                                 0.016086168616745784]
+        # the learner's float32 net draws the same weights, rounded
+        out32, _ = forward(Mlp.init([5, 8, 3], np.random.default_rng(2024)), x)
+        assert out32.dtype == np.float32
+        assert np.allclose(out32, out, rtol=1e-6, atol=0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -87,7 +92,7 @@ class TestBackward:
     def test_matches_finite_differences(self, shape):
         rng = np.random.default_rng(hash(tuple(shape)) % 2**32)
         small = [shape[0], 8, 8, shape[-1]]  # same depth, cheap FD sweep
-        net = Mlp.init(small, rng, scale=100.0)
+        net = Mlp.init(small, rng, scale=100.0, dtype=np.float64)
         for _ in range(3):
             x = rng.standard_normal((1, small[0]))
             upstream = rng.standard_normal((1, small[-1]))
@@ -127,7 +132,8 @@ class TestFactoredInput:
            out=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_matches_concatenated_input(self, m, k, d, e, hidden, out, seed):
         rng = np.random.default_rng(seed)
-        net = Mlp.init([d + e, *hidden, out], rng, scale=100.0)
+        net = Mlp.init([d + e, *hidden, out], rng, scale=100.0,
+                       dtype=np.float64)
         x = rng.standard_normal((m, d))
         feats = rng.standard_normal((m * k, e))
         row_in = np.concatenate([np.repeat(x, k, axis=0), feats], axis=1)
@@ -145,7 +151,7 @@ class TestFactoredInput:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
-        net = Mlp.init([7 + 3, 8, 8, 4], rng, scale=100.0)
+        net = Mlp.init([7 + 3, 8, 8, 4], rng, scale=100.0, dtype=np.float64)
         x = rng.standard_normal((3, 7))
         feats = rng.standard_normal((3 * 4, 3))
         upstream = rng.standard_normal((3 * 4, 4))
@@ -227,7 +233,8 @@ class TestAdam:
         for p, old in zip(arrays[2:], before[2:]):
             assert np.array_equal(p, old)
 
-    def test_in_place_matches_reference_formula(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_matches_reference_formula(self, dtype):
         def reference_step(params, grads, state):
             state.step += 1
             b1c = 1.0 - state.beta1 ** state.step
@@ -240,12 +247,13 @@ class TestAdam:
                 p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
 
         rng = np.random.default_rng(21)
-        net = Mlp.init([604, 64, 64, 4], rng)
+        net = Mlp.init([604, 64, 64, 4], rng, dtype=dtype)
         ref = net.clone()
         st_new = AdamState(net.parameters(), lr=1e-3)
         st_ref = AdamState(ref.parameters(), lr=1e-3)
         for _ in range(50):
-            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+            grads = [(rng.standard_normal(p.shape)
+                      * 10.0 ** rng.integers(-6, 3)).astype(dtype)
                      for p in net.parameters()]
             for dst, g in zip(st_new.grads, grads, strict=True):
                 dst[...] = g

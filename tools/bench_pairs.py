@@ -1,17 +1,24 @@
 """Run benchmark pairs, parent against change, and print a comparison table.
 
-    python3 tools/bench_pairs.py --parent ../parent \
-        --workload desk-sabppo,wide-rollout,mid-iterrl --seeds 12-21 --seconds 30
+    python3 tools/bench_pairs.py --parent ../par --change ../chg \
+        --workload desk-sabppo,wide-rollout,mid-iterrl --seeds 12-21 \
+        --seconds 30 --out BENCH_<n>.json
 
 ``--parent`` is a checkout of the commit to compare against, for example made
-with ``git worktree add ../parent HEAD~1``; ``--change`` defaults to this
-checkout. ``--workload`` takes one workload or a comma-separated list. Each
+with ``git clone . ../par && git -C ../par checkout HEAD~1``; ``--change``
+defaults to this checkout. The two resolved paths must be of equal length:
+the same code has measured up to 1.6% slower from a checkout path half as
+long as the other's, so unequal paths are refused with exit status 2.
+``--workload`` takes one workload or a comma-separated list. Each
 seed gives one pair of ``bench/run.py`` runs per workload, one in each
 checkout; the pairs of a workload alternate parent-first and change-first so
 that slow drift of the host does not favour one side. One table holds the
 rows of every workload. For every metric and workload the table shows
 the median and quartiles of each side, the ratio of the medians and the
 number of pairs the change wins ("better" comes from ``BENCHMARK.json``).
+``--out`` also writes the table and, pair by pair, every run's result line
+to a JSON file; each result carries its checkout's host record (CPU, Python,
+numpy and BLAS versions, BLAS thread variables, git sha).
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """One ``bench/run.py`` run; returns its final JSON line."""
+    """One ``bench/run.py`` run; returns its final JSON line, with the
+    ``host`` record of its first line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -47,7 +55,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n"
                            f"{proc.stdout}{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if lines[0].startswith("host: "):
+        result["host"] = json.loads(lines[0][len("host: "):])
+    return result
 
 
 def fmt(value: float) -> str:
@@ -91,15 +102,23 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 12-21 or 2,5,7")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", type=Path,
+                    help="also write the table and every pair to this JSON")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        print(f"error: checkout paths {sides['parent']} and {sides['change']} "
+              "differ in length, which alone moves the timings; put both "
+              "checkouts on paths of equal length", file=sys.stderr)
+        return 2
     workloads = args.workload.split(",")
     results = {workload: [] for workload in workloads}
-    for k, seed in enumerate(parse_seeds(args.seeds)):
+    seeds = parse_seeds(args.seeds)
+    for k, seed in enumerate(seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         for workload in workloads:
             result = {}
@@ -110,7 +129,15 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: correct={r['correct']} "
                       f"failed={r['failed']}/{r['attempted']}", file=sys.stderr)
             results[workload].append((result["parent"], result["change"]))
-    print(table(results, better))
+    text = table(results, better)
+    print(text)
+    if args.out:
+        record = {"seconds": args.seconds, "trace": args.trace,
+                  "pairs": {w: [{"seed": seed, "parent": p, "change": c}
+                                for seed, (p, c) in zip(seeds, pairs)]
+                            for w, pairs in results.items()},
+                  "table": text}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
