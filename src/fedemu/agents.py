@@ -258,7 +258,8 @@ def _eval_rows(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
     ``neural``)."""
     m, k = actions.shape
     out, acts = forward(net, inputs, feats, scratch)            # (M*K, L)
-    lp = log_softmax(out)
+    scratch = Scratch.of(out.dtype, scratch)
+    lp = log_softmax(out, scratch)
     flat = actions.reshape(-1)
     ar = np.arange(m * k)
     logp = lp[ar, flat].reshape(m, k).sum(axis=1)
@@ -267,7 +268,7 @@ def _eval_rows(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
     p = np.exp(lp)
     grad = -p
     grad[ar, flat] += 1.0
-    ent_rows = -(p * lp).sum(axis=1)
+    ent_rows = -((p * lp) @ scratch.ones(out.shape[1]))
     entropy = ent_rows.reshape(m, k).sum(axis=1)
     grad_ent = -p * (lp + ent_rows[:, None])
     return BranchPass(logp, grad, entropy, grad_ent, acts, rows_per_sample=k)
@@ -294,7 +295,7 @@ def _eval_topk(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
     ``scratch`` every other (M, N) or (M, K, K) array is its work array.
     """
     z, acts = forward(net, inputs, scratch=scratch)
-    scratch = scratch or Scratch(z.dtype)
+    scratch = Scratch.of(z.dtype, scratch)
     m, n = z.shape
     k = actions.shape[1]
     rows = np.arange(m)[:, None]
@@ -319,7 +320,8 @@ def _eval_topk(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
     tri[...] = 0.0
     np.exp(lp, out=tri, where=np.tri(k, dtype=bool))
     tri_lp = np.multiply(tri, lp, out=lp)
-    ent = -tri_lp.sum(axis=1)                                        # H_j
+    ones = scratch.ones(k)
+    ent = -(ones @ tri_lp)                                           # H_j
     grad_logp = scratch.take("topk_grad", m, n)
     grad_ent = z          # k = n: every entry of both is set below
     if k < n:
@@ -333,9 +335,9 @@ def _eval_topk(net: Mlp, inputs: np.ndarray, actions: np.ndarray,
         u *= -total
         u -= (r * (rho + ent)).sum(axis=1, keepdims=True)
         u *= e                                             # u is grad_ent
-    p_chosen = tri.sum(axis=2)
+    p_chosen = tri @ ones
     grad_logp[rows, actions] = 1.0 - p_chosen
-    grad_ent[rows, actions] = (-tri_lp.sum(axis=2)
+    grad_ent[rows, actions] = (-(tri_lp @ ones)
                                - (tri @ ent[:, :, None])[:, :, 0])
     return BranchPass(logp, grad_logp, ent.sum(axis=1), grad_ent, acts)
 

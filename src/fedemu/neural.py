@@ -11,12 +11,15 @@ same chained state plus a few features of that device. Its input may be
 passed factored: a shared (M, d) matrix ``x`` and (M*K, e) per-row features
 ``feats``, where row s*K + j stands for ``[x[s] | feats[s*K + j]]``. The
 first layer then computes ``repeat(x @ W1[:d], K) + feats @ W1[d:]`` and its
-weight gradient ``[x.T @ g.reshape(M, K, H).sum(1) ; feats.T @ g]``, so the
-(M*K, d + e) concatenation is never built.
+weight gradient ``[x.T @ (1_K @ g.reshape(M, K, H)) ; feats.T @ g]``, so the
+(M*K, d + e) concatenation is never built. ``1_K`` is a vector of K ones:
+numpy sums a short axis (a sample's K rows, a bias gradient's batch axis, a
+row of logits) one row at a time, so such sums are BLAS matmuls here.
 
 A training loop passes a ``Scratch`` to all three calls; the hidden
 activations, the output, the backpropagated row gradients and Adam's
 temporary are then written into its work arrays instead of fresh ones. A
+scratch of another dtype than the net's is refused. A
 scratch array stays valid until the same scratch is next written under the
 same name: the output and activations of a ``forward`` until the next
 ``forward`` with that scratch, the row gradients only within one
@@ -98,13 +101,33 @@ class Scratch:
     """
 
     def __init__(self, dtype=np.float32):
-        self.dtype, self._arrays = dtype, {}
+        self.dtype, self._arrays = np.dtype(dtype), {}
+        self._ones = np.ones(0, dtype)
+
+    @classmethod
+    def of(cls, dtype, scratch: "Scratch | None" = None) -> "Scratch":
+        """``scratch``, or a fresh one if it is None, for a net of ``dtype``.
+        A scratch of another dtype is refused: numpy would round a float64
+        net's products into its float32 work arrays without a word."""
+        if scratch is None:
+            return cls(dtype)
+        if scratch.dtype != dtype:
+            raise ValueError(f"a {scratch.dtype} scratch cannot serve a "
+                             f"{np.dtype(dtype)} net")
+        return scratch
 
     def take(self, name, rows: int, cols: int) -> np.ndarray:
         arr = self._arrays.get((name, cols))
         if arr is None or len(arr) < rows:
             arr = self._arrays[name, cols] = np.empty((rows, cols), self.dtype)
         return arr[:rows]
+
+    def ones(self, n: int) -> np.ndarray:
+        """A read-only vector of ``n`` ones, for sums as matmuls."""
+        if len(self._ones) < n:
+            self._ones = np.ones(n, self.dtype)
+            self._ones.flags.writeable = False
+        return self._ones[:n]
 
 
 def _matmul(a: np.ndarray, w: np.ndarray, scratch, name) -> np.ndarray:
@@ -151,6 +174,8 @@ def forward(net: Mlp, x: np.ndarray, feats=None,
     pre-activation array becomes that layer's activation. With a ``scratch``
     the output and the hidden activations are its work arrays."""
     dtype = net.weights[0].dtype
+    if scratch is not None:
+        Scratch.of(dtype, scratch)
     x = np.asarray(x, dtype)
     if feats is not None:
         feats = np.asarray(feats, dtype)
@@ -173,9 +198,10 @@ def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
     ``scratch`` the backpropagated row gradients live in its work arrays."""
     x, feats = (activations[0] if isinstance(activations[0], tuple)
                 else (activations[0], None))
-    scratch = scratch or Scratch(net.weights[0].dtype)   # fresh arrays
+    scratch = Scratch.of(net.weights[0].dtype, scratch)
     g = np.asarray(grad_out, scratch.dtype)   # float64 would upcast it all
     rows = len(g)
+    ones = scratch.ones(rows)
     n_layers = len(net.weights)
     for i in range(n_layers - 1, -1, -1):
         grad_w, grad_b = out[2 * i], out[2 * i + 1]
@@ -188,13 +214,14 @@ def backward(net: Mlp, grad_out: np.ndarray, activations: list, out: list,
         if i == 0 and feats is not None:
             # shared rows get the summed gradient of their K feature rows
             m, d_shared = x.shape
-            per_sample = np.sum(g.reshape(m, -1, g.shape[1]), axis=1,
-                                out=scratch.take("gsum", m, g.shape[1]))
+            per_sample = np.matmul(ones[:rows // m],
+                                   g.reshape(m, -1, g.shape[1]),
+                                   out=scratch.take("gsum", m, g.shape[1]))
             np.matmul(x.T, per_sample, out=grad_w[:d_shared])
             np.matmul(feats.T, g, out=grad_w[d_shared:])
         else:
             np.matmul(activations[i].T, g, out=grad_w)
-        np.sum(g, axis=0, out=grad_b)
+        np.matmul(ones, g, out=grad_b)
         if i > 0:
             w = net.weights[i]
             g = np.matmul(g, w.T, out=scratch.take("g", rows, w.shape[0]))
@@ -247,21 +274,22 @@ class AdamState:
 
 def adam_step(state: AdamState, scratch: Scratch | None = None) -> None:
     """Standard bias-corrected ADAM update of ``state.params`` from
-    ``state.grads``, applied in place.
+    ``state.grads``, in place: with ``m = beta1 m + (1 - beta1) g``,
+    ``v = beta2 v + (1 - beta2) g g`` and ``bNc = 1 - betaN ** step``,
+    ``p -= m * (lr / b1c) / (sqrt(v * (1 / b2c)) + eps)``, one division in
+    13 passes over the buffers (7 for the moments, 6 for the step).
 
     The step leaves the ``grads`` buffer holding its denominator, not the
     gradient. Its one other temporary is a scratch work array when a
     ``scratch`` is given, so optimisers that step one after another can
     share it.
     """
+    g, m, v = state._g, state._m, state._v
+    scratch = Scratch.of(g.dtype, scratch)
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    g, m, v = state._g, state._m, state._v
-    scratch = scratch or Scratch(g.dtype)
     t = scratch.take("adam", len(g), 1)[:, 0]
-    # same operations, in the same order, as
-    # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
     np.multiply(g, 1.0 - state.beta1, out=t)
     m *= state.beta1
     m += t
@@ -269,17 +297,20 @@ def adam_step(state: AdamState, scratch: Scratch | None = None) -> None:
     t *= g
     v *= state.beta2
     v += t
-    den = np.divide(v, b2c, out=g)  # g is spent: it holds the denominator
+    den = np.multiply(v, 1.0 / b2c, out=g)  # g is spent: holds the denominator
     np.sqrt(den, out=den)
     den += state.eps
-    np.divide(m, b1c, out=t)
-    t *= state.lr
+    np.multiply(m, state.lr / b1c, out=t)
     t /= den
     for p, delta in zip(state.params, state.views(t), strict=True):
         p -= delta
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
+def log_softmax(logits: np.ndarray, scratch: Scratch | None = None):
+    """Log-probabilities over the last axis of a 1-D or 2-D ``logits``. The
+    axis is short in a rows head, so the maxima are taken over a contiguous
+    transposed copy and the exp-sums are a matmul with ones."""
+    ones = Scratch.of(logits.dtype, scratch).ones(logits.shape[-1])
+    z = logits - np.ascontiguousarray(logits.T).max(axis=0, keepdims=True).T
+    z -= np.log(np.exp(z) @ ones[:, None])
+    return z

@@ -19,7 +19,6 @@ __all__ = [
     "EmulatorSpec",
     "PerplexitySurrogate",
     "DeviceProfile",
-    "DeviceState",
     "stream",
     "emulator_from_retention",
     "final_perplexity",
@@ -120,18 +119,6 @@ class DeviceProfile:
         for name in ("memory_capacity", "compute_speed", "data_size"):
             if np.any(np.asarray(getattr(self, name)) <= 0):
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class DeviceState:
-    """Random-waypoint mobility state of one device, advanced in place by the
-    scalar reference ``wireless.step_mobility``; ``waypoint`` is None between
-    legs."""
-
-    position: np.ndarray
-    waypoint: np.ndarray | None = None
-    pause_left: int = 0
-    leg_speed: float = 0.0
 
 
 def _check_retention(retention) -> None:

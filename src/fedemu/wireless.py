@@ -4,8 +4,8 @@ Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
 of discrete levels. Gains, rates, delays and budgets are computed for all
-devices of a round in one call; ``step_mobility`` is the one-device reference
-that ``federation.World.advance_channel`` reproduces over arrays.
+devices of a round in one call; ``advance_mobility`` moves every device of a
+round at once and is tested against a one-device reference in ``tests/``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import DeviceState
-
 __all__ = [
     "ChannelParams",
     "MobilityModel",
-    "step_mobility",
     "advance_mobility",
     "channel_gain",
     "rician_fading_power",
@@ -67,43 +64,14 @@ class MobilityModel:
     waypoint_pause: int = 2
 
 
-def _random_point_in_disc(radius: float, rng: np.random.Generator) -> np.ndarray:
-    r = radius * math.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([r * math.cos(theta), r * math.sin(theta)])
-
-
-def step_mobility(state: DeviceState, model: MobilityModel,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Advance one round of random-waypoint motion and return the new
-    position. Waypoint bookkeeping is kept on the device state; displacement
-    per round never exceeds the sampled leg speed."""
-    if state.pause_left > 0:
-        state.pause_left -= 1
-        return state.position
-    if state.waypoint is None:
-        state.waypoint = _random_point_in_disc(model.area_radius, rng)
-        state.leg_speed = rng.uniform(model.speed_range[0], model.speed_range[1])
-    delta = state.waypoint - state.position
-    dist = float(np.linalg.norm(delta))
-    if dist <= state.leg_speed:
-        new_pos = state.waypoint
-        state.waypoint = None
-        state.pause_left = model.waypoint_pause
-    else:
-        new_pos = state.position + delta * (state.leg_speed / dist)
-    state.position = new_pos
-    return new_pos
-
-
 def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
                      pause_left: np.ndarray, leg_speed: np.ndarray,
                      model: MobilityModel, rng: np.random.Generator) -> None:
-    """Array twin of ``step_mobility`` over all devices, in place.
+    """Advance one round of random-waypoint motion of every device, in place.
 
     Rows of ``waypoint`` are NaN between legs. Draws the same numbers in the
-    same order as calling ``step_mobility`` on each device in index order
-    with one stream, and gives bit-identical positions.
+    same order as advancing each device in index order with one stream, and
+    gives bit-identical positions (``tests/`` holds that one-device loop).
     """
     paused = pause_left > 0
     pause_left -= paused

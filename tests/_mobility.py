@@ -1,0 +1,50 @@
+"""Scalar random-waypoint reference that ``wireless.advance_mobility`` and
+``federation.World.advance_channel`` must reproduce over arrays."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from fedemu.wireless import MobilityModel
+
+
+@dataclass
+class DeviceState:
+    """Random-waypoint mobility state of one device, advanced in place by the
+    scalar reference ``step_mobility``; ``waypoint`` is None between
+    legs."""
+
+    position: np.ndarray
+    waypoint: np.ndarray | None = None
+    pause_left: int = 0
+    leg_speed: float = 0.0
+
+
+def _random_point_in_disc(radius: float, rng: np.random.Generator) -> np.ndarray:
+    r = radius * math.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([r * math.cos(theta), r * math.sin(theta)])
+
+
+def step_mobility(state: DeviceState, model: MobilityModel,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Advance one round of random-waypoint motion and return the new
+    position. Waypoint bookkeeping is kept on the device state; displacement
+    per round never exceeds the sampled leg speed."""
+    if state.pause_left > 0:
+        state.pause_left -= 1
+        return state.position
+    if state.waypoint is None:
+        state.waypoint = _random_point_in_disc(model.area_radius, rng)
+        state.leg_speed = rng.uniform(model.speed_range[0], model.speed_range[1])
+    delta = state.waypoint - state.position
+    dist = float(np.linalg.norm(delta))
+    if dist <= state.leg_speed:
+        new_pos = state.waypoint
+        state.waypoint = None
+        state.pause_left = model.waypoint_pause
+    else:
+        new_pos = state.position + delta * (state.leg_speed / dist)
+    state.position = new_pos
+    return new_pos

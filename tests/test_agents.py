@@ -402,6 +402,22 @@ class TestEvalTopk:
             # rounding grows with the logits' size, so the floor is 1, not 0
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(np.abs(w), 1.0))
 
+    @pytest.mark.parametrize("m,n,k", [(64, 200, 20), (7, 10, 5),
+                                       (5, 6, 6), (3, 4, 1)])
+    def test_float64_matches_masked_loop_to_rounding(self, m, n, k):
+        """The triangle's sums run as matmuls with a ones vector; in float64
+        all four outputs stay within 1e-12 of the masked loop."""
+        rng = np.random.default_rng(60 + n)
+        logits = rng.standard_normal((m, n))
+        actions = np.stack([rng.permutation(n)[:k] for _ in range(m)])
+        for scratch in (None, Scratch(np.float64)):
+            got = _eval_topk(_logits_head(n), logits, actions, scratch)
+            want = _masked_loop_eval_topk(logits, actions)
+            for g, w in zip((got.logp, got.grad_logp, got.entropy,
+                             got.grad_entropy), want):
+                assert np.all(np.abs(g - w)
+                              <= 1e-12 * np.maximum(np.abs(w), 1.0))
+
     @pytest.mark.parametrize("n,k", [(7, 3), (5, 5), (9, 1), (12, 11)])
     def test_gradients_match_finite_differences(self, n, k):
         rng = np.random.default_rng(40 + n)

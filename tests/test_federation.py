@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _mobility import DeviceState, step_mobility
+
 from fedemu.agents import RandomPolicy, default_branches
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
@@ -18,7 +20,6 @@ from fedemu.federation import (
     run_round,
 )
 from fedemu.simcore import (
-    DeviceState,
     emulator_from_retention,
     final_perplexity,
     perplexity_step,
@@ -26,7 +27,6 @@ from fedemu.simcore import (
 from fedemu.wireless import (
     channel_gain,
     shannon_rate,
-    step_mobility,
     transmission_delay,
 )
 

@@ -98,6 +98,23 @@ class TestBackward:
             upstream = rng.standard_normal((1, small[-1]))
             assert max_relative_error(net, x, upstream) < 1e-4
 
+    @pytest.mark.parametrize("k", [None, 1, 5, 20])
+    def test_matches_sum_reference(self, k):
+        """The bias gradients and a factored input's per-sample sums are
+        matmuls with a ones vector; in float64 they equal the ``np.sum``
+        reduction to rounding."""
+        rng = np.random.default_rng(50 + (k or 0))
+        m, d, e = 64, 31, 6
+        net = Mlp.init([d + (e if k else 0), 64, 64, 4], rng, scale=100.0,
+                       dtype=np.float64)
+        x = rng.standard_normal((m, d))
+        feats = rng.standard_normal((m * k, e)) if k else None
+        upstream = rng.standard_normal((m * (k or 1), 4))
+        got = grads_of(net, upstream, forward(net, x, feats)[1])
+        want = _sum_reference_grads(net, upstream, x, feats)
+        for g, w in zip(got, want, strict=True):
+            assert _scale_close(g, w, 1e-12)
+
     def test_batched_grads_sum_over_rows(self):
         rng = np.random.default_rng(17)
         net = Mlp.init([4, 6, 2], rng)
@@ -111,6 +128,26 @@ class TestBackward:
                 acc[j] += g
         for a, b in zip(acc, batched):
             assert np.allclose(a, b, atol=1e-12)
+
+
+def _sum_reference_grads(net, upstream, x, feats=None):
+    """Gradients of sum(upstream * output) with every reduction over rows an
+    ``np.sum``, as ``backward`` did before its sums became matmuls."""
+    acts = forward(net, x, feats)[1]
+    grads = [None] * (2 * len(net.weights))
+    g = upstream
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1:
+            g = g * (1.0 - acts[i + 1] ** 2)
+        if i == 0 and feats is not None:
+            k = len(feats) // len(x)
+            per_sample = np.sum(g.reshape(len(x), k, -1), axis=1)
+            grads[0] = np.concatenate([x.T @ per_sample, feats.T @ g])
+        else:
+            grads[2 * i] = acts[i].T @ g
+        grads[2 * i + 1] = np.sum(g, axis=0)
+        g = g @ net.weights[i].T
+    return grads
 
 
 def _scale_close(got, want, rel):
@@ -192,6 +229,29 @@ class TestScratch:
             for a, b in zip([out, *acts[1:]], first):
                 assert np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("net_dtype,scratch_dtype", [
+        (np.float64, np.float32), (np.float32, np.float64)])
+    def test_refuses_a_scratch_of_another_dtype(self, net_dtype,
+                                                scratch_dtype):
+        """numpy would round a float64 net's products into float32 work
+        arrays (or widen float32 ones) without a word."""
+        rng = np.random.default_rng(43)
+        net = Mlp.init([6, 8, 3], rng, dtype=net_dtype)
+        opt = AdamState(net.parameters())
+        x = rng.standard_normal((4, 6))
+        acts = forward(net, x)[1]
+        names = (f"{np.dtype(scratch_dtype)} scratch cannot serve a "
+                 f"{np.dtype(net_dtype)} net")
+        for call in (lambda s: forward(net, x, scratch=s),
+                     lambda s: backward(net, np.ones((4, 3)), acts,
+                                        opt.grads, s),
+                     lambda s: adam_step(opt, s),
+                     lambda s: _eval_topk(net, x, np.array([[0, 2]] * 4), s)):
+            with pytest.raises(ValueError, match=names):
+                call(Scratch(scratch_dtype))
+            call(Scratch(net_dtype))   # the net's own dtype is accepted
+        assert opt.step == 1   # the refused step changed nothing
+
     def test_no_scratch_gives_fresh_arrays(self):
         rng = np.random.default_rng(42)
         net = Mlp.init([6, 8, 3], rng)
@@ -243,7 +303,9 @@ class TestAdam:
                 m += (1.0 - state.beta1) * g
                 v *= state.beta2
                 v += (1.0 - state.beta2) * g * g
-                p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+                # the bias corrections as scalar factors: one division
+                p -= (m * (state.lr / b1c)) / (np.sqrt(v * (1.0 / b2c))
+                                               + state.eps)
 
         rng = np.random.default_rng(21)
         net = Mlp.init([604, 64, 64, 4], rng, dtype=dtype)
@@ -309,12 +371,45 @@ class TestAdam:
         assert abs(w[0][0] - 3.0) < 0.2
 
 
+def _log_softmax_reference(logits):
+    """``z - log(sum(exp(z)))`` over the last axis, in float64 from the
+    given values, with z = logits - max so that 1e3-scale logits do not
+    overflow."""
+    x = np.asarray(logits, np.float64)
+    z = x - np.max(x, axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+
 class TestCategorical:
     def test_softmax_normalized(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((5, 9)) * 3
         probs = np.exp(log_softmax(logits))
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype,rel", [
+        (np.float64, 1e-12), (np.float32, 4 * np.finfo(np.float32).eps)])
+    @pytest.mark.parametrize("shape", [(7,), (200,), (1280, 4), (64, 200)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_reference(self, dtype, rel, shape, scale, masked):
+        """The row maxima over a transposed copy and the exp-sums as a
+        matmul give the textbook formula to the dtype's rounding; masked
+        (-inf) logits get -inf."""
+        rng = np.random.default_rng(sum(shape))
+        logits = (rng.standard_normal(shape) * scale).astype(dtype)
+        mask = np.zeros(shape, bool)
+        if masked:
+            mask = rng.random(shape) < 0.3
+            mask[..., 0] = False   # every row keeps a finite logit
+            logits[mask] = -np.inf
+        for scratch in (None, Scratch(dtype)):
+            got = log_softmax(logits, scratch)
+            assert got.dtype == dtype and got.shape == logits.shape
+            want = _log_softmax_reference(logits)
+            assert np.all(got[mask] == -np.inf)
+            err = np.abs(got[~mask] - want[~mask])
+            assert np.all(err <= rel * np.maximum(np.abs(want[~mask]), 1.0))
 
 
 def _pl_log_prob(logits, draws):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedemu.simcore import DeviceState
+from _mobility import DeviceState, step_mobility
+
 from fedemu.wireless import (
     ChannelParams,
     MobilityModel,
@@ -14,7 +15,6 @@ from fedemu.wireless import (
     dbm_per_hz_to_watts,
     rician_fading_power,
     shannon_rate,
-    step_mobility,
     transmission_delay,
 )
 
