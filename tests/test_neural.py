@@ -132,7 +132,7 @@ class TestBackward:
 
 def _sum_reference_grads(net, upstream, x, feats=None):
     """Gradients of sum(upstream * output) with every reduction over rows an
-    ``np.sum``, as ``backward`` did before its sums became matmuls."""
+    ``np.sum``: the reference for ``backward``'s sums as matmuls."""
     acts = forward(net, x, feats)[1]
     grads = [None] * (2 * len(net.weights))
     g = upstream
