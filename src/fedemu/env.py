@@ -10,10 +10,11 @@ objective with large per-violation penalties for the memory and
 exchange-cap constraints. Observations and penalties are array operations
 over the world's per-device arrays.
 
-``reset(seed)`` makes three named streams from the seed: population
-(capacities, compute speeds, data sizes, start positions, then the bandwidth
-budget), mobility and fading. No setting other than the seed and the
-population, mobility and channel parameters moves positions or gains.
+``EnvParams`` is the one schema of the simulated world. ``reset(seed)``
+makes three named streams from the seed: population (capacities, compute
+speeds, data sizes, start positions, then the bandwidth budget), mobility and
+fading. No setting other than the seed and the population, mobility and
+channel parameters moves positions or gains.
 """
 
 from __future__ import annotations
@@ -31,22 +32,18 @@ from .federation import (
     World,
     run_round,
 )
-from .simcore import (
-    AdapterSpec,
-    DeviceProfile,
-    ModelSpec,
-    PerplexitySurrogate,
-    stream,
-)
-from .wireless import ChannelParams, MobilityModel, dbm_per_hz_to_watts
+from .simcore import DeviceProfile, final_perplexity, stream
+from .wireless import dbm_per_hz_to_watts
 
 __all__ = ["EnvParams", "RewardBreakdown", "ActionDecodeError", "AdaptiveFedEnv"]
 
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Everything one environment instance needs; defaults are the desk-scale
-    experiment configuration."""
+    """Everything one environment instance needs, and the one schema of the
+    simulated world: ``simcore``, ``wireless`` and ``federation`` read their
+    settings from it by these names. Defaults are the desk-scale experiment
+    configuration. Every setting is checked here, when the config loads."""
 
     # population and episode length
     n_devices: int = 10
@@ -60,7 +57,8 @@ class EnvParams:
     adapter_top_layers: int = 2
     adapter_bottom_layers: int = 2
 
-    # perplexity surrogate
+    # perplexity surrogate: quad_a*r^2 + quad_b*r + quad_c + lora_delta at
+    # retention r, approached from p_init by convergence_rate per round tuned
     quad_a: float = 25.2
     quad_b: float = -43.1
     quad_c: float = 31.9
@@ -76,15 +74,15 @@ class EnvParams:
     server_data_fraction: float = 0.3
     local_epochs: int = 2
 
-    # channel and mobility
-    noise_dbm_per_hz: float = -174.0
-    bandwidth_budget_range: tuple[float, float] = (7e9, 20e9)
-    power_budget: float = 15.0
+    # channel, and random-waypoint mobility in a disc around the server
+    noise_dbm_per_hz: float = -174.0  # thermal noise floor
+    bandwidth_budget_range: tuple[float, float] = (7e9, 20e9)  # Hz, downlink
+    power_budget: float = 15.0  # W
     pathloss_exponent: float = 3.5
-    reference_distance: float = 1.0
+    reference_distance: float = 1.0  # m
     reference_loss_db: float = 40.0
     rician_k: float = 3.0
-    area_radius: float = 55.0
+    area_radius: float = 55.0  # m
     speed_range: tuple[float, float] = (1.0, 10.0)
     waypoint_pause: int = 2
 
@@ -104,24 +102,61 @@ class EnvParams:
     mode: str = "fedpeat"
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise ValueError("n_devices must be >= 1")
+        for name in ("n_devices", "rounds", "levels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.select_k <= self.n_devices:
             raise ValueError("select_k must lie in [1, n_devices]")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be >= 0")
-        if self.exchange_fraction_c <= 0:
-            raise ValueError("exchange_fraction_c must be > 0")
-        if self.data_size_range[0] > self.data_size_range[1]:
-            raise ValueError("data_size_range must have low <= high")
+        for name in ("local_epochs", "rician_k"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("total_params", "total_bytes", "server_speed_factor",
+                     "power_budget", "reference_distance",
+                     "exchange_fraction_c", "delay_floor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.adapter_top_layers + self.adapter_bottom_layers >= self.layer_count:
+            raise ValueError(
+                "adapter_top_layers + adapter_bottom_layers must be < layer_count")
+        for name in ("memory_capacity_range", "compute_speed_range",
+                     "bandwidth_budget_range"):
+            low, high = getattr(self, name)
+            if not 0 < low <= high:
+                raise ValueError(f"{name} must satisfy 0 < low <= high")
+        low, high = self.data_size_range
+        if not 1 <= low <= high:
+            raise ValueError("data_size_range must satisfy 1 <= low <= high")
+        if not 0 <= self.server_data_fraction < 1:
+            raise ValueError("server_data_fraction must lie in [0, 1)")
+        if not 2.0 <= self.pathloss_exponent <= 6.0:
+            raise ValueError("pathloss_exponent must lie in [2, 6]")
+        try:
+            psd = self.noise_psd
+        except OverflowError:  # a float power past the float range
+            psd = math.inf
+        if not 0.0 < psd < math.inf:
+            raise ValueError("noise_dbm_per_hz must give a positive, finite "
+                             "noise PSD")
+        modes = [m.value for m in FederationMode]
+        if self.mode not in modes:
+            raise ValueError(f"mode must be one of {', '.join(modes)}")
         if not (self.retention_grid
                 and all(0.0 < r <= 1.0 for r in self.retention_grid)):
             raise ValueError("retention_grid must be non-empty with every "
                              "value in (0, 1]")
+        # perplexity_step refuses a target that is not positive
+        for r in (*self.retention_grid, 1.0):
+            target = final_perplexity(self, r)
+            if not target > 0:
+                raise ValueError(
+                    "quad_a, quad_b, quad_c and lora_delta must give a "
+                    f"positive final perplexity; it is {target} at retention "
+                    f"{r}")
+
+    @property
+    def noise_psd(self) -> float:
+        """Thermal noise power spectral density in W/Hz."""
+        return dbm_per_hz_to_watts(self.noise_dbm_per_hz)
 
     @property
     def observation_dim(self) -> int:
@@ -149,21 +184,7 @@ class AdaptiveFedEnv:
 
     def __init__(self, params: EnvParams | None = None):
         self.params = params or EnvParams()
-        p = self.params
-        self.mode = FederationMode(p.mode)
-        self.model = ModelSpec(
-            total_params=p.total_params,
-            total_bytes=p.total_bytes,
-            layer_count=p.layer_count,
-            adapter_top_layers=p.adapter_top_layers,
-            adapter_bottom_layers=p.adapter_bottom_layers,
-        )
-        self.surrogate = PerplexitySurrogate(
-            a=p.quad_a, b=p.quad_b, c=p.quad_c, lora_delta=p.lora_delta,
-            p_init=p.p_init, convergence_rate=p.convergence_rate)
-        self.mobility = MobilityModel(
-            area_radius=p.area_radius, speed_range=tuple(p.speed_range),
-            waypoint_pause=p.waypoint_pause)
+        self.mode = FederationMode(self.params.mode)
         self.world: World | None = None
         self.round_index = 0
         self.last_outcome = None
@@ -188,28 +209,15 @@ class AdaptiveFedEnv:
             compute_speed=p.server_speed_factor * p.compute_speed_range[1],
             data_size=max(1, round(frac / (1.0 - frac) * int(data.sum()))),
         )
-        channel = ChannelParams(
-            noise_psd=dbm_per_hz_to_watts(p.noise_dbm_per_hz),
-            bandwidth_budget=population.uniform(*p.bandwidth_budget_range),
-            power_budget=p.power_budget,
-            pathloss_exponent=p.pathloss_exponent,
-            reference_distance=p.reference_distance,
-            reference_loss_db=p.reference_loss_db,
-            rician_k=p.rician_k,
-        )
         self.world = World(
-            model=self.model,
-            adapter_spec=AdapterSpec.for_model(self.model),
-            surrogate=self.surrogate,
-            channel=channel,
-            mobility=self.mobility,
+            params=p,
+            bandwidth_budget=population.uniform(*p.bandwidth_budget_range),
             profile=DeviceProfile(memory_capacity=capacity,
                                   compute_speed=speed, data_size=data),
             server=server,
             position=np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1),
             mobility_rng=stream(seed, 4, 2),
             fading_rng=stream(seed, 4, 3),
-            epochs=p.local_epochs,
         )
         self.round_index = 0
         self.last_outcome = None

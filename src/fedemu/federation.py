@@ -21,14 +21,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .simcore import (
     AdapterSpec,
     DeviceProfile,
-    ModelSpec,
-    PerplexitySurrogate,
     compute_delay,
     emulator_from_retention,
     final_perplexity,
@@ -36,14 +35,15 @@ from .simcore import (
     perplexity_step,
 )
 from .wireless import (
-    ChannelParams,
-    MobilityModel,
     advance_mobility,
     allocate_budgets,
     channel_gain,
     shannon_rate,
     transmission_delay,
 )
+
+if TYPE_CHECKING:
+    from .env import EnvParams
 
 __all__ = [
     "FederationMode",
@@ -94,25 +94,24 @@ class ActionBundle:
 class World:
     """Everything one simulated deployment owns, as arrays over devices.
 
-    Entry i of every per-device array belongs to device i: ``position`` and
-    ``waypoint`` are (N, 2), waypoint rows are NaN between mobility legs,
-    ``retention`` is NaN before a device's first emulator. The server is
-    scalar; outside full-model mode it tunes the full-retention emulator plus
-    the adapter, ``server_params`` in all. Mobility and fading each draw from
-    their own stream; constructing the world draws the first fading sample.
+    Settings come from ``params``, the one schema of the world, and the
+    rest is drawn per episode. Entry i of every per-device array belongs to
+    device i: ``position`` and ``waypoint`` are (N, 2), waypoint rows are NaN
+    between mobility legs, ``retention`` is NaN before a device's first
+    emulator. The server is scalar; outside full-model mode it tunes the
+    full-retention emulator plus the adapter, ``server_params`` in all.
+    Mobility and fading each draw from their own stream; constructing the
+    world draws the first fading sample.
     """
 
-    model: ModelSpec
-    adapter_spec: AdapterSpec
-    surrogate: PerplexitySurrogate
-    channel: ChannelParams
-    mobility: MobilityModel
+    params: EnvParams
+    bandwidth_budget: float       # Hz, drawn per episode
     profile: DeviceProfile        # per-device capacities, speeds, data sizes
     server: DeviceProfile
     position: np.ndarray
     mobility_rng: np.random.Generator
     fading_rng: np.random.Generator
-    epochs: int = 2
+    adapter_spec: AdapterSpec = field(init=False)
     waypoint: np.ndarray = field(init=False)
     pause_left: np.ndarray = field(init=False)
     leg_speed: np.ndarray = field(init=False)
@@ -125,15 +124,17 @@ class World:
 
     def __post_init__(self):
         n = len(self.position)
+        p = self.params
+        self.adapter_spec = AdapterSpec.for_model(p)
         self.waypoint = np.full((n, 2), np.nan)
         self.pause_left = np.zeros(n, dtype=int)
         self.leg_speed = np.zeros(n)
         self.retention = np.full(n, np.nan)
-        self.perplexity = np.full(n, self.surrogate.p_init)
+        self.perplexity = np.full(n, p.p_init)
         self.exchange_count = np.zeros(n, dtype=int)
-        self.server_perplexity = self.surrogate.p_init
+        self.server_perplexity = p.p_init
         self.server_params = (emulator_from_retention(
-            self.model, self.adapter_spec, 1.0).params + self.adapter_spec.params)
+            p, self.adapter_spec, 1.0).params + self.adapter_spec.params)
         self._sample_gains()
 
     @property
@@ -142,12 +143,12 @@ class World:
 
     def _sample_gains(self):
         dist = np.hypot(self.position[:, 0], self.position[:, 1])
-        self.gains = channel_gain(dist, self.channel, self.fading_rng)
+        self.gains = channel_gain(dist, self.params, self.fading_rng)
 
     def advance_channel(self):
         """Move devices one mobility step and resample fading."""
         advance_mobility(self.position, self.waypoint, self.pause_left,
-                         self.leg_speed, self.mobility, self.mobility_rng)
+                         self.leg_speed, self.params, self.mobility_rng)
         self._sample_gains()
 
 
@@ -246,16 +247,17 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     """
     sel = np.asarray(actions.selection, dtype=int)
     k = sel.size
+    p = world.params
     adapter = world.adapter_spec
     if mode is FederationMode.FEDFT:
         retention = np.ones(k)
         changed = np.ones(k, dtype=bool)
-        params = server_params = world.model.total_params
-        payload = footprint = np.full(k, float(world.model.total_bytes))
+        params = server_params = p.total_params
+        payload = footprint = np.full(k, float(p.total_bytes))
     else:
         retention = (np.asarray(actions.retentions, dtype=float)
                      if mode is FederationMode.FEDPEAT else np.ones(k))
-        emulator = emulator_from_retention(world.model, adapter, retention)
+        emulator = emulator_from_retention(p, adapter, retention)
         changed = world.retention[sel] != retention
         params = emulator.params + adapter.params
         payload = emulator.bytes
@@ -268,23 +270,22 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     rates = np.zeros(k)
     if k:
         bw_hz, pw_w = allocate_budgets(actions.bandwidth_levels,
-                                       actions.power_levels, sel, world.channel)
-        rates = shannon_rate(bw_hz, pw_w, world.gains[sel],
-                             world.channel.noise_psd)
+                                       actions.power_levels, sel,
+                                       world.bandwidth_budget, p.power_budget)
+        rates = shannon_rate(bw_hz, pw_w, world.gains[sel], p.noise_psd)
     q = (compute_delay(world.profile.data_size[sel],
-                       world.profile.compute_speed[sel], params, world.epochs)
+                       world.profile.compute_speed[sel], params, p.local_epochs)
          + transmission_delay(changed, payload, rates))
     # Server trains every round on its own shard; no downlink to itself.
     server_q = float(compute_delay(world.server.data_size,
                                    world.server.compute_speed, server_params,
-                                   world.epochs))
-    if world.epochs > 0:
-        surrogate = world.surrogate
-        rate = surrogate.convergence_rate
+                                   p.local_epochs))
+    if p.local_epochs > 0:
+        rate = p.convergence_rate
         world.perplexity[sel] = perplexity_step(
-            world.perplexity[sel], final_perplexity(surrogate, retention), rate)
+            world.perplexity[sel], final_perplexity(p, retention), rate)
         world.server_perplexity = float(perplexity_step(
-            world.server_perplexity, final_perplexity(surrogate, 1.0), rate))
+            world.server_perplexity, final_perplexity(p, 1.0), rate))
 
     def scatter(values, dtype=float):
         out = np.zeros(world.n_devices, dtype=dtype)

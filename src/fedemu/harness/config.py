@@ -7,6 +7,7 @@ full-scale training budget and is opt-in.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 import yaml
@@ -61,30 +62,43 @@ def default_config(profile: str = "desk", **overrides) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-_NESTED = {"env": EnvParams, "ppo": PpoConfig}
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint``; an int fits a float
+    and a list fits a tuple, element by element."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _coerce(cls, data: dict):
     if not isinstance(data, dict):
         raise ValueError(f"expected a mapping for {cls.__name__}, got {type(data)}")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(known))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        f = known[name]
-        nested = _NESTED.get(name) if cls is ExperimentConfig else None
-        if nested is not None:
-            kwargs[name] = _coerce(nested, value)
-        elif isinstance(f.default, tuple) and isinstance(value, list):
-            kwargs[name] = tuple(value)
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = _coerce(hint, value)
+        elif _fits(value, hint):
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
         else:
-            kwargs[name] = value
+            expected = hint if typing.get_origin(hint) else hint.__name__
+            raise ValueError(f"{cls.__name__}.{name} must be of type "
+                             f"{expected}, got {value!r}")
     return cls(**kwargs)
 
 
@@ -110,7 +124,12 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            problem = getattr(exc, "problem", None) or exc
+            raise ValueError(f"override {key!r}: {raw!r} is not a YAML "
+                             f"value ({problem})") from None
         node = data
         parts = key.split(".")
         for part in parts[:-1]:

@@ -2,22 +2,26 @@
 
 The foundation model is never instantiated; only its size/layer structure is
 tracked, and fine-tuning quality is carried by a quadratic perplexity
-surrogate. The surrogate and cost functions work elementwise, so one call
-covers a whole device population held as arrays. Every simulation draw comes
-from a named stream made by ``stream``.
+surrogate. Both read their settings by name from ``env.EnvParams``, the one
+schema of the world; the types here hold derived or drawn values only. The
+surrogate and cost functions work elementwise, so one call covers a whole
+device population held as arrays. Every simulation draw comes from a named
+stream made by ``stream``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .env import EnvParams
+
 __all__ = [
-    "ModelSpec",
     "AdapterSpec",
     "EmulatorSpec",
-    "PerplexitySurrogate",
     "DeviceProfile",
     "stream",
     "emulator_from_retention",
@@ -38,27 +42,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Size/structure of the foundation model being orchestrated."""
-
-    total_params: int
-    total_bytes: int
-    layer_count: int
-    adapter_top_layers: int
-    adapter_bottom_layers: int
-
-    def __post_init__(self):
-        if self.total_params <= 0 or self.total_bytes <= 0:
-            raise ValueError("model params and bytes must be positive")
-        if self.adapter_top_layers + self.adapter_bottom_layers >= self.layer_count:
-            raise ValueError("adapter layers must leave at least one backbone layer")
-
-    @property
-    def adapter_layer_count(self) -> int:
-        return self.adapter_top_layers + self.adapter_bottom_layers
-
-
-@dataclass(frozen=True)
 class AdapterSpec:
     """The small trainable block; the only weights a device tunes."""
 
@@ -67,13 +50,13 @@ class AdapterSpec:
     bytes: int
 
     @staticmethod
-    def for_model(model: ModelSpec) -> "AdapterSpec":
-        layers = model.adapter_layer_count
-        frac = layers / model.layer_count
+    def for_model(params: EnvParams) -> "AdapterSpec":
+        layers = params.adapter_top_layers + params.adapter_bottom_layers
+        frac = layers / params.layer_count
         return AdapterSpec(
             layer_count=layers,
-            params=round(frac * model.total_params),
-            bytes=round(frac * model.total_bytes),
+            params=round(frac * params.total_params),
+            bytes=round(frac * params.total_bytes),
         )
 
 
@@ -87,23 +70,6 @@ class EmulatorSpec:
     layer_count: float | np.ndarray
     params: float | np.ndarray
     bytes: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class PerplexitySurrogate:
-    """Quadratic map from layer retention to final achievable perplexity.
-
-    final value = a*r^2 + b*r + c + lora_delta. ``p_init`` is where device
-    perplexities start; ``convergence_rate`` is the per-participation decay
-    toward the final value.
-    """
-
-    a: float = 25.2
-    b: float = -43.1
-    c: float = 31.9
-    lora_delta: float = -0.78
-    p_init: float = 31.9
-    convergence_rate: float = 0.08
 
 
 @dataclass(frozen=True)
@@ -127,27 +93,29 @@ def _check_retention(retention) -> None:
         raise ValueError(f"retention must be in (0, 1], got {retention}")
 
 
-def emulator_from_retention(model: ModelSpec, adapter: AdapterSpec,
+def emulator_from_retention(params: EnvParams, adapter: AdapterSpec,
                             retention) -> EmulatorSpec:
     """Build the compressed backbone obtained by keeping ``retention`` of the
     droppable layers (floor-clamped to one layer). Elementwise over an array
     of retentions."""
     _check_retention(retention)
-    layers = np.maximum(np.rint(retention * (model.layer_count - adapter.layer_count)),
-                        1.0)
-    frac = layers / model.layer_count
+    layers = np.maximum(
+        np.rint(retention * (params.layer_count - adapter.layer_count)), 1.0)
+    frac = layers / params.layer_count
     return EmulatorSpec(
         retention=retention,
         layer_count=layers,
-        params=np.rint(frac * model.total_params),
-        bytes=np.rint(frac * model.total_bytes),
+        params=np.rint(frac * params.total_params),
+        bytes=np.rint(frac * params.total_bytes),
     )
 
 
-def final_perplexity(s: PerplexitySurrogate, retention):
-    """Perplexity the surrogate converges to at a given retention ratio."""
+def final_perplexity(params: EnvParams, retention):
+    """Perplexity the surrogate converges to at a given retention ratio:
+    quad_a*r^2 + quad_b*r + quad_c + lora_delta."""
     _check_retention(retention)
-    return s.a * retention ** 2 + s.b * retention + s.c + s.lora_delta
+    return (params.quad_a * retention ** 2 + params.quad_b * retention
+            + params.quad_c + params.lora_delta)
 
 
 def perplexity_step(perplexity, target, rate: float):

@@ -3,21 +3,24 @@
 Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
-of discrete levels. Gains, rates, delays and budgets are computed for all
-devices of a round in one call; ``advance_mobility`` moves every device of a
-round at once and is tested against a one-device reference in ``tests/``.
+of discrete levels, the budgets passed as numbers. Gains, rates, delays and
+budgets are computed for all devices of a round in one call;
+``advance_mobility`` moves every device of a round at once and is tested
+against a one-device reference in ``tests/``. Channel and mobility settings
+are read by name from ``env.EnvParams``, the one schema of the world.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .env import EnvParams
+
 __all__ = [
-    "ChannelParams",
-    "MobilityModel",
     "advance_mobility",
     "channel_gain",
     "rician_fading_power",
@@ -26,47 +29,13 @@ __all__ = [
     "allocate_budgets",
 ]
 
-# -174 dBm/Hz thermal noise floor in W/Hz
-DBM_PER_HZ_DEFAULT = -174.0
-
-
 def dbm_per_hz_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    noise_psd: float = dbm_per_hz_to_watts(DBM_PER_HZ_DEFAULT)  # W/Hz
-    bandwidth_budget: float = 20e9   # Hz, server-wide downlink budget
-    power_budget: float = 15.0       # W
-    pathloss_exponent: float = 3.5
-    reference_distance: float = 1.0  # m
-    reference_loss_db: float = 40.0
-    rician_k: float = 3.0
-
-    def __post_init__(self):
-        if self.noise_psd <= 0:
-            raise ValueError("noise PSD must be positive")
-        if self.bandwidth_budget <= 0 or self.power_budget <= 0:
-            raise ValueError("budgets must be positive")
-        if not 2.0 <= self.pathloss_exponent <= 6.0:
-            raise ValueError("pathloss exponent must lie in [2, 6]")
-        if self.rician_k < 0:
-            raise ValueError("rician K must be non-negative")
-
-
-@dataclass(frozen=True)
-class MobilityModel:
-    """Random-waypoint motion inside a disc centred on the server."""
-
-    area_radius: float = 150.0
-    speed_range: tuple[float, float] = (1.0, 10.0)
-    waypoint_pause: int = 2
-
-
 def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
                      pause_left: np.ndarray, leg_speed: np.ndarray,
-                     model: MobilityModel, rng: np.random.Generator) -> None:
+                     params: EnvParams, rng: np.random.Generator) -> None:
     """Advance one round of random-waypoint motion of every device, in place.
 
     Rows of ``waypoint`` are NaN between legs. Draws the same numbers in the
@@ -79,10 +48,10 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
     m = np.count_nonzero(need)
     if m:
         u = rng.uniform(size=(m, 3))
-        r = model.area_radius * np.sqrt(u[:, 0])
+        r = params.area_radius * np.sqrt(u[:, 0])
         theta = 2.0 * math.pi * u[:, 1]
         waypoint[need] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        lo, hi = model.speed_range
+        lo, hi = params.speed_range
         leg_speed[need] = lo + (hi - lo) * u[:, 2]
     # paused devices have no waypoint, so their rows are NaN and neither
     # comparison below selects them; updates go through ``where`` masks, so
@@ -95,7 +64,7 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
     np.add(position, delta * scale[:, None], out=position, where=go[:, None])
     np.copyto(position, waypoint, where=stop[:, None])
     np.copyto(waypoint, np.nan, where=stop[:, None])
-    np.copyto(pause_left, model.waypoint_pause, where=stop)
+    np.copyto(pause_left, params.waypoint_pause, where=stop)
 
 
 def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
@@ -114,7 +83,7 @@ def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
     return np.vecdot(h, h)
 
 
-def channel_gain(distance, params: ChannelParams, rng: np.random.Generator):
+def channel_gain(distance, params: EnvParams, rng: np.random.Generator):
     """Linear channel gain: path loss at ``distance`` times Rician fading,
     elementwise over an array of distances."""
     d = np.maximum(distance, params.reference_distance)
@@ -142,7 +111,8 @@ def transmission_delay(changed, emulator_bytes, rate):
     return 8.0 * emulator_bytes / rate
 
 
-def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
+def allocate_budgets(levels_bw, levels_pw, selection, bandwidth_budget: float,
+                     power_budget: float):
     """Turn the selected devices' discrete levels into absolute Hz/W.
 
     Levels, ``selection`` and the returned (bandwidth, power) arrays are
@@ -158,7 +128,7 @@ def allocate_budgets(levels_bw, levels_pw, selection, params: ChannelParams):
     levels = np.array([levels_bw, levels_pw], dtype=float)
     if (levels <= 0).any():
         raise ValueError("levels must be positive for selected devices")
-    budgets = np.array([[params.bandwidth_budget], [params.power_budget]])
+    budgets = np.array([[bandwidth_budget], [power_budget]])
     ulp = np.spacing(budgets)
     shares = np.rint(budgets / ulp * levels
                      / levels.sum(axis=1, keepdims=True)) * ulp

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedemu.wireless import MobilityModel
+from fedemu.env import EnvParams
 
 
 @dataclass
@@ -27,7 +27,7 @@ def _random_point_in_disc(radius: float, rng: np.random.Generator) -> np.ndarray
     return np.array([r * math.cos(theta), r * math.sin(theta)])
 
 
-def step_mobility(state: DeviceState, model: MobilityModel,
+def step_mobility(state: DeviceState, params: EnvParams,
                   rng: np.random.Generator) -> np.ndarray:
     """Advance one round of random-waypoint motion and return the new
     position. Waypoint bookkeeping is kept on the device state; displacement
@@ -36,14 +36,14 @@ def step_mobility(state: DeviceState, model: MobilityModel,
         state.pause_left -= 1
         return state.position
     if state.waypoint is None:
-        state.waypoint = _random_point_in_disc(model.area_radius, rng)
-        state.leg_speed = rng.uniform(model.speed_range[0], model.speed_range[1])
+        state.waypoint = _random_point_in_disc(params.area_radius, rng)
+        state.leg_speed = rng.uniform(params.speed_range[0], params.speed_range[1])
     delta = state.waypoint - state.position
     dist = float(np.linalg.norm(delta))
     if dist <= state.leg_speed:
         new_pos = state.waypoint
         state.waypoint = None
-        state.pause_left = model.waypoint_pause
+        state.pause_left = params.waypoint_pause
     else:
         new_pos = state.position + delta * (state.leg_speed / dist)
     state.position = new_pos

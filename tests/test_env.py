@@ -53,7 +53,7 @@ class TestReset:
         env = AdaptiveFedEnv()
         for seed in range(5):
             env.reset(seed=seed)
-            assert 7e9 <= env.world.channel.bandwidth_budget <= 20e9
+            assert 7e9 <= env.world.bandwidth_budget <= 20e9
 
 
 class TestStep:
@@ -364,3 +364,62 @@ class TestStreams:
         for (pos_a, gain_a), (pos_b, gain_b) in zip(base, other):
             assert np.array_equal(pos_a, pos_b)
             assert np.array_equal(gain_a, gain_b)
+
+
+class TestEnvParams:
+    @pytest.mark.parametrize("values,field", [
+        ({"n_devices": 0}, "n_devices"),
+        ({"rounds": 0}, "rounds"),
+        ({"levels": 0}, "levels"),
+        ({"n_devices": 4, "select_k": 5}, "select_k"),
+        ({"local_epochs": -1}, "local_epochs"),
+        ({"rician_k": -1.0}, "rician_k"),
+        ({"rician_k": math.nan}, "rician_k"),
+        ({"total_params": 0}, "total_params"),
+        ({"total_bytes": 0}, "total_bytes"),
+        ({"server_speed_factor": 0.0}, "server_speed_factor"),
+        ({"power_budget": 0.0}, "power_budget"),
+        ({"reference_distance": 0.0}, "reference_distance"),
+        ({"exchange_fraction_c": 0.0}, "exchange_fraction_c"),
+        ({"delay_floor": 0.0}, "delay_floor"),
+        ({"layer_count": 4}, "adapter_top_layers"),
+        ({"memory_capacity_range": (0.0, 8e9)}, "memory_capacity_range"),
+        ({"memory_capacity_range": (8e9, 2e9)}, "memory_capacity_range"),
+        ({"compute_speed_range": (-1.0, 1.5e12)}, "compute_speed_range"),
+        ({"bandwidth_budget_range": (20e9, 7e9)}, "bandwidth_budget_range"),
+        ({"data_size_range": (0, 350)}, "data_size_range"),
+        ({"data_size_range": (350, 150)}, "data_size_range"),
+        ({"server_data_fraction": 1.0}, "server_data_fraction"),
+        ({"server_data_fraction": -0.1}, "server_data_fraction"),
+        ({"pathloss_exponent": 7.0}, "pathloss_exponent"),
+        ({"pathloss_exponent": 1.0}, "pathloss_exponent"),
+        ({"noise_dbm_per_hz": math.nan}, "noise_dbm_per_hz"),
+        ({"noise_dbm_per_hz": -math.inf}, "noise_dbm_per_hz"),
+        ({"noise_dbm_per_hz": math.inf}, "noise_dbm_per_hz"),
+        ({"noise_dbm_per_hz": 4000.0}, "noise_dbm_per_hz"),
+        ({"mode": "fedavg"}, "mode"),
+        ({"retention_grid": ()}, "retention_grid"),
+        ({"retention_grid": (0.5, 1.5)}, "retention_grid"),
+        # -100 + 25.2r^2 - 43.1r - 0.78 is negative on the whole grid
+        ({"quad_c": -100.0}, "quad_c"),
+        # the pre-delta curve is 13.75 at retention 0.75
+        ({"lora_delta": -13.8}, "lora_delta"),
+        # positive on this grid, 0 at the server's retention 1.0
+        ({"retention_grid": (0.25, 0.5), "lora_delta": -14.0}, "lora_delta"),
+    ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items())
+                      if isinstance(v, dict) else v))
+    def test_bad_value_rejected_naming_the_field(self, values, field):
+        with pytest.raises(ValueError, match=field):
+            EnvParams(**values)
+
+    @pytest.mark.parametrize("values", [
+        {"rician_k": math.inf}, {"speed_range": (0.0, 0.0)},
+        {"data_size_range": (1, 1)}, {"server_data_fraction": 0.0},
+        {"local_epochs": 0}, {"layer_count": 5}, {"mode": "fedft"},
+        {"lora_delta": -13.7}])
+    def test_edge_values_accepted(self, values):
+        EnvParams(**values)
+
+    def test_noise_psd_of_the_default_floor(self):
+        # -174 dBm/Hz = 10^(-20.4) W/Hz
+        assert EnvParams().noise_psd == pytest.approx(3.9810717e-21, rel=1e-6)

@@ -91,7 +91,7 @@ class TestDisseminate:
         world = env.world
         for _ in range(2):  # assigned, then kept
             res = spread(world, {0: 0.5})
-            emulator = emulator_from_retention(world.model, world.adapter_spec,
+            emulator = emulator_from_retention(world.params, world.adapter_spec,
                                                0.5)
             expected = emulator.bytes + world.adapter_spec.bytes
             assert res.footprints[0] == expected
@@ -104,12 +104,12 @@ class TestLocalTuning:
         before = world.perplexity.copy()
         spread(world, {0: 0.5, 1: 0.5})
         assert world.perplexity.tolist() == before.tolist()
-        assert world.server_perplexity == world.surrogate.p_init
+        assert world.server_perplexity == world.params.p_init
 
     def test_fixed_point_at_optimum(self):
         env = make_env(local_epochs=3)
         world = env.world
-        target = final_perplexity(world.surrogate, 0.5)
+        target = final_perplexity(world.params, 0.5)
         world.perplexity[:] = target
         at_optimum = world.perplexity.copy()
         spread(world, {0: 0.5, 1: 0.5})
@@ -118,9 +118,9 @@ class TestLocalTuning:
     def test_perplexity_follows_surrogate_step(self):
         env = make_env()
         world = env.world
-        target = final_perplexity(world.surrogate, 0.5)
+        target = final_perplexity(world.params, 0.5)
         expected = perplexity_step(world.perplexity[0], target,
-                                   world.surrogate.convergence_rate)
+                                   world.params.convergence_rate)
         spread(world, {0: 0.5})
         assert world.perplexity[0] == pytest.approx(expected, abs=1e-12)
 
@@ -133,8 +133,8 @@ class TestRunRound:
                              power_levels=(), retentions=())
         outcome = run_round(world, empty, FederationMode.FEDPEAT)
         # only the server trained
-        assert world.server_perplexity < world.surrogate.p_init
-        assert outcome.perplexities.tolist() == [world.surrogate.p_init] * 4
+        assert world.server_perplexity < world.params.p_init
+        assert outcome.perplexities.tolist() == [world.params.p_init] * 4
         assert outcome.q.tolist() == [0.0] * world.n_devices
 
     def test_unchanged_retentions_transmit_nothing(self):
@@ -152,16 +152,16 @@ class TestRunRound:
         gains = world.gains.copy()
         act = bundle([0, 1], (1.0, 1.0), levels=(2, 1))
         outcome = run_round(world, act, FederationMode.FEDFT)
-        total_b = world.channel.bandwidth_budget
-        total_p = world.channel.power_budget
+        total_b = world.bandwidth_budget
+        total_p = world.params.power_budget
         for slot, dev in enumerate([0, 1]):
             share = [2, 1][slot] / 3
             rate = shannon_rate(total_b * share, total_p * share, gains[dev],
-                                world.channel.noise_psd)
+                                world.params.noise_psd)
             assert outcome.rates[dev] == pytest.approx(rate, rel=1e-9)
-            d_trans = transmission_delay(True, world.model.total_bytes, rate)
-            d_comp = (world.epochs * world.profile.data_size[dev]
-                      * world.model.total_params
+            d_trans = transmission_delay(True, world.params.total_bytes, rate)
+            d_comp = (world.params.local_epochs * world.profile.data_size[dev]
+                      * world.params.total_params
                       / world.profile.compute_speed[dev])
             assert outcome.q[dev] == pytest.approx(d_trans + d_comp, rel=1e-9)
 
@@ -171,7 +171,7 @@ class TestRunRound:
         act = bundle([0, 1], (1.0, 1.0))
         outcome = run_round(world, act, FederationMode.FEDFT)
         sel_q = outcome.q[[0, 1]]
-        d_trans = [transmission_delay(True, world.model.total_bytes,
+        d_trans = [transmission_delay(True, world.params.total_bytes,
                                       outcome.rates[d]) for d in (0, 1)]
         assert outcome.max_q == pytest.approx(max(sel_q))
         assert max(d_trans) / outcome.max_q > 0.5
@@ -350,9 +350,9 @@ class TestAdvanceChannel:
             world.advance_channel()
             gains = []
             for state in states:
-                pos = step_mobility(state, world.mobility, mobility_rng)
+                pos = step_mobility(state, world.params, mobility_rng)
                 dist = float(np.hypot(pos[0], pos[1]))
-                gains.append(channel_gain(dist, world.channel, fading_rng))
+                gains.append(channel_gain(dist, world.params, fading_rng))
             assert np.array_equal(world.position, [s.position for s in states])
             assert np.array_equal(world.waypoint, [
                 np.full(2, np.nan) if s.waypoint is None else s.waypoint

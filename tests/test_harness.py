@@ -116,6 +116,45 @@ class TestConfig:
         with pytest.raises(ValueError):
             apply_overrides(default_config(), ["env.nope=1"])
 
+    @pytest.mark.parametrize("override,key", [
+        ("env.n_devices=ten", "EnvParams.n_devices"),
+        ("env.n_devices=true", "EnvParams.n_devices"),
+        ("env.n_devices=4.0", "EnvParams.n_devices"),
+        ("ppo.minibatch=abc", "PpoConfig.minibatch"),
+        ("env.n_devices=[", "'env.n_devices'"),
+        ("env.speed_range={a", "'env.speed_range'"),
+        # YAML reads nan and 1e-6 (no dot) as strings
+        ("env.noise_dbm_per_hz=nan", "EnvParams.noise_dbm_per_hz"),
+        ("env.delay_floor=1e-6", "EnvParams.delay_floor"),
+        ("env.speed_range=[1, 2, 3]", "EnvParams.speed_range"),
+        ("env.speed_range=5", "EnvParams.speed_range"),
+        ("env.data_size_range=[150.0, 350.0]", "EnvParams.data_size_range"),
+        ("env.retention_grid=[0.5, high]", "EnvParams.retention_grid"),
+        ("env.mode=1", "EnvParams.mode"),
+        ("ppo.hidden=[64, 64.5]", "PpoConfig.hidden"),
+        ("ppo.normalize_advantages=1", "PpoConfig.normalize_advantages"),
+        ("agent=3", "ExperimentConfig.agent"),
+        ("env=3", "EnvParams"),
+    ])
+    def test_mistyped_override_rejected_naming_the_key(self, override, key):
+        with pytest.raises(ValueError, match=key):
+            apply_overrides(default_config(), [override])
+
+    def test_values_keep_their_type(self):
+        # an int fits a float field and is not converted, so the manifest
+        # holds what the config said
+        config = apply_overrides(default_config(), [
+            "env.power_budget=15", "env.retention_grid=[0.5, 1]",
+            "ppo.hidden=[32]"])
+        assert type(config.env.power_budget) is int
+        assert config.env.retention_grid == (0.5, 1)
+        assert type(config.env.retention_grid[1]) is int
+        assert config.ppo.hidden == (32,)
+        data = json.loads(json.dumps(config_to_dict(config)))
+        assert data["env"]["power_budget"] == 15
+        assert data["env"]["retention_grid"] == [0.5, 1]
+        assert config_from_dict(data) == config
+
 
 class TestTrain:
     def test_tiny_config_golden(self, tmp_path):
@@ -476,6 +515,29 @@ class TestCli:
                        "--run-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,field", [
+        ("env.pathloss_exponent=7", "pathloss_exponent"),
+        ("env.rician_k=-1", "rician_k"),
+        ("env.power_budget=0", "power_budget"),
+        ("env.bandwidth_budget_range=[0, 2.0e+10]", "bandwidth_budget_range"),
+        ("env.total_params=0", "total_params"),
+        ("env.adapter_top_layers=22", "adapter_top_layers"),
+        ("env.noise_dbm_per_hz=nan", "noise_dbm_per_hz"),
+        ("env.data_size_range=[0, 350]", "data_size_range"),
+        ("env.memory_capacity_range=[0, 8.0e+9]", "memory_capacity_range"),
+        ("env.compute_speed_range=[1.5e+12, 3.0e+11]", "compute_speed_range"),
+        ("env.quad_c=-100", "quad_c"),
+        ("env.mode=fedavg", "mode"),
+        ("env.n_devices=ten", "n_devices"),
+    ])
+    def test_bad_world_setting_exits_before_the_run_directory(
+            self, tmp_path, capsys, override, field):
+        run_dir = tmp_path / "run"
+        rc = cli.main(["train", "--set", override, "--run-dir", str(run_dir)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_resume_with_other_device_count_exits_naming_the_key(
             self, tmp_path, capsys):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from fedemu.env import EnvParams
 from fedemu.simcore import (
     AdapterSpec,
     DeviceProfile,
     EmulatorSpec,
-    ModelSpec,
-    PerplexitySurrogate,
     compute_delay,
     emulator_from_retention,
     final_perplexity,
@@ -19,7 +18,7 @@ GB = 1e9
 
 @pytest.fixture
 def model():
-    return ModelSpec(total_params=1_208_000_000, total_bytes=2_630_000_000,
+    return EnvParams(total_params=1_208_000_000, total_bytes=2_630_000_000,
                      layer_count=24, adapter_top_layers=2, adapter_bottom_layers=2)
 
 
@@ -30,7 +29,7 @@ def adapter(model):
 
 @pytest.fixture
 def surrogate():
-    return PerplexitySurrogate()
+    return EnvParams(quad_a=25.2, quad_b=-43.1, quad_c=31.9, lora_delta=-0.78)
 
 
 class TestModelSpecs:
@@ -39,11 +38,11 @@ class TestModelSpecs:
         assert adapter.bytes == round(4 / 24 * 2_630_000_000)
 
     def test_invalid_model_rejected(self):
-        with pytest.raises(ValueError):
-            ModelSpec(total_params=1, total_bytes=1, layer_count=4,
+        with pytest.raises(ValueError, match="adapter_top_layers"):
+            EnvParams(total_params=1, total_bytes=1, layer_count=4,
                       adapter_top_layers=2, adapter_bottom_layers=2)
-        with pytest.raises(ValueError):
-            ModelSpec(total_params=0, total_bytes=1, layer_count=24,
+        with pytest.raises(ValueError, match="total_params"):
+            EnvParams(total_params=0, total_bytes=1, layer_count=24,
                       adapter_top_layers=2, adapter_bottom_layers=2)
 
     def test_device_profile_validation(self):
@@ -90,25 +89,25 @@ class TestEmulatorFromRetention:
 
 class TestFinalPerplexity:
     def test_full_retention_values(self, surrogate):
-        pre = PerplexitySurrogate(lora_delta=0.0)
+        pre = EnvParams(lora_delta=0.0)
         assert final_perplexity(pre, 1.0) == pytest.approx(14.0, abs=1e-9)
         assert final_perplexity(surrogate, 1.0) == pytest.approx(13.22, abs=1e-9)
 
     def test_half_retention(self, surrogate):
-        pre = PerplexitySurrogate(lora_delta=0.0)
+        pre = EnvParams(lora_delta=0.0)
         assert final_perplexity(pre, 0.5) == pytest.approx(16.65, abs=1e-9)
         assert final_perplexity(surrogate, 0.5) == pytest.approx(15.87, abs=1e-9)
 
     def test_grid_values_match_quadratic(self):
         # hand-evaluated a*r^2 + b*r + c on the action grid; the curve dips
         # below its rho=1 value past the vertex at 43.1/(2*25.2) ~ 0.8552
-        pre = PerplexitySurrogate(lora_delta=0.0)
+        pre = EnvParams(lora_delta=0.0)
         expected = {0.25: 22.70, 0.5: 16.65, 0.75: 13.75, 1.0: 14.00}
         for rho, value in expected.items():
             assert final_perplexity(pre, rho) == pytest.approx(value, abs=1e-9)
 
     def test_decreasing_left_of_vertex(self):
-        pre = PerplexitySurrogate(lora_delta=0.0)
+        pre = EnvParams(lora_delta=0.0)
         vertex = 43.1 / (2 * 25.2)
         rhos = np.linspace(0.05, vertex, 50)
         vals = [final_perplexity(pre, float(r)) for r in rhos]

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from _mobility import DeviceState, step_mobility
 
+from fedemu.env import EnvParams
 from fedemu.wireless import (
-    ChannelParams,
-    MobilityModel,
     advance_mobility,
     allocate_budgets,
     channel_gain,
@@ -23,7 +22,7 @@ def det_params(**kw):
     defaults = dict(rician_k=math.inf, reference_loss_db=40.0,
                     reference_distance=1.0, pathloss_exponent=3.5)
     defaults.update(kw)
-    return ChannelParams(**defaults)
+    return EnvParams(**defaults)
 
 
 class TestChannelGain:
@@ -61,12 +60,12 @@ class TestChannelGain:
                                                             rel=1e-6)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ChannelParams(pathloss_exponent=1.0)
-        with pytest.raises(ValueError):
-            ChannelParams(rician_k=-1.0)
-        with pytest.raises(ValueError):
-            ChannelParams(bandwidth_budget=0.0)
+        with pytest.raises(ValueError, match="pathloss_exponent"):
+            EnvParams(pathloss_exponent=1.0)
+        with pytest.raises(ValueError, match="rician_k"):
+            EnvParams(rician_k=-1.0)
+        with pytest.raises(ValueError, match="bandwidth_budget_range"):
+            EnvParams(bandwidth_budget_range=(0.0, 0.0))
 
 
 class TestShannonRate:
@@ -121,55 +120,49 @@ class TestTransmissionDelay:
 
 
 class TestAllocateBudgets:
-    def params(self, b=20e9, p=15.0):
-        return ChannelParams(bandwidth_budget=b, power_budget=p)
-
     def test_equal_levels_split_evenly(self):
         levels = np.ones(5)
-        bw, pw = allocate_budgets(levels, levels, [0, 2, 4, 6, 8],
-                                  self.params())
+        bw, pw = allocate_budgets(levels, levels, [0, 2, 4, 6, 8], 20e9, 15.0)
         assert bw.tolist() == pytest.approx([4e9] * 5)
         assert pw.tolist() == pytest.approx([3.0] * 5)
 
     def test_proportional_shares(self):
         levels_pw = np.array([2.0, 1.0, 1.0])
-        bw, pw = allocate_budgets(np.ones(3), levels_pw, [0, 1, 2],
-                                  self.params(p=15.0))
+        bw, pw = allocate_budgets(np.ones(3), levels_pw, [0, 1, 2], 20e9, 15.0)
         assert pw.tolist() == pytest.approx([7.5, 3.75, 3.75])
 
     def test_single_device_takes_everything(self):
-        bw, pw = allocate_budgets([3.0], [2.0], [3], self.params())
+        bw, pw = allocate_budgets([3.0], [2.0], [3], 20e9, 15.0)
         assert bw.tolist() == [20e9] and pw.tolist() == [15.0]
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            allocate_budgets([], [], [], self.params())
+            allocate_budgets([], [], [], 20e9, 15.0)
 
     def test_budget_sums_exact_and_nonnegative(self):
         rng = np.random.default_rng(9)
-        params = self.params(b=13.7e9, p=15.0)
+        budget, power = 13.7e9, 15.0
         for _ in range(500):
             n = rng.integers(2, 12)
             k = int(rng.integers(1, n + 1))
             sel = rng.choice(n, size=k, replace=False)
             levels_b = rng.integers(1, 5, size=k)
             levels_p = rng.integers(1, 5, size=k)
-            bw, pw = allocate_budgets(levels_b, levels_p, sel, params)
+            bw, pw = allocate_budgets(levels_b, levels_p, sel, budget, power)
             assert bw.shape == pw.shape == (k,)
-            assert sum(bw.tolist()) == params.bandwidth_budget
-            assert sum(pw.tolist()) == params.power_budget
+            assert sum(bw.tolist()) == budget
+            assert sum(pw.tolist()) == power
             assert (bw >= 0).all() and (pw >= 0).all()
 
     def test_remainder_tie_sums_exact(self):
         # the remainder of unrounded shares is a rounding tie here: it missed
         # the budget by one ulp (2**-19 Hz)
-        params = self.params(b=16548286433.25348)
+        budget, power = 16548286433.25348, 15.0
         levels = np.array([1.0, 1.0, 4.0])
-        bw, pw = allocate_budgets(levels, levels, [0, 2, 4], params)
-        assert sum(bw.tolist()) == params.bandwidth_budget
-        assert sum(pw.tolist()) == params.power_budget
-        assert bw[2] == pytest.approx(params.bandwidth_budget * 4 / 6,
-                                      rel=1e-15)
+        bw, pw = allocate_budgets(levels, levels, [0, 2, 4], budget, power)
+        assert sum(bw.tolist()) == budget
+        assert sum(pw.tolist()) == power
+        assert bw[2] == pytest.approx(budget * 4 / 6, rel=1e-15)
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data(), n=st.integers(2, 60),
@@ -182,8 +175,7 @@ class TestAllocateBudgets:
                                                max_size=len(sel))), dtype=float)
         levels_p = np.array(data.draw(st.lists(level, min_size=len(sel),
                                                max_size=len(sel))), dtype=float)
-        params = self.params(b=budget, p=power)
-        bw, pw = allocate_budgets(levels_b, levels_p, sel, params)
+        bw, pw = allocate_budgets(levels_b, levels_p, sel, budget, power)
         assert sum(bw.tolist()) == budget
         assert sum(pw.tolist()) == power
         assert (bw > 0).all() and (pw > 0).all()
@@ -193,20 +185,21 @@ class TestAllocateBudgets:
         # shares are those of the sorted selection, bit for bit
         order = np.argsort(sel)
         bw_sorted, pw_sorted = allocate_budgets(
-            levels_b[order], levels_p[order], np.asarray(sel)[order], params)
+            levels_b[order], levels_p[order], np.asarray(sel)[order], budget,
+            power)
         assert bw[order].tolist() == bw_sorted.tolist()
         assert pw[order].tolist() == pw_sorted.tolist()
 
 
 class TestMobility:
-    model = MobilityModel(area_radius=150.0, speed_range=(1.0, 10.0),
-                          waypoint_pause=2)
+    model = EnvParams(area_radius=150.0, speed_range=(1.0, 10.0),
+                      waypoint_pause=2)
 
     def test_zero_speed_stays_put(self):
         rng = np.random.default_rng(0)
         st = DeviceState(position=np.array([3.0, 4.0]))
-        frozen = MobilityModel(area_radius=150.0, speed_range=(0.0, 0.0),
-                               waypoint_pause=0)
+        frozen = EnvParams(area_radius=150.0, speed_range=(0.0, 0.0),
+                           waypoint_pause=0)
         for _ in range(5):
             pos = step_mobility(st, frozen, rng)
         assert pos.tolist() == [3.0, 4.0]
@@ -230,8 +223,8 @@ class TestMobility:
     @pytest.mark.parametrize("speed_range,pause", [
         ((0.0, 0.0), 2), ((1.0, 10.0), 0), ((0.0, 0.0), 0)])
     def test_advance_raises_no_float_warnings(self, speed_range, pause):
-        model = MobilityModel(area_radius=50.0, speed_range=speed_range,
-                              waypoint_pause=pause)
+        model = EnvParams(area_radius=50.0, speed_range=speed_range,
+                          waypoint_pause=pause)
         rng = np.random.default_rng(7)
         n = 16
         position = rng.uniform(-30.0, 30.0, size=(n, 2))
