@@ -43,7 +43,7 @@ class EnvParams:
     """Everything one environment instance needs, and the one schema of the
     simulated world: ``simcore``, ``wireless`` and ``federation`` read their
     settings from it by these names. Defaults are the desk-scale experiment
-    configuration. Every setting is checked here, when the config loads."""
+    configuration. Settings are checked here, when the config loads."""
 
     # population and episode length
     n_devices: int = 10
