@@ -107,12 +107,13 @@ class EnvParams:
                 raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.select_k <= self.n_devices:
             raise ValueError("select_k must lie in [1, n_devices]")
-        for name in ("local_epochs", "rician_k"):
+        for name in ("local_epochs", "rician_k", "waypoint_pause"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("total_params", "total_bytes", "server_speed_factor",
-                     "power_budget", "reference_distance",
-                     "exchange_fraction_c", "delay_floor"):
+                     "power_budget", "reference_distance", "area_radius",
+                     "p_init", "mem_fraction_q", "exchange_fraction_c",
+                     "delay_floor"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.adapter_top_layers + self.adapter_bottom_layers >= self.layer_count:
@@ -126,6 +127,10 @@ class EnvParams:
         low, high = self.data_size_range
         if not 1 <= low <= high:
             raise ValueError("data_size_range must satisfy 1 <= low <= high")
+        if not 0 <= self.speed_range[0] <= self.speed_range[1]:
+            raise ValueError("speed_range must satisfy 0 <= low <= high")
+        if not 0 <= self.convergence_rate <= 1:
+            raise ValueError("convergence_rate must lie in [0, 1]")
         if not 0 <= self.server_data_fraction < 1:
             raise ValueError("server_data_fraction must lie in [0, 1)")
         if not 2.0 <= self.pathloss_exponent <= 6.0:
@@ -219,6 +224,8 @@ class AdaptiveFedEnv:
             mobility_rng=stream(seed, 4, 2),
             fading_rng=stream(seed, 4, 3),
         )
+        self._capacity_obs = capacity / p.memory_capacity_range[1]
+        self._memory_cap = capacity / p.mem_fraction_q
         self.round_index = 0
         self.last_outcome = None
         return self._observation()
@@ -234,14 +241,14 @@ class AdaptiveFedEnv:
 
         max_q = max(outcome.max_q, p.delay_floor)
         r_d = -p.xi_f * math.log(max_q) / p.rounds
-        r_p = -p.xi_p * float(outcome.perplexities.mean()) / p.rounds
-        r_s = -p.xi_s * float(outcome.exchanges_this_round.mean()) / p.rounds
+        # bit-equal to .mean(): the same pairwise sum; 0/1 exchanges counted
+        n, exchanges = p.n_devices, np.count_nonzero(outcome.exchanges_this_round)
+        r_p = -p.xi_p * float(np.add.reduce(outcome.perplexities) / n) / p.rounds
+        r_s = -p.xi_s * (exchanges / n) / p.rounds
 
-        sel = list(action.selection)
-        capacity = self.world.profile.memory_capacity
         violations = int(
             np.count_nonzero(outcome.footprints
-                             > capacity[sel] / p.mem_fraction_q)
+                             > self._memory_cap[list(action.selection)])
             + np.count_nonzero(self.world.exchange_count > p.exchange_cap))
         penalty = p.kappa * violations if violations else 0.0
 
@@ -294,10 +301,6 @@ class AdaptiveFedEnv:
                 raise ActionDecodeError(f"{name} must be integers") from None
             if values and not (lo <= min(values) and max(values) <= hi):
                 raise ActionDecodeError(f"{name} must lie in [{lo}, {hi}]")
-        if (self.mode is FederationMode.FEDPEAT
-                and not set(action.retentions) <= set(p.retention_grid)):
-            raise ActionDecodeError(
-                f"retentions must lie on the grid {p.retention_grid}")
 
     def _observation(self) -> np.ndarray:
         p = self.params
@@ -308,7 +311,7 @@ class AdaptiveFedEnv:
         obs[:n] = gain_db / 100.0
         # available capacity; a new emulator replaces the old one, so the
         # memory constraint depends on capacity, not current holdings
-        obs[n:2 * n] = world.profile.memory_capacity / p.memory_capacity_range[1]
+        obs[n:2 * n] = self._capacity_obs
         obs[2 * n:3 * n] = world.exchange_count / p.rounds
         obs[3 * n] = self.round_index / p.rounds
         return obs

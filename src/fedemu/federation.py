@@ -8,16 +8,17 @@ their retention. Adapter weights are not simulated: no reward, observation
 or metric reads them. Three federation modes cover per-device compression, a
 pinned full frozen backbone, and full-model federated tuning.
 
-The world holds the device population as arrays (struct of arrays). A round
-works on arrays aligned with the selection and scatters them into the
-N-length outcome once, so it is a fixed number of array operations whatever
-the population size. Mobility and fading draw from their own named streams,
-so no other setting moves the channel.
+The world holds the device population as arrays (struct of arrays), and
+tables what the settings and the episode's draw fix once, when built. A
+round looks those up and scatters selection-aligned arrays into the N-long
+outcome once: a fixed number of array operations at any population size.
+Mobility and fading have named streams, so no other setting moves them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -90,6 +91,27 @@ class ActionBundle:
                 "hold one entry per selected device")
 
 
+_TOP, _FULL = -2, -1  # table columns of the 1.0 emulator and the whole model
+
+
+@functools.lru_cache(maxsize=32)
+def _retention_tables(params: EnvParams):
+    """The adapter, each grid retention's column, and rows of retention,
+    bytes sent, footprint, target perplexity and trained parameters over
+    ``retention_grid + (1.0, whole model)``, by the checked helpers."""
+    adapter = AdapterSpec.for_model(params)
+    retention = np.array((*params.retention_grid, 1.0, 1.0))
+    emulator = emulator_from_retention(params, adapter, retention)
+    columns = np.array([retention, emulator.bytes,
+                        memory_footprint(emulator, adapter),
+                        final_perplexity(params, retention),
+                        emulator.params + adapter.params])
+    columns[1:3, _FULL] = params.total_bytes  # the whole model, no adapter
+    columns[4, _FULL] = params.total_params
+    columns.flags.writeable = False
+    return adapter, {r: i for i, r in enumerate(params.retention_grid)}, columns
+
+
 @dataclass
 class World:
     """Everything one simulated deployment owns, as arrays over devices.
@@ -99,9 +121,10 @@ class World:
     device i: ``position`` and ``waypoint`` are (N, 2), waypoint rows are NaN
     between mobility legs, ``retention`` is NaN before a device's first
     emulator. The server is scalar; outside full-model mode it tunes the
-    full-retention emulator plus the adapter, ``server_params`` in all.
-    Mobility and fading each draw from their own stream; constructing the
-    world draws the first fading sample.
+    full-retention emulator plus the adapter. Mobility and fading each draw
+    from their own stream; constructing the world draws the first fading
+    sample and builds, for rounds to look up, the ``columns`` (one table per
+    ``params``) and each column's tuning time (N x C ``local_q``, ``server_q``).
     """
 
     params: EnvParams
@@ -120,12 +143,15 @@ class World:
     exchange_count: np.ndarray = field(init=False)
     gains: np.ndarray = field(init=False)
     server_perplexity: float = field(init=False)
-    server_params: float = field(init=False)
+    grid_column: dict[float, int] = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    local_q: np.ndarray = field(init=False, repr=False)
+    server_q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.position)
         p = self.params
-        self.adapter_spec = AdapterSpec.for_model(p)
+        self.adapter_spec, self.grid_column, self.columns = _retention_tables(p)
         self.waypoint = np.full((n, 2), np.nan)
         self.pause_left = np.zeros(n, dtype=int)
         self.leg_speed = np.zeros(n)
@@ -133,8 +159,12 @@ class World:
         self.perplexity = np.full(n, p.p_init)
         self.exchange_count = np.zeros(n, dtype=int)
         self.server_perplexity = p.p_init
-        self.server_params = (emulator_from_retention(
-            p, self.adapter_spec, 1.0).params + self.adapter_spec.params)
+        trained, epochs = self.columns[4], p.local_epochs
+        self.local_q = compute_delay(self.profile.data_size[:, None],
+                                     self.profile.compute_speed[:, None],
+                                     trained, epochs)
+        self.server_q = compute_delay(self.server.data_size,
+                                      self.server.compute_speed, trained, epochs)
         self._sample_gains()
 
     @property
@@ -240,29 +270,28 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     """Execute one round: emulator assignment, downlink transfers, and local
     tuning on the selected devices plus the server.
 
-    Arrays are aligned with the selection until the outcome is built. A
-    selected device whose retention changed is sent its emulator and counts
-    an exchange; in full-model mode every selected device is sent the whole
-    model. Zero local epochs tune nothing.
+    Retentions index the world's tables (fedpeat refuses one off the grid
+    before the world changes); arrays stay aligned with the selection until
+    the outcome is built. A selected device whose retention changed is sent
+    its emulator and counts an exchange; in full-model mode every selected
+    device is sent the whole model. Zero local epochs tune nothing.
     """
     sel = np.asarray(actions.selection, dtype=int)
     k = sel.size
     p = world.params
-    adapter = world.adapter_spec
-    if mode is FederationMode.FEDFT:
-        retention = np.ones(k)
-        changed = np.ones(k, dtype=bool)
-        params = server_params = p.total_params
-        payload = footprint = np.full(k, float(p.total_bytes))
+    full = mode is FederationMode.FEDFT
+    server = _FULL if full else _TOP  # the server's column
+    if mode is FederationMode.FEDPEAT:
+        try:
+            col = np.array(list(map(world.grid_column.__getitem__,
+                                    actions.retentions)), dtype=int)
+        except KeyError:
+            raise ActionDecodeError(
+                f"retentions must lie on the grid {p.retention_grid}") from None
     else:
-        retention = (np.asarray(actions.retentions, dtype=float)
-                     if mode is FederationMode.FEDPEAT else np.ones(k))
-        emulator = emulator_from_retention(p, adapter, retention)
-        changed = world.retention[sel] != retention
-        params = emulator.params + adapter.params
-        payload = emulator.bytes
-        footprint = memory_footprint(emulator, adapter)
-        server_params = world.server_params
+        col = np.full(k, server)
+    retention, payload, footprint, target, _ = world.columns.take(col, axis=1)
+    changed = np.ones(k, dtype=bool) if full else world.retention[sel] != retention
     moved = sel[changed]
     world.exchange_count[moved] += 1
     world.retention[moved] = retention[changed]
@@ -273,19 +302,15 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
                                        actions.power_levels, sel,
                                        world.bandwidth_budget, p.power_budget)
         rates = shannon_rate(bw_hz, pw_w, world.gains[sel], p.noise_psd)
-    q = (compute_delay(world.profile.data_size[sel],
-                       world.profile.compute_speed[sel], params, p.local_epochs)
-         + transmission_delay(changed, payload, rates))
+    q = world.local_q[sel, col] + transmission_delay(changed, payload, rates)
     # Server trains every round on its own shard; no downlink to itself.
-    server_q = float(compute_delay(world.server.data_size,
-                                   world.server.compute_speed, server_params,
-                                   p.local_epochs))
+    server_q = float(world.server_q[server])
     if p.local_epochs > 0:
         rate = p.convergence_rate
         world.perplexity[sel] = perplexity_step(
-            world.perplexity[sel], final_perplexity(p, retention), rate)
+            world.perplexity[sel], target, rate)
         world.server_perplexity = float(perplexity_step(
-            world.server_perplexity, final_perplexity(p, 1.0), rate))
+            world.server_perplexity, world.columns[3, server], rate))
 
     def scatter(values, dtype=float):
         out = np.zeros(world.n_devices, dtype=dtype)
@@ -301,7 +326,7 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
         perplexities=world.perplexity.copy(),
         server_perplexity=world.server_perplexity,
         exchanges_this_round=scatter(changed, int),
-        payload_bytes=scatter(np.where(changed, payload, 0.0)),
+        payload_bytes=scatter(payload * changed),
         footprints=footprint,
         rates=scatter(rates),
     )

@@ -50,7 +50,8 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
         u = rng.uniform(size=(m, 3))
         r = params.area_radius * np.sqrt(u[:, 0])
         theta = 2.0 * math.pi * u[:, 1]
-        waypoint[need] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        waypoint[need, 0] = r * np.cos(theta)
+        waypoint[need, 1] = r * np.sin(theta)
         lo, hi = params.speed_range
         leg_speed[need] = lo + (hi - lo) * u[:, 2]
     # paused devices have no waypoint, so their rows are NaN and neither
@@ -60,7 +61,7 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
     dist = np.sqrt(np.vecdot(delta, delta))  # bit-equal to np.linalg.norm
     go = dist > leg_speed
     stop = dist <= leg_speed
-    scale = np.divide(leg_speed, dist, out=np.zeros_like(dist), where=go)
+    scale = np.divide(leg_speed, dist, out=np.zeros(len(dist)), where=go)
     np.add(position, delta * scale[:, None], out=position, where=go[:, None])
     np.copyto(position, waypoint, where=stop[:, None])
     np.copyto(waypoint, np.nan, where=stop[:, None])
@@ -89,15 +90,16 @@ def channel_gain(distance, params: EnvParams, rng: np.random.Generator):
     d = np.maximum(distance, params.reference_distance)
     loss_db = params.reference_loss_db + 10.0 * params.pathloss_exponent * np.log10(
         d / params.reference_distance)
-    return 10.0 ** (-loss_db / 10.0) * rician_fading_power(params.rician_k, rng,
+    return 10.0 ** (loss_db / -10.0) * rician_fading_power(params.rician_k, rng,
                                                            np.shape(d))
 
 
 def shannon_rate(bandwidth, power, gain, noise_psd: float):
     """Achievable downlink rate in bit/s of each FDMA slice."""
-    if (np.asarray(bandwidth) <= 0).any():
-        raise ValueError("bandwidth must be positive")
-    if (np.asarray(power) < 0).any() or (np.asarray(gain) < 0).any():
+    nonpositive = np.asarray(bandwidth) <= 0
+    if (nonpositive | (np.asarray(power) < 0) | (np.asarray(gain) < 0)).any():
+        if nonpositive.any():
+            raise ValueError("bandwidth must be positive")
         raise ValueError("power and gain must be non-negative")
     snr = gain * power / (bandwidth * noise_psd)
     return bandwidth * np.log2(1.0 + snr)
@@ -132,7 +134,7 @@ def allocate_budgets(levels_bw, levels_pw, selection, bandwidth_budget: float,
     ulp = np.spacing(budgets)
     shares = np.rint(budgets / ulp * levels
                      / levels.sum(axis=1, keepdims=True)) * ulp
-    last = np.argmax(selection)
+    last = np.asarray(selection).argmax()
     shares[:, last] = 0.0
     shares[:, last] = budgets[:, 0] - shares.sum(axis=1)
     return shares[0], shares[1]

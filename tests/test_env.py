@@ -406,6 +406,17 @@ class TestEnvParams:
         ({"lora_delta": -13.8}, "lora_delta"),
         # positive on this grid, 0 at the server's retention 1.0
         ({"retention_grid": (0.25, 0.5), "lora_delta": -14.0}, "lora_delta"),
+        # settings that ran but left the paper's model
+        ({"convergence_rate": 2.5}, "convergence_rate"),
+        ({"convergence_rate": -0.1}, "convergence_rate"),
+        ({"convergence_rate": math.nan}, "convergence_rate"),
+        ({"speed_range": (-5.0, -1.0)}, "speed_range"),
+        ({"speed_range": (10.0, 1.0)}, "speed_range"),
+        ({"mem_fraction_q": 0.0}, "mem_fraction_q"),
+        ({"mem_fraction_q": -2.0}, "mem_fraction_q"),
+        ({"area_radius": 0.0}, "area_radius"),
+        ({"waypoint_pause": -1}, "waypoint_pause"),
+        ({"p_init": 0.0}, "p_init"),
     ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items())
                       if isinstance(v, dict) else v))
     def test_bad_value_rejected_naming_the_field(self, values, field):
@@ -416,7 +427,8 @@ class TestEnvParams:
         {"rician_k": math.inf}, {"speed_range": (0.0, 0.0)},
         {"data_size_range": (1, 1)}, {"server_data_fraction": 0.0},
         {"local_epochs": 0}, {"layer_count": 5}, {"mode": "fedft"},
-        {"lora_delta": -13.7}])
+        {"lora_delta": -13.7}, {"convergence_rate": 0.0},
+        {"convergence_rate": 1.0}, {"waypoint_pause": 0}])
     def test_edge_values_accepted(self, values):
         EnvParams(**values)
 

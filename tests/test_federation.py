@@ -20,11 +20,15 @@ from fedemu.federation import (
     run_round,
 )
 from fedemu.simcore import (
+    AdapterSpec,
+    compute_delay,
     emulator_from_retention,
     final_perplexity,
+    memory_footprint,
     perplexity_step,
 )
 from fedemu.wireless import (
+    allocate_budgets,
     channel_gain,
     shannon_rate,
     transmission_delay,
@@ -313,6 +317,156 @@ class TestRoundTraceWriter:
                     [0.0, 1e-10, -1e-10, 0.0]),
         ]
         assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+
+
+def oracle_round(world, actions, mode):
+    """One round computed with the public helpers, per round and without
+    the world's tables; returns the outcome fields and the world state it
+    leaves, and changes nothing."""
+    p = world.params
+    adapter = AdapterSpec.for_model(p)
+    sel = np.asarray(actions.selection, dtype=int)
+    k = sel.size
+    if mode is FederationMode.FEDFT:
+        retention = np.ones(k)
+        changed = np.ones(k, dtype=bool)
+        trained = server_trained = p.total_params
+        payload = footprint = np.full(k, float(p.total_bytes))
+    else:
+        retention = (np.asarray(actions.retentions, dtype=float)
+                     if mode is FederationMode.FEDPEAT else np.ones(k))
+        emulator = emulator_from_retention(p, adapter, retention)
+        changed = world.retention[sel] != retention
+        trained = emulator.params + adapter.params
+        payload = emulator.bytes
+        footprint = memory_footprint(emulator, adapter)
+        server_trained = (emulator_from_retention(p, adapter, 1.0).params
+                          + adapter.params)
+    rates = np.zeros(k)
+    if k:
+        bw, pw = allocate_budgets(actions.bandwidth_levels,
+                                  actions.power_levels, sel,
+                                  world.bandwidth_budget, p.power_budget)
+        rates = shannon_rate(bw, pw, world.gains[sel], p.noise_psd)
+    q = (compute_delay(world.profile.data_size[sel],
+                       world.profile.compute_speed[sel], trained,
+                       p.local_epochs)
+         + transmission_delay(changed, payload, rates))
+    server_q = float(compute_delay(world.server.data_size,
+                                   world.server.compute_speed, server_trained,
+                                   p.local_epochs))
+    perplexity = world.perplexity.copy()
+    server_perplexity = world.server_perplexity
+    if p.local_epochs > 0:
+        perplexity[sel] = perplexity_step(perplexity[sel],
+                                          final_perplexity(p, retention),
+                                          p.convergence_rate)
+        server_perplexity = float(perplexity_step(
+            server_perplexity, final_perplexity(p, 1.0), p.convergence_rate))
+    exchange_count = world.exchange_count.copy()
+    exchange_count[sel[changed]] += 1
+    world_retention = world.retention.copy()
+    world_retention[sel[changed]] = retention[changed]
+
+    def scatter(values):
+        out = np.zeros(world.n_devices, dtype=np.asarray(values).dtype)
+        out[sel] = values
+        return out
+
+    return {"q": scatter(q), "server_q": server_q,
+            "perplexities": perplexity, "server_perplexity": server_perplexity,
+            "exchanges_this_round": scatter(changed.astype(int)),
+            "payload_bytes": scatter(np.where(changed, payload, 0.0)),
+            "footprints": footprint, "rates": scatter(rates),
+            "exchange_count": exchange_count, "retention": world_retention}
+
+
+def world_state(world):
+    """Bytes of everything a round may change, and the stream states."""
+    arrays = (world.position, world.waypoint, world.pause_left,
+              world.leg_speed, world.retention, world.perplexity,
+              world.exchange_count, world.gains)
+    return ([a.tobytes() for a in arrays], world.server_perplexity,
+            world.mobility_rng.bit_generator.state,
+            world.fading_rng.bit_generator.state)
+
+
+def assert_rounds_match_oracle(world, mode, rounds):
+    """Run ``rounds`` (a list of actions) and compare every round with
+    ``oracle_round``, bit for bit."""
+    for r, actions in enumerate(rounds):
+        want = oracle_round(world, actions, mode)
+        got = run_round(world, actions, mode, r)
+        for name in ("q", "perplexities", "exchanges_this_round",
+                     "payload_bytes", "footprints", "rates"):
+            a, b = getattr(got, name), want[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.server_q.hex() == want["server_q"].hex()
+        assert got.server_perplexity.hex() == want["server_perplexity"].hex()
+        assert world.exchange_count.tobytes() == want["exchange_count"].tobytes()
+        assert world.retention.tobytes() == want["retention"].tobytes()
+        world.advance_channel()
+
+
+class TestRunRoundOracle:
+    """run_round reads per-world tables; every round must equal, bit for
+    bit, the values the public helpers compute per round."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(list(FederationMode)),
+           n=st.integers(1, 12), seed=st.integers(0, 2**16),
+           epochs=st.sampled_from([0, 1, 2]),
+           total=st.sampled_from([1_208_000_000, 1_208_000_001, 7_000_003]),
+           grid=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
+                         min_size=1, max_size=5).map(tuple))
+    def test_rounds_equal_the_helpers_bit_for_bit(self, data, mode, n, seed,
+                                                  epochs, total, grid):
+        # a small grid repeats retentions across devices and rounds, so
+        # some stay unchanged; off the default total_params, the emulator at
+        # retention 1.0 plus the adapter is not the whole model
+        k = data.draw(st.integers(0, n), label="k")
+        level = st.integers(1, 4)
+        rounds = [ActionBundle(
+            selection=tuple(data.draw(st.permutations(range(n)))[:k]),
+            bandwidth_levels=tuple(data.draw(level) for _ in range(k)),
+            power_levels=tuple(data.draw(level) for _ in range(k)),
+            retentions=tuple(data.draw(st.sampled_from(grid))
+                             for _ in range(k)))
+            for _ in range(data.draw(st.integers(1, 6), label="rounds"))]
+        env = make_env(mode.value, n=n, k=max(k, 1), seed=seed,
+                       local_epochs=epochs, total_params=total,
+                       retention_grid=grid)
+        assert_rounds_match_oracle(env.world, mode, rounds)
+
+    @pytest.mark.parametrize("mode", list(FederationMode))
+    @pytest.mark.parametrize("grid", [(0.75, 0.25, 1.0, 0.25),
+                                      (1.0, 0.1, 0.5, 0.1, 0.75)])
+    def test_unsorted_grid_with_duplicates(self, mode, grid):
+        rng = np.random.default_rng(7)
+        n, k = 6, 3
+        rounds = [bundle(rng.permutation(n)[:k].tolist(),
+                         rng.choice(grid, k).tolist(),
+                         levels=tuple(rng.integers(1, 5, k).tolist()))
+                  for _ in range(12)]
+        env = make_env(mode.value, n=n, k=k, seed=1, retention_grid=grid,
+                       total_params=1_208_000_001)
+        assert_rounds_match_oracle(env.world, mode, rounds)
+
+    @pytest.mark.parametrize("grid,retention", [
+        ((0.25, 0.5, 0.75, 1.0), 0.3),
+        ((0.25, 0.5), 1.0),  # the server's retention, but off this grid
+        ((0.25, 0.5, 0.75, 1.0), float("nan")),
+    ])
+    def test_off_grid_fedpeat_retention_refused_before_world_changes(
+            self, grid, retention):
+        env = make_env(retention_grid=grid)
+        world = env.world
+        spread(world, {0: 0.5, 1: 0.25})
+        before = world_state(world)
+        with pytest.raises(ActionDecodeError, match="retentions"):
+            run_round(world, bundle([0, 1], (0.5, retention)),
+                      FederationMode.FEDPEAT)
+        assert world_state(world) == before
 
 
 class TestActionBundle:

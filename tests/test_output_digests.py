@@ -24,6 +24,10 @@ def test_fixed_configs_cover_every_agent_and_mode():
         env = configs[f"all-selected-{agent}"]["env"]
         assert env["n_devices"] == env["select_k"] == 5
     assert configs["tiny-sabppo-fedpeat"]["env"]["n_devices"] == 4
+    for agent in ("sabppo", "random"):
+        grid = configs[f"grid-unsorted-{agent}"]["env"]["retention_grid"]
+        assert grid != sorted(grid) and len(set(grid)) < len(grid)
+        assert configs[f"zero-epochs-{agent}"]["env"]["local_epochs"] == 0
     for config in configs.values():
         config_from_dict(config)
     evals = output_digests.eval_runs()

@@ -16,7 +16,10 @@ The fixed configs are the tiny config (seed 3, N=4, K=2, 5 rounds, 20 steps,
 eval every 10, segment 10, minibatch 5) for all five agent kinds in all three
 federation modes; the tiny fedpeat config with every device selected (N=K=5)
 for sabppo and random, which covers the full-sort path of the selection
-top-k and a selection head with no unchosen logits; a config whose critic
+top-k and a selection head with no unchosen logits; the tiny fedpeat config
+with an unsorted retention grid that repeats a value (0.75, 0.25, 1.0,
+0.25) and with zero local epochs, for sabppo and random, which cover the
+round's retention lookup and its no-tuning branch; a config whose critic
 targets sync inside updates (seed 5, N=30, K=5, 20 rounds, 150 steps, eval
 every 50, segment 25, minibatch 8, ``target_sync`` 7) for the three
 learners; and the three benchmark workloads on seed 2. The eval runs
@@ -88,6 +91,12 @@ def fixed_configs() -> dict[str, dict]:
         config = json.loads(json.dumps(configs[f"tiny-{agent}-fedpeat"]))
         config["env"].update(n_devices=5, select_k=5)
         configs[f"all-selected-{agent}"] = config
+    for agent in ("sabppo", "random"):
+        for name, env in (("grid-unsorted", {"retention_grid": [
+                0.75, 0.25, 1.0, 0.25]}), ("zero-epochs", {"local_epochs": 0})):
+            config = json.loads(json.dumps(configs[f"tiny-{agent}-fedpeat"]))
+            config["env"].update(env)
+            configs[f"{name}-{agent}"] = config
     for agent in LEARNERS:
         configs[f"target-sync-{agent}"] = {
             "agent": agent, "seed": 5, "total_steps": 150, "eval_interval": 50,
