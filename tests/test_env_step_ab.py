@@ -11,9 +11,9 @@ env_step_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(env_step_ab)
 
 
-def _forget(names):
-    for name in [m for m in sys.modules
-                 if m.split(".")[0] in names]:
+def _forget(packages):
+    """Drop the packages the tool imported, so the next test loads them anew."""
+    for name in [m for m in sys.modules if m.split(".")[0] in packages]:
         del sys.modules[name]
 
 

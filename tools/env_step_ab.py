@@ -67,9 +67,7 @@ def raw_actions(n: int, k: int, levels: int, grid: int) -> list[tuple]:
 def make_env(env_module, n: int, k: int, mode: str):
     params = dataclasses.replace(env_module.EnvParams(), n_devices=n,
                                  select_k=k, rounds=ROUNDS, mode=mode)
-    env = env_module.AdaptiveFedEnv(params)
-    env.reset(SEED)
-    return env
+    return env_module.AdaptiveFedEnv(params)
 
 
 def episode_record(env, actions) -> list[bytes]:
@@ -88,6 +86,7 @@ def episode_record(env, actions) -> list[bytes]:
 
 
 def first_difference(a: list[bytes], b: list[bytes]) -> int | None:
+    """Index of the first record that differs, or None."""
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                 None if len(a) == len(b) else min(len(a), len(b)))
 
