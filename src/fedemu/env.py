@@ -193,10 +193,15 @@ class AdaptiveFedEnv:
         self.world: World | None = None
         self.round_index = 0
         self.last_outcome = None
+        self._channels: dict[int, list[np.ndarray]] = {}  # gains per seed
 
     # -- lifecycle -----------------------------------------------------
 
-    def reset(self, seed: int) -> np.ndarray:
+    def reset(self, seed: int, replay: bool = False) -> np.ndarray:
+        """Start an episode from ``seed``. With ``replay``, the env records the
+        episode's gains (``rounds + 1`` read-only arrays) for the seed, or
+        replays them once complete: the world is built as always, but its
+        mobility arrays and streams do not advance."""
         p = self.params
         n = p.n_devices
         population = stream(seed, 4, 1)
@@ -226,13 +231,20 @@ class AdaptiveFedEnv:
         )
         self._capacity_obs = capacity / p.memory_capacity_range[1]
         self._memory_cap = capacity / p.mem_fraction_q
+        self._channel = self._channels.setdefault(seed, []) if replay else None
+        self._replaying = replay and len(self._channel) == p.rounds + 1
+        if self._replaying:
+            self.world.gains = self._channel[0]
+        elif replay:
+            self._channel[:] = [self.world.gains]
+            self.world.gains.flags.writeable = False
         self.round_index = 0
         self.last_outcome = None
         return self._observation()
 
     def step(self, action: ActionBundle):
         """Check the action, run one round and return (obs, reward, done)."""
-        if self.world is None:
+        if self.world is None or self.round_index >= self.params.rounds:
             raise RuntimeError("reset() must be called before step()")
         self._validate(action)
         p = self.params
@@ -254,7 +266,13 @@ class AdaptiveFedEnv:
 
         reward = RewardBreakdown(r_d=r_d, r_p=r_p, r_s=r_s, penalty=penalty)
 
-        self.world.advance_channel()
+        if self._replaying:
+            self.world.gains = self._channel[self.round_index + 1]
+        else:
+            self.world.advance_channel()
+            if self._channel is not None:
+                self._channel.append(self.world.gains)
+                self.world.gains.flags.writeable = False
         self.round_index += 1
         done = self.round_index >= p.rounds
         obs = self._observation()

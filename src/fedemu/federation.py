@@ -125,6 +125,8 @@ class World:
     from their own stream; constructing the world draws the first fading
     sample and builds, for rounds to look up, the ``columns`` (one table per
     ``params``) and each column's tuning time (N x C ``local_q``, ``server_q``).
+    A world whose env replays a recorded channel is handed each round's
+    gains instead, so its mobility arrays and streams do not advance.
     """
 
     params: EnvParams
@@ -216,16 +218,18 @@ class RoundTraceWriter:
 
     Each line is ``json.dumps`` of that row's dict, built in O(K) Python
     work per round: entries of ``q``, ``exchanges`` and ``payload_bytes``
-    off the selection are zero (``run_round`` scatters them so), and the
-    text of each perplexity is kept from the previous line and rendered
-    again only where its bits changed. The first line of an episode renders
-    every perplexity.
+    off the selection are zero (``run_round`` scatters them so), the text
+    of each distinct payload value is rendered once per writer (there are
+    at most ``len(retention_grid) + 2``), and the text of each perplexity is
+    kept from the previous line and rendered again only where its bits
+    changed. The first line of an episode renders every perplexity.
     """
 
     def __init__(self, file):
         self._file = file
         self._perplexity = np.empty(0)
         self._perplexity_text: list[str] = []
+        self._payload_text: dict[float, str] = {}
 
     def write(self, outcome: RoundOutcome) -> None:
         sel = list(outcome.selection)
@@ -233,11 +237,14 @@ class RoundTraceWriter:
         q = ["0.0"] * n
         payload = ["0.0"] * n
         exchanges = ["0"] * n
+        known = self._payload_text
         for i, qi, bytes_i, ex in zip(
                 sel, outcome.q[sel].tolist(), outcome.payload_bytes[sel].tolist(),
                 outcome.exchanges_this_round[sel].tolist()):
             q[i] = _number(round(qi, 9))
-            payload[i] = _number(bytes_i)
+            if bytes_i not in known:
+                known[bytes_i] = _number(bytes_i)
+            payload[i] = known[bytes_i]
             exchanges[i] = str(ex)
 
         perplexity = outcome.perplexities.copy()

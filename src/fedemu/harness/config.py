@@ -10,8 +10,6 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 
-import yaml
-
 from ..agents import PpoConfig
 from ..env import EnvParams
 
@@ -107,11 +105,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
+    import yaml  # only config files need it, so imports of the run skip it
     with open(path, "w") as fh:
         yaml.safe_dump(config_to_dict(config), fh, sort_keys=True)
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml
     with open(path) as fh:
         return config_from_dict(yaml.safe_load(fh))
 
@@ -119,6 +119,7 @@ def load_config(path) -> ExperimentConfig:
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     """Apply ``section.key=value`` strings on top of a config; values are
     parsed as YAML scalars/lists."""
+    import yaml
     data = config_to_dict(config)
     for item in overrides:
         if "=" not in item:

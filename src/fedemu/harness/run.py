@@ -21,7 +21,9 @@ Metrics columns (one row per evaluation point, means over eval episodes):
 An evaluation depends only on the config and the agent's parameters: every
 evaluation row of a sampling baseline is the same, ``cmd_eval`` reproduces a
 run's final row, and a run resumed at a segment and episode boundary writes
-the rows of the uninterrupted run.
+the rows of the uninterrupted run. A seed fixes its channel, so the eval env
+replays each eval seed's channel after its first episode and keeps it for the
+run: eval_episodes x (rounds + 1) arrays of N gains. Training never records.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
              episodes: int | None = None, trace_path=None) -> dict:
     """Greedy evaluation over fixed per-episode seeds; returns metric means
     and writes the round trace to ``trace_path`` if given. A sampling
-    baseline acts through a fixed-seed twin made for each call."""
+    baseline acts through a fixed-seed twin made for each call; ``env``
+    replays the channel of a seed it has evaluated before."""
     if episodes is not None and episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     p = config.env
@@ -118,7 +121,7 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
           else contextlib.nullcontext()) as trace_fh:
         trace = RoundTraceWriter(trace_fh) if trace_fh else None
         for ep in range(episodes):
-            obs = env.reset(_derived_seed(config.seed, 5, ep))
+            obs = env.reset(_derived_seed(config.seed, 5, ep), replay=True)
             done = False
             sums = {"reward": 0.0, "r_d": 0.0, "r_p": 0.0, "r_s": 0.0,
                     "penalty": 0.0}

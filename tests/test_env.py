@@ -306,6 +306,22 @@ class TestStepRejects:
         action = dataclasses.replace(fixed_action(env), **{field: value})
         self.assert_rejected_before_world_changes(env, action, field)
 
+    def test_step_after_the_last_round_refused_before_world_changes(self):
+        env = AdaptiveFedEnv(dataclasses.replace(small_params(), rounds=3))
+        env.reset(seed=0)
+        done = [env.step(fixed_action(env))[2] for _ in range(3)]
+        assert done == [False, False, True]
+        before = self.world_state(env)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=r"reset\(\) must be called"):
+                env.step(fixed_action(env))
+        after = self.world_state(env)
+        for a, b in zip(before[0], after[0]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert before[1:] == after[1:]
+        env.reset(seed=0)
+        env.step(fixed_action(env))  # a new episode steps again
+
     def test_non_integer_action_rejected_before_world_changes(self):
         # fractional indices and levels are within range; they must not be
         # truncated into the world

@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from fedemu.agents import PpoConfig
-from fedemu.env import EnvParams
+from fedemu.env import AdaptiveFedEnv, EnvParams
+from fedemu.federation import World
 from fedemu.harness import cli
 from fedemu.harness.checkpoint import (
     _state_arrays,
@@ -489,6 +490,92 @@ class TestEvalCommand:
         assert rc == 2 and "episodes" in capsys.readouterr().err
         assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == trace
         assert not (tmp_path / "run" / "eval.json").exists()
+
+
+class TestEvalReplay:
+    """``evaluate`` on a shared env replays each eval seed's channel after
+    its first complete episode; outputs equal those of fresh envs."""
+
+    @staticmethod
+    def count_channel_advances(monkeypatch):
+        calls = []
+        advance = World.advance_channel
+        monkeypatch.setattr(World, "advance_channel",
+                            lambda world: calls.append(1) or advance(world))
+        return calls
+
+    @staticmethod
+    def evaluations(config, agents, envs, tmp_path, name):
+        out = []
+        for i, (agent, env) in enumerate(zip(agents, envs)):
+            trace = tmp_path / f"{name}{i}.jsonl"
+            row = evaluate(config, agent, env=env, trace_path=trace)
+            out.append((row, trace.read_bytes()))
+        return out
+
+    @pytest.mark.parametrize("mode", ["fedpeat", "fedpeft", "fedft"])
+    @pytest.mark.parametrize("kind", ["sabppo", "random"])
+    def test_calls_on_one_env_match_fresh_envs(self, kind, mode, tmp_path,
+                                               monkeypatch):
+        config = tiny_config(agent=kind, env_overrides={"mode": mode})
+        # learners of other seeds act differently on each replayed channel
+        agents = [build_agent(dataclasses.replace(config, seed=s))
+                  for s in range(3)]
+        fresh = self.evaluations(config, agents,
+                                 [AdaptiveFedEnv(config.env) for _ in agents],
+                                 tmp_path, "fresh")
+        calls = self.count_channel_advances(monkeypatch)
+        env = AdaptiveFedEnv(config.env)
+        shared = self.evaluations(config, agents, [env] * 3, tmp_path, "shared")
+        assert shared == fresh
+        assert len(calls) == config.eval_episodes * config.env.rounds
+        with pytest.raises(ValueError, match="read-only"):
+            env.world.gains[0] = 1.0  # a replayed recording
+        if kind == "sabppo":
+            assert fresh[0] != fresh[1]
+
+    def test_interrupted_episode_is_recorded_again(self, tmp_path,
+                                                   monkeypatch):
+        config = tiny_config()
+        agent = build_agent(config)
+
+        class Stop(Exception):
+            pass
+
+        class StopsAtRoundThree:
+            acted = 0
+
+            def act(self, obs, greedy=False):
+                if self.acted == 3:
+                    raise Stop
+                self.acted += 1
+                return agent.act(obs, greedy=greedy)
+
+        env = AdaptiveFedEnv(config.env)
+        with pytest.raises(Stop):
+            evaluate(config, StopsAtRoundThree(), env=env)
+        assert env.round_index == 3
+        calls = self.count_channel_advances(monkeypatch)
+        got = self.evaluations(config, [agent], [env], tmp_path, "shared")
+        assert len(calls) == config.eval_episodes * config.env.rounds
+        assert got == self.evaluations(config, [agent],
+                                       [AdaptiveFedEnv(config.env)],
+                                       tmp_path, "fresh")
+
+    def test_training_resets_simulate_and_keep_nothing(self, monkeypatch):
+        env = AdaptiveFedEnv(tiny_config().env)
+        calls = self.count_channel_advances(monkeypatch)
+        episodes = []
+        for _ in range(2):
+            obs, done = [env.reset(seed=11)], False
+            while not done:
+                obs_i, _, done = env.step(env.decode_branch_actions(
+                    [0, 1], [0, 0], [0, 0], [0, 0]))
+                obs.append(obs_i)
+            episodes.append(np.array(obs))
+        assert len(calls) == 2 * env.params.rounds
+        assert np.array_equal(episodes[0], episodes[1])
+        assert env._channels == {}
 
 
 class TestCli:
