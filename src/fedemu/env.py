@@ -14,7 +14,9 @@ over the world's per-device arrays.
 makes three named streams from the seed: population (capacities, compute
 speeds, data sizes, start positions, then the bandwidth budget), mobility and
 fading. No setting other than the seed and the population, mobility and
-channel parameters moves positions or gains.
+channel parameters moves positions or gains, and no action does; so ``step``
+draws them ``CHUNK`` rounds at a time, and the world's mobility arrays and
+streams run up to a chunk ahead of ``round_index``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .simcore import DeviceProfile, final_perplexity, stream
 from .wireless import dbm_per_hz_to_watts
 
 __all__ = ["EnvParams", "RewardBreakdown", "ActionDecodeError", "AdaptiveFedEnv"]
+
+CHUNK = 20  # rounds of gains per World.advance_channel call
 
 
 @dataclass(frozen=True)
@@ -193,14 +197,15 @@ class AdaptiveFedEnv:
         self.world: World | None = None
         self.round_index = 0
         self.last_outcome = None
-        self._channels: dict[int, list[np.ndarray]] = {}  # gains per seed
+        self._channels: dict[int, list[np.ndarray]] = {}  # chunks per seed
 
     # -- lifecycle -----------------------------------------------------
 
     def reset(self, seed: int, replay: bool = False) -> np.ndarray:
-        """Start an episode from ``seed``. With ``replay``, the env records the
-        episode's gains (``rounds + 1`` read-only arrays) for the seed, or
-        replays them once complete: the world is built as always, but its
+        """Start an episode from ``seed``; the env keeps the current chunk of
+        read-only gains rows. With ``replay``, it records the episode's chunks
+        (``rounds + 1`` rows) for the seed, kept once its last round is
+        stepped, or replays kept ones: the world is built as always, but its
         mobility arrays and streams do not advance."""
         p = self.params
         n = p.n_devices
@@ -231,15 +236,14 @@ class AdaptiveFedEnv:
         )
         self._capacity_obs = capacity / p.memory_capacity_range[1]
         self._memory_cap = capacity / p.mem_fraction_q
-        self._channel = self._channels.setdefault(seed, []) if replay else None
-        self._replaying = replay and len(self._channel) == p.rounds + 1
-        if self._replaying:
-            self.world.gains = self._channel[0]
-        elif replay:
-            self._channel[:] = [self.world.gains]
-            self.world.gains.flags.writeable = False
+        recorded = self._channels.get(seed) if replay else None
+        self._replay = None if recorded is None else iter(recorded)
+        self._recording = [] if replay and recorded is None else None
+        self._seed = seed
         self.round_index = 0
         self.last_outcome = None
+        self._next_chunk()
+        self.world.gains = self._chunk[0]
         return self._observation()
 
     def step(self, action: ActionBundle):
@@ -266,15 +270,13 @@ class AdaptiveFedEnv:
 
         reward = RewardBreakdown(r_d=r_d, r_p=r_p, r_s=r_s, penalty=penalty)
 
-        if self._replaying:
-            self.world.gains = self._channel[self.round_index + 1]
-        else:
-            self.world.advance_channel()
-            if self._channel is not None:
-                self._channel.append(self.world.gains)
-                self.world.gains.flags.writeable = False
         self.round_index += 1
+        if self.round_index == self._chunk_start + len(self._chunk):
+            self._next_chunk()
+        self.world.gains = self._chunk[self.round_index - self._chunk_start]
         done = self.round_index >= p.rounds
+        if done and self._recording is not None:  # complete: kept to replay
+            self._channels[self._seed] = self._recording
         obs = self._observation()
 
         return obs, reward, done
@@ -305,6 +307,23 @@ class AdaptiveFedEnv:
 
     # -- helpers -------------------------------------------------------
 
+    def _next_chunk(self):
+        """Make current the chunk of gains rows from ``round_index`` on,
+        replayed or drawn (round 0's by building the world, later ones up to
+        CHUNK rounds at a time) and recorded; compute its dB feature once."""
+        if self._replay is not None:
+            chunk = next(self._replay)
+        else:
+            chunk = (self.world.advance_channel(
+                min(CHUNK, self.params.rounds + 1 - self.round_index))
+                if self.round_index else self.world.gains[None])
+            chunk.flags.writeable = False
+            if self._recording is not None:
+                self._recording.append(chunk)
+        self._chunk, self._chunk_start = chunk, self.round_index
+        db = np.log10(np.maximum(chunk, 1e-30))
+        self._gain_obs = np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
+
     def _validate(self, action: ActionBundle):
         """Reject an action outside the action space, naming the field."""
         p = self.params
@@ -322,14 +341,12 @@ class AdaptiveFedEnv:
 
     def _observation(self) -> np.ndarray:
         p = self.params
-        world = self.world
         n = p.n_devices
         obs = np.empty(p.observation_dim)
-        gain_db = 10.0 * np.log10(np.maximum(world.gains, 1e-30))
-        obs[:n] = gain_db / 100.0
+        obs[:n] = self._gain_obs[self.round_index - self._chunk_start]
         # available capacity; a new emulator replaces the old one, so the
         # memory constraint depends on capacity, not current holdings
         obs[n:2 * n] = self._capacity_obs
-        obs[2 * n:3 * n] = world.exchange_count / p.rounds
+        obs[2 * n:3 * n] = self.world.exchange_count / p.rounds
         obs[3 * n] = self.round_index / p.rounds
         return obs

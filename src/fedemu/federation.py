@@ -122,11 +122,13 @@ class World:
     between mobility legs, ``retention`` is NaN before a device's first
     emulator. The server is scalar; outside full-model mode it tunes the
     full-retention emulator plus the adapter. Mobility and fading each draw
-    from their own stream; constructing the world draws the first fading
-    sample and builds, for rounds to look up, the ``columns`` (one table per
+    from their own stream; constructing the world draws round 0's ``gains``
+    and builds, for rounds to look up, the ``columns`` (one table per
     ``params``) and each column's tuning time (N x C ``local_q``, ``server_q``).
-    A world whose env replays a recorded channel is handed each round's
-    gains instead, so its mobility arrays and streams do not advance.
+    ``advance_channel`` draws the gains of a chunk of later rounds at once,
+    and the env hands ``gains`` each round's row. So the mobility arrays and
+    streams run up to a chunk ahead of the round being played; a world whose
+    env replays a recorded channel does not advance them at all.
     """
 
     params: EnvParams
@@ -167,21 +169,23 @@ class World:
                                      trained, epochs)
         self.server_q = compute_delay(self.server.data_size,
                                       self.server.compute_speed, trained, epochs)
-        self._sample_gains()
+        dist = np.hypot(self.position[:, 0], self.position[:, 1])
+        self.gains = channel_gain(dist, p, self.fading_rng, out=dist)
 
     @property
     def n_devices(self) -> int:
         return len(self.position)
 
-    def _sample_gains(self):
-        dist = np.hypot(self.position[:, 0], self.position[:, 1])
-        self.gains = channel_gain(dist, self.params, self.fading_rng)
-
-    def advance_channel(self):
-        """Move devices one mobility step and resample fading."""
-        advance_mobility(self.position, self.waypoint, self.pause_left,
-                         self.leg_speed, self.params, self.mobility_rng)
-        self._sample_gains()
+    def advance_channel(self, rounds: int) -> np.ndarray:
+        """Move devices ``rounds`` mobility steps and return a new (rounds, N)
+        array of the gains after each step, from one path-loss pass and one
+        fading draw; ``gains`` is left to the caller."""
+        gains = np.empty((rounds, self.n_devices))
+        for row in gains:
+            advance_mobility(self.position, self.waypoint, self.pause_left,
+                             self.leg_speed, self.params, self.mobility_rng)
+            np.hypot(self.position[:, 0], self.position[:, 1], out=row)
+        return channel_gain(gains, self.params, self.fading_rng, out=gains)
 
 
 @dataclass

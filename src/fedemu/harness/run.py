@@ -23,7 +23,9 @@ evaluation row of a sampling baseline is the same, ``cmd_eval`` reproduces a
 run's final row, and a run resumed at a segment and episode boundary writes
 the rows of the uninterrupted run. A seed fixes its channel, so the eval env
 replays each eval seed's channel after its first episode and keeps it for the
-run: eval_episodes x (rounds + 1) arrays of N gains. Training never records.
+run: eval_episodes x (rounds + 1) rows of N gains, in the chunks the env
+draws them in. Training keeps only the current chunk and never records, and
+its world's mobility arrays and streams run up to a chunk ahead of the round.
 """
 
 from __future__ import annotations
@@ -245,8 +247,10 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
 
     start_step = step
     try:
-        obs = env.reset(_derived_seed(config.seed, 4, episode))
+        obs = None
         while step < config.total_steps:
+            if obs is None:  # reset only an episode a step will play
+                obs = env.reset(_derived_seed(config.seed, 4, episode))
             # the run that saved the checkpoint evaluated at its step already
             if step % config.eval_interval == 0 and (step > start_step
                                                      or start_step == 0):
@@ -264,11 +268,8 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
                     timings_fh.write(f"{n_updates},{step + 1},{dt:.6f}\n")
                     buffer.clear()
             step += 1
-            if done:
-                episode += 1
-                obs = env.reset(_derived_seed(config.seed, 4, episode))
-            else:
-                obs = next_obs
+            episode += done
+            obs = None if done else next_obs
         if config.total_steps > 0 and (step > start_step or start_step == 0):
             run_eval(step, trace=True)
         save_checkpoint(ckpt_path, agent, step=step, episode=episode)

@@ -3,8 +3,8 @@
 Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
-of discrete levels, the budgets passed as numbers. Gains, rates, delays and
-budgets are computed for all devices of a round in one call;
+of discrete levels, the budgets passed as numbers. Rates, delays and budgets
+are computed for all devices of a round in one call, gains for any array;
 ``advance_mobility`` moves every device of a round at once and is tested
 against a one-device reference in ``tests/``. Channel and mobility settings
 are read by name from ``env.EnvParams``, the one schema of the world.
@@ -71,7 +71,7 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
 def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
     """Squared magnitude of unit-mean-power Rician fading coefficients, one
     per entry of ``shape``; draws the real and imaginary normals of each
-    entry in turn.
+    entry in turn, so one draw of shape (R, N) is R draws of shape (N,).
 
     K -> inf degenerates to the deterministic line-of-sight value 1.
     """
@@ -79,19 +79,26 @@ def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
         return np.ones(shape)
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    h = sigma * rng.standard_normal(size=(*shape, 2))
+    h = rng.standard_normal(size=(*shape, 2))
+    h *= sigma
     h[..., 0] += los
     return np.vecdot(h, h)
 
 
-def channel_gain(distance, params: EnvParams, rng: np.random.Generator):
+def channel_gain(distance, params: EnvParams, rng: np.random.Generator,
+                 out=None):
     """Linear channel gain: path loss at ``distance`` times Rician fading,
-    elementwise over an array of distances."""
-    d = np.maximum(distance, params.reference_distance)
-    loss_db = params.reference_loss_db + 10.0 * params.pathloss_exponent * np.log10(
-        d / params.reference_distance)
-    return 10.0 ** (loss_db / -10.0) * rician_fading_power(params.rician_k, rng,
-                                                           np.shape(d))
+    elementwise over an array of distances, in place on ``out`` (which may
+    be ``distance``) if given, else on a new array (0-d for one distance)."""
+    g = np.maximum(distance, params.reference_distance, out=out)[...]
+    g /= params.reference_distance
+    np.log10(g, out=g)
+    g *= 10.0 * params.pathloss_exponent
+    g += params.reference_loss_db
+    g /= -10.0
+    np.power(10.0, g, out=g)
+    g *= rician_fading_power(params.rician_k, rng, g.shape)
+    return g if g.ndim else g[()]
 
 
 def shannon_rate(bandwidth, power, gain, noise_psd: float):

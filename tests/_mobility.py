@@ -1,5 +1,10 @@
 """Scalar random-waypoint reference that ``wireless.advance_mobility`` and
-``federation.World.advance_channel`` must reproduce over arrays."""
+``federation.World.advance_channel`` must reproduce over arrays.
+
+``World.advance_channel(rounds)`` takes ``rounds`` mobility steps in one
+call and returns one row of gains per step, so a world's mobility arrays and
+streams run up to a chunk ahead of its env's ``round_index``: compare them
+with this reference at the end of a chunk, and each step with its row."""
 
 import math
 from dataclasses import dataclass

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -7,8 +8,15 @@ import numpy as np
 import pytest
 
 from fedemu.agents import RandomPolicy, default_branches
-from fedemu.env import ActionDecodeError, AdaptiveFedEnv, EnvParams, RewardBreakdown
-from fedemu.federation import ActionBundle
+from fedemu.env import (
+    CHUNK,
+    ActionDecodeError,
+    AdaptiveFedEnv,
+    EnvParams,
+    RewardBreakdown,
+)
+from fedemu.federation import ActionBundle, run_round
+from fedemu.wireless import advance_mobility, channel_gain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -380,6 +388,56 @@ class TestStreams:
         for (pos_a, gain_a), (pos_b, gain_b) in zip(base, other):
             assert np.array_equal(pos_a, pos_b)
             assert np.array_equal(gain_a, gain_b)
+
+
+class TestChannelChunks:
+    """``step`` draws the channel a chunk of rounds at a time; everything it
+    shows must equal drawing it round by round."""
+
+    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                        2 * CHUNK + 3])
+    def test_episode_matches_round_by_round_reference(self, rounds):
+        env = AdaptiveFedEnv(dataclasses.replace(EnvParams(), rounds=rounds))
+        p = env.params
+        obs = env.reset(seed=8)
+        ref = copy.deepcopy(env.world)  # reset draws round 0 only
+        rng = np.random.default_rng(0)
+        for r in range(rounds + 1):
+            want = np.concatenate([
+                10.0 * np.log10(np.maximum(ref.gains, 1e-30)) / 100.0,
+                ref.profile.memory_capacity / p.memory_capacity_range[1],
+                ref.exchange_count / p.rounds, [r / p.rounds]])
+            assert obs.tobytes() == want.tobytes(), r
+            assert env.world.gains.tobytes() == ref.gains.tobytes(), r
+            if r == rounds:
+                break
+            action = env.decode_branch_actions(
+                rng.permutation(p.n_devices)[:p.select_k],
+                *rng.integers(0, p.levels, (2, p.select_k)),
+                rng.integers(0, len(p.retention_grid), p.select_k))
+            obs, _, done = env.step(action)
+            want_rates = run_round(ref, action, env.mode, r).rates
+            assert env.last_outcome.rates.tobytes() == want_rates.tobytes()
+            assert done == (r + 1 == rounds)
+            advance_mobility(ref.position, ref.waypoint, ref.pause_left,
+                             ref.leg_speed, p, ref.mobility_rng)
+            ref.gains = channel_gain(np.hypot(*ref.position.T), p,
+                                     ref.fading_rng)
+        # the last chunk ends at the last round: nothing was drawn ahead
+        for name in ("mobility_rng", "fading_rng"):
+            assert (getattr(env.world, name).bit_generator.state
+                    == getattr(ref, name).bit_generator.state)
+
+    def test_training_gains_are_read_only(self):
+        env = AdaptiveFedEnv(dataclasses.replace(small_params(),
+                                                 rounds=CHUNK + 2))
+        env.reset(seed=0)
+        for r in range(CHUNK + 2):
+            with pytest.raises(ValueError, match="read-only"):
+                env.world.gains[0] = 1.0
+            env.step(fixed_action(env))
+        with pytest.raises(ValueError, match="read-only"):
+            env.world.gains[:] = 0.0
 
 
 class TestEnvParams:

@@ -1,6 +1,7 @@
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +28,29 @@ def test_checkout_against_itself_times_every_size(capsys):
     assert out[0] == "outputs bit-identical at every size and mode"
     rows = [line.split(" | ") for line in out[3:]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == list(env_step_ab.SIZES)
-    assert all(r[5].endswith("/2 |") for r in rows)
+    assert all(r[5].endswith("/2") for r in rows)
+    assert all(float(r[6]) >= 0 and float(r[7][:-2]) >= 0 for r in rows)
+
+
+def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
+    # a fake clock and fault counter that reset and step advance
+    clock = {"s": 0.0, "faults": 0}
+
+    class Env:
+        def reset(self, seed):
+            clock["s"] += 3.0
+            clock["faults"] += 7
+
+        def step(self, action):
+            clock["s"] += 1.0
+            clock["faults"] += 1
+
+    monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
+    monkeypatch.setattr(env_step_ab, "getrusage", lambda who: SimpleNamespace(
+        ru_minflt=clock["faults"]))
+    us, faults = env_step_ab.time_block(Env(), [None] * 4)
+    assert us == (3.0 + 4 * 1.0) / 4 * 1e6
+    assert faults == 7 + 4
 
 
 def test_differing_outputs_are_refused_before_timing(capsys, monkeypatch):

@@ -391,9 +391,11 @@ def world_state(world):
             world.fading_rng.bit_generator.state)
 
 
-def assert_rounds_match_oracle(world, mode, rounds):
-    """Run ``rounds`` (a list of actions) and compare every round with
-    ``oracle_round``, bit for bit."""
+def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
+    """Run ``rounds`` (a list of actions), each later round on a row of the
+    gains ``world.advance_channel(chunk)`` draws, and compare every round
+    with ``oracle_round``, bit for bit."""
+    rows = []
     for r, actions in enumerate(rounds):
         want = oracle_round(world, actions, mode)
         got = run_round(world, actions, mode, r)
@@ -405,7 +407,8 @@ def assert_rounds_match_oracle(world, mode, rounds):
         assert got.server_perplexity.hex() == want["server_perplexity"].hex()
         assert world.exchange_count.tobytes() == want["exchange_count"].tobytes()
         assert world.retention.tobytes() == want["retention"].tobytes()
-        world.advance_channel()
+        rows = rows or list(world.advance_channel(chunk))
+        world.gains = rows.pop(0)
 
 
 class TestRunRoundOracle:
@@ -436,7 +439,8 @@ class TestRunRoundOracle:
         env = make_env(mode.value, n=n, k=max(k, 1), seed=seed,
                        local_epochs=epochs, total_params=total,
                        retention_grid=grid)
-        assert_rounds_match_oracle(env.world, mode, rounds)
+        assert_rounds_match_oracle(env.world, mode, rounds,
+                                   data.draw(st.integers(1, 12), label="chunk"))
 
     @pytest.mark.parametrize("mode", list(FederationMode))
     @pytest.mark.parametrize("grid", [(0.75, 0.25, 1.0, 0.25),
@@ -450,7 +454,7 @@ class TestRunRoundOracle:
                   for _ in range(12)]
         env = make_env(mode.value, n=n, k=k, seed=1, retention_grid=grid,
                        total_params=1_208_000_001)
-        assert_rounds_match_oracle(env.world, mode, rounds)
+        assert_rounds_match_oracle(env.world, mode, rounds, chunk=5)
 
     @pytest.mark.parametrize("grid,retention", [
         ((0.25, 0.5, 0.75, 1.0), 0.3),
@@ -491,29 +495,31 @@ class TestAdvanceChannel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
            speed_range=speed_ranges, pause=st.sampled_from([0, 2]),
-           rounds=st.integers(1, 12))
+           chunks=st.lists(st.integers(1, 12), min_size=1, max_size=4))
     def test_arrays_match_scalar_reference(self, seed, n, speed_range, pause,
-                                           rounds):
+                                           chunks):
         env = make_env(n=n, k=1, seed=seed, speed_range=speed_range,
                        waypoint_pause=pause)
         world = env.world
         mobility_rng = copy.deepcopy(world.mobility_rng)
         fading_rng = copy.deepcopy(world.fading_rng)
         states = [DeviceState(position=p.copy()) for p in world.position]
-        for _ in range(rounds):
-            world.advance_channel()
-            gains = []
-            for state in states:
-                pos = step_mobility(state, world.params, mobility_rng)
-                dist = float(np.hypot(pos[0], pos[1]))
-                gains.append(channel_gain(dist, world.params, fading_rng))
+        for size in chunks:
+            rows = world.advance_channel(size)
+            assert rows.shape == (size, n)
+            for row in rows:
+                gains = []
+                for state in states:
+                    pos = step_mobility(state, world.params, mobility_rng)
+                    dist = float(np.hypot(pos[0], pos[1]))
+                    gains.append(channel_gain(dist, world.params, fading_rng))
+                np.testing.assert_allclose(row, gains, rtol=1e-12, atol=0)
             assert np.array_equal(world.position, [s.position for s in states])
             assert np.array_equal(world.waypoint, [
                 np.full(2, np.nan) if s.waypoint is None else s.waypoint
                 for s in states], equal_nan=True)
             assert world.pause_left.tolist() == [s.pause_left for s in states]
             assert world.leg_speed.tolist() == [s.leg_speed for s in states]
-            np.testing.assert_allclose(world.gains, gains, rtol=1e-12, atol=0)
         assert (world.mobility_rng.bit_generator.state
                 == mobility_rng.bit_generator.state)
         assert (world.fading_rng.bit_generator.state

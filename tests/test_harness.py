@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from fedemu.agents import PpoConfig
-from fedemu.env import AdaptiveFedEnv, EnvParams
+from fedemu.env import CHUNK, AdaptiveFedEnv, EnvParams
 from fedemu.federation import World
 from fedemu.harness import cli
 from fedemu.harness.checkpoint import (
@@ -220,6 +220,24 @@ class TestTrain:
     def test_random_agent_runs(self, tmp_path):
         result = cmd_train(tiny_config(agent="random"), tmp_path / "run")
         assert result.final_metrics is not None
+
+    def test_resets_only_episodes_it_steps(self, tmp_path, monkeypatch):
+        # 40 steps are 4 whole episodes; the step that ends the fourth
+        # starts no fifth, and the checkpoint still counts 4 episodes
+        config = tiny_config(agent="random", total_steps=40, eval_interval=20)
+        seeds, reset = [], AdaptiveFedEnv.reset
+
+        def training_resets_counted(env, seed, replay=False):
+            if not replay:
+                seeds.append(seed)
+            return reset(env, seed, replay)
+
+        monkeypatch.setattr(AdaptiveFedEnv, "reset", training_resets_counted)
+        cmd_train(config, tmp_path / "run")
+        assert len(seeds) == len(set(seeds)) == 4
+        meta = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        meta = meta["meta"]
+        assert meta["episode"] == 4 and meta["step"] == 40
 
     def test_rounds_trace_written(self, tmp_path):
         cmd_train(tiny_config(), tmp_path / "run")
@@ -498,10 +516,12 @@ class TestEvalReplay:
 
     @staticmethod
     def count_channel_advances(monkeypatch):
+        """Rounds each ``World.advance_channel`` call advances, in order."""
         calls = []
         advance = World.advance_channel
         monkeypatch.setattr(World, "advance_channel",
-                            lambda world: calls.append(1) or advance(world))
+                            lambda world, rounds: calls.append(rounds)
+                            or advance(world, rounds))
         return calls
 
     @staticmethod
@@ -528,7 +548,7 @@ class TestEvalReplay:
         env = AdaptiveFedEnv(config.env)
         shared = self.evaluations(config, agents, [env] * 3, tmp_path, "shared")
         assert shared == fresh
-        assert len(calls) == config.eval_episodes * config.env.rounds
+        assert sum(calls) == config.eval_episodes * config.env.rounds
         with pytest.raises(ValueError, match="read-only"):
             env.world.gains[0] = 1.0  # a replayed recording
         if kind == "sabppo":
@@ -536,28 +556,41 @@ class TestEvalReplay:
 
     def test_interrupted_episode_is_recorded_again(self, tmp_path,
                                                    monkeypatch):
-        config = tiny_config()
+        self.assert_stopped_episode_is_drawn_again(tiny_config(), 3, tmp_path,
+                                                   monkeypatch)
+
+    def test_episode_stopped_past_a_chunk_is_drawn_again(self, tmp_path,
+                                                         monkeypatch):
+        # by round C + 3 the recording holds two chunks, 2C + 1 rows
+        config = tiny_config(env_overrides={"rounds": 2 * CHUNK + 3})
+        self.assert_stopped_episode_is_drawn_again(config, CHUNK + 3, tmp_path,
+                                                   monkeypatch)
+
+    def assert_stopped_episode_is_drawn_again(self, config, stop, tmp_path,
+                                              monkeypatch):
+        """An eval episode stopped at round ``stop`` leaves nothing that a
+        later ``evaluate`` on the same env replays."""
         agent = build_agent(config)
 
         class Stop(Exception):
             pass
 
-        class StopsAtRoundThree:
+        class StopsAtRound:
             acted = 0
 
             def act(self, obs, greedy=False):
-                if self.acted == 3:
+                if self.acted == stop:
                     raise Stop
                 self.acted += 1
                 return agent.act(obs, greedy=greedy)
 
         env = AdaptiveFedEnv(config.env)
         with pytest.raises(Stop):
-            evaluate(config, StopsAtRoundThree(), env=env)
-        assert env.round_index == 3
+            evaluate(config, StopsAtRound(), env=env)
+        assert env.round_index == stop
         calls = self.count_channel_advances(monkeypatch)
         got = self.evaluations(config, [agent], [env], tmp_path, "shared")
-        assert len(calls) == config.eval_episodes * config.env.rounds
+        assert sum(calls) == config.eval_episodes * config.env.rounds
         assert got == self.evaluations(config, [agent],
                                        [AdaptiveFedEnv(config.env)],
                                        tmp_path, "fresh")
@@ -573,7 +606,7 @@ class TestEvalReplay:
                     [0, 1], [0, 0], [0, 0], [0, 0]))
                 obs.append(obs_i)
             episodes.append(np.array(obs))
-        assert len(calls) == 2 * env.params.rounds
+        assert sum(calls) == 2 * env.params.rounds
         assert np.array_equal(episodes[0], episodes[1])
         assert env._channels == {}
 

@@ -28,10 +28,19 @@ def test_fixed_configs_cover_every_agent_and_mode():
         grid = configs[f"grid-unsorted-{agent}"]["env"]["retention_grid"]
         assert grid != sorted(grid) and len(set(grid)) < len(grid)
         assert configs[f"zero-epochs-{agent}"]["env"]["local_epochs"] == 0
+    from fedemu.env import CHUNK
+
+    for agent in ("sabppo", "random"):
+        config = configs[f"long-episode-{agent}"]
+        rounds, steps = config["env"]["rounds"], config["total_steps"]
+        # episodes cross chunk boundaries, end on a short chunk, and the
+        # run stops mid-episode
+        assert rounds > 2 * CHUNK and rounds % CHUNK and steps % rounds
     for config in configs.values():
         config_from_dict(config)
     evals = output_digests.eval_runs()
-    assert set(evals.values()) == {"tiny-sabppo-fedpeat", "wide-rollout-s2"}
+    assert set(evals.values()) == {"tiny-sabppo-fedpeat", "long-episode-sabppo",
+                                   "wide-rollout-s2"}
     assert not set(evals) & set(configs)
 
 

@@ -1,4 +1,4 @@
-"""Time ``AdaptiveFedEnv.step`` of two checkouts in one process, interleaved.
+"""Time env episodes of two checkouts in one process, interleaved.
 
     python3 tools/env_step_ab.py --parent ../parent [--change .] [--repeats 30]
 
@@ -13,13 +13,16 @@ mode, one 100-round episode of fixed random actions (seed 0; the same raw
 branch indices, decoded by each side) is first run on both sides, and every
 observation, reward term and round outcome is compared bit for bit. If any
 differs the tool prints where and exits 1 without timing anything. Then, per
-N, ``--repeats`` pairs of blocks of one fedpeat episode each are timed,
-one block per side, alternating which side goes first. The table gives each
-side's median microseconds per step with quartiles, the median of the
-pairs' change/parent ratios (the two blocks of a pair run back to back, so
-slow drift of the host cancels in their ratio) and the number of pairs the
-change is faster. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for
-stable figures.
+N, ``--repeats`` pairs of blocks are timed, one block per side, alternating
+which side goes first. A block is ``reset`` plus one fedpeat episode, so
+work moved between ``reset`` and ``step`` shows. The table gives each side's
+median microseconds per step (the block's time over its steps) with
+quartiles, the median of the pairs' change/parent ratios (the two blocks of
+a pair run back to back, so slow drift of the host cancels in their ratio),
+the number of pairs the change is faster, and each side's median minor page
+faults per block (``getrusage`` ``ru_minflt``): arrays allocated afresh each
+block are faulted in again when the heap gave their pages back. Pin BLAS to
+one thread (``OPENBLAS_NUM_THREADS=1``) for stable figures.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import dataclasses
 import gc
 import importlib.util
 import sys
-import time
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
+from time import perf_counter
 
 import numpy as np
 
@@ -91,13 +95,17 @@ def first_difference(a: list[bytes], b: list[bytes]) -> int | None:
                 None if len(a) == len(b) else min(len(a), len(b)))
 
 
-def time_block(env, actions) -> float:
-    """Microseconds per step over one episode."""
+def time_block(env, actions) -> tuple[float, int]:
+    """Microseconds per step of one episode, its reset included, and the
+    minor page faults of the block."""
+    faults = getrusage(RUSAGE_SELF).ru_minflt
+    start = perf_counter()
     env.reset(SEED)
-    start = time.perf_counter()
     for action in actions:
         env.step(action)
-    return (time.perf_counter() - start) / len(actions) * 1e6
+    elapsed = perf_counter() - start
+    return (elapsed / len(actions) * 1e6,
+            getrusage(RUSAGE_SELF).ru_minflt - faults)
 
 
 def summary(values) -> str:
@@ -134,10 +142,11 @@ def main(argv=None) -> int:
     print("outputs bit-identical at every size and mode")
 
     print("| N | K | parent us/step | change us/step | pair ratio "
-          "| change faster |")
-    print("|---|---|---|---|---|---|")
+          "| change faster | parent faults | change faults |")
+    print("|---|---|---|---|---|---|---|---|")
     for n, k in SIZES:
         times = {"parent": [], "change": []}
+        faults = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
         try:
@@ -145,15 +154,17 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if rep % 2 == 0 else (
                     "change", "parent")
                 for side in order:
-                    times[side].append(time_block(envs[side, n],
-                                                  actions[side, n]))
+                    us, flt = time_block(envs[side, n], actions[side, n])
+                    times[side].append(us)
+                    faults[side].append(flt)
         finally:
             gc.enable()
         par, chg = times["parent"], times["change"]
         wins = sum(c < p for p, c in zip(par, chg))
         ratio = np.median(np.divide(chg, par))
         print(f"| {n} | {k} | {summary(par)} | {summary(chg)} | {ratio:.3f}x "
-              f"| {wins}/{len(par)} |")
+              f"| {wins}/{len(par)} | {np.median(faults['parent']):g} "
+              f"| {np.median(faults['change']):g} |")
     return 0
 
 

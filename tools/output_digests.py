@@ -22,9 +22,13 @@ with an unsorted retention grid that repeats a value (0.75, 0.25, 1.0,
 round's retention lookup and its no-tuning branch; a config whose critic
 targets sync inside updates (seed 5, N=30, K=5, 20 rounds, 150 steps, eval
 every 50, segment 25, minibatch 8, ``target_sync`` 7) for the three
-learners; and the three benchmark workloads on seed 2. The eval runs
-evaluate the tiny sabppo run in fedpeat mode and the wide-rollout run. All
-of them take about 10 s per checkout on a 2-vCPU host.
+learners; a long-episode config (seed 7, N=30, K=5, 47 rounds, 120 steps,
+eval every 40, segment 30, minibatch 10) for sabppo and random, whose
+episodes cross the boundaries of the env's channel chunks, end on a short
+chunk, and whose training stops mid-episode; and the three benchmark
+workloads on seed 2. The eval runs evaluate the tiny sabppo run in fedpeat
+mode, the long-episode sabppo run and the wide-rollout run. All of them
+take about 15 s per checkout on a 2-vCPU host.
 
 Prints one line per run, then the number of runs that are identical, then
 each checkout's ``src/`` line count (newlines in every ``*.py`` under
@@ -102,6 +106,11 @@ def fixed_configs() -> dict[str, dict]:
             "agent": agent, "seed": 5, "total_steps": 150, "eval_interval": 50,
             "env": {"n_devices": 30, "select_k": 5, "rounds": 20},
             "ppo": {"segment": 25, "minibatch": 8, "target_sync": 7}}
+    for agent in ("sabppo", "random"):
+        configs[f"long-episode-{agent}"] = {
+            "agent": agent, "seed": 7, "total_steps": 120, "eval_interval": 40,
+            "env": {"n_devices": 30, "select_k": 5, "rounds": 47},
+            "ppo": {"segment": 30, "minibatch": 10}}
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
     for name in workloads["WORKLOADS"]:
         configs[f"{name}-s{BENCH_SEED}"] = workloads["workload_config"](
@@ -112,6 +121,7 @@ def fixed_configs() -> dict[str, dict]:
 def eval_runs() -> dict[str, str]:
     """Trained run each eval run copies and evaluates, by eval run name."""
     return {"eval-tiny-sabppo-fedpeat": "tiny-sabppo-fedpeat",
+            "eval-long-episode-sabppo": "long-episode-sabppo",
             f"eval-wide-rollout-s{BENCH_SEED}": f"wide-rollout-s{BENCH_SEED}"}
 
 
