@@ -249,7 +249,8 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     try:
         obs = None
         while step < config.total_steps:
-            if obs is None:  # reset only an episode a step will play
+            # reset only an episode a step plays, before that step's eval
+            if obs is None:
                 obs = env.reset(_derived_seed(config.seed, 4, episode))
             # the run that saved the checkpoint evaluated at its step already
             if step % config.eval_interval == 0 and (step > start_step
