@@ -16,7 +16,11 @@ speeds, data sizes, start positions, then the bandwidth budget), mobility and
 fading. No setting other than the seed and the population, mobility and
 channel parameters moves positions or gains, and no action does; so ``step``
 draws them ``CHUNK`` rounds at a time, and the world's mobility arrays and
-streams run up to a chunk ahead of ``round_index``.
+streams run up to a chunk ahead of ``round_index``. The env keeps three
+chunk-sized buffers across resets: a training chunk's gains and its fading
+normals, and the dB gain feature of any chunk. So a training gains row is
+valid only until the next chunk is drawn, while an eval env's recorded
+chunks are new arrays.
 """
 
 from __future__ import annotations
@@ -198,6 +202,12 @@ class AdaptiveFedEnv:
         self.round_index = 0
         self.last_outcome = None
         self._channels: dict[int, list[np.ndarray]] = {}  # chunks per seed
+        # chunk buffers that outlive a reset: a training chunk's gains and
+        # fading normals, and the dB gain feature (fading powers mid-draw)
+        n = self.params.n_devices
+        self._gains = np.empty((CHUNK, n))
+        self._normals = np.empty((CHUNK, n, 2))
+        self._feature = np.empty((CHUNK, n))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -310,19 +320,30 @@ class AdaptiveFedEnv:
     def _next_chunk(self):
         """Make current the chunk of gains rows from ``round_index`` on,
         replayed or drawn (round 0's by building the world, later ones up to
-        CHUNK rounds at a time) and recorded; compute its dB feature once."""
+        CHUNK rounds at a time) and recorded; compute its dB feature once.
+        A training chunk is drawn into the env's buffers, so its rows are
+        valid until the next draw."""
+        recording = self._recording is not None
         if self._replay is not None:
             chunk = next(self._replay)
         else:
-            chunk = (self.world.advance_channel(
-                min(CHUNK, self.params.rounds + 1 - self.round_index))
-                if self.round_index else self.world.gains[None])
+            if self.round_index:
+                rounds = min(CHUNK, self.params.rounds + 1 - self.round_index)
+                # a kept chunk is a new array; its normals are too, since a
+                # seed is recorded once and the buffer need not stay resident
+                chunk = self.world.advance_channel(
+                    rounds, out=None if recording else self._gains[:rounds],
+                    fading=self._feature[:rounds],
+                    normals=None if recording else self._normals[:rounds])
+            else:
+                chunk = self.world.gains[None]
             chunk.flags.writeable = False
-            if self._recording is not None:
+            if recording:
                 self._recording.append(chunk)
         self._chunk, self._chunk_start = chunk, self.round_index
-        db = np.log10(np.maximum(chunk, 1e-30))
-        self._gain_obs = np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
+        db = self._gain_obs = self._feature[:len(chunk)]
+        np.log10(np.maximum(chunk, 1e-30, out=db), out=db)
+        np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
 
     def _validate(self, action: ActionBundle):
         """Reject an action outside the action space, naming the field."""

@@ -176,16 +176,20 @@ class World:
     def n_devices(self) -> int:
         return len(self.position)
 
-    def advance_channel(self, rounds: int) -> np.ndarray:
-        """Move devices ``rounds`` mobility steps and return a new (rounds, N)
+    def advance_channel(self, rounds: int, out=None, fading=None,
+                        normals=None) -> np.ndarray:
+        """Move devices ``rounds`` mobility steps and return a (rounds, N)
         array of the gains after each step, from one path-loss pass and one
-        fading draw; ``gains`` is left to the caller."""
-        gains = np.empty((rounds, self.n_devices))
+        fading draw; ``gains`` is left to the caller. The gains go to
+        ``out`` if given, else to a new array; ``fading`` and ``normals``
+        are work arrays passed on to ``channel_gain``."""
+        gains = np.empty((rounds, self.n_devices)) if out is None else out
         for row in gains:
             advance_mobility(self.position, self.waypoint, self.pause_left,
                              self.leg_speed, self.params, self.mobility_rng)
             np.hypot(self.position[:, 0], self.position[:, 1], out=row)
-        return channel_gain(gains, self.params, self.fading_rng, out=gains)
+        return channel_gain(gains, self.params, self.fading_rng, out=gains,
+                            fading=fading, normals=normals)
 
 
 @dataclass

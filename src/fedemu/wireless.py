@@ -4,10 +4,12 @@ Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
 of discrete levels, the budgets passed as numbers. Rates, delays and budgets
-are computed for all devices of a round in one call, gains for any array;
-``advance_mobility`` moves every device of a round at once and is tested
-against a one-device reference in ``tests/``. Channel and mobility settings
-are read by name from ``env.EnvParams``, the one schema of the world.
+are computed for all devices of a round in one call, gains for any array,
+into caller-owned work arrays if given; ``advance_mobility`` moves every
+device of a round at once, treating each (x, y) row as one entry of a
+complex view so that 1-D masks copy whole rows, and is tested against a
+one-device reference in ``tests/``. Channel and mobility settings are read
+by name from ``env.EnvParams``, the one schema of the world.
 """
 
 from __future__ import annotations
@@ -38,58 +40,77 @@ def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
                      params: EnvParams, rng: np.random.Generator) -> None:
     """Advance one round of random-waypoint motion of every device, in place.
 
-    Rows of ``waypoint`` are NaN between legs. Draws the same numbers in the
-    same order as advancing each device in index order with one stream, and
-    gives bit-identical positions (``tests/`` holds that one-device loop).
+    ``position`` and ``waypoint`` are C-contiguous (N, 2) float arrays, whose
+    rows are NaN between legs. Each (x, y) row is one entry of a complex
+    view, so a row is tested for NaN and copied whole under a 1-D mask; rows
+    a mask leaves out keep their bits. Draws the same numbers in the same
+    order as advancing each device in index order with one stream, and gives
+    bit-identical positions (``tests/`` holds that one-device loop).
     """
+    pos = position.view(np.complex128)[:, 0]
+    way = waypoint.view(np.complex128)[:, 0]
     paused = pause_left > 0
     pause_left -= paused
-    need = np.isnan(waypoint[:, 0]) & ~paused
+    need = np.isnan(way) & ~paused
     m = np.count_nonzero(need)
     if m:
         u = rng.uniform(size=(m, 3))
         r = params.area_radius * np.sqrt(u[:, 0])
         theta = 2.0 * math.pi * u[:, 1]
-        waypoint[need, 0] = r * np.cos(theta)
-        waypoint[need, 1] = r * np.sin(theta)
+        drawn = np.empty(m, np.complex128)
+        np.multiply(r, np.cos(theta), out=drawn.real)
+        np.multiply(r, np.sin(theta), out=drawn.imag)
+        way[need] = drawn
         lo, hi = params.speed_range
         leg_speed[need] = lo + (hi - lo) * u[:, 2]
     # paused devices have no waypoint, so their rows are NaN and neither
-    # comparison below selects them; updates go through ``where`` masks, so
-    # rows outside a mask are never divided or moved
+    # comparison below selects them; the step is computed for every row, but
+    # only rows on ``go`` are copied, so a row off it may divide by zero
     delta = waypoint - position
     dist = np.sqrt(np.vecdot(delta, delta))  # bit-equal to np.linalg.norm
     go = dist > leg_speed
     stop = dist <= leg_speed
-    scale = np.divide(leg_speed, dist, out=np.zeros(len(dist)), where=go)
-    np.add(position, delta * scale[:, None], out=position, where=go[:, None])
-    np.copyto(position, waypoint, where=stop[:, None])
-    np.copyto(waypoint, np.nan, where=stop[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = leg_speed / dist
+        delta[:, 0] *= scale
+        delta[:, 1] *= scale
+    delta += position
+    np.copyto(pos, delta.view(np.complex128)[:, 0], where=go)
+    np.copyto(pos, way, where=stop)
+    np.copyto(way, complex(math.nan, math.nan), where=stop)
     np.copyto(pause_left, params.waypoint_pause, where=stop)
 
 
-def rician_fading_power(k: float, rng: np.random.Generator, shape=()):
+def rician_fading_power(k: float, rng: np.random.Generator, shape=(),
+                        out=None, normals=None):
     """Squared magnitude of unit-mean-power Rician fading coefficients, one
     per entry of ``shape``; draws the real and imaginary normals of each
-    entry in turn, so one draw of shape (R, N) is R draws of shape (N,).
+    entry in turn, so one draw of shape (R, N) is R draws of shape (N,). The
+    normals go to ``normals`` (shape + (2,)) and the powers to ``out`` if
+    given, else to new arrays.
 
     K -> inf degenerates to the deterministic line-of-sight value 1.
     """
     if math.isinf(k):
-        return np.ones(shape)
+        if out is None:
+            return np.ones(shape)
+        out.fill(1.0)
+        return out
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    h = rng.standard_normal(size=(*shape, 2))
+    h = rng.standard_normal(size=(*shape, 2), out=normals)
     h *= sigma
     h[..., 0] += los
-    return np.vecdot(h, h)
+    return np.vecdot(h, h, out=out)
 
 
 def channel_gain(distance, params: EnvParams, rng: np.random.Generator,
-                 out=None):
+                 out=None, fading=None, normals=None):
     """Linear channel gain: path loss at ``distance`` times Rician fading,
     elementwise over an array of distances, in place on ``out`` (which may
-    be ``distance``) if given, else on a new array (0-d for one distance)."""
+    be ``distance``) if given, else on a new array (0-d for one distance).
+    ``fading`` and ``normals`` are optional work arrays for
+    ``rician_fading_power``'s ``out`` and ``normals``."""
     g = np.maximum(distance, params.reference_distance, out=out)[...]
     g /= params.reference_distance
     np.log10(g, out=g)
@@ -97,7 +118,8 @@ def channel_gain(distance, params: EnvParams, rng: np.random.Generator,
     g += params.reference_loss_db
     g /= -10.0
     np.power(10.0, g, out=g)
-    g *= rician_fading_power(params.rician_k, rng, g.shape)
+    g *= rician_fading_power(params.rician_k, rng, g.shape, out=fading,
+                             normals=normals)
     return g if g.ndim else g[()]
 
 

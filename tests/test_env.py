@@ -440,6 +440,51 @@ class TestChannelChunks:
             env.world.gains[:] = 0.0
 
 
+class TestChunkBuffers:
+    """The env draws training chunks into buffers it keeps across resets;
+    what it hands out must equal fresh draws, and what it keeps must not
+    alias the buffers."""
+
+    rounds = 2 * CHUNK + 3  # chunks of CHUNK, CHUNK and 3 rounds after 0
+
+    @staticmethod
+    def play(env, seed, replay=False):
+        env.reset(seed, replay=replay)
+        for _ in range(env.params.rounds):
+            env.step(fixed_action(env))
+
+    def test_training_rows_equal_fresh_draws(self):
+        env = AdaptiveFedEnv(dataclasses.replace(small_params(),
+                                                 rounds=self.rounds))
+        for seed in (4, 5):
+            env.reset(seed)
+            ref = copy.deepcopy(env.world)
+            want = [ref.gains, *(row for size in (CHUNK, CHUNK, 3)
+                                 for row in ref.advance_channel(size))]
+            for r in range(self.rounds + 1):
+                gains = env.world.gains
+                assert not gains.flags.writeable, (seed, r)
+                assert gains.tobytes() == want[r].tobytes(), (seed, r)
+                assert np.shares_memory(gains, env._gains) == (r > 0)
+                if r < self.rounds:
+                    env.step(fixed_action(env))
+
+    def test_kept_recording_shares_no_buffer(self):
+        env = AdaptiveFedEnv(dataclasses.replace(small_params(),
+                                                 rounds=self.rounds))
+        self.play(env, 4, replay=True)
+        kept = env._channels[4]
+        saved = [chunk.copy() for chunk in kept]
+        assert len(kept) == 4
+        for buffer in (env._gains, env._normals, env._feature):
+            assert not any(np.shares_memory(c, buffer) for c in kept)
+        self.play(env, 5)  # training draws into the buffers
+        self.play(env, 6, replay=True)  # another recording
+        self.play(env, 4, replay=True)  # replays the kept one
+        assert env._channels[4] is kept
+        assert [c.tobytes() for c in kept] == [c.tobytes() for c in saved]
+
+
 class TestEnvParams:
     @pytest.mark.parametrize("values,field", [
         ({"n_devices": 0}, "n_devices"),

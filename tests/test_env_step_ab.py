@@ -29,7 +29,9 @@ def test_checkout_against_itself_times_every_size(capsys):
     rows = [line.split(" | ") for line in out[3:]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == list(env_step_ab.SIZES)
     assert all(r[5].endswith("/2") for r in rows)
-    assert all(float(r[6]) >= 0 and float(r[7][:-2]) >= 0 for r in rows)
+    assert all(float(r[6]) >= 0 and float(r[7]) >= 0 for r in rows)
+    # 100 rounds are 5 draws of a chunk per block
+    assert all(float(r[8]) > 0 and float(r[9][:-2]) > 0 for r in rows)
 
 
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
@@ -51,6 +53,24 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     us, faults = env_step_ab.time_block(Env(), [None] * 4)
     assert us == (3.0 + 4 * 1.0) / 4 * 1e6
     assert faults == 7 + 4
+
+
+def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
+    clock = {"s": 0.0}
+
+    class World:
+        def advance_channel(self, rounds, out=None):
+            clock["s"] += rounds * 0.5
+            return out
+
+    advance = World.advance_channel
+    monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
+    sink = []
+    with env_step_ab.timed_draws(World, sink):
+        assert World().advance_channel(20, out="buffer") == "buffer"
+        World().advance_channel(4)
+    assert sink == [10e6, 2e6]
+    assert World.advance_channel is advance
 
 
 def test_differing_outputs_are_refused_before_timing(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from fedemu.agents import PpoConfig
 from fedemu.env import CHUNK, AdaptiveFedEnv, EnvParams
 from fedemu.federation import World
 from fedemu.harness import cli
+from fedemu.harness import run as run_module
 from fedemu.harness.checkpoint import (
     _state_arrays,
     load_checkpoint,
@@ -238,6 +239,29 @@ class TestTrain:
         meta = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
         meta = meta["meta"]
         assert meta["episode"] == 4 and meta["step"] == 40
+
+    def test_first_reset_is_training_and_precedes_first_eval(self, tmp_path,
+                                                             monkeypatch):
+        # bench/worker.py ends set-up at the first reset of any env, but
+        # records the time only for a training reset
+        events, reset = [], AdaptiveFedEnv.reset
+        evaluate_ = run_module.evaluate
+
+        def reset_logged(env, seed, replay=False):
+            events.append(("reset", env, replay))
+            return reset(env, seed, replay)
+
+        def evaluate_logged(*args, **kwargs):
+            events.append(("evaluate", kwargs["env"], None))
+            return evaluate_(*args, **kwargs)
+
+        monkeypatch.setattr(AdaptiveFedEnv, "reset", reset_logged)
+        monkeypatch.setattr(run_module, "evaluate", evaluate_logged)
+        cmd_train(tiny_config(agent="random", total_steps=20,
+                              eval_interval=10), tmp_path / "run")
+        assert [(kind, replay) for kind, _, replay in events[:2]] == [
+            ("reset", False), ("evaluate", None)]
+        assert events[0][1] is not events[1][1]  # the training env
 
     def test_rounds_trace_written(self, tmp_path):
         cmd_train(tiny_config(), tmp_path / "run")
@@ -519,9 +543,10 @@ class TestEvalReplay:
         """Rounds each ``World.advance_channel`` call advances, in order."""
         calls = []
         advance = World.advance_channel
-        monkeypatch.setattr(World, "advance_channel",
-                            lambda world, rounds: calls.append(rounds)
-                            or advance(world, rounds))
+        monkeypatch.setattr(
+            World, "advance_channel",
+            lambda world, rounds, **kwargs: calls.append(rounds)
+            or advance(world, rounds, **kwargs))
         return calls
 
     @staticmethod

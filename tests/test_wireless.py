@@ -25,7 +25,35 @@ def det_params(**kw):
     return EnvParams(**defaults)
 
 
+def mixed_devices(n):
+    """(position, waypoint, pause_left, leg_speed) of n devices in every state
+    a round treats apart, by index mod 5: paused for 1 or 2 more rounds (0),
+    on a leg (1), on a zero-speed leg (2), on its waypoint (3) and due a new
+    waypoint (4). Every third device has x = -0.0."""
+    rng = np.random.default_rng(n)
+    state = np.arange(n) % 5
+    position = rng.uniform(-30.0, 30.0, size=(n, 2))
+    position[::3, 0] = -0.0
+    waypoint = position + 10.0  # legs 14.1 m long
+    waypoint[(state == 0) | (state == 4)] = np.nan
+    waypoint[state == 3] = position[state == 3]
+    pause_left = np.where(state == 0, 1 + np.arange(n) % 2, 0)
+    leg_speed = np.where(state == 2, 0.0, 5.0)
+    return position, waypoint, pause_left, leg_speed
+
+
 class TestChannelGain:
+    @pytest.mark.parametrize("k", [3.0, math.inf])
+    def test_work_arrays_give_the_same_bits(self, k):
+        p = det_params(rician_k=k)
+        distance = np.random.default_rng(0).uniform(0.5, 80.0, size=(3, 7))
+        want = channel_gain(distance, p, np.random.default_rng(1))
+        out, fading = np.empty((3, 7)), np.empty((3, 7))
+        got = channel_gain(distance, p, np.random.default_rng(1), out=out,
+                           fading=fading, normals=np.empty((3, 7, 2)))
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == want.tobytes()
+
     def test_reference_point_no_fading(self):
         rng = np.random.default_rng(0)
         g = channel_gain(1.0, det_params(), rng)
@@ -241,6 +269,35 @@ class TestMobility:
         if speed_range == (0.0, 0.0):
             # legs of speed 0 never move a device off its start
             assert np.array_equal(position, start)
+        # one round of every state at once, at the wide-rollout size
+        devices = mixed_devices(1000)
+        with np.errstate(all="raise"):
+            advance_mobility(*devices, model, rng)
+        assert np.isfinite(devices[0]).all()
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_unmoved_rows_keep_their_bits(self, n):
+        position, waypoint, pause_left, leg_speed = mixed_devices(n)
+        state = np.arange(n) % 5
+        start, start_waypoint = position.copy(), waypoint.copy()
+        advance_mobility(position, waypoint, pause_left, leg_speed,
+                         self.model, np.random.default_rng(1))
+
+        def kept(a, b):
+            return (a.view(np.int64) == b.view(np.int64)).all(axis=1)
+
+        # paused devices, and devices copied onto the waypoint they are on
+        still = np.isin(state, (0, 3))
+        assert kept(position, start)[still].all()
+        assert np.signbit(position[still, 0]).any()  # -0.0 among them
+        # paused devices, and devices on a leg they do not finish
+        assert kept(waypoint, start_waypoint)[np.isin(state, (0, 1, 2))].all()
+        # a zero-speed leg moves a device by +-0.0: -0.0 may become +0.0
+        zero = state == 2
+        assert np.array_equal(position[zero], start[zero])
+        assert not kept(position, start)[state == 1].any()
+        assert np.isnan(waypoint[state == 3]).all()
+        assert not np.isnan(waypoint[state == 4]).any()
 
     def test_seed42_golden_trace(self):
         # frozen from the first implementation run

@@ -19,15 +19,19 @@ work moved between ``reset`` and ``step`` shows. The table gives each side's
 median microseconds per step (the block's time over its steps) with
 quartiles, the median of the pairs' change/parent ratios (the two blocks of
 a pair run back to back, so slow drift of the host cancels in their ratio),
-the number of pairs the change is faster, and each side's median minor page
+the number of pairs the change is faster, each side's median minor page
 faults per block (``getrusage`` ``ru_minflt``): arrays allocated afresh each
-block are faulted in again when the heap gave their pages back. Pin BLAS to
-one thread (``OPENBLAS_NUM_THREADS=1``) for stable figures.
+block are faulted in again when the heap gave their pages back, and each
+side's median microseconds per ``World.advance_channel`` call, timed inside
+the same blocks, so a change to the channel draw reads apart from the rest
+of the round. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for stable
+figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import importlib.util
@@ -108,6 +112,25 @@ def time_block(env, actions) -> tuple[float, int]:
             getrusage(RUSAGE_SELF).ru_minflt - faults)
 
 
+@contextlib.contextmanager
+def timed_draws(world_class, sink: list):
+    """Within the block, append the microseconds of every
+    ``world_class.advance_channel`` call to ``sink``."""
+    advance = world_class.advance_channel
+
+    def timed(world, *args, **kwargs):
+        start = perf_counter()
+        gains = advance(world, *args, **kwargs)
+        sink.append((perf_counter() - start) * 1e6)
+        return gains
+
+    world_class.advance_channel = timed
+    try:
+        yield
+    finally:
+        world_class.advance_channel = advance
+
+
 def summary(values) -> str:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return f"{med:.1f} [{q1:.1f}, {q3:.1f}]"
@@ -142,11 +165,13 @@ def main(argv=None) -> int:
     print("outputs bit-identical at every size and mode")
 
     print("| N | K | parent us/step | change us/step | pair ratio "
-          "| change faster | parent faults | change faults |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| change faster | parent faults | change faults "
+          "| parent us/advance_channel | change us/advance_channel |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for n, k in SIZES:
         times = {"parent": [], "change": []}
         faults = {"parent": [], "change": []}
+        draws = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
         try:
@@ -154,7 +179,8 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if rep % 2 == 0 else (
                     "change", "parent")
                 for side in order:
-                    us, flt = time_block(envs[side, n], actions[side, n])
+                    with timed_draws(sides[side].World, draws[side]):
+                        us, flt = time_block(envs[side, n], actions[side, n])
                     times[side].append(us)
                     faults[side].append(flt)
         finally:
@@ -164,7 +190,9 @@ def main(argv=None) -> int:
         ratio = np.median(np.divide(chg, par))
         print(f"| {n} | {k} | {summary(par)} | {summary(chg)} | {ratio:.3f}x "
               f"| {wins}/{len(par)} | {np.median(faults['parent']):g} "
-              f"| {np.median(faults['change']):g} |")
+              f"| {np.median(faults['change']):g} "
+              f"| {np.median(draws['parent']):.1f} "
+              f"| {np.median(draws['change']):.1f} |")
     return 0
 
 
