@@ -73,7 +73,6 @@ class PpoConfig:
     entropy_coef: float = 0.01
     actor_lr: float = 3e-4
     critic_lr: float = 1e-3
-    normalize_advantages: bool = True
     hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
@@ -612,8 +611,6 @@ class _PpoAgentBase(_ChainPolicy):
         return adv, adv + v
 
     def _normalized(self, adv: np.ndarray) -> np.ndarray:
-        if not self.cfg.normalize_advantages:
-            return adv
         std = adv.std()
         if std < 1e-8:
             return adv  # degenerate batch: proceed unnormalised

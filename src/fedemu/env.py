@@ -230,15 +230,13 @@ class AdaptiveFedEnv:
         # server holds server_data_fraction of all data and always trains
         frac = p.server_data_fraction
         server = DeviceProfile(
-            memory_capacity=16 * p.memory_capacity_range[1],
             compute_speed=p.server_speed_factor * p.compute_speed_range[1],
             data_size=max(1, round(frac / (1.0 - frac) * int(data.sum()))),
         )
         self.world = World(
             params=p,
             bandwidth_budget=population.uniform(*p.bandwidth_budget_range),
-            profile=DeviceProfile(memory_capacity=capacity,
-                                  compute_speed=speed, data_size=data),
+            profile=DeviceProfile(compute_speed=speed, data_size=data),
             server=server,
             position=np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1),
             mobility_rng=stream(seed, 4, 2),

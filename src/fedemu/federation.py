@@ -96,8 +96,8 @@ _TOP, _FULL = -2, -1  # table columns of the 1.0 emulator and the whole model
 
 @functools.lru_cache(maxsize=32)
 def _retention_tables(params: EnvParams):
-    """The adapter, each grid retention's column, and rows of retention,
-    bytes sent, footprint, target perplexity and trained parameters over
+    """Each grid retention's column, and rows of retention, bytes sent,
+    footprint, target perplexity and trained parameters over
     ``retention_grid + (1.0, whole model)``, by the checked helpers."""
     adapter = AdapterSpec.for_model(params)
     retention = np.array((*params.retention_grid, 1.0, 1.0))
@@ -109,7 +109,7 @@ def _retention_tables(params: EnvParams):
     columns[1:3, _FULL] = params.total_bytes  # the whole model, no adapter
     columns[4, _FULL] = params.total_params
     columns.flags.writeable = False
-    return adapter, {r: i for i, r in enumerate(params.retention_grid)}, columns
+    return {r: i for i, r in enumerate(params.retention_grid)}, columns
 
 
 @dataclass
@@ -138,7 +138,6 @@ class World:
     position: np.ndarray
     mobility_rng: np.random.Generator
     fading_rng: np.random.Generator
-    adapter_spec: AdapterSpec = field(init=False)
     waypoint: np.ndarray = field(init=False)
     pause_left: np.ndarray = field(init=False)
     leg_speed: np.ndarray = field(init=False)
@@ -155,7 +154,7 @@ class World:
     def __post_init__(self):
         n = len(self.position)
         p = self.params
-        self.adapter_spec, self.grid_column, self.columns = _retention_tables(p)
+        self.grid_column, self.columns = _retention_tables(p)
         self.waypoint = np.full((n, 2), np.nan)
         self.pause_left = np.zeros(n, dtype=int)
         self.leg_speed = np.zeros(n)

@@ -77,12 +77,11 @@ class DeviceProfile:
     """Static capabilities of one device (scalars) or of a device
     population (one array entry per device)."""
 
-    memory_capacity: float | np.ndarray  # bytes
     compute_speed: float | np.ndarray    # params processed per second
     data_size: int | np.ndarray          # training samples held locally
 
     def __post_init__(self):
-        for name in ("memory_capacity", "compute_speed", "data_size"):
+        for name in ("compute_speed", "data_size"):
             if np.any(np.asarray(getattr(self, name)) <= 0):
                 raise ValueError(f"{name} must be positive")
 

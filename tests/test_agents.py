@@ -593,12 +593,11 @@ class TestRatioAndClip:
             assert clipped <= ratio * adv + 1e-15
 
     def test_zero_advantage_zero_entropy_no_actor_change(self):
-        cfg = PpoConfig(entropy_coef=0.0, segment=32, minibatch=16,
-                        normalize_advantages=False)
+        cfg = PpoConfig(entropy_coef=0.0, segment=32, minibatch=16)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=4)
         buffer = rollout_env(agent, seed=4, steps=32)
-        # constant reward + constant value function -> flat advantages? not
-        # quite: make advantages exactly zero by zeroing rewards and critic
+        # zero rewards and a zero critic give zero advantages, which the
+        # degenerate-batch guard leaves unnormalised
         for net in (agent.critics[0].net, agent.critics[0].target):
             for w in net.weights:
                 w[...] = 0.0
@@ -612,41 +611,38 @@ class TestRatioAndClip:
             assert np.array_equal(b, a)
 
     def test_saturated_clip_gives_zero_gradient(self):
-        cfg = PpoConfig(entropy_coef=0.0, segment=16, minibatch=16,
-                        normalize_advantages=False)
+        cfg = PpoConfig(entropy_coef=0.0, segment=16, minibatch=16)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=5)
         buffer = rollout_env(agent, seed=5, steps=16)
+        adv = agent._normalized(agent._advantages(buffer, agent.critics[0])[0])
+        assert np.all(adv != 0.0)
         # shift the behaviour log-probs so every ratio lands at 1 + 2*eps
+        # where the advantage is positive and 1 - 2*eps where it is
+        # negative: every sample is clipped
+        eps = cfg.clip_eps
+        shift = np.where(adv > 0, np.log(1 + 2 * eps), np.log(1 - 2 * eps))
         behaviour = agent.evaluate_logps
 
         def shifted(buf, *derived):
             logps = behaviour(buf, *derived)
-            logps[:, 0] -= np.log(1 + 2 * cfg.clip_eps)
+            logps[:, 0] -= shift
             return logps
 
         agent.evaluate_logps = shifted
-        # make advantages strictly positive: zero critic, positive rewards
-        for net in (agent.critics[0].net, agent.critics[0].target):
-            for w in net.weights:
-                w[...] = 0.0
-            for b in net.biases:
-                b[...] = 0.0
-        buffer.rewards[:] = 1.0
         before = [p.copy() for p in agent.units[0].opt.params]
         agent.update(buffer)
         for b, a in zip(before, agent.units[0].opt.params):
             assert np.array_equal(b, a)
 
     def test_unit_ratio_gradient_is_plain_policy_gradient(self):
-        cfg = PpoConfig(entropy_coef=0.0, epochs=1, segment=24, minibatch=24,
-                        normalize_advantages=False)
+        cfg = PpoConfig(entropy_coef=0.0, epochs=1, segment=24, minibatch=24)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=6)
         buffer = rollout_env(agent, seed=6, steps=24)
         twin = copy.deepcopy(agent)
 
         # manual REINFORCE-style step: ratio is exactly 1 before updates, so
         # the surrogate gradient reduces to mean(adv * dlogp)
-        adv, _ = twin._advantages(buffer, twin.critics[0])
+        adv = twin._normalized(twin._advantages(buffer, twin.critics[0])[0])
         m = buffer.size
         unit = twin.units[0]
         perm = unit.shuffle.permutation(m)  # mirror the update's order

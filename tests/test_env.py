@@ -16,6 +16,7 @@ from fedemu.env import (
     RewardBreakdown,
 )
 from fedemu.federation import ActionBundle, run_round
+from fedemu.simcore import stream
 from fedemu.wireless import advance_mobility, channel_gain
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -401,11 +402,14 @@ class TestChannelChunks:
         p = env.params
         obs = env.reset(seed=8)
         ref = copy.deepcopy(env.world)  # reset draws round 0 only
+        # the population stream draws the memory capacities first
+        capacity = stream(8, 4, 1).uniform(*p.memory_capacity_range,
+                                           size=p.n_devices)
         rng = np.random.default_rng(0)
         for r in range(rounds + 1):
             want = np.concatenate([
                 10.0 * np.log10(np.maximum(ref.gains, 1e-30)) / 100.0,
-                ref.profile.memory_capacity / p.memory_capacity_range[1],
+                capacity / p.memory_capacity_range[1],
                 ref.exchange_count / p.rounds, [r / p.rounds]])
             assert obs.tobytes() == want.tobytes(), r
             assert env.world.gains.tobytes() == ref.gains.tobytes(), r

@@ -95,9 +95,9 @@ class TestDisseminate:
         world = env.world
         for _ in range(2):  # assigned, then kept
             res = spread(world, {0: 0.5})
-            emulator = emulator_from_retention(world.params, world.adapter_spec,
-                                               0.5)
-            expected = emulator.bytes + world.adapter_spec.bytes
+            adapter = AdapterSpec.for_model(world.params)
+            emulator = emulator_from_retention(world.params, adapter, 0.5)
+            expected = emulator.bytes + adapter.bytes
             assert res.footprints[0] == expected
 
 

@@ -134,7 +134,7 @@ class TestConfig:
         ("env.retention_grid=[0.5, high]", "EnvParams.retention_grid"),
         ("env.mode=1", "EnvParams.mode"),
         ("ppo.hidden=[64, 64.5]", "PpoConfig.hidden"),
-        ("ppo.normalize_advantages=1", "PpoConfig.normalize_advantages"),
+        ("ppo.epochs=true", "PpoConfig.epochs"),
         ("agent=3", "ExperimentConfig.agent"),
         ("env=3", "EnvParams"),
     ])

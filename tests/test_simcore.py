@@ -46,10 +46,10 @@ class TestModelSpecs:
                       adapter_top_layers=2, adapter_bottom_layers=2)
 
     def test_device_profile_validation(self):
-        with pytest.raises(ValueError):
-            DeviceProfile(memory_capacity=0, compute_speed=1, data_size=1)
+        with pytest.raises(ValueError, match="compute_speed"):
+            DeviceProfile(compute_speed=0, data_size=1)
         with pytest.raises(ValueError, match="data_size"):
-            DeviceProfile(memory_capacity=np.ones(3), compute_speed=np.ones(3),
+            DeviceProfile(compute_speed=np.ones(3),
                           data_size=np.array([5, 0, 5]))
 
 
