@@ -3,8 +3,8 @@
 The branched controller factors the joint action into four heads evaluated in
 sequence (device selection, bandwidth levels, power levels, retention), each
 consuming the observation concatenated with encodings of the actions already
-taken. One critic with a hard-synced target network supplies advantages via
-GAE.
+taken. One critic supplies advantages via GAE, from its values at the start
+of each update.
 
 The PPO buffer holds each step's observation and branch actions. An update
 derives from them, once, every head's input (the chained states rebuilt with
@@ -69,7 +69,6 @@ class PpoConfig:
     epochs: int = 4            # optimisation passes per collected segment
     minibatch: int = 64
     segment: int = 100         # trajectory segment length
-    target_sync: int = 512     # critic target hard-copy interval, in updates
     entropy_coef: float = 0.01
     actor_lr: float = 3e-4
     critic_lr: float = 1e-3
@@ -80,8 +79,8 @@ class PpoConfig:
             raise ValueError("clip epsilon must lie in (0, 1)")
         if not (0.0 < self.gamma <= 1.0 and 0.0 < self.lam <= 1.0):
             raise ValueError("gamma and lambda must lie in (0, 1]")
-        if self.epochs < 1 or self.target_sync < 1:
-            raise ValueError("epochs and target sync interval must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.segment < 1:
             raise ValueError("segment must be >= 1")
         if self.minibatch < 1:
@@ -373,30 +372,21 @@ def _encode(spec: BranchSpec, action: np.ndarray, selection: np.ndarray,
 
 
 class _CriticBundle:
-    """Critic, its frozen target, optimiser, counter and shuffle stream."""
+    """Critic, its optimiser and shuffle stream."""
 
     def __init__(self, obs_dim, cfg: PpoConfig, seed: int, index: int):
         init_rng = stream(seed, 0, 100 + index)
         self.net = Mlp.init([obs_dim, *cfg.hidden, 1], init_rng)
-        self.target = self.net.clone()
         self.opt = AdamState(self.net.parameters(), lr=cfg.critic_lr)
-        self.updates = 0
         self.shuffle = stream(seed, 3, index)
 
-    def target_values(self, batch: np.ndarray) -> np.ndarray:
-        return forward(self.target, batch)[0][:, 0]
-
-    def minibatch_update(self, inputs, targets, sync_interval,
-                         scratch=None) -> float:
+    def minibatch_update(self, inputs, targets, scratch=None) -> float:
         pred, acts = forward(self.net, inputs, scratch=scratch)
         err = pred[:, 0] - targets
         loss = float((err ** 2).mean())
         upstream = (2.0 * err / len(err))[:, None]
         backward(self.net, upstream, acts, self.opt.grads, scratch)
         adam_step(self.opt, scratch)
-        self.updates += 1
-        if self.updates % sync_interval == 0:
-            self.target = self.net.clone()
         return loss
 
 
@@ -601,10 +591,10 @@ class _PpoAgentBase(_ChainPolicy):
 
     def _advantages(self, buffer: TrajectoryBuffer, critic: _CriticBundle):
         m = buffer.size
-        v = critic.target_values(buffer.obs[:m])
+        v = forward(critic.net, buffer.obs[:m])[0][:, 0]
         v_next = np.empty(m)
         v_next[:-1] = v[1:]
-        v_next[-1] = (critic.target_values(buffer.final_obs[None, :])[0]
+        v_next[-1] = (forward(critic.net, buffer.final_obs[None, :])[0][0, 0]
                       if buffer.final_obs is not None else 0.0)
         adv = gae(buffer.rewards[:m], v, v_next, buffer.dones[:m],
                   self.cfg.gamma, self.cfg.lam)
@@ -657,7 +647,7 @@ class _PpoAgentBase(_ChainPolicy):
         for start in range(0, m, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
             loss = critic.minibatch_update(_gather(obs, idx, work),
-                                           targets[idx], cfg.target_sync, work)
+                                           targets[idx], work)
             stats["value_loss"].append(loss)
 
     def rng_streams(self) -> dict:
@@ -670,7 +660,7 @@ class _PpoAgentBase(_ChainPolicy):
 
 class SabppoAgent(_PpoAgentBase):
     """SABPPO: one actor unit over the chained heads, so the ratio is that of
-    the joint action, and one critic with a hard-synced target."""
+    the joint action, and one critic."""
 
 
 class IterRlAgent(_PpoAgentBase):

@@ -2,8 +2,9 @@
 
 Array keys are ordered as listed in the manifest: for every actor unit, each
 branch net's weight/bias pairs layer by layer, then its ADAM moments; then
-every critic bundle (net, target net, moments). RNG stream states and scalar
-counters live in the JSON part.
+every critic bundle (net, moments). RNG stream states and scalar counters live
+in the JSON part. Arrays the agent does not hold, such as the critic target
+nets that older checkpoints carry, are ignored on load.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ def _state_arrays(agent) -> dict:
         add_opt(f"{name}/opt", unit.opt)
     for name, bundle in critics:
         add_net(f"{name}/net", bundle.net)
-        add_net(f"{name}/target", bundle.target)
         add_opt(f"{name}/opt", bundle.opt)
     return arrays
 
@@ -50,7 +50,6 @@ def save_checkpoint(path, agent, *, step: int, episode: int) -> None:
     actors, critics = agent.components()
     meta = {
         "opt_steps": {name: part.opt.step for name, part in actors + critics},
-        "critic_updates": {name: bundle.updates for name, bundle in critics},
         "rng": {name: json.loads(json.dumps(gen.bit_generator.state))
                 for name, gen in agent.rng_streams().items()},
         "step": step,
@@ -88,8 +87,6 @@ def load_checkpoint(path, agent) -> dict:
     actors, critics = agent.components()
     for name, part in actors + critics:
         part.opt.step = meta["opt_steps"][name]
-    for name, bundle in critics:
-        bundle.updates = meta["critic_updates"][name]
     for name, gen in agent.rng_streams().items():
         state = meta["rng"].get(name)
         if state is not None:

@@ -39,7 +39,6 @@ lives with the agents.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,6 @@ class Mlp:
                            .astype(dtype))
             biases.append(np.zeros(fan_out, dtype))
         return Mlp(list(layer_sizes), weights, biases)
-
-    def clone(self) -> "Mlp":
-        return copy.deepcopy(self)
 
     def parameters(self):
         """Flat list of parameter arrays, weights interleaved with biases."""

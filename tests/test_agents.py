@@ -505,7 +505,7 @@ class TestFloat32:
         agent.update(buffer)
         actors, critics = agent.components()
         nets = ([net for _, unit in actors for net in unit.nets]
-                + [net for _, c in critics for net in (c.net, c.target)])
+                + [c.net for _, c in critics])
         arrays = [p for net in nets for p in net.parameters()]
         for _, part in actors + critics:
             arrays += [part.opt._m, part.opt._v, part.opt._g]
@@ -598,11 +598,11 @@ class TestRatioAndClip:
         buffer = rollout_env(agent, seed=4, steps=32)
         # zero rewards and a zero critic give zero advantages, which the
         # degenerate-batch guard leaves unnormalised
-        for net in (agent.critics[0].net, agent.critics[0].target):
-            for w in net.weights:
-                w[...] = 0.0
-            for b in net.biases:
-                b[...] = 0.0
+        net = agent.critics[0].net
+        for w in net.weights:
+            w[...] = 0.0
+        for b in net.biases:
+            b[...] = 0.0
         buffer.rewards[:] = 0.0
         before = [p.copy() for p in agent.units[0].opt.params]
         agent.update(buffer)
@@ -669,37 +669,52 @@ class TestRatioAndClip:
             assert np.allclose(manual, updated, atol=1e-12)
 
 
-class TestCriticAndTargets:
-    def test_advantages_use_target_critic_only(self):
+class TestLiveCritic:
+    """GAE reads the critic being trained, as it stands when an update
+    starts; there is no lagged copy."""
+
+    def test_perturbing_the_critic_moves_advantages(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=7)
         buffer = rollout_env(agent, seed=7, steps=50)
         adv_before, _ = agent._advantages(buffer, agent.critics[0])
-        # trash the online critic; advantages must not move
         rng = np.random.default_rng(0)
         for w in agent.critics[0].net.weights:
             w += rng.standard_normal(w.shape)
         adv_after, _ = agent._advantages(buffer, agent.critics[0])
-        assert np.array_equal(adv_before, adv_after)
+        assert not np.array_equal(adv_before, adv_after)
 
-    def test_target_frozen_within_sync_interval(self):
-        cfg = PpoConfig(segment=32, minibatch=8, epochs=2, target_sync=10_000)
-        agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=8)
-        buffer = rollout_env(agent, seed=8, steps=32)
-        target_before = [w.copy() for w in agent.critics[0].target.weights]
-        agent.update(buffer)
-        assert any(not np.array_equal(a, b) for a, b in
-                   zip(agent.critics[0].net.weights, target_before))
-        for a, b in zip(agent.critics[0].target.weights, target_before):
-            assert np.array_equal(a, b)
+    def test_advantages_are_gae_over_live_values(self):
+        agent = SabppoAgent(OBS_DIM, BRANCHES, seed=8)
+        buffer = rollout_env(agent, seed=8, steps=50)
+        assert buffer.final_obs is not None
+        net, m, cfg = agent.critics[0].net, buffer.size, agent.cfg
+        v = forward(net, buffer.obs[:m])[0][:, 0]
+        v_next = np.append(v[1:], forward(net, buffer.final_obs[None])[0][0])
+        want = gae(buffer.rewards[:m], v, v_next, buffer.dones[:m],
+                   cfg.gamma, cfg.lam)
+        adv, returns = agent._advantages(buffer, agent.critics[0])
+        assert adv.tobytes() == want.tobytes()
+        assert returns.tobytes() == (want + v).tobytes()
 
-    def test_target_syncs_at_interval(self):
-        cfg = PpoConfig(segment=32, minibatch=32, epochs=1, target_sync=1)
+    def test_next_update_reads_the_trained_critic(self, monkeypatch):
+        cfg = PpoConfig(segment=32, minibatch=8, epochs=2)
         agent = SabppoAgent(OBS_DIM, BRANCHES, cfg=cfg, seed=9)
-        buffer = rollout_env(agent, seed=9, steps=32)
+        initial = copy.deepcopy(agent.critics[0].net)
+        agent.update(rollout_env(agent, seed=9, steps=32))
+        trained = copy.deepcopy(agent.critics[0].net)
+        seen = []
+
+        def recording_gae(rewards, values, *rest):
+            seen.append(values.copy())
+            return gae(rewards, values, *rest)
+
+        monkeypatch.setattr(agents_module, "gae", recording_gae)
+        buffer = rollout_env(agent, seed=10, steps=32)
         agent.update(buffer)
-        critic = agent.critics[0]
-        for a, b in zip(critic.target.weights, critic.net.weights):
-            assert np.array_equal(a, b)
+        obs = buffer.obs[:buffer.size]
+        assert len(seen) == 1
+        assert seen[0].tobytes() == forward(trained, obs)[0][:, 0].tobytes()
+        assert not np.array_equal(seen[0], forward(initial, obs)[0][:, 0])
 
 
 class TestBaselines:

@@ -281,8 +281,6 @@ class TestCheckpoint:
         buffer = rollout_env(agent, params=config.env, seed=0,
                              steps=agent.cfg.segment)
         agent.update(buffer)
-        # a target sync, so the target differs from a fresh agent's too
-        agent.critics[0].target = agent.critics[0].net.clone()
         save_checkpoint(tmp_path / "ck", agent, step=50, episode=5)
 
         twin = build_agent(config)
@@ -291,8 +289,8 @@ class TestCheckpoint:
         for a, b in zip(agent.units[0].opt.params,
                         twin.units[0].opt.params):
             assert np.array_equal(a, b)
-        for a, b in zip(agent.critics[0].target.weights,
-                        twin.critics[0].target.weights):
+        for a, b in zip(agent.critics[0].opt.params,
+                        twin.critics[0].opt.params, strict=True):
             assert np.array_equal(a, b)
         obs = np.random.default_rng(0).standard_normal(config.env.observation_dim)
         # identical sampling stream state after restore
@@ -332,6 +330,45 @@ class TestCheckpoint:
         keys = [f["key"] for f in manifest["fields"]]
         with np.load(tmp_path / "ck.npz") as data:
             assert sorted(keys) == sorted(data.files)
+
+    def test_critic_state_is_net_and_moments_only(self, tmp_path):
+        config = tiny_config(agent="iterrl")
+        save_checkpoint(tmp_path / "ck", build_agent(config), step=0,
+                        episode=0)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        keys = [f["key"] for f in manifest["fields"]]
+        assert sum(key.startswith("critic3/net/") for key in keys) == 6
+        assert not any("/target/" in key for key in keys)
+        assert "critic_updates" not in manifest["meta"]
+
+    def test_loads_a_checkpoint_with_critic_targets(self, tmp_path):
+        """Checkpoints written while critics kept a lagged target also
+        hold the target nets' arrays and a critic update counter; a load
+        ignores both."""
+        from test_agents import rollout_env
+        config = tiny_config()
+        agent = build_agent(config)
+        agent.update(rollout_env(agent, params=config.env, seed=0))
+        save_checkpoint(tmp_path / "ck", agent, step=50, episode=1)
+        with np.load(tmp_path / "ck.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        targets = {key.replace("/net/", "/target/"): np.zeros_like(a)
+                   for key, a in arrays.items()
+                   if key.startswith("critic0/net/")}
+        np.savez(tmp_path / "old.npz", **arrays, **targets)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["fields"] += [{"key": key, "shape": list(a.shape)}
+                               for key, a in targets.items()]
+        manifest["meta"]["critic_updates"] = {"critic0": 4}
+        (tmp_path / "old.json").write_text(json.dumps(manifest))
+
+        twin = build_agent(config)
+        meta = load_checkpoint(tmp_path / "old", agent=twin)
+        assert meta["step"] == 50
+        want, got = _state_arrays(agent), _state_arrays(twin)
+        assert list(want) == list(got)
+        for key in want:
+            assert np.array_equal(want[key], got[key]), key
 
     def test_resume_continues_training(self, tmp_path):
         config = tiny_config(total_steps=100)
@@ -682,6 +719,21 @@ class TestCli:
         rc = cli.main(["train", "--set", override, "--run-dir", str(run_dir)])
         assert rc == 2
         assert field in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_config_with_critic_target_sync_exits_naming_the_key(
+            self, tmp_path, capsys):
+        data = config_to_dict(tiny_config(total_steps=50))
+        data["ppo"]["target_sync"] = 512
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(data))
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--run-dir", str(run_dir)]) == 2
+        assert "target_sync" in capsys.readouterr().err
+        assert cli.main(["train", "--set", "ppo.target_sync=1",
+                         "--run-dir", str(run_dir)]) == 2
+        assert "ppo.target_sync" in capsys.readouterr().err
         assert not run_dir.exists()
 
     def test_resume_with_other_device_count_exits_naming_the_key(

@@ -309,7 +309,7 @@ class TestAdam:
 
         rng = np.random.default_rng(21)
         net = Mlp.init([604, 64, 64, 4], rng, dtype=dtype)
-        ref = net.clone()
+        ref = copy.deepcopy(net)
         st_new = AdamState(net.parameters(), lr=1e-3)
         st_ref = AdamState(ref.parameters(), lr=1e-3)
         for _ in range(50):

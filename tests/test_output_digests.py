@@ -19,7 +19,10 @@ def test_fixed_configs_cover_every_agent_and_mode():
     assert len(tiny) == 15
     assert {configs[n]["env"]["mode"] for n in tiny} == {
         "fedpeat", "fedpeft", "fedft"}
-    assert "target-sync-sabppo" in configs and "mid-iterrl-s2" in configs
+    assert "multi-update-sabppo" in configs and "mid-iterrl-s2" in configs
+    for agent in ("sabppo", "iterrl", "happo"):
+        config = configs[f"multi-update-{agent}"]
+        assert config["total_steps"] >= 2 * config["ppo"]["segment"]
     for agent in ("sabppo", "random"):
         env = configs[f"all-selected-{agent}"]["env"]
         assert env["n_devices"] == env["select_k"] == 5

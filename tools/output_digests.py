@@ -19,16 +19,16 @@ for sabppo and random, which covers the full-sort path of the selection
 top-k and a selection head with no unchosen logits; the tiny fedpeat config
 with an unsorted retention grid that repeats a value (0.75, 0.25, 1.0,
 0.25) and with zero local epochs, for sabppo and random, which cover the
-round's retention lookup and its no-tuning branch; a config whose critic
-targets sync inside updates (seed 5, N=30, K=5, 20 rounds, 150 steps, eval
-every 50, segment 25, minibatch 8, ``target_sync`` 7) for the three
-learners; a long-episode config (seed 7, N=30, K=5, 47 rounds, 120 steps,
-eval every 40, segment 30, minibatch 10) for sabppo and random, whose
-episodes cross the boundaries of the env's channel chunks, end on a short
-chunk, and whose training stops mid-episode; and the three benchmark
-workloads on seed 2. The eval runs evaluate the tiny sabppo run in fedpeat
-mode, the long-episode sabppo run and the wide-rollout run. All of them
-take about 15 s per checkout on a 2-vCPU host.
+round's retention lookup and its no-tuning branch; a multi-update config
+(seed 5, N=30, K=5, 20 rounds, 150 steps, eval every 50, segment 25,
+minibatch 8), whose six updates each start from the critic the last one
+trained, for the three learners; a long-episode config (seed 7, N=30, K=5,
+47 rounds, 120 steps, eval every 40, segment 30, minibatch 10) for sabppo
+and random, whose episodes cross the boundaries of the env's channel
+chunks, end on a short chunk, and whose training stops mid-episode; and the
+three benchmark workloads on seed 2. The eval runs evaluate the tiny sabppo
+run in fedpeat mode, the long-episode sabppo run and the wide-rollout run.
+All of them take about 15 s per checkout on a 2-vCPU host.
 
 Prints one line per run, then the number of runs that are identical, then
 each checkout's ``src/`` line count (newlines in every ``*.py`` under
@@ -102,10 +102,10 @@ def fixed_configs() -> dict[str, dict]:
             config["env"].update(env)
             configs[f"{name}-{agent}"] = config
     for agent in LEARNERS:
-        configs[f"target-sync-{agent}"] = {
+        configs[f"multi-update-{agent}"] = {
             "agent": agent, "seed": 5, "total_steps": 150, "eval_interval": 50,
             "env": {"n_devices": 30, "select_k": 5, "rounds": 20},
-            "ppo": {"segment": 25, "minibatch": 8, "target_sync": 7}}
+            "ppo": {"segment": 25, "minibatch": 8}}
     for agent in ("sabppo", "random"):
         configs[f"long-episode-{agent}"] = {
             "agent": agent, "seed": 7, "total_steps": 120, "eval_interval": 40,
