@@ -11,16 +11,14 @@ exchange-cap constraints. Observations and penalties are array operations
 over the world's per-device arrays.
 
 ``EnvParams`` is the one schema of the simulated world. ``reset(seed)``
-makes three named streams from the seed: population (capacities, compute
-speeds, data sizes, start positions, then the bandwidth budget), mobility and
-fading. No setting other than the seed and the population, mobility and
-channel parameters moves positions or gains, and no action does; so ``step``
-draws them ``CHUNK`` rounds at a time, and the world's mobility arrays and
-streams run up to a chunk ahead of ``round_index``. The env keeps three
-chunk-sized buffers across resets: a training chunk's gains and its fading
-normals, and the dB gain feature of any chunk. So a training gains row is
-valid only until the next chunk is drawn, while an eval env's recorded
-chunks are new arrays.
+builds ``federation.World(params, seed)``, which draws the episode from
+named streams of the seed, so no action or unrelated setting moves positions
+or gains; ``step`` draws them ``CHUNK`` rounds at a time, and the world's
+mobility arrays and streams run up to a chunk ahead of ``round_index``. The
+env keeps three chunk-sized buffers across resets: a training chunk's gains
+(so its rows are valid only until the next draw), any draw's fading normals
+and any chunk's dB gain feature. An eval env draws each seed's whole channel
+at its first reset into one read-only (rounds + 1, N) array, kept and sliced.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .federation import (
     World,
     run_round,
 )
-from .simcore import DeviceProfile, final_perplexity, stream
+from .simcore import final_perplexity
 from .wireless import dbm_per_hz_to_watts
 
 __all__ = ["EnvParams", "RewardBreakdown", "ActionDecodeError", "AdaptiveFedEnv"]
@@ -201,8 +199,8 @@ class AdaptiveFedEnv:
         self.world: World | None = None
         self.round_index = 0
         self.last_outcome = None
-        self._channels: dict[int, list[np.ndarray]] = {}  # chunks per seed
-        # chunk buffers that outlive a reset: a training chunk's gains and
+        self._channels: dict[int, np.ndarray] = {}  # kept channel per seed
+        # buffers that outlive a reset: a training chunk's gains, any draw's
         # fading normals, and the dB gain feature (fading powers mid-draw)
         n = self.params.n_devices
         self._gains = np.empty((CHUNK, n))
@@ -212,46 +210,28 @@ class AdaptiveFedEnv:
     # -- lifecycle -----------------------------------------------------
 
     def reset(self, seed: int, replay: bool = False) -> np.ndarray:
-        """Start an episode from ``seed``; the env keeps the current chunk of
-        read-only gains rows. With ``replay``, it records the episode's chunks
-        (``rounds + 1`` rows) for the seed, kept once its last round is
-        stepped, or replays kept ones: the world is built as always, but its
+        """Start an episode on ``World(params, seed)``; the env keeps the
+        current chunk of read-only gains rows. With ``replay``, the seed's
+        whole channel (``rounds + 1`` rows) is drawn here, once per seed, and
+        kept: later episodes on the seed replay it, and their world's
         mobility arrays and streams do not advance."""
         p = self.params
-        n = p.n_devices
-        population = stream(seed, 4, 1)
-        capacity = population.uniform(*p.memory_capacity_range, size=n)
-        speed = population.uniform(*p.compute_speed_range, size=n)
-        data = population.integers(p.data_size_range[0],
-                                   p.data_size_range[1] + 1, size=n)
-        r = p.area_radius * np.sqrt(population.uniform(size=n))
-        theta = population.uniform(0.0, 2.0 * math.pi, size=n)
-
-        # server holds server_data_fraction of all data and always trains
-        frac = p.server_data_fraction
-        server = DeviceProfile(
-            compute_speed=p.server_speed_factor * p.compute_speed_range[1],
-            data_size=max(1, round(frac / (1.0 - frac) * int(data.sum()))),
-        )
-        self.world = World(
-            params=p,
-            bandwidth_budget=population.uniform(*p.bandwidth_budget_range),
-            profile=DeviceProfile(compute_speed=speed, data_size=data),
-            server=server,
-            position=np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1),
-            mobility_rng=stream(seed, 4, 2),
-            fading_rng=stream(seed, 4, 3),
-        )
-        self._capacity_obs = capacity / p.memory_capacity_range[1]
-        self._memory_cap = capacity / p.mem_fraction_q
-        recorded = self._channels.get(seed) if replay else None
-        self._replay = None if recorded is None else iter(recorded)
-        self._recording = [] if replay and recorded is None else None
-        self._seed = seed
+        world = self.world = World(p, seed)
+        self._capacity_obs = world.capacity / p.memory_capacity_range[1]
+        self._memory_cap = world.capacity / p.mem_fraction_q
+        channel = self._channels.get(seed) if replay else None
+        if replay and channel is None:
+            channel = np.empty((p.rounds + 1, p.n_devices))
+            channel[0] = world.gains
+            for start in range(1, p.rounds + 1, CHUNK):
+                self._draw(channel[start:start + CHUNK])
+            channel.flags.writeable = False
+            self._channels[seed] = channel
+        self._channel = channel
         self.round_index = 0
         self.last_outcome = None
         self._next_chunk()
-        self.world.gains = self._chunk[0]
+        world.gains = self._chunk[0]
         return self._observation()
 
     def step(self, action: ActionBundle):
@@ -283,8 +263,6 @@ class AdaptiveFedEnv:
             self._next_chunk()
         self.world.gains = self._chunk[self.round_index - self._chunk_start]
         done = self.round_index >= p.rounds
-        if done and self._recording is not None:  # complete: kept to replay
-            self._channels[self._seed] = self._recording
         obs = self._observation()
 
         return obs, reward, done
@@ -315,30 +293,29 @@ class AdaptiveFedEnv:
 
     # -- helpers -------------------------------------------------------
 
+    def _draw(self, out: np.ndarray) -> None:
+        """Draw the gains of the world's next ``len(out)`` rounds into
+        ``out``, through the env's work arrays."""
+        rounds = len(out)
+        self.world.advance_channel(rounds, out=out,
+                                   fading=self._feature[:rounds],
+                                   normals=self._normals[:rounds])
+
     def _next_chunk(self):
-        """Make current the chunk of gains rows from ``round_index`` on,
-        replayed or drawn (round 0's by building the world, later ones up to
-        CHUNK rounds at a time) and recorded; compute its dB feature once.
-        A training chunk is drawn into the env's buffers, so its rows are
-        valid until the next draw."""
-        recording = self._recording is not None
-        if self._replay is not None:
-            chunk = next(self._replay)
+        """Make current the chunk of gains rows from ``round_index`` on: round
+        0's alone, later ones up to CHUNK rounds at a time, sliced from the
+        kept channel or drawn into the env's buffer (valid until the next
+        draw); compute its dB feature once."""
+        r = self.round_index
+        if self._channel is not None:
+            chunk = self._channel[r:r + CHUNK] if r else self._channel[:1]
+        elif r:
+            chunk = self._gains[:min(CHUNK, self.params.rounds + 1 - r)]
+            self._draw(chunk)
         else:
-            if self.round_index:
-                rounds = min(CHUNK, self.params.rounds + 1 - self.round_index)
-                # a kept chunk is a new array; its normals are too, since a
-                # seed is recorded once and the buffer need not stay resident
-                chunk = self.world.advance_channel(
-                    rounds, out=None if recording else self._gains[:rounds],
-                    fading=self._feature[:rounds],
-                    normals=None if recording else self._normals[:rounds])
-            else:
-                chunk = self.world.gains[None]
-            chunk.flags.writeable = False
-            if recording:
-                self._recording.append(chunk)
-        self._chunk, self._chunk_start = chunk, self.round_index
+            chunk = self.world.gains[None]
+        chunk.flags.writeable = False
+        self._chunk, self._chunk_start = chunk, r
         db = self._gain_obs = self._feature[:len(chunk)]
         np.log10(np.maximum(chunk, 1e-30, out=db), out=db)
         np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)

@@ -8,11 +8,12 @@ their retention. Adapter weights are not simulated: no reward, observation
 or metric reads them. Three federation modes cover per-device compression, a
 pinned full frozen backbone, and full-model federated tuning.
 
-The world holds the device population as arrays (struct of arrays), and
-tables what the settings and the episode's draw fix once, when built. A
-round looks those up and scatters selection-aligned arrays into the N-long
-outcome once: a fixed number of array operations at any population size.
-Mobility and fading have named streams, so no other setting moves them.
+``World(params, seed)`` builds one episode: it draws the device population
+from the seed, holds it as arrays (struct of arrays), and tables what the
+settings and that draw fix once. A round looks those up and scatters
+selection-aligned arrays into the N-long outcome once: a fixed number of
+array operations at any population size. Population, mobility and fading
+have named streams, so no other setting moves them.
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .simcore import (
     AdapterSpec,
-    DeviceProfile,
     compute_delay,
     emulator_from_retention,
     final_perplexity,
     memory_footprint,
     perplexity_step,
+    stream,
 )
 from .wireless import (
     advance_mobility,
@@ -112,48 +113,45 @@ def _retention_tables(params: EnvParams):
     return {r: i for i, r in enumerate(params.retention_grid)}, columns
 
 
-@dataclass
 class World:
-    """Everything one simulated deployment owns, as arrays over devices.
+    """Everything one simulated episode owns, as arrays over devices.
 
-    Settings come from ``params``, the one schema of the world, and the
-    rest is drawn per episode. Entry i of every per-device array belongs to
-    device i: ``position`` and ``waypoint`` are (N, 2), waypoint rows are NaN
-    between mobility legs, ``retention`` is NaN before a device's first
-    emulator. The server is scalar; outside full-model mode it tunes the
-    full-retention emulator plus the adapter. Mobility and fading each draw
-    from their own stream; constructing the world draws round 0's ``gains``
-    and builds, for rounds to look up, the ``columns`` (one table per
-    ``params``) and each column's tuning time (N x C ``local_q``, ``server_q``).
-    ``advance_channel`` draws the gains of a chunk of later rounds at once,
-    and the env hands ``gains`` each round's row. So the mobility arrays and
-    streams run up to a chunk ahead of the round being played; a world whose
-    env replays a recorded channel does not advance them at all.
+    Settings come from ``params``, the one schema of the world; the rest is
+    drawn from three named streams of ``seed``. The population stream draws
+    each device's ``capacity``, ``compute_speed`` and ``data_size``, start
+    radii and angles, then the ``bandwidth_budget``, in that order. Entry i
+    of every per-device array belongs to device i: ``position`` and
+    ``waypoint`` are (N, 2), waypoint rows are NaN between mobility legs,
+    ``retention`` is NaN before a device's first emulator. The server is
+    scalar (``server_speed``, ``server_data_size``, which is
+    ``server_data_fraction`` of all data); outside full-model mode it tunes
+    the full-retention emulator plus the adapter. Building the world draws
+    round 0's ``gains`` and makes, for rounds to look up, the ``columns``
+    (one table per ``params``) and each column's tuning time (N x C
+    ``local_q``, ``server_q``). ``advance_channel`` draws later rounds'
+    gains from the mobility and fading streams; the env hands ``gains``
+    each round's row.
     """
 
-    params: EnvParams
-    bandwidth_budget: float       # Hz, drawn per episode
-    profile: DeviceProfile        # per-device capacities, speeds, data sizes
-    server: DeviceProfile
-    position: np.ndarray
-    mobility_rng: np.random.Generator
-    fading_rng: np.random.Generator
-    waypoint: np.ndarray = field(init=False)
-    pause_left: np.ndarray = field(init=False)
-    leg_speed: np.ndarray = field(init=False)
-    retention: np.ndarray = field(init=False)
-    perplexity: np.ndarray = field(init=False)
-    exchange_count: np.ndarray = field(init=False)
-    gains: np.ndarray = field(init=False)
-    server_perplexity: float = field(init=False)
-    grid_column: dict[float, int] = field(init=False, repr=False)
-    columns: np.ndarray = field(init=False, repr=False)
-    local_q: np.ndarray = field(init=False, repr=False)
-    server_q: np.ndarray = field(init=False, repr=False)
+    def __init__(self, params: EnvParams, seed: int):
+        p = self.params = params
+        n = p.n_devices
+        population = stream(seed, 4, 1)
+        self.capacity = population.uniform(*p.memory_capacity_range, size=n)
+        self.compute_speed = population.uniform(*p.compute_speed_range, size=n)
+        self.data_size = population.integers(p.data_size_range[0],
+                                             p.data_size_range[1] + 1, size=n)
+        r = p.area_radius * np.sqrt(population.uniform(size=n))
+        theta = population.uniform(0.0, 2.0 * math.pi, size=n)
+        self.bandwidth_budget = population.uniform(*p.bandwidth_budget_range)
+        self.position = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        self.mobility_rng = stream(seed, 4, 2)
+        self.fading_rng = stream(seed, 4, 3)
+        frac = p.server_data_fraction
+        self.server_speed = p.server_speed_factor * p.compute_speed_range[1]
+        self.server_data_size = max(
+            1, round(frac / (1.0 - frac) * int(self.data_size.sum())))
 
-    def __post_init__(self):
-        n = len(self.position)
-        p = self.params
         self.grid_column, self.columns = _retention_tables(p)
         self.waypoint = np.full((n, 2), np.nan)
         self.pause_left = np.zeros(n, dtype=int)
@@ -163,11 +161,11 @@ class World:
         self.exchange_count = np.zeros(n, dtype=int)
         self.server_perplexity = p.p_init
         trained, epochs = self.columns[4], p.local_epochs
-        self.local_q = compute_delay(self.profile.data_size[:, None],
-                                     self.profile.compute_speed[:, None],
-                                     trained, epochs)
-        self.server_q = compute_delay(self.server.data_size,
-                                      self.server.compute_speed, trained, epochs)
+        self.local_q = compute_delay(self.data_size[:, None],
+                                     self.compute_speed[:, None], trained,
+                                     epochs)
+        self.server_q = compute_delay(self.server_data_size, self.server_speed,
+                                      trained, epochs)
         dist = np.hypot(self.position[:, 0], self.position[:, 1])
         self.gains = channel_gain(dist, p, self.fading_rng, out=dist)
 

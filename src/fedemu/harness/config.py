@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("total_steps must be >= 0 and eval_interval > 0")
         if self.eval_episodes <= 0:
             raise ValueError("eval_episodes must be positive")
+        if self.seed < 0:  # SeedSequence refuses a negative entropy word
+            raise ValueError("seed must be >= 0")
 
 
 def default_config(profile: str = "desk", **overrides) -> ExperimentConfig:

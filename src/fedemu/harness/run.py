@@ -22,10 +22,11 @@ An evaluation depends only on the config and the agent's parameters: every
 evaluation row of a sampling baseline is the same, ``cmd_eval`` reproduces a
 run's final row, and a run resumed at a segment and episode boundary writes
 the rows of the uninterrupted run. A seed fixes its channel, so the eval env
-replays each eval seed's channel after its first episode and keeps it for the
-run: eval_episodes x (rounds + 1) rows of N gains, in the chunks the env
-draws them in. Training keeps only the current chunk and never records, and
-its world's mobility arrays and streams run up to a chunk ahead of the round.
+draws each eval seed's channel at its first reset and keeps it for the run:
+one read-only (rounds + 1) x N array of gains per eval seed, which later
+episodes on the seed replay. Training keeps only the current chunk and never
+records, and its world's mobility arrays and streams run up to a chunk ahead
+of the round.
 """
 
 from __future__ import annotations

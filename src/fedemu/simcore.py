@@ -3,7 +3,7 @@
 The foundation model is never instantiated; only its size/layer structure is
 tracked, and fine-tuning quality is carried by a quadratic perplexity
 surrogate. Both read their settings by name from ``env.EnvParams``, the one
-schema of the world; the types here hold derived or drawn values only. The
+schema of the world; the types here hold derived values only. The
 surrogate and cost functions work elementwise, so one call covers a whole
 device population held as arrays. Every simulation draw comes from a named
 stream made by ``stream``.
@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AdapterSpec",
     "EmulatorSpec",
-    "DeviceProfile",
     "stream",
     "emulator_from_retention",
     "final_perplexity",
@@ -70,20 +69,6 @@ class EmulatorSpec:
     layer_count: float | np.ndarray
     params: float | np.ndarray
     bytes: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Static capabilities of one device (scalars) or of a device
-    population (one array entry per device)."""
-
-    compute_speed: float | np.ndarray    # params processed per second
-    data_size: int | np.ndarray          # training samples held locally
-
-    def __post_init__(self):
-        for name in ("compute_speed", "data_size"):
-            if np.any(np.asarray(getattr(self, name)) <= 0):
-                raise ValueError(f"{name} must be positive")
 
 
 def _check_retention(retention) -> None:

@@ -368,12 +368,16 @@ class TestStreams:
             default_branches(params.n_devices, params.select_k, params.levels,
                              len(params.retention_grid)), seed=policy_seed)
         obs = env.reset(seed=3)
-        trace = [(env.world.position.copy(), env.world.gains.copy())]
+        world = env.world
+        population = [world.capacity, world.compute_speed, world.data_size,
+                      world.bandwidth_budget, world.server_data_size,
+                      world.position.copy()]
+        trace = [(world.position.copy(), world.gains.copy())]
         for _ in range(params.rounds):
             sa = policy.act(obs)
             obs, _, _ = env.step(env.decode_branch_actions(*sa.branch_actions))
-            trace.append((env.world.position.copy(), env.world.gains.copy()))
-        return trace
+            trace.append((world.position.copy(), world.gains.copy()))
+        return population, trace
 
     @pytest.mark.parametrize("variant", [
         {"policy_seed": 1},
@@ -384,8 +388,11 @@ class TestStreams:
         {"retention_grid": (0.5, 1.0)},
     ], ids=["actions", "epochs3", "epochs0", "fedpeft", "fedft", "grid"])
     def test_channel_ignores_unrelated_settings(self, variant):
-        base = self.channel_trace()
-        other = self.channel_trace(**variant)
+        base_population, base = self.channel_trace()
+        other_population, other = self.channel_trace(**variant)
+        # capacities, speeds, data sizes, budget, server data, start positions
+        for a, b in zip(base_population, other_population, strict=True):
+            assert np.array_equal(a, b)
         for (pos_a, gain_a), (pos_b, gain_b) in zip(base, other):
             assert np.array_equal(pos_a, pos_b)
             assert np.array_equal(gain_a, gain_b)
@@ -476,18 +483,19 @@ class TestChunkBuffers:
     def test_kept_recording_shares_no_buffer(self):
         env = AdaptiveFedEnv(dataclasses.replace(small_params(),
                                                  rounds=self.rounds))
-        self.play(env, 4, replay=True)
+        env.reset(4, replay=True)  # draws and keeps the whole channel
         kept = env._channels[4]
-        saved = [chunk.tobytes() for chunk in kept]
-        assert len(kept) == 4
+        assert kept.shape == (self.rounds + 1, env.params.n_devices)
+        assert not kept.flags.writeable
+        saved = kept.tobytes()
         for buffer in (env._gains, env._normals, env._feature):
-            assert not any(np.shares_memory(c, buffer) for c in kept)
+            assert not np.shares_memory(kept, buffer)
+        self.play(env, 4, replay=True)
         self.play(env, 5)  # training draws into the buffers
         self.play(env, 6, replay=True)  # another recording
         self.play(env, 4, replay=True)  # replays the kept one
         assert env._channels[4] is kept
-        assert [chunk.tobytes() for chunk in kept] == saved
-
+        assert kept.tobytes() == saved
 
 class TestEnvParams:
     @pytest.mark.parametrize("values,field", [

@@ -25,13 +25,23 @@ def test_checkout_against_itself_times_every_size(capsys):
         _forget({"fedemu_ab_parent", "fedemu_ab_change"})
     out = capsys.readouterr().out.splitlines()
     assert rc == 0, out
-    assert out[0] == "outputs bit-identical at every size and mode"
-    rows = [line.split(" | ") for line in out[3:]]
-    assert [(int(r[0][2:]), int(r[1])) for r in rows] == list(env_step_ab.SIZES)
+    assert out[0] == ("outputs bit-identical at every size and mode, "
+                      "recorded and replayed episodes included")
+    sizes = list(env_step_ab.SIZES)
+    rows = [line.split(" | ") for line in out[3:3 + len(sizes)]]
+    assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
     assert all(r[5].endswith("/2") for r in rows)
     assert all(float(r[6]) >= 0 and float(r[7]) >= 0 for r in rows)
     # 100 rounds are 5 draws of a chunk per block
     assert all(float(r[8]) > 0 and float(r[9][:-2]) > 0 for r in rows)
+    assert out[3 + len(sizes)] == ""
+    rows = [line.split(" | ") for line in out[6 + len(sizes):]]
+    assert [(int(r[0][2:]), int(r[1]), r[2]) for r in rows] == [
+        (n, k, block) for n, k in sizes for block in ("recorded", "replayed")]
+    assert all(float(r[3].split()[0]) > 0 and float(r[4].split()[0]) > 0
+               for r in rows)
+    assert all(r[6].endswith("/2") for r in rows)
+    assert all(float(r[7]) >= 0 and float(r[8][:-2]) >= 0 for r in rows)
 
 
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
@@ -39,7 +49,12 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     clock = {"s": 0.0, "faults": 0}
 
     class Env:
-        def reset(self, seed):
+        def __init__(self):
+            self._channels = {env_step_ab.SEED: "kept"}
+            self.resets = []
+
+        def reset(self, seed, replay=False):
+            self.resets.append((replay, dict(self._channels)))
             clock["s"] += 3.0
             clock["faults"] += 7
 
@@ -50,9 +65,15 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
     monkeypatch.setattr(env_step_ab, "getrusage", lambda who: SimpleNamespace(
         ru_minflt=clock["faults"]))
-    us, faults = env_step_ab.time_block(Env(), [None] * 4)
+    env = Env()
+    us, faults = env_step_ab.time_block(env, [None] * 4)
     assert us == (3.0 + 4 * 1.0) / 4 * 1e6
     assert faults == 7 + 4
+    for block in ("replayed", "recorded", "replayed"):
+        assert env_step_ab.time_block(env, [None] * 4, block) == (us, faults)
+    # a recorded block first forgets the kept channel
+    assert env.resets == [(False, {0: "kept"}), (True, {0: "kept"}),
+                          (True, {}), (True, {})]
 
 
 def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
@@ -96,5 +117,31 @@ def test_differing_outputs_are_refused_before_timing(capsys, monkeypatch):
         _forget({"fedemu_ab_parent", "fedemu_ab_change"})
     out = capsys.readouterr().out
     assert rc == 1
-    assert out.startswith("N=10 fedpeat: outputs differ at record ")
+    assert out.startswith("N=10 fedpeat training: outputs differ at record ")
     assert "nothing timed" in out
+
+
+def test_differing_replay_is_refused_before_timing(capsys, monkeypatch):
+    load = env_step_ab.load
+
+    def load_nudged(checkout, name):
+        env = load(checkout, name)
+        if name.endswith("change"):
+            # a recorded or replayed episode runs on the next seed's channel
+            reset = env.AdaptiveFedEnv.reset
+            monkeypatch.setattr(
+                env.AdaptiveFedEnv, "reset",
+                lambda self, seed, replay=False: reset(self, seed + replay,
+                                                       replay))
+        return env
+
+    monkeypatch.setattr(env_step_ab, "load", load_nudged)
+    monkeypatch.setattr(env_step_ab, "time_block", lambda *args: 1 / 0)
+    try:
+        rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])
+    finally:
+        _forget({"fedemu_ab_parent", "fedemu_ab_change"})
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out == ("N=10 fedpeat recorded: outputs differ at record 0; "
+                   "nothing timed\n")

@@ -164,9 +164,9 @@ class TestRunRound:
                                 world.params.noise_psd)
             assert outcome.rates[dev] == pytest.approx(rate, rel=1e-9)
             d_trans = transmission_delay(True, world.params.total_bytes, rate)
-            d_comp = (world.params.local_epochs * world.profile.data_size[dev]
+            d_comp = (world.params.local_epochs * world.data_size[dev]
                       * world.params.total_params
-                      / world.profile.compute_speed[dev])
+                      / world.compute_speed[dev])
             assert outcome.q[dev] == pytest.approx(d_trans + d_comp, rel=1e-9)
 
     def test_fedft_max_q_dominated_by_full_transfer(self):
@@ -194,8 +194,8 @@ class TestRunRound:
     def test_server_holds_30_percent_of_data(self):
         env = make_env(n=10, k=5)
         world = env.world
-        device_total = world.profile.data_size.sum()
-        server = world.server.data_size
+        device_total = world.data_size.sum()
+        server = world.server_data_size
         assert server / (server + device_total) == pytest.approx(0.3, abs=0.01)
 
     def test_json_row_roundtrips(self):
@@ -348,13 +348,11 @@ def oracle_round(world, actions, mode):
                                   actions.power_levels, sel,
                                   world.bandwidth_budget, p.power_budget)
         rates = shannon_rate(bw, pw, world.gains[sel], p.noise_psd)
-    q = (compute_delay(world.profile.data_size[sel],
-                       world.profile.compute_speed[sel], trained,
-                       p.local_epochs)
+    q = (compute_delay(world.data_size[sel], world.compute_speed[sel],
+                       trained, p.local_epochs)
          + transmission_delay(changed, payload, rates))
-    server_q = float(compute_delay(world.server.data_size,
-                                   world.server.compute_speed, server_trained,
-                                   p.local_epochs))
+    server_q = float(compute_delay(world.server_data_size, world.server_speed,
+                                   server_trained, p.local_epochs))
     perplexity = world.perplexity.copy()
     server_perplexity = world.server_perplexity
     if p.local_epochs > 0:

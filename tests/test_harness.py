@@ -243,7 +243,8 @@ class TestTrain:
     def test_first_reset_is_training_and_precedes_first_eval(self, tmp_path,
                                                              monkeypatch):
         # bench/worker.py ends set-up at the first reset of any env, but
-        # records the time only for a training reset
+        # records the time only for a training reset; an eval reset would
+        # also draw a whole channel into set-up
         events, reset = [], AdaptiveFedEnv.reset
         evaluate_ = run_module.evaluate
 
@@ -257,11 +258,13 @@ class TestTrain:
 
         monkeypatch.setattr(AdaptiveFedEnv, "reset", reset_logged)
         monkeypatch.setattr(run_module, "evaluate", evaluate_logged)
-        cmd_train(tiny_config(agent="random", total_steps=20,
-                              eval_interval=10), tmp_path / "run")
-        assert [(kind, replay) for kind, _, replay in events[:2]] == [
-            ("reset", False), ("evaluate", None)]
-        assert events[0][1] is not events[1][1]  # the training env
+        for kind in ("sabppo", "random"):
+            events.clear()
+            cmd_train(tiny_config(agent=kind, total_steps=20,
+                                  eval_interval=10), tmp_path / kind)
+            assert [(what, replay) for what, _, replay in events[:2]] == [
+                ("reset", False), ("evaluate", None)], kind
+            assert events[0][1] is not events[1][1], kind  # the training env
 
     def test_rounds_trace_written(self, tmp_path):
         cmd_train(tiny_config(), tmp_path / "run")
@@ -572,8 +575,8 @@ class TestEvalCommand:
 
 
 class TestEvalReplay:
-    """``evaluate`` on a shared env replays each eval seed's channel after
-    its first complete episode; outputs equal those of fresh envs."""
+    """``evaluate`` on a shared env draws each eval seed's channel at its
+    first reset and replays it after; outputs equal those of fresh envs."""
 
     @staticmethod
     def count_channel_advances(monkeypatch):
@@ -616,22 +619,23 @@ class TestEvalReplay:
         if kind == "sabppo":
             assert fresh[0] != fresh[1]
 
-    def test_interrupted_episode_is_recorded_again(self, tmp_path,
+    def test_interrupted_episode_keeps_its_channel(self, tmp_path,
                                                    monkeypatch):
-        self.assert_stopped_episode_is_drawn_again(tiny_config(), 3, tmp_path,
-                                                   monkeypatch)
+        self.assert_stopped_episode_is_replayed(tiny_config(), 3, tmp_path,
+                                                monkeypatch)
 
-    def test_episode_stopped_past_a_chunk_is_drawn_again(self, tmp_path,
-                                                         monkeypatch):
-        # by round C + 3 the recording holds two chunks, 2C + 1 rows
+    def test_episode_stopped_past_a_chunk_keeps_its_channel(self, tmp_path,
+                                                            monkeypatch):
+        # the stop falls in the episode's second chunk of CHUNK rounds
         config = tiny_config(env_overrides={"rounds": 2 * CHUNK + 3})
-        self.assert_stopped_episode_is_drawn_again(config, CHUNK + 3, tmp_path,
-                                                   monkeypatch)
+        self.assert_stopped_episode_is_replayed(config, CHUNK + 3, tmp_path,
+                                                monkeypatch)
 
-    def assert_stopped_episode_is_drawn_again(self, config, stop, tmp_path,
-                                              monkeypatch):
-        """An eval episode stopped at round ``stop`` leaves nothing that a
-        later ``evaluate`` on the same env replays."""
+    def assert_stopped_episode_is_replayed(self, config, stop, tmp_path,
+                                           monkeypatch):
+        """An eval episode stopped at round ``stop`` has kept its seed's
+        whole channel, drawn at reset: a later ``evaluate`` on the same env
+        draws none of that seed's rounds again and equals fresh envs."""
         agent = build_agent(config)
 
         class Stop(Exception):
@@ -650,9 +654,12 @@ class TestEvalReplay:
         with pytest.raises(Stop):
             evaluate(config, StopsAtRound(), env=env)
         assert env.round_index == stop
+        (kept,) = env._channels.values()
+        assert kept.shape == (config.env.rounds + 1, config.env.n_devices)
         calls = self.count_channel_advances(monkeypatch)
         got = self.evaluations(config, [agent], [env], tmp_path, "shared")
-        assert sum(calls) == config.eval_episodes * config.env.rounds
+        # only the episodes after the stopped one draw their channels
+        assert sum(calls) == (config.eval_episodes - 1) * config.env.rounds
         assert got == self.evaluations(config, [agent],
                                        [AdaptiveFedEnv(config.env)],
                                        tmp_path, "fresh")
@@ -712,6 +719,7 @@ class TestCli:
         ("env.quad_c=-100", "quad_c"),
         ("env.mode=fedavg", "mode"),
         ("env.n_devices=ten", "n_devices"),
+        ("seed=-1", "seed"),
     ])
     def test_bad_world_setting_exits_before_the_run_directory(
             self, tmp_path, capsys, override, field):

@@ -4,7 +4,6 @@ import pytest
 from fedemu.env import EnvParams
 from fedemu.simcore import (
     AdapterSpec,
-    DeviceProfile,
     EmulatorSpec,
     compute_delay,
     emulator_from_retention,
@@ -44,13 +43,6 @@ class TestModelSpecs:
         with pytest.raises(ValueError, match="total_params"):
             EnvParams(total_params=0, total_bytes=1, layer_count=24,
                       adapter_top_layers=2, adapter_bottom_layers=2)
-
-    def test_device_profile_validation(self):
-        with pytest.raises(ValueError, match="compute_speed"):
-            DeviceProfile(compute_speed=0, data_size=1)
-        with pytest.raises(ValueError, match="data_size"):
-            DeviceProfile(compute_speed=np.ones(3),
-                          data_size=np.array([5, 0, 5]))
 
 
 class TestEmulatorFromRetention:

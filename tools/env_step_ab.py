@@ -9,13 +9,20 @@ name, so both run in this process and share its heap, caches and CPU state.
 
 For N = 10, 50, 200 and 1000 devices (K = 5, 10, 20 and 50 selected, the
 desk, a small, the mid-iterrl and the wide-rollout sizes) and each federation
-mode, one 100-round episode of fixed random actions (seed 0; the same raw
-branch indices, decoded by each side) is first run on both sides, and every
-observation, reward term and round outcome is compared bit for bit. If any
-differs the tool prints where and exits 1 without timing anything. Then, per
-N, ``--repeats`` pairs of blocks are timed, one block per side, alternating
-which side goes first. A block is ``reset`` plus one fedpeat episode, so
-work moved between ``reset`` and ``step`` shows. The table gives each side's
+mode, one 100-round training episode of fixed random actions (seed 0; the
+same raw branch indices, decoded by each side) is first run on both sides.
+For fedpeat, a second env then runs the same episode twice with
+``reset(seed, replay=True)``: once recording the seed's channel, as an eval
+env's first episode on a seed does, and once replaying it. Every
+observation, reward term and round outcome of each episode is compared bit
+for bit. If any differs the tool prints where and exits 1 without timing
+anything.
+
+Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
+replayed) are timed, one block per side, alternating which side goes first.
+A block is ``reset`` plus one fedpeat episode, so work moved between
+``reset`` and ``step`` shows; before a recorded block the env forgets the
+seed's channel. The first table gives, for training blocks, each side's
 median microseconds per step (the block's time over its steps) with
 quartiles, the median of the pairs' change/parent ratios (the two blocks of
 a pair run back to back, so slow drift of the host cancels in their ratio),
@@ -24,8 +31,9 @@ faults per block (``getrusage`` ``ru_minflt``): arrays allocated afresh each
 block are faulted in again when the heap gave their pages back, and each
 side's median microseconds per ``World.advance_channel`` call, timed inside
 the same blocks, so a change to the channel draw reads apart from the rest
-of the round. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for stable
-figures.
+of the round. The second table gives the same time, ratio, win and fault
+figures for recorded and replayed blocks. Pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) for stable figures.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ SIZES = ((10, 5), (50, 10), (200, 20), (1000, 50))
 MODES = ("fedpeat", "fedpeft", "fedft")
 ROUNDS = 100
 SEED = 0
+BLOCKS = ("training", "recorded", "replayed")
 OUTCOME_FIELDS = ("q", "server_q", "perplexities", "server_perplexity",
                   "exchanges_this_round", "payload_bytes", "footprints",
                   "rates")
@@ -78,10 +87,10 @@ def make_env(env_module, n: int, k: int, mode: str):
     return env_module.AdaptiveFedEnv(params)
 
 
-def episode_record(env, actions) -> list[bytes]:
+def episode_record(env, actions, replay=False) -> list[bytes]:
     """Bytes of every observation, reward term and outcome field of one
     episode, in order."""
-    record = [env.reset(SEED).tobytes()]
+    record = [env.reset(SEED, replay=replay).tobytes()]
     for action in actions:
         obs, reward, done = env.step(action)
         record.append(obs.tobytes())
@@ -99,12 +108,14 @@ def first_difference(a: list[bytes], b: list[bytes]) -> int | None:
                 None if len(a) == len(b) else min(len(a), len(b)))
 
 
-def time_block(env, actions) -> tuple[float, int]:
-    """Microseconds per step of one episode, its reset included, and the
-    minor page faults of the block."""
+def time_block(env, actions, block="training") -> tuple[float, int]:
+    """Microseconds per step of one episode of kind ``block``, its reset
+    included, and the minor page faults of the block."""
+    if block == "recorded":
+        env._channels.clear()  # record the seed's channel again
     faults = getrusage(RUSAGE_SELF).ru_minflt
     start = perf_counter()
-    env.reset(SEED)
+    env.reset(SEED, replay=block != "training")
     for action in actions:
         env.step(action)
     elapsed = perf_counter() - start
@@ -154,23 +165,35 @@ def main(argv=None) -> int:
                 p = env.params
                 acts = [env.decode_branch_actions(*raw) for raw in raw_actions(
                     n, k, p.levels, len(p.retention_grid))]
-                records[side] = episode_record(env, acts)
+                records["training", side] = episode_record(env, acts)
                 if mode == "fedpeat":
-                    envs[side, n], actions[side, n] = env, acts
-            at = first_difference(records["parent"], records["change"])
-            if at is not None:
-                print(f"N={n} {mode}: outputs differ at record {at}; "
-                      "nothing timed")
-                return 1
-    print("outputs bit-identical at every size and mode")
+                    eval_env = make_env(module, n, k, mode)
+                    for block in BLOCKS[1:]:
+                        records[block, side] = episode_record(eval_env, acts,
+                                                              replay=True)
+                    envs[side, n] = {"training": env, "recorded": eval_env,
+                                     "replayed": eval_env}
+                    actions[side, n] = acts
+            for block in BLOCKS:
+                if (block, "parent") not in records:
+                    continue
+                at = first_difference(records[block, "parent"],
+                                      records[block, "change"])
+                if at is not None:
+                    print(f"N={n} {mode} {block}: outputs differ at record "
+                          f"{at}; nothing timed")
+                    return 1
+    print("outputs bit-identical at every size and mode, recorded and "
+          "replayed episodes included")
 
+    rows = []
     print("| N | K | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults "
           "| parent us/advance_channel | change us/advance_channel |")
     print("|---|---|---|---|---|---|---|---|---|---|")
     for n, k in SIZES:
-        times = {"parent": [], "change": []}
-        faults = {"parent": [], "change": []}
+        times = {(b, side): [] for b in BLOCKS for side in sides}
+        faults = {(b, side): [] for b in BLOCKS for side in sides}
         draws = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
@@ -178,21 +201,38 @@ def main(argv=None) -> int:
             for rep in range(args.repeats):
                 order = ("parent", "change") if rep % 2 == 0 else (
                     "change", "parent")
-                for side in order:
-                    with timed_draws(sides[side].World, draws[side]):
-                        us, flt = time_block(envs[side, n], actions[side, n])
-                    times[side].append(us)
-                    faults[side].append(flt)
+                for block in BLOCKS:
+                    for side in order:
+                        env = envs[side, n][block]
+                        with (timed_draws(sides[side].World, draws[side])
+                              if block == "training"
+                              else contextlib.nullcontext()):
+                            us, flt = time_block(env, actions[side, n], block)
+                        times[block, side].append(us)
+                        faults[block, side].append(flt)
         finally:
             gc.enable()
-        par, chg = times["parent"], times["change"]
-        wins = sum(c < p for p, c in zip(par, chg))
-        ratio = np.median(np.divide(chg, par))
-        print(f"| {n} | {k} | {summary(par)} | {summary(chg)} | {ratio:.3f}x "
-              f"| {wins}/{len(par)} | {np.median(faults['parent']):g} "
-              f"| {np.median(faults['change']):g} "
+        cells = {}
+        for block in BLOCKS:
+            par, chg = times[block, "parent"], times[block, "change"]
+            wins = sum(c < p for p, c in zip(par, chg))
+            ratio = np.median(np.divide(chg, par))
+            cells[block] = (
+                f"{summary(par)} | {summary(chg)} | {ratio:.3f}x "
+                f"| {wins}/{len(par)} "
+                f"| {np.median(faults[block, 'parent']):g} "
+                f"| {np.median(faults[block, 'change']):g}")
+        print(f"| {n} | {k} | {cells['training']} "
               f"| {np.median(draws['parent']):.1f} "
               f"| {np.median(draws['change']):.1f} |")
+        rows += [f"| {n} | {k} | {block} | {cells[block]} |"
+                 for block in BLOCKS[1:]]
+
+    print()
+    print("| N | K | episode | parent us/step | change us/step | pair ratio "
+          "| change faster | parent faults | change faults |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    print("\n".join(rows))
     return 0
 
 
