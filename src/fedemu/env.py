@@ -3,9 +3,10 @@
 Observations hold per-device channel gain, remaining memory headroom and
 exchange-count features plus the episode clock. Actions arrive as four
 branch index groups (device selection, bandwidth levels, power levels,
-retention grid indices); ``decode_branch_actions`` maps them to values and
-``step`` checks the joint action against the action space, once, before the
-world changes. Rewards follow the weighted delay / perplexity / exchange
+retention grid indices); ``decode_branch_actions`` wraps them as the (K,)
+integer arrays of an ``ActionBundle`` without checking them, and ``step``
+checks the bundle against the action space, the one place that does, before
+the world changes. Rewards follow the weighted delay / perplexity / exchange
 objective with large per-violation penalties for the memory and
 exchange-cap constraints. Observations and penalties are array operations
 over the world's per-device arrays.
@@ -24,7 +25,6 @@ at its first reset into one read-only (rounds + 1, N) array, kept and sliced.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,7 +252,7 @@ class AdaptiveFedEnv:
 
         violations = int(
             np.count_nonzero(outcome.footprints
-                             > self._memory_cap[list(action.selection)])
+                             > self._memory_cap[action.selection])
             + np.count_nonzero(self.world.exchange_count > p.exchange_cap))
         penalty = p.kappa * violations if violations else 0.0
 
@@ -271,24 +271,14 @@ class AdaptiveFedEnv:
 
     def decode_branch_actions(self, selection_indices, bandwidth_indices,
                               power_indices, retention_indices) -> ActionBundle:
-        """Map raw branch index groups onto a joint action: levels count
-        from 1 and retention indices look up the grid. ``step`` checks the
-        result against the action space."""
-        grid = self.params.retention_grid
-        ret_idx = np.asarray(retention_indices).tolist()
-        # a negative index would wrap around the grid
-        if ret_idx and not (0 <= min(ret_idx) and max(ret_idx) < len(grid)):
-            raise ActionDecodeError(
-                f"retention indices must lie in [0, {len(grid)})")
-        try:
-            retentions = tuple(map(grid.__getitem__, ret_idx))
-        except TypeError:
-            raise ActionDecodeError("retention indices must be integers") from None
+        """Wrap raw branch index groups as a joint action: levels count
+        from 1, and a retention index is its grid column. Nothing is checked
+        here; ``step`` checks the bundle against the action space."""
         return ActionBundle(
-            selection=tuple(np.asarray(selection_indices).tolist()),
-            bandwidth_levels=tuple((np.asarray(bandwidth_indices) + 1).tolist()),
-            power_levels=tuple((np.asarray(power_indices) + 1).tolist()),
-            retentions=retentions,
+            selection=np.asarray(selection_indices),
+            bandwidth_levels=np.asarray(bandwidth_indices) + 1,
+            power_levels=np.asarray(power_indices) + 1,
+            retention_columns=np.asarray(retention_indices),
         )
 
     # -- helpers -------------------------------------------------------
@@ -321,19 +311,31 @@ class AdaptiveFedEnv:
         np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
 
     def _validate(self, action: ActionBundle):
-        """Reject an action outside the action space, naming the field."""
+        """Refuse an action outside the action space, naming the field; the
+        one check of an action, made before the world changes. Each field
+        must be an integer array of ``select_k`` entries within its range
+        (``retention_columns`` too, in every mode), and the selection's
+        entries must be distinct. The checks run on ``tolist()`` values:
+        per-array numpy reductions would cost several times more a step."""
         p = self.params
-        if len(action.selection) != p.select_k:
-            raise ActionDecodeError(f"selection must pick {p.select_k} devices")
+        k = p.select_k
         for name, lo, hi in (("selection", 0, p.n_devices - 1),
                              ("bandwidth_levels", 1, p.levels),
-                             ("power_levels", 1, p.levels)):
-            try:
-                values = list(map(operator.index, getattr(action, name)))
-            except TypeError:
-                raise ActionDecodeError(f"{name} must be integers") from None
-            if values and not (lo <= min(values) and max(values) <= hi):
+                             ("power_levels", 1, p.levels),
+                             ("retention_columns", 0,
+                              len(p.retention_grid) - 1)):
+            values = getattr(action, name)
+            if not (isinstance(values, np.ndarray)
+                    and values.dtype.kind in "iu"):
+                raise ActionDecodeError(f"{name} must be an integer array")
+            if values.shape != (k,):
+                raise ActionDecodeError(f"{name} must hold {k} entries, one "
+                                        "per selected device")
+            values = values.tolist()
+            if not (lo <= min(values) and max(values) <= hi):
                 raise ActionDecodeError(f"{name} must lie in [{lo}, {hi}]")
+        if len(set(action.selection.tolist())) != k:
+            raise ActionDecodeError("selection indices must be distinct")
 
     def _observation(self) -> np.ndarray:
         p = self.params

@@ -1,7 +1,8 @@
 """Round structure of the collaborative tuning loop.
 
-One round: the orchestrator's joint action picks devices, compressed-model
-retentions and downlink resource levels; changed emulators are shipped, and
+One round: the orchestrator's joint action (``ActionBundle``, four index
+arrays aligned with the selection) picks devices, downlink resource levels
+and compressed-model retentions; changed emulators are shipped, and
 the selected devices (plus the server, which always trains on its own data)
 tune locally, which moves their perplexity toward the surrogate's value for
 their retention. Adapter weights are not simulated: no reward, observation
@@ -70,26 +71,18 @@ class ActionDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Decoded joint action for one round.
-
-    ``selection`` holds K distinct device indices; the level/retention tuples
-    are aligned with the selection order.
+    """Joint action for one round: four (K,) integer arrays aligned with the
+    selection order. ``selection`` holds device indices, ``bandwidth_levels``
+    and ``power_levels`` count from 1, and ``retention_columns`` index
+    ``retention_grid``, which is also the world tables' column order.
+    ``AdaptiveFedEnv.step`` checks a bundle against the action space;
+    ``run_round`` trusts it.
     """
 
-    selection: tuple[int, ...]
-    bandwidth_levels: tuple[int, ...]
-    power_levels: tuple[int, ...]
-    retentions: tuple[float, ...]
-
-    def __post_init__(self):
-        k = len(self.selection)
-        if len(set(self.selection)) != k:
-            raise ActionDecodeError("selection indices must be distinct")
-        if not (len(self.bandwidth_levels) == len(self.power_levels)
-                == len(self.retentions) == k):
-            raise ActionDecodeError(
-                "bandwidth_levels, power_levels and retentions must each "
-                "hold one entry per selected device")
+    selection: np.ndarray
+    bandwidth_levels: np.ndarray
+    power_levels: np.ndarray
+    retention_columns: np.ndarray
 
 
 _TOP, _FULL = -2, -1  # table columns of the 1.0 emulator and the whole model
@@ -97,9 +90,9 @@ _TOP, _FULL = -2, -1  # table columns of the 1.0 emulator and the whole model
 
 @functools.lru_cache(maxsize=32)
 def _retention_tables(params: EnvParams):
-    """Each grid retention's column, and rows of retention, bytes sent,
-    footprint, target perplexity and trained parameters over
-    ``retention_grid + (1.0, whole model)``, by the checked helpers."""
+    """Rows of retention, bytes sent, footprint, target perplexity and
+    trained parameters over ``retention_grid + (1.0, whole model)``, by the
+    checked helpers."""
     adapter = AdapterSpec.for_model(params)
     retention = np.array((*params.retention_grid, 1.0, 1.0))
     emulator = emulator_from_retention(params, adapter, retention)
@@ -110,7 +103,7 @@ def _retention_tables(params: EnvParams):
     columns[1:3, _FULL] = params.total_bytes  # the whole model, no adapter
     columns[4, _FULL] = params.total_params
     columns.flags.writeable = False
-    return {r: i for i, r in enumerate(params.retention_grid)}, columns
+    return columns
 
 
 class World:
@@ -152,7 +145,7 @@ class World:
         self.server_data_size = max(
             1, round(frac / (1.0 - frac) * int(self.data_size.sum())))
 
-        self.grid_column, self.columns = _retention_tables(p)
+        self.columns = _retention_tables(p)
         self.waypoint = np.full((n, 2), np.nan)
         self.pause_left = np.zeros(n, dtype=int)
         self.leg_speed = np.zeros(n)
@@ -173,19 +166,18 @@ class World:
     def n_devices(self) -> int:
         return len(self.position)
 
-    def advance_channel(self, rounds: int, out=None, fading=None,
+    def advance_channel(self, rounds: int, out: np.ndarray, fading=None,
                         normals=None) -> np.ndarray:
-        """Move devices ``rounds`` mobility steps and return a (rounds, N)
-        array of the gains after each step, from one path-loss pass and one
-        fading draw; ``gains`` is left to the caller. The gains go to
-        ``out`` if given, else to a new array; ``fading`` and ``normals``
-        are work arrays passed on to ``channel_gain``."""
-        gains = np.empty((rounds, self.n_devices)) if out is None else out
-        for row in gains:
+        """Move devices ``rounds`` mobility steps and write the gains after
+        each step to ``out``, a (rounds, N) array, which is returned; one
+        path-loss pass and one fading draw. ``gains`` is left to the
+        caller; ``fading`` and ``normals`` are work arrays passed on to
+        ``channel_gain``."""
+        for row in out:
             advance_mobility(self.position, self.waypoint, self.pause_left,
                              self.leg_speed, self.params, self.mobility_rng)
             np.hypot(self.position[:, 0], self.position[:, 1], out=row)
-        return channel_gain(gains, self.params, self.fading_rng, out=gains,
+        return channel_gain(out, self.params, self.fading_rng, out=out,
                             fading=fading, normals=normals)
 
 
@@ -193,7 +185,7 @@ class World:
 class RoundOutcome:
     round_index: int
     mode: FederationMode
-    selection: tuple[int, ...]
+    selection: np.ndarray         # the action's (K,) device indices
     q: np.ndarray                 # per-device round time, 0 for unselected
     server_q: float
     perplexities: np.ndarray      # post-tuning, stale for unselected
@@ -237,7 +229,7 @@ class RoundTraceWriter:
         self._payload_text: dict[float, str] = {}
 
     def write(self, outcome: RoundOutcome) -> None:
-        sel = list(outcome.selection)
+        sel = outcome.selection.tolist()
         n = len(outcome.perplexities)
         q = ["0.0"] * n
         payload = ["0.0"] * n
@@ -282,26 +274,21 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     """Execute one round: emulator assignment, downlink transfers, and local
     tuning on the selected devices plus the server.
 
-    Retentions index the world's tables (fedpeat refuses one off the grid
-    before the world changes); arrays stay aligned with the selection until
-    the outcome is built. A selected device whose retention changed is sent
-    its emulator and counts an exchange; in full-model mode every selected
-    device is sent the whole model. Zero local epochs tune nothing.
+    In fedpeat the action's ``retention_columns`` index the world's tables;
+    otherwise every selected device takes the server's column. The action
+    must lie in the action space (``AdaptiveFedEnv.step`` checks it). Arrays
+    stay aligned with the selection until the outcome is built. A selected
+    device whose retention changed is sent its emulator and counts an
+    exchange; in full-model mode every selected device is sent the whole
+    model. Zero local epochs tune nothing.
     """
-    sel = np.asarray(actions.selection, dtype=int)
+    sel = actions.selection
     k = sel.size
     p = world.params
     full = mode is FederationMode.FEDFT
     server = _FULL if full else _TOP  # the server's column
-    if mode is FederationMode.FEDPEAT:
-        try:
-            col = np.array(list(map(world.grid_column.__getitem__,
-                                    actions.retentions)), dtype=int)
-        except KeyError:
-            raise ActionDecodeError(
-                f"retentions must lie on the grid {p.retention_grid}") from None
-    else:
-        col = np.full(k, server)
+    col = (actions.retention_columns if mode is FederationMode.FEDPEAT
+           else np.full(k, server))
     retention, payload, footprint, target, _ = world.columns.take(col, axis=1)
     changed = np.ones(k, dtype=bool) if full else world.retention[sel] != retention
     moved = sel[changed]

@@ -45,7 +45,7 @@ def test_checkout_against_itself_times_every_size(capsys):
 
 
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
-    # a fake clock and fault counter that reset and step advance
+    # a fake clock and fault counter that reset, decode and step advance
     clock = {"s": 0.0, "faults": 0}
 
     class Env:
@@ -58,7 +58,12 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
             clock["s"] += 3.0
             clock["faults"] += 7
 
+        def decode_branch_actions(self, *raw):
+            clock["s"] += 0.5
+            return raw
+
         def step(self, action):
+            assert action == ("raw",)
             clock["s"] += 1.0
             clock["faults"] += 1
 
@@ -66,11 +71,12 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     monkeypatch.setattr(env_step_ab, "getrusage", lambda who: SimpleNamespace(
         ru_minflt=clock["faults"]))
     env = Env()
-    us, faults = env_step_ab.time_block(env, [None] * 4)
-    assert us == (3.0 + 4 * 1.0) / 4 * 1e6
+    raws = [("raw",)] * 4
+    us, faults = env_step_ab.time_block(env, raws)
+    assert us == (3.0 + 4 * 1.5) / 4 * 1e6
     assert faults == 7 + 4
     for block in ("replayed", "recorded", "replayed"):
-        assert env_step_ab.time_block(env, [None] * 4, block) == (us, faults)
+        assert env_step_ab.time_block(env, raws, block) == (us, faults)
     # a recorded block first forgets the kept channel
     assert env.resets == [(False, {0: "kept"}), (True, {0: "kept"}),
                           (True, {}), (True, {})]
@@ -80,7 +86,7 @@ def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
     clock = {"s": 0.0}
 
     class World:
-        def advance_channel(self, rounds, out=None):
+        def advance_channel(self, rounds, out):
             clock["s"] += rounds * 0.5
             return out
 
@@ -89,7 +95,7 @@ def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
     sink = []
     with env_step_ab.timed_draws(World, sink):
         assert World().advance_channel(20, out="buffer") == "buffer"
-        World().advance_channel(4)
+        World().advance_channel(4, "rows")
     assert sink == [10e6, 2e6]
     assert World.advance_channel is advance
 

@@ -13,7 +13,6 @@ from fedemu.agents import RandomPolicy, default_branches
 from fedemu.env import AdaptiveFedEnv, EnvParams
 from fedemu.federation import (
     ActionBundle,
-    ActionDecodeError,
     FederationMode,
     RoundOutcome,
     RoundTraceWriter,
@@ -43,19 +42,18 @@ def make_env(mode="fedpeat", n=4, k=2, seed=0, **overrides):
     return env
 
 
-def bundle(selection, retentions, levels=None):
-    k = len(selection)
-    levels = levels or tuple([1] * k)
-    return ActionBundle(selection=tuple(selection),
-                        bandwidth_levels=tuple(levels),
-                        power_levels=tuple(levels),
-                        retentions=tuple(retentions))
+def bundle(selection, columns, levels=None):
+    """A joint action; bandwidth and power take ``levels`` (default 1)."""
+    levels = np.array(levels or [1] * len(selection))
+    return ActionBundle(selection=np.array(selection, dtype=int),
+                        bandwidth_levels=levels, power_levels=levels,
+                        retention_columns=np.array(columns, dtype=int))
 
 
 def spread(world, retentions, mode=FederationMode.FEDPEAT):
-    """run_round() on a {device: retention} mapping."""
-    return run_round(world, bundle(list(retentions), retentions.values()),
-                     mode)
+    """run_round() on a {device: retention on the grid} mapping."""
+    columns = map(world.params.retention_grid.index, retentions.values())
+    return run_round(world, bundle(list(retentions), list(columns)), mode)
 
 
 class TestDisseminate:
@@ -133,9 +131,7 @@ class TestRunRound:
     def test_server_only_aggregation(self):
         env = make_env()
         world = env.world
-        empty = ActionBundle(selection=(), bandwidth_levels=(),
-                             power_levels=(), retentions=())
-        outcome = run_round(world, empty, FederationMode.FEDPEAT)
+        outcome = run_round(world, bundle([], []), FederationMode.FEDPEAT)
         # only the server trained
         assert world.server_perplexity < world.params.p_init
         assert outcome.perplexities.tolist() == [world.params.p_init] * 4
@@ -144,7 +140,7 @@ class TestRunRound:
     def test_unchanged_retentions_transmit_nothing(self):
         env = make_env()
         world = env.world
-        act = bundle([0, 1], (0.5, 0.5))
+        act = bundle([0, 1], (1, 1))  # the grid's 0.5
         run_round(world, act, FederationMode.FEDPEAT)
         outcome = run_round(world, act, FederationMode.FEDPEAT)
         assert outcome.payload_bytes.sum() == 0.0
@@ -154,7 +150,7 @@ class TestRunRound:
         env = make_env(mode="fedft")
         world = env.world
         gains = world.gains.copy()
-        act = bundle([0, 1], (1.0, 1.0), levels=(2, 1))
+        act = bundle([0, 1], (3, 3), levels=(2, 1))
         outcome = run_round(world, act, FederationMode.FEDFT)
         total_b = world.bandwidth_budget
         total_p = world.params.power_budget
@@ -172,7 +168,7 @@ class TestRunRound:
     def test_fedft_max_q_dominated_by_full_transfer(self):
         env = make_env(mode="fedft")
         world = env.world
-        act = bundle([0, 1], (1.0, 1.0))
+        act = bundle([0, 1], (3, 3))
         outcome = run_round(world, act, FederationMode.FEDFT)
         sel_q = outcome.q[[0, 1]]
         d_trans = [transmission_delay(True, world.params.total_bytes,
@@ -185,7 +181,7 @@ class TestRunRound:
         world = env.world
         total = 0
         for r in range(4):
-            act = bundle([0, 1], (0.25, 0.75))  # retentions ignored in PEFT
+            act = bundle([0, 1], (0, 2))  # retentions ignored in PEFT
             outcome = run_round(world, act, FederationMode.FEDPEFT)
             total += int(outcome.exchanges_this_round.sum())
             assert world.retention[0] == 1.0
@@ -200,7 +196,7 @@ class TestRunRound:
 
     def test_json_row_roundtrips(self):
         env = make_env()
-        outcome = run_round(env.world, bundle([0, 1], (0.5, 0.5)),
+        outcome = run_round(env.world, bundle([0, 1], (1, 1)),
                             FederationMode.FEDPEAT)
         row = json.loads(trace_lines([outcome])[0])
         assert row["round"] == 0
@@ -230,7 +226,8 @@ class TestRunRound:
 
     def test_json_row_bytes(self):
         outcome = RoundOutcome(
-            round_index=3, mode=FederationMode.FEDPEAT, selection=(0, 2),
+            round_index=3, mode=FederationMode.FEDPEAT,
+            selection=np.array([0, 2]),
             q=np.array([0.1234567891234, 0.0, 2.0 / 3.0]),
             server_q=0.4567891234567,
             perplexities=np.array([28.71582142668, 30.0, 29.1234565]),
@@ -253,7 +250,7 @@ def reference_row(o):
     return json.dumps({
         "round": o.round_index,
         "mode": o.mode.value,
-        "selection": list(o.selection),
+        "selection": o.selection.tolist(),
         "q": [round(x, 9) for x in o.q.tolist()],
         "server_q": round(o.server_q, 9),
         "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
@@ -301,7 +298,8 @@ class TestRoundTraceWriter:
             n = len(perplexities)
             return RoundOutcome(
                 round_index=round_index, mode=FederationMode.FEDPEFT,
-                selection=(1, 2), q=np.array(q), server_q=float("inf"),
+                selection=np.array([1, 2]), q=np.array(q),
+                server_q=float("inf"),
                 perplexities=np.array(perplexities),
                 server_perplexity=float("nan"),
                 exchanges_this_round=np.array([0, 1, 0, 0]),
@@ -325,7 +323,7 @@ def oracle_round(world, actions, mode):
     leaves, and changes nothing."""
     p = world.params
     adapter = AdapterSpec.for_model(p)
-    sel = np.asarray(actions.selection, dtype=int)
+    sel = actions.selection
     k = sel.size
     if mode is FederationMode.FEDFT:
         retention = np.ones(k)
@@ -333,7 +331,8 @@ def oracle_round(world, actions, mode):
         trained = server_trained = p.total_params
         payload = footprint = np.full(k, float(p.total_bytes))
     else:
-        retention = (np.asarray(actions.retentions, dtype=float)
+        grid = np.asarray(p.retention_grid)
+        retention = (grid[actions.retention_columns]
                      if mode is FederationMode.FEDPEAT else np.ones(k))
         emulator = emulator_from_retention(p, adapter, retention)
         changed = world.retention[sel] != retention
@@ -405,7 +404,8 @@ def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
         assert got.server_perplexity.hex() == want["server_perplexity"].hex()
         assert world.exchange_count.tobytes() == want["exchange_count"].tobytes()
         assert world.retention.tobytes() == want["retention"].tobytes()
-        rows = rows or list(world.advance_channel(chunk))
+        rows = rows or list(world.advance_channel(
+            chunk, out=np.empty((chunk, world.n_devices))))
         world.gains = rows.pop(0)
 
 
@@ -427,12 +427,16 @@ class TestRunRoundOracle:
         # retention 1.0 plus the adapter is not the whole model
         k = data.draw(st.integers(0, n), label="k")
         level = st.integers(1, 4)
+        column = st.integers(0, len(grid) - 1)
         rounds = [ActionBundle(
-            selection=tuple(data.draw(st.permutations(range(n)))[:k]),
-            bandwidth_levels=tuple(data.draw(level) for _ in range(k)),
-            power_levels=tuple(data.draw(level) for _ in range(k)),
-            retentions=tuple(data.draw(st.sampled_from(grid))
-                             for _ in range(k)))
+            selection=np.array(data.draw(st.permutations(range(n)))[:k],
+                               dtype=int),
+            bandwidth_levels=np.array([data.draw(level) for _ in range(k)],
+                                      dtype=int),
+            power_levels=np.array([data.draw(level) for _ in range(k)],
+                                  dtype=int),
+            retention_columns=np.array([data.draw(column) for _ in range(k)],
+                                       dtype=int))
             for _ in range(data.draw(st.integers(1, 6), label="rounds"))]
         env = make_env(mode.value, n=n, k=max(k, 1), seed=seed,
                        local_epochs=epochs, total_params=total,
@@ -447,40 +451,12 @@ class TestRunRoundOracle:
         rng = np.random.default_rng(7)
         n, k = 6, 3
         rounds = [bundle(rng.permutation(n)[:k].tolist(),
-                         rng.choice(grid, k).tolist(),
+                         rng.integers(0, len(grid), k).tolist(),
                          levels=tuple(rng.integers(1, 5, k).tolist()))
                   for _ in range(12)]
         env = make_env(mode.value, n=n, k=k, seed=1, retention_grid=grid,
                        total_params=1_208_000_001)
         assert_rounds_match_oracle(env.world, mode, rounds, chunk=5)
-
-    @pytest.mark.parametrize("grid,retention", [
-        ((0.25, 0.5, 0.75, 1.0), 0.3),
-        ((0.25, 0.5), 1.0),  # the server's retention, but off this grid
-        ((0.25, 0.5, 0.75, 1.0), float("nan")),
-    ])
-    def test_off_grid_fedpeat_retention_refused_before_world_changes(
-            self, grid, retention):
-        env = make_env(retention_grid=grid)
-        world = env.world
-        spread(world, {0: 0.5, 1: 0.25})
-        before = world_state(world)
-        with pytest.raises(ActionDecodeError, match="retentions"):
-            run_round(world, bundle([0, 1], (0.5, retention)),
-                      FederationMode.FEDPEAT)
-        assert world_state(world) == before
-
-
-class TestActionBundle:
-    def test_duplicate_selection_rejected(self):
-        with pytest.raises(ActionDecodeError, match="selection"):
-            ActionBundle(selection=(1, 1), bandwidth_levels=(1, 1),
-                         power_levels=(1, 1), retentions=(0.5, 0.5))
-
-    def test_misaligned_fields_rejected(self):
-        with pytest.raises(ActionDecodeError, match="bandwidth_levels"):
-            ActionBundle(selection=(0, 1), bandwidth_levels=(1,),
-                         power_levels=(1, 1), retentions=(0.5, 0.5))
 
 
 speed_ranges = st.one_of(
@@ -503,7 +479,7 @@ class TestAdvanceChannel:
         fading_rng = copy.deepcopy(world.fading_rng)
         states = [DeviceState(position=p.copy()) for p in world.position]
         for size in chunks:
-            rows = world.advance_channel(size)
+            rows = world.advance_channel(size, out=np.empty((size, n)))
             assert rows.shape == (size, n)
             for row in rows:
                 gains = []

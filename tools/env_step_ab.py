@@ -10,7 +10,8 @@ name, so both run in this process and share its heap, caches and CPU state.
 For N = 10, 50, 200 and 1000 devices (K = 5, 10, 20 and 50 selected, the
 desk, a small, the mid-iterrl and the wide-rollout sizes) and each federation
 mode, one 100-round training episode of fixed random actions (seed 0; the
-same raw branch indices, decoded by each side) is first run on both sides.
+same raw branch indices, each step decoded by ``decode_branch_actions`` and
+stepped) is first run on both sides.
 For fedpeat, a second env then runs the same episode twice with
 ``reset(seed, replay=True)``: once recording the seed's channel, as an eval
 env's first episode on a seed does, and once replaying it. Every
@@ -20,9 +21,10 @@ anything.
 
 Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
 replayed) are timed, one block per side, alternating which side goes first.
-A block is ``reset`` plus one fedpeat episode, so work moved between
-``reset`` and ``step`` shows; before a recorded block the env forgets the
-seed's channel. The first table gives, for training blocks, each side's
+A block is ``reset`` plus one fedpeat episode, each step decoding its raw
+branch indices and stepping, so work moved between ``reset``, the decode
+and ``step`` shows; before a recorded block the env forgets the seed's
+channel. The first table gives, for training blocks, each side's
 median microseconds per step (the block's time over its steps) with
 quartiles, the median of the pairs' change/parent ratios (the two blocks of
 a pair run back to back, so slow drift of the host cancels in their ratio),
@@ -89,10 +91,10 @@ def make_env(env_module, n: int, k: int, mode: str):
 
 def episode_record(env, actions, replay=False) -> list[bytes]:
     """Bytes of every observation, reward term and outcome field of one
-    episode, in order."""
+    episode of raw branch index groups ``actions``, in order."""
     record = [env.reset(SEED, replay=replay).tobytes()]
-    for action in actions:
-        obs, reward, done = env.step(action)
+    for raw in actions:
+        obs, reward, done = env.step(env.decode_branch_actions(*raw))
         record.append(obs.tobytes())
         record.append(np.array([reward.r_d, reward.r_p, reward.r_s,
                                 reward.penalty, done]).tobytes())
@@ -109,15 +111,16 @@ def first_difference(a: list[bytes], b: list[bytes]) -> int | None:
 
 
 def time_block(env, actions, block="training") -> tuple[float, int]:
-    """Microseconds per step of one episode of kind ``block``, its reset
-    included, and the minor page faults of the block."""
+    """Microseconds per step of one episode of kind ``block`` over raw
+    branch index groups ``actions``, its reset and every decode included,
+    and the minor page faults of the block."""
     if block == "recorded":
         env._channels.clear()  # record the seed's channel again
     faults = getrusage(RUSAGE_SELF).ru_minflt
     start = perf_counter()
     env.reset(SEED, replay=block != "training")
-    for action in actions:
-        env.step(action)
+    for raw in actions:
+        env.step(env.decode_branch_actions(*raw))
     elapsed = perf_counter() - start
     return (elapsed / len(actions) * 1e6,
             getrusage(RUSAGE_SELF).ru_minflt - faults)
@@ -158,13 +161,12 @@ def main(argv=None) -> int:
              "change": load(args.change.resolve(), "fedemu_ab_change")}
     envs, actions = {}, {}
     for n, k in SIZES:
+        p = sides["change"].EnvParams()
+        acts = actions[n] = raw_actions(n, k, p.levels, len(p.retention_grid))
         for mode in MODES:
             records = {}
             for side, module in sides.items():
                 env = make_env(module, n, k, mode)
-                p = env.params
-                acts = [env.decode_branch_actions(*raw) for raw in raw_actions(
-                    n, k, p.levels, len(p.retention_grid))]
                 records["training", side] = episode_record(env, acts)
                 if mode == "fedpeat":
                     eval_env = make_env(module, n, k, mode)
@@ -173,7 +175,6 @@ def main(argv=None) -> int:
                                                               replay=True)
                     envs[side, n] = {"training": env, "recorded": eval_env,
                                      "replayed": eval_env}
-                    actions[side, n] = acts
             for block in BLOCKS:
                 if (block, "parent") not in records:
                     continue
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
                         with (timed_draws(sides[side].World, draws[side])
                               if block == "training"
                               else contextlib.nullcontext()):
-                            us, flt = time_block(env, actions[side, n], block)
+                            us, flt = time_block(env, actions[n], block)
                         times[block, side].append(us)
                         faults[block, side].append(flt)
         finally:
