@@ -378,16 +378,6 @@ def oracle_round(world, actions, mode):
             "exchange_count": exchange_count, "retention": world_retention}
 
 
-def world_state(world):
-    """Bytes of everything a round may change, and the stream states."""
-    arrays = (world.position, world.waypoint, world.pause_left,
-              world.leg_speed, world.retention, world.perplexity,
-              world.exchange_count, world.gains)
-    return ([a.tobytes() for a in arrays], world.server_perplexity,
-            world.mobility_rng.bit_generator.state,
-            world.fading_rng.bit_generator.state)
-
-
 def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
     """Run ``rounds`` (a list of actions), each later round on a row of the
     gains ``world.advance_channel(chunk)`` draws, and compare every round
