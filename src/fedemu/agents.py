@@ -4,7 +4,8 @@ The branched controller factors the joint action into four heads evaluated in
 sequence (device selection, bandwidth levels, power levels, retention), each
 consuming the observation concatenated with encodings of the actions already
 taken. One critic supplies advantages via GAE, from its values at the start
-of each update.
+of each update. ``act`` writes that chained state for its one sample into a
+float32 row each policy keeps from step to step.
 
 The PPO buffer holds each step's observation and branch actions. An update
 derives from them, once, every head's input (the chained states rebuilt with
@@ -190,7 +191,7 @@ def _top_k(x: np.ndarray, k: int) -> np.ndarray:
     ``_PARTITION_FROM`` keys on it sorts only the keys at or above the k-th
     largest value, which the stable sort keeps in index order among equals."""
     if len(x) < _PARTITION_FROM:
-        return np.argsort(-x, kind="stable")[:k]
+        return (-x).argsort(kind="stable")[:k]
     neg = -x
     kth = np.partition(neg, k - 1)[k - 1]
     top = (neg <= kth).nonzero()[0]
@@ -351,6 +352,15 @@ def _gather(rows: np.ndarray, idx, scratch, name="x") -> np.ndarray:
                    out=scratch.take(name, len(idx), rows.shape[1]))
 
 
+@functools.cache
+def _sample_rows(m: int) -> np.ndarray:
+    """(M, 1) sample indices: in a fancy index, they pair each sample with
+    its own actions."""
+    rows = np.arange(m)[:, None]
+    rows.flags.writeable = False      # shared by every caller
+    return rows
+
+
 def _encode(spec: BranchSpec, action: np.ndarray, selection: np.ndarray,
             out: np.ndarray) -> None:
     """Write into ``out``, the (M, N) block of the chained state after a
@@ -358,12 +368,12 @@ def _encode(spec: BranchSpec, action: np.ndarray, selection: np.ndarray,
     selected device's share of the summed levels (level + 1) of a "rows"
     branch."""
     out[...] = 0.0
-    rows = np.arange(len(action))[:, None]
+    rows = _sample_rows(len(action))
     if spec.kind == "topk":
         out[rows, action] = 1.0
     else:
         levels = action + 1.0
-        out[rows, selection] = levels / levels.sum(axis=1, keepdims=True)
+        out[rows, selection] = levels / np.add.reduce(levels, 1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +427,18 @@ class _ChainPolicy:
         self.branches = branches
         self.sample_rng = stream(seed, 1)
         self.n_devices = branches[0].n_options
+        self._row = None
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
+        """One step's branch actions, each a fresh int array. The chained
+        state is one float32 row, made at the first call, that the policy
+        keeps from call to call and a copy of the policy copies; every call
+        writes the observation and each encoding it reads."""
         d, n = len(obs), self.n_devices
-        row = np.empty((1, d + (len(self.branches) - 1) * n), np.float32)
+        row = self._row
+        if row is None:
+            row = self._row = np.empty(
+                (1, d + (len(self.branches) - 1) * n), np.float32)
         row[0, :d] = obs
         actions = []
         for b, spec in enumerate(self.branches):
@@ -429,9 +447,8 @@ class _ChainPolicy:
                 _encode(self.branches[b - 1], actions[-1][None, :],
                         actions[0][None, :], row[:, at:at + n])
             chain = row[:, :d + b * n] if self.chained else row[:, :d]
-            action = self._branch_action(b, spec, chain,
-                                         actions[0] if b else None, greedy)
-            actions.append(np.asarray(action, dtype=int))
+            actions.append(self._branch_action(
+                b, spec, chain, actions[0] if b else None, greedy))
         return StepAction(branch_actions=actions)
 
     def components(self):
@@ -498,7 +515,9 @@ class _PpoAgentBase(_ChainPolicy):
             if greedy:
                 return _top_k(logits, spec.slots)
             return _sample_topk(logits, spec.slots, self.sample_rng)
-        feats = _row_features(net_in, selection[None, :], self.n_devices)
+        # the one sample's _row_features
+        feats = net_in[0, selection[:, None]
+                       + _feature_columns(self.n_devices, net_in.shape[1])]
         mat = forward(net, net_in, feats)[0]  # (K, L)
         if not greedy:
             mat = mat + self.sample_rng.gumbel(size=mat.shape)

@@ -185,9 +185,10 @@ class World:
 class RoundOutcome:
     round_index: int
     mode: FederationMode
-    selection: np.ndarray         # the action's (K,) device indices
+    selection: np.ndarray         # a copy of the action's (K,) device indices
     q: np.ndarray                 # per-device round time, 0 for unselected
     server_q: float
+    max_q: float                  # the round's time, max(server_q, q.max())
     perplexities: np.ndarray      # post-tuning, stale for unselected
     server_perplexity: float
     exchanges_this_round: np.ndarray
@@ -195,11 +196,6 @@ class RoundOutcome:
     footprints: np.ndarray        # memory each selected device needs, aligned
                                   # with the selection
     rates: np.ndarray
-
-    @property
-    def max_q(self) -> float:
-        # q is 0 off the selection and the server's time is never negative
-        return max(self.server_q, float(self.q.max()))
 
 
 def _number(x: float) -> str:
@@ -319,9 +315,11 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     return RoundOutcome(
         round_index=round_index,
         mode=mode,
-        selection=actions.selection,
+        selection=sel.copy(),
         q=scatter(q),
         server_q=server_q,
+        # the max over the scattered q too: no time is negative
+        max_q=max(server_q, float(q.max(initial=0.0))),
         perplexities=world.perplexity.copy(),
         server_perplexity=world.server_perplexity,
         exchanges_this_round=scatter(changed, int),

@@ -139,10 +139,10 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
                 sums["r_p"] += reward.r_p
                 sums["r_s"] += reward.r_s
                 sums["penalty"] += reward.penalty
-                max_q = max(outcome.max_q, p.delay_floor)
-                log_delays.append(np.log(max_q))
-                delays.append(outcome.max_q)
-                exchanges += int(outcome.exchanges_this_round.sum())
+                max_q = outcome.max_q
+                log_delays.append(np.log(max(max_q, p.delay_floor)))
+                delays.append(max_q)
+                exchanges += np.count_nonzero(outcome.exchanges_this_round)
                 if trace is not None:
                     trace.write(outcome)
             totals["eval_reward"].append(sums["reward"])

@@ -126,24 +126,9 @@ class Scratch:
         return self._ones[:n]
 
 
-def _matmul(a: np.ndarray, w: np.ndarray, scratch, name) -> np.ndarray:
-    """``a @ w``, written into the scratch's work array for ``name`` when
-    there is a scratch."""
-    if scratch is None:
-        return a @ w
-    return np.matmul(a, w, out=scratch.take(name, len(a), w.shape[1]))
-
-
 def _first_layer(net: Mlp, x: np.ndarray, feats, scratch) -> np.ndarray:
-    """Pre-activation of the first layer, for a plain or a factored input."""
+    """Pre-activation of the first layer on a factored input."""
     w, b = net.weights[0], net.biases[0]
-    if feats is None:
-        if x.shape[-1] != net.layer_sizes[0]:
-            raise ValueError(f"input size {x.shape[-1]} does not match net "
-                             f"input {net.layer_sizes[0]}")
-        h = _matmul(x, w, scratch, ("z", 0))
-        h += b
-        return h
     if x.ndim != 2 or feats.ndim != 2:
         raise ValueError("a factored input needs a 2-D shared matrix and "
                          "2-D per-row features")
@@ -153,10 +138,16 @@ def _first_layer(net: Mlp, x: np.ndarray, feats, scratch) -> np.ndarray:
                          f"{net.layer_sizes[0]}")
     if m == 0 or rows % m:
         raise ValueError(f"{rows} feature rows do not split over {m} samples")
-    h = _matmul(feats, w[d:], scratch, ("z", 0))
-    shared = _matmul(x, w[:d], scratch, "shared")
-    per_sample = h.reshape(m, rows // m, -1)
-    per_sample += shared[:, None, :]
+    if scratch is None:
+        h, shared = feats @ w[d:], x @ w[:d]
+    else:
+        h = np.matmul(feats, w[d:], out=scratch.take(("z", 0), rows, len(b)))
+        shared = np.matmul(x, w[:d], out=scratch.take("shared", m, len(b)))
+    if m == 1:   # one shared row broadcasts over every feature row
+        h += shared
+    else:
+        per_sample = h.reshape(m, rows // m, -1)
+        per_sample += shared[:, None, :]
     h += b
     return h
 
@@ -166,22 +157,33 @@ def forward(net: Mlp, x: np.ndarray, feats=None,
     """Forward pass over a batch of rows, or a factored input (see the module
     docstring); returns ``(output, activations)``, every layer's input as
     ``backward`` reads it: ``activations[0]`` is ``x``, or ``(x, feats)``
-    for a factored input. tanh is applied in place, so a hidden
+    for a factored input. ``x`` and ``feats`` are arrays; one of another
+    dtype than the net's is cast. tanh is applied in place, so a hidden
     pre-activation array becomes that layer's activation. With a ``scratch``
     the output and the hidden activations are its work arrays."""
     dtype = net.weights[0].dtype
     if scratch is not None:
         Scratch.of(dtype, scratch)
-    x = np.asarray(x, dtype)
-    if feats is not None:
-        feats = np.asarray(feats, dtype)
-    activations = [x if feats is None else (x, feats)]
-    h = _first_layer(net, x, feats, scratch)
-    for i, (w, b) in enumerate(zip(net.weights[1:], net.biases[1:]), 1):
-        np.tanh(h, out=h)
-        activations.append(h)
-        h = _matmul(h, w, scratch, ("z", i))
-        h += b
+    if x.dtype != dtype:
+        x = x.astype(dtype)
+    if feats is None:
+        if x.shape[-1] != net.layer_sizes[0]:
+            raise ValueError(f"input size {x.shape[-1]} does not match net "
+                             f"input {net.layer_sizes[0]}")
+        activations, h, first = [x], x, 0
+    else:
+        if feats.dtype != dtype:
+            feats = feats.astype(dtype)
+        activations, first = [(x, feats)], 1
+        h = _first_layer(net, x, feats, scratch)
+    for i in range(first, len(net.weights)):
+        if i:
+            np.tanh(h, out=h)
+            activations.append(h)
+        w = net.weights[i]
+        h = (h @ w if scratch is None else np.matmul(
+            h, w, out=scratch.take(("z", i), len(h), w.shape[1])))
+        h += net.biases[i]
     return h, activations
 
 

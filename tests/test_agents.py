@@ -134,6 +134,20 @@ def _encode_one(spec, action, selection, n_devices):
     return vec
 
 
+def _record_head_inputs(agent, monkeypatch) -> list:
+    """Make each of ``agent``'s heads append a copy of its input to the
+    returned list as it acts; the next act overwrites the kept row."""
+    recorded = []
+    branch_action = agent._branch_action
+
+    def recording(b, spec, net_in, selection, greedy):
+        recorded.append(net_in.copy())
+        return branch_action(b, spec, net_in, selection, greedy)
+
+    monkeypatch.setattr(agent, "_branch_action", recording)
+    return recorded
+
+
 class TestAct:
     def test_greedy_is_reproducible(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=0)
@@ -191,14 +205,7 @@ class TestAct:
         """The chained state ``act`` writes in place and hands each head
         equals the chain of per-sample encodings."""
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=11)
-        recorded = []
-        branch_action = agent._branch_action
-
-        def recording(b, spec, net_in, selection, greedy):
-            recorded.append(net_in.copy())
-            return branch_action(b, spec, net_in, selection, greedy)
-
-        monkeypatch.setattr(agent, "_branch_action", recording)
+        recorded = _record_head_inputs(agent, monkeypatch)
         rng = np.random.default_rng(11)
         for _ in range(20):
             obs = rng.standard_normal(OBS_DIM)
@@ -210,6 +217,42 @@ class TestAct:
                 assert recorded[b].tobytes() == chain.tobytes(), b
                 chain = np.concatenate([chain, _encode_one(
                     spec, actions[b], actions[0], 10).astype(np.float32)])
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_unchained_heads_act_on_the_observation(self, greedy,
+                                                    monkeypatch):
+        """Every IterRL head reads the observation alone, call after call
+        of the kept row."""
+        agent = IterRlAgent(OBS_DIM, BRANCHES, seed=11)
+        recorded = _record_head_inputs(agent, monkeypatch)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            obs = rng.standard_normal(OBS_DIM)
+            recorded.clear()
+            agent.act(obs, greedy=greedy)
+            want = obs.astype(np.float32)[None, :].tobytes()
+            assert [x.tobytes() for x in recorded] == [want] * len(BRANCHES)
+
+    @pytest.mark.parametrize("agent_cls", [SabppoAgent, IterRlAgent])
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_copies_act_as_separately_built_agents(self, agent_cls, greedy):
+        """An agent and its deepcopy, acting in turn on different
+        observations, act as two agents built apart; no returned action
+        shares memory with either one's kept row."""
+        obs = np.random.default_rng(12).standard_normal((12, OBS_DIM))
+        agent = agent_cls(OBS_DIM, BRANCHES, seed=12)
+        apart = [agent_cls(OBS_DIM, BRANCHES, seed=12) for _ in range(2)]
+        for policy in (agent, *apart):
+            policy.act(obs[0], greedy=greedy)   # the row exists before copying
+        pair = (agent, copy.deepcopy(agent))
+        assert not np.shares_memory(*(p._row for p in pair))
+        for t in range(1, 12):
+            for i, o in enumerate((obs[t], obs[-t])):
+                got = pair[i].act(o, greedy=greedy).branch_actions
+                want = apart[i].act(o, greedy=greedy).branch_actions
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                assert not any(np.shares_memory(a, p._row)
+                               for a in got for p in pair)
 
     def test_fresh_agent_selection_marginals_near_uniform(self):
         agent = SabppoAgent(OBS_DIM, BRANCHES, seed=3)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,8 +68,19 @@ def test_several_workloads_in_one_table(capsys, monkeypatch):
         "| 1.3x | 2/2 |"]
 
 
+def _stub_tier1(monkeypatch, status=0):
+    """Swap the tier-1 suite for a command that prints where and how it ran
+    and exits with ``status``."""
+    monkeypatch.setattr(bench_pairs, "TIER1", [
+        sys.executable, "-c",
+        "import os, sys; print('collecting'); print('3 passed', os.getcwd(), "
+        "os.environ['PYTHONPATH'], os.environ['OPENBLAS_NUM_THREADS']); "
+        f"sys.exit({status})"])
+
+
 def test_out_records_hosts_and_every_pair(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once([]))
+    _stub_tier1(monkeypatch)
     out = tmp_path / "BENCH_1.json"
     assert bench_pairs.main(["--parent", str(_PARENT), "--workload",
                              "mid-iterrl", "--seeds", "1-3", "--seconds",
@@ -93,3 +105,31 @@ def test_checkout_paths_of_unequal_length_are_refused(capsys, monkeypatch):
     assert rc == 2
     assert calls == []
     assert "differ in length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_out_records_one_timed_tier1_run_of_the_change(tmp_path, capsys,
+                                                       monkeypatch, status):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once([]))
+    _stub_tier1(monkeypatch, status)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--parent", str(_PARENT), "--workload",
+                             "mid-iterrl", "--seeds", "1-2", "--out",
+                             str(out)]) == 0
+    tier1 = json.loads(out.read_text())["tier1"]
+    root = bench_pairs.ROOT
+    # run in the change checkout, on its src, with BLAS on one thread; a
+    # failing suite is recorded, not raised
+    assert tier1["last_line"] == f"3 passed {root} {root / 'src'} 1"
+    assert tier1["returncode"] == status
+    assert tier1["command"][0] == "python"
+    assert tier1["command"][1:] == bench_pairs.TIER1[1:]
+    assert tier1["wall_s"] >= 0
+    assert tier1["host"] == {"git_sha": "change"}
+
+
+def test_no_tier1_run_without_out(capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once([]))
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda *args: 1 / 0)
+    assert bench_pairs.main(["--parent", str(_PARENT), "--workload",
+                             "mid-iterrl", "--seeds", "1"]) == 0

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ def test_checkout_against_itself_times_every_size(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0, out
     assert out[0] == ("outputs bit-identical at every size and mode, "
-                      "recorded and replayed episodes included")
+                      "recorded, replayed and greedy episodes included")
     sizes = list(env_step_ab.SIZES)
     rows = [line.split(" | ") for line in out[3:3 + len(sizes)]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
@@ -35,13 +36,25 @@ def test_checkout_against_itself_times_every_size(capsys):
     # 100 rounds are 5 draws of a chunk per block
     assert all(float(r[8]) > 0 and float(r[9][:-2]) > 0 for r in rows)
     assert out[3 + len(sizes)] == ""
-    rows = [line.split(" | ") for line in out[6 + len(sizes):]]
+    end = 6 + 3 * len(sizes)
+    rows = [line.split(" | ") for line in out[6 + len(sizes):end]]
     assert [(int(r[0][2:]), int(r[1]), r[2]) for r in rows] == [
         (n, k, block) for n, k in sizes for block in ("recorded", "replayed")]
     assert all(float(r[3].split()[0]) > 0 and float(r[4].split()[0]) > 0
                for r in rows)
     assert all(r[6].endswith("/2") for r in rows)
     assert all(float(r[7]) >= 0 and float(r[8][:-2]) >= 0 for r in rows)
+    assert out[end] == ""
+    assert out[end + 1].endswith("| act pair ratio | act faster |")
+    rows = [line.split(" | ") for line in out[end + 3:]]
+    assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
+    assert all(float(r[2].split()[0]) > 0 and float(r[3].split()[0]) > 0
+               for r in rows)
+    assert all(r[5].endswith("/2") and r[11].endswith("/2 |") for r in rows)
+    # an act is part of its step
+    assert all(0 < float(r[8]) < float(r[2].split()[0])
+               and 0 < float(r[9]) < float(r[3].split()[0]) for r in rows)
+    assert all(float(r[10][:-1]) > 0 for r in rows)
 
 
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
@@ -80,6 +93,53 @@ def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     # a recorded block first forgets the kept channel
     assert env.resets == [(False, {0: "kept"}), (True, {0: "kept"}),
                           (True, {}), (True, {})]
+
+
+def test_greedy_block_times_each_act_inside_its_steps(monkeypatch):
+    # a fake clock and fault counter that reset, act, decode and step advance
+    clock = {"s": 0.0, "faults": 0}
+
+    class Env:
+        def __init__(self):
+            self.resets, self.steps = [], 0
+
+        def reset(self, seed, replay=False):
+            self.resets.append((seed, replay))
+            clock["s"] += 3.0
+            self.steps = 0
+            return "obs0"
+
+        def decode_branch_actions(self, *raw):
+            clock["s"] += 0.5
+            return raw
+
+        def step(self, action):
+            assert action == ("raw",)
+            clock["s"] += 1.0
+            clock["faults"] += 1
+            self.steps += 1
+            return f"obs{self.steps}", None, self.steps == 4
+
+    class Agent:
+        def __init__(self):
+            self.seen = []
+
+        def act(self, obs, greedy=False):
+            assert greedy
+            self.seen.append(obs)
+            clock["s"] += 2.0
+            return SimpleNamespace(branch_actions=("raw",))
+
+    monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
+    monkeypatch.setattr(env_step_ab, "getrusage", lambda who: SimpleNamespace(
+        ru_minflt=clock["faults"]))
+    env, agent, sink = Env(), Agent(), []
+    us, faults = env_step_ab.time_greedy(env, agent, sink)
+    assert us == (3.0 + 4 * 3.5) / 4 * 1e6
+    assert faults == 4
+    assert sink == [2e6] * 4
+    assert env.resets == [(env_step_ab.SEED, True)]
+    assert agent.seen == ["obs0", "obs1", "obs2", "obs3"]
 
 
 def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
@@ -150,4 +210,31 @@ def test_differing_replay_is_refused_before_timing(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert out == ("N=10 fedpeat recorded: outputs differ at record 0; "
+                   "nothing timed\n")
+
+
+def test_differing_greedy_actions_are_refused_before_timing(capsys,
+                                                          monkeypatch):
+    load = env_step_ab.load
+
+    def load_nudged(checkout, name):
+        env = load(checkout, name)
+        if name.endswith("change"):
+            # the selection head picks its lowest logits
+            agents = importlib.import_module(f"{name}.agents")
+            top_k = agents._top_k
+            monkeypatch.setattr(agents, "_top_k",
+                                lambda x, k: top_k(-x, k))
+        return env
+
+    monkeypatch.setattr(env_step_ab, "load", load_nudged)
+    monkeypatch.setattr(env_step_ab, "time_block", lambda *args: 1 / 0)
+    monkeypatch.setattr(env_step_ab, "time_greedy", lambda *args: 1 / 0)
+    try:
+        rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])
+    finally:
+        _forget({"fedemu_ab_parent", "fedemu_ab_change"})
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out == ("N=10 fedpeat greedy: outputs differ at record 1; "
                    "nothing timed\n")

@@ -204,6 +204,34 @@ class TestRunRound:
         assert row["selection"] == [0, 1]
         assert len(row["q"]) == env.world.n_devices
 
+    def test_outcome_keeps_its_own_selection(self):
+        # a caller that reuses its action array after the step must not
+        # rewrite the round's outcome or its trace line
+        env = make_env()
+        action = bundle([0, 1], (1, 1))
+        env.step(action)
+        action.selection[:] = [2, 3]
+        assert trace_lines([env.last_outcome])[0].startswith(
+            '{"round": 0, "mode": "fedpeat", "selection": [0, 1], ')
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(list(FederationMode)),
+           n=st.integers(1, 12), seed=st.integers(0, 2**16),
+           epochs=st.sampled_from([0, 2]))
+    def test_max_q_is_the_slowest_time(self, data, mode, n, seed, epochs):
+        # every device selected, or some; with zero epochs an unchanged
+        # emulator's round and the server's take no time
+        k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+        env = make_env(mode.value, n=n, k=k, seed=seed, local_epochs=epochs)
+        rng = np.random.default_rng(seed)
+        for r in range(3):
+            action = bundle(rng.permutation(n)[:k].tolist(),
+                            rng.integers(0, 2, k).tolist(),
+                            levels=rng.integers(1, 5, k).tolist())
+            outcome = run_round(env.world, action, mode, r)
+            assert outcome.max_q.hex() == max(outcome.server_q,
+                                              float(outcome.q.max())).hex()
+
     def test_json_row_matches_reference_over_an_episode(self):
         params = dataclasses.replace(EnvParams(), n_devices=60, select_k=8,
                                      rounds=40)
@@ -229,7 +257,7 @@ class TestRunRound:
             round_index=3, mode=FederationMode.FEDPEAT,
             selection=np.array([0, 2]),
             q=np.array([0.1234567891234, 0.0, 2.0 / 3.0]),
-            server_q=0.4567891234567,
+            server_q=0.4567891234567, max_q=2.0 / 3.0,
             perplexities=np.array([28.71582142668, 30.0, 29.1234565]),
             server_perplexity=27.5,
             exchanges_this_round=np.array([1, 0, 0]),
@@ -299,7 +327,7 @@ class TestRoundTraceWriter:
             return RoundOutcome(
                 round_index=round_index, mode=FederationMode.FEDPEFT,
                 selection=np.array([1, 2]), q=np.array(q),
-                server_q=float("inf"),
+                server_q=float("inf"), max_q=float("inf"),
                 perplexities=np.array(perplexities),
                 server_perplexity=float("nan"),
                 exchanges_this_round=np.array([0, 1, 0, 0]),

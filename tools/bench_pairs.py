@@ -18,20 +18,32 @@ the median and quartiles of each side, the ratio of the medians and the
 number of pairs the change wins ("better" comes from ``BENCHMARK.json``).
 ``--out`` also writes the table and, pair by pair, every run's result line
 to a JSON file; each result carries its checkout's host record (CPU, Python,
-numpy and BLAS versions, BLAS thread variables, git sha).
+numpy and BLAS versions, BLAS thread variables, git sha). After the pairs,
+``--out`` also times one run of the change checkout's tier-1 suite
+(``TIER1``, with ``src`` on the path and BLAS pinned to one thread, as the
+benchmark pins it) and records its wall time, exit status and last line of
+output under ``tier1``, with the host record of the change's runs. The suite's
+time is recorded, not compared: it is one run, and it is not a benchmark
+metric.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"]
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -59,6 +71,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     if lines[0].startswith("host: "):
         result["host"] = json.loads(lines[0][len("host: "):])
     return result
+
+
+def run_tier1(checkout: Path, host: dict) -> dict:
+    """One timed run of ``TIER1`` in ``checkout``; a failing suite is
+    recorded by its exit status, not raised."""
+    env = dict(os.environ, **THREADS, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"command": ["python", *TIER1[1:]], "wall_s": round(wall, 2),
+            "returncode": proc.returncode,
+            "last_line": lines[-1] if lines else "", "host": host}
 
 
 def fmt(value: float) -> str:
@@ -132,11 +158,12 @@ def main(argv=None) -> int:
     text = table(results, better)
     print(text)
     if args.out:
+        host = results[workloads[-1]][-1][1].get("host")
         record = {"seconds": args.seconds, "trace": args.trace,
                   "pairs": {w: [{"seed": seed, "parent": p, "change": c}
                                 for seed, (p, c) in zip(seeds, pairs)]
                             for w, pairs in results.items()},
-                  "table": text}
+                  "table": text, "tier1": run_tier1(sides["change"], host)}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

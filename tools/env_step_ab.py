@@ -14,17 +14,20 @@ same raw branch indices, each step decoded by ``decode_branch_actions`` and
 stepped) is first run on both sides.
 For fedpeat, a second env then runs the same episode twice with
 ``reset(seed, replay=True)``: once recording the seed's channel, as an eval
-env's first episode on a seed does, and once replaying it. Every
-observation, reward term and round outcome of each episode is compared bit
-for bit. If any differs the tool prints where and exits 1 without timing
-anything.
+env's first episode on a seed does, and once replaying it. On that env each
+side's ``SabppoAgent`` (seed 0, the same nets on both sides) then drives a
+greedy episode, as ``evaluate`` does: ``act(obs, greedy=True)``, decode and
+step. Every observation, reward term and round outcome of each episode, and
+every greedy action, is compared bit for bit. If any differs the tool
+prints where and exits 1 without timing anything.
 
 Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
-replayed) are timed, one block per side, alternating which side goes first.
-A block is ``reset`` plus one fedpeat episode, each step decoding its raw
-branch indices and stepping, so work moved between ``reset``, the decode
-and ``step`` shows; before a recorded block the env forgets the seed's
-channel. The first table gives, for training blocks, each side's
+replayed, greedy) are timed, one block per side, alternating which side goes
+first. A block is ``reset`` plus one fedpeat episode, each step decoding its
+raw branch indices (a greedy block: the agent's greedy ones) and stepping,
+so work moved between ``reset``, ``act``, the decode and ``step`` shows;
+before a recorded block the env forgets the seed's channel. The first table
+gives, for training blocks, each side's
 median microseconds per step (the block's time over its steps) with
 quartiles, the median of the pairs' change/parent ratios (the two blocks of
 a pair run back to back, so slow drift of the host cancels in their ratio),
@@ -34,8 +37,12 @@ block are faulted in again when the heap gave their pages back, and each
 side's median microseconds per ``World.advance_channel`` call, timed inside
 the same blocks, so a change to the channel draw reads apart from the rest
 of the round. The second table gives the same time, ratio, win and fault
-figures for recorded and replayed blocks. Pin BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``) for stable figures.
+figures for recorded and replayed blocks. The third gives them for greedy
+blocks, and with them each side's median microseconds per ``act`` call,
+timed inside the same blocks, the median of the pairs' ratios of the
+blocks' median ``act`` times and the number of pairs whose ``act`` is faster
+on the change side. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for
+stable figures.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -57,10 +65,10 @@ SIZES = ((10, 5), (50, 10), (200, 20), (1000, 50))
 MODES = ("fedpeat", "fedpeft", "fedft")
 ROUNDS = 100
 SEED = 0
-BLOCKS = ("training", "recorded", "replayed")
-OUTCOME_FIELDS = ("q", "server_q", "perplexities", "server_perplexity",
-                  "exchanges_this_round", "payload_bytes", "footprints",
-                  "rates")
+BLOCKS = ("training", "recorded", "replayed", "greedy")
+OUTCOME_FIELDS = ("q", "server_q", "max_q", "perplexities",
+                  "server_perplexity", "exchanges_this_round",
+                  "payload_bytes", "footprints", "rates")
 
 
 def load(checkout: Path, name: str):
@@ -89,11 +97,27 @@ def make_env(env_module, n: int, k: int, mode: str):
     return env_module.AdaptiveFedEnv(params)
 
 
-def episode_record(env, actions, replay=False) -> list[bytes]:
+def make_agent(env):
+    """The ``SabppoAgent`` (seed ``SEED``) of ``env``'s checkout and size."""
+    agents = importlib.import_module(
+        type(env).__module__.rpartition(".")[0] + ".agents")
+    p = env.params
+    branches = agents.default_branches(p.n_devices, p.select_k, p.levels,
+                                       len(p.retention_grid))
+    return agents.SabppoAgent(p.observation_dim, branches, seed=SEED)
+
+
+def episode_record(env, actions, replay=False, agent=None) -> list[bytes]:
     """Bytes of every observation, reward term and outcome field of one
-    episode of raw branch index groups ``actions``, in order."""
-    record = [env.reset(SEED, replay=replay).tobytes()]
+    episode of ``len(actions)`` rounds, in order. Each round steps its raw
+    branch index groups from ``actions``, or with an ``agent`` the agent's
+    greedy ones, whose bytes are recorded too."""
+    obs = env.reset(SEED, replay=replay)
+    record = [obs.tobytes()]
     for raw in actions:
+        if agent is not None:
+            raw = agent.act(obs, greedy=True).branch_actions
+            record.extend(a.tobytes() for a in raw)
         obs, reward, done = env.step(env.decode_branch_actions(*raw))
         record.append(obs.tobytes())
         record.append(np.array([reward.r_d, reward.r_p, reward.r_s,
@@ -123,6 +147,25 @@ def time_block(env, actions, block="training") -> tuple[float, int]:
         env.step(env.decode_branch_actions(*raw))
     elapsed = perf_counter() - start
     return (elapsed / len(actions) * 1e6,
+            getrusage(RUSAGE_SELF).ru_minflt - faults)
+
+
+def time_greedy(env, agent, sink: list) -> tuple[float, int]:
+    """Microseconds per step of one greedy block, ``reset(SEED,
+    replay=True)`` plus an episode of ``agent``'s greedy actions, each
+    decoded and stepped, and the minor page faults of the block; appends the
+    microseconds of every ``act`` call to ``sink``."""
+    faults = getrusage(RUSAGE_SELF).ru_minflt
+    start = perf_counter()
+    obs, done, steps = env.reset(SEED, replay=True), False, 0
+    while not done:
+        at = perf_counter()
+        raw = agent.act(obs, greedy=True).branch_actions
+        sink.append((perf_counter() - at) * 1e6)
+        obs, _, done = env.step(env.decode_branch_actions(*raw))
+        steps += 1
+    elapsed = perf_counter() - start
+    return (elapsed / steps * 1e6,
             getrusage(RUSAGE_SELF).ru_minflt - faults)
 
 
@@ -159,7 +202,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": load(args.parent.resolve(), "fedemu_ab_parent"),
              "change": load(args.change.resolve(), "fedemu_ab_change")}
-    envs, actions = {}, {}
+    envs, actions, agents = {}, {}, {}
     for n, k in SIZES:
         p = sides["change"].EnvParams()
         acts = actions[n] = raw_actions(n, k, p.levels, len(p.retention_grid))
@@ -170,11 +213,13 @@ def main(argv=None) -> int:
                 records["training", side] = episode_record(env, acts)
                 if mode == "fedpeat":
                     eval_env = make_env(module, n, k, mode)
+                    agent = agents[side, n] = make_agent(eval_env)
                     for block in BLOCKS[1:]:
-                        records[block, side] = episode_record(eval_env, acts,
-                                                              replay=True)
+                        records[block, side] = episode_record(
+                            eval_env, acts, replay=True,
+                            agent=agent if block == "greedy" else None)
                     envs[side, n] = {"training": env, "recorded": eval_env,
-                                     "replayed": eval_env}
+                                     "replayed": eval_env, "greedy": eval_env}
             for block in BLOCKS:
                 if (block, "parent") not in records:
                     continue
@@ -184,10 +229,10 @@ def main(argv=None) -> int:
                     print(f"N={n} {mode} {block}: outputs differ at record "
                           f"{at}; nothing timed")
                     return 1
-    print("outputs bit-identical at every size and mode, recorded and "
-          "replayed episodes included")
+    print("outputs bit-identical at every size and mode, recorded, "
+          "replayed and greedy episodes included")
 
-    rows = []
+    rows, greedy_rows = [], []
     print("| N | K | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults "
           "| parent us/advance_channel | change us/advance_channel |")
@@ -196,6 +241,8 @@ def main(argv=None) -> int:
         times = {(b, side): [] for b in BLOCKS for side in sides}
         faults = {(b, side): [] for b in BLOCKS for side in sides}
         draws = {"parent": [], "change": []}
+        acts = {"parent": [], "change": []}
+        act_medians = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
         try:
@@ -205,10 +252,16 @@ def main(argv=None) -> int:
                 for block in BLOCKS:
                     for side in order:
                         env = envs[side, n][block]
-                        with (timed_draws(sides[side].World, draws[side])
-                              if block == "training"
-                              else contextlib.nullcontext()):
-                            us, flt = time_block(env, actions[n], block)
+                        if block == "greedy":
+                            sink = []
+                            us, flt = time_greedy(env, agents[side, n], sink)
+                            acts[side] += sink
+                            act_medians[side].append(np.median(sink))
+                        else:
+                            with (timed_draws(sides[side].World, draws[side])
+                                  if block == "training"
+                                  else contextlib.nullcontext()):
+                                us, flt = time_block(env, actions[n], block)
                         times[block, side].append(us)
                         faults[block, side].append(flt)
         finally:
@@ -227,13 +280,27 @@ def main(argv=None) -> int:
               f"| {np.median(draws['parent']):.1f} "
               f"| {np.median(draws['change']):.1f} |")
         rows += [f"| {n} | {k} | {block} | {cells[block]} |"
-                 for block in BLOCKS[1:]]
+                 for block in ("recorded", "replayed")]
+        par, chg = act_medians["parent"], act_medians["change"]
+        greedy_rows.append(
+            f"| {n} | {k} | {cells['greedy']} "
+            f"| {np.median(acts['parent']):.1f} "
+            f"| {np.median(acts['change']):.1f} "
+            f"| {np.median(np.divide(chg, par)):.3f}x "
+            f"| {sum(c < p for p, c in zip(par, chg))}/{len(par)} |")
 
     print()
     print("| N | K | episode | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults |")
     print("|---|---|---|---|---|---|---|---|---|")
     print("\n".join(rows))
+
+    print()
+    print("| N | K | parent us/step | change us/step | pair ratio "
+          "| change faster | parent faults | change faults "
+          "| parent us/act | change us/act | act pair ratio | act faster |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("\n".join(greedy_rows))
     return 0
 
 
