@@ -202,7 +202,17 @@ class AdaptiveFedEnv:
         self._channels: dict[int, np.ndarray] = {}  # kept channel per seed
         # buffers that outlive a reset: a training chunk's gains, any draw's
         # fading normals, and the dB gain feature (fading powers mid-draw)
-        n = self.params.n_devices
+        p = self.params
+        n = p.n_devices
+        # each field's name and range, and the ranges entry by entry over
+        # the four fields concatenated, for _validate
+        self._limits = (("selection", 0, n - 1),
+                        ("bandwidth_levels", 1, p.levels),
+                        ("power_levels", 1, p.levels),
+                        ("retention_columns", 0, len(p.retention_grid) - 1))
+        lows, highs = zip(*(limit[1:] for limit in self._limits))
+        self._low = np.repeat(lows, p.select_k)
+        self._high = np.repeat(highs, p.select_k)
         self._gains = np.empty((CHUNK, n))
         self._normals = np.empty((CHUNK, n, 2))
         self._feature = np.empty((CHUNK, n))
@@ -313,17 +323,14 @@ class AdaptiveFedEnv:
     def _validate(self, action: ActionBundle):
         """Refuse an action outside the action space, naming the field; the
         one check of an action, made before the world changes. Each field
-        must be an integer array of ``select_k`` entries within its range
-        (``retention_columns`` too, in every mode), and the selection's
-        entries must be distinct. The checks run on ``tolist()`` values:
-        per-array numpy reductions would cost several times more a step."""
-        p = self.params
-        k = p.select_k
-        for name, lo, hi in (("selection", 0, p.n_devices - 1),
-                             ("bandwidth_levels", 1, p.levels),
-                             ("power_levels", 1, p.levels),
-                             ("retention_columns", 0,
-                              len(p.retention_grid) - 1)):
+        must be an integer array of ``select_k`` entries (checked field by
+        field) within its range (``retention_columns`` too, in every mode),
+        and the selection's entries must be distinct. The ranges are checked
+        by one compare of the four fields concatenated against the env's
+        entry-by-entry bounds; the first entry outside names its field."""
+        k = self.params.select_k
+        fields = []
+        for name, _, _ in self._limits:
             values = getattr(action, name)
             if not (isinstance(values, np.ndarray)
                     and values.dtype.kind in "iu"):
@@ -331,9 +338,12 @@ class AdaptiveFedEnv:
             if values.shape != (k,):
                 raise ActionDecodeError(f"{name} must hold {k} entries, one "
                                         "per selected device")
-            values = values.tolist()
-            if not (lo <= min(values) and max(values) <= hi):
-                raise ActionDecodeError(f"{name} must lie in [{lo}, {hi}]")
+            fields.append(values)
+        values = np.concatenate(fields)
+        outside = (values < self._low) | (values > self._high)
+        if outside.any():
+            name, lo, hi = self._limits[outside.argmax() // k]
+            raise ActionDecodeError(f"{name} must lie in [{lo}, {hi}]")
         if len(set(action.selection.tolist())) != k:
             raise ActionDecodeError("selection indices must be distinct")
 

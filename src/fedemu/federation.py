@@ -40,6 +40,7 @@ from .simcore import (
 from .wireless import (
     advance_mobility,
     allocate_budgets,
+    budget_terms,
     channel_gain,
     shannon_rate,
     transmission_delay,
@@ -123,7 +124,9 @@ class World:
     (one table per ``params``) and each column's tuning time (N x C
     ``local_q``, ``server_q``). ``advance_channel`` draws later rounds'
     gains from the mobility and fading streams; the env hands ``gains``
-    each round's row.
+    each round's row. ``budgets`` holds ``wireless.budget_terms`` of the
+    episode's bandwidth and the power budget, which every round's
+    ``allocate_budgets`` reads.
     """
 
     def __init__(self, params: EnvParams, seed: int):
@@ -137,6 +140,7 @@ class World:
         r = p.area_radius * np.sqrt(population.uniform(size=n))
         theta = population.uniform(0.0, 2.0 * math.pi, size=n)
         self.bandwidth_budget = population.uniform(*p.bandwidth_budget_range)
+        self.budgets = budget_terms(self.bandwidth_budget, p.power_budget)
         self.position = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         self.mobility_rng = stream(seed, 4, 2)
         self.fading_rng = stream(seed, 4, 3)
@@ -203,6 +207,35 @@ def _number(x: float) -> str:
     return x.__repr__() if math.isfinite(x) else json.dumps(x)
 
 
+def _rounded(values: list[float], digits: int) -> list[str]:
+    """``[_number(round(x, digits)) for x in values]``, rendered in bulk.
+
+    ``"%.{digits}f"`` and ``round(x, digits)`` both take the correctly
+    rounded decimal D of x with ``digits`` places (CPython's dtoa mode 3),
+    and ``repr`` of ``round``'s result is the shortest decimal that reads
+    back as the double nearest D. When D has at most 15 significant digits,
+    no other decimal that short reads back as that double, so ``repr`` gives
+    D itself: its ``%f`` text with trailing zeros cut, one decimal kept. So
+    the batch is one ``%`` format, with zeros cut before every comma at
+    once, unless its text shows a value ``repr`` writes otherwise: a
+    non-finite one (``inf``, ``nan``), a nonzero D below 1e-4 (``repr``
+    turns to an exponent), or an x of ``15 - digits`` or more integer
+    digits (D may need more than 15 significant digits). Such a batch is
+    rendered value by value.
+    """
+    if not values:
+        return []
+    text = ("," + f"%.{digits}f") * len(values) % tuple(values) + ","
+    while "0," in text:
+        text = text.replace("0,", ",")
+    text = text.replace(".,", ".0,")
+    bound = 10.0 ** (15 - digits)
+    if ("n" in text or ",0.0000" in text or "-0.0000" in text
+            or not (-bound < min(values) and max(values) < bound)):
+        return [_number(round(x, digits)) for x in values]
+    return text[1:-1].split(",")
+
+
 class RoundTraceWriter:
     """Writes one JSON line per round to ``file``: the round index, mode and
     selection, and the per-device ``q`` (rounded to 1e-9 s), perplexities
@@ -211,11 +244,15 @@ class RoundTraceWriter:
 
     Each line is ``json.dumps`` of that row's dict, built in O(K) Python
     work per round: entries of ``q``, ``exchanges`` and ``payload_bytes``
-    off the selection are zero (``run_round`` scatters them so), the text
-    of each distinct payload value is rendered once per writer (there are
-    at most ``len(retention_grid) + 2``), and the text of each perplexity is
-    kept from the previous line and rendered again only where its bits
-    changed. The first line of an episode renders every perplexity.
+    off the selection are zero (``run_round`` scatters them so), so the
+    writer keeps their N-long text lists from line to line and sets only
+    the previous selection's entries back to zero. The K selected ``q``
+    values are rendered by one ``_rounded`` call, the text of each distinct
+    payload value is rendered once per writer (there are at most
+    ``len(retention_grid) + 2``), and the text of each perplexity is kept
+    from the previous line and rendered again, in one ``_rounded`` call,
+    only where its bits changed. The first line of an episode renders
+    every perplexity.
     """
 
     def __init__(self, file):
@@ -223,18 +260,29 @@ class RoundTraceWriter:
         self._perplexity = np.empty(0)
         self._perplexity_text: list[str] = []
         self._payload_text: dict[float, str] = {}
+        self._q: list[str] = []
+        self._payload: list[str] = []
+        self._exchanges: list[str] = []
+        self._selection: list[int] = []
 
     def write(self, outcome: RoundOutcome) -> None:
         sel = outcome.selection.tolist()
         n = len(outcome.perplexities)
-        q = ["0.0"] * n
-        payload = ["0.0"] * n
-        exchanges = ["0"] * n
+        q, payload, exchanges = self._q, self._payload, self._exchanges
+        if len(q) != n:
+            q[:] = payload[:] = ["0.0"] * n
+            exchanges[:] = ["0"] * n
+            self._selection = []
+        for i in self._selection:
+            q[i] = payload[i] = "0.0"
+            exchanges[i] = "0"
+        self._selection = sel
         known = self._payload_text
-        for i, qi, bytes_i, ex in zip(
-                sel, outcome.q[sel].tolist(), outcome.payload_bytes[sel].tolist(),
+        for i, text, bytes_i, ex in zip(
+                sel, _rounded(outcome.q[sel].tolist(), 9),
+                outcome.payload_bytes[sel].tolist(),
                 outcome.exchanges_this_round[sel].tolist()):
-            q[i] = _number(round(qi, 9))
+            q[i] = text
             if bytes_i not in known:
                 known[bytes_i] = _number(bytes_i)
             payload[i] = known[bytes_i]
@@ -248,8 +296,9 @@ class RoundTraceWriter:
             changed = np.flatnonzero(perplexity.view(np.int64)
                                      != self._perplexity.view(np.int64))
         text = self._perplexity_text
-        for i, x in zip(changed.tolist(), perplexity[changed].tolist()):
-            text[i] = _number(round(x, 6))
+        for i, x in zip(changed.tolist(),
+                        _rounded(perplexity[changed].tolist(), 6)):
+            text[i] = x
         self._perplexity = perplexity
 
         self._file.write(
@@ -295,7 +344,7 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     if k:
         bw_hz, pw_w = allocate_budgets(actions.bandwidth_levels,
                                        actions.power_levels, sel,
-                                       world.bandwidth_budget, p.power_budget)
+                                       world.budgets)
         rates = shannon_rate(bw_hz, pw_w, world.gains[sel], p.noise_psd)
     q = world.local_q[sel, col] + transmission_delay(changed, payload, rates)
     # Server trains every round on its own shard; no downlink to itself.

@@ -6,11 +6,15 @@ surrogate. Both read their settings by name from ``env.EnvParams``, the one
 schema of the world; the types here hold derived values only. The
 surrogate and cost functions work elementwise, so one call covers a whole
 device population held as arrays. Every simulation draw comes from a named
-stream made by ``stream``.
+stream made by ``stream``. The checked helpers, here and in ``wireless``,
+test each input with ``least``, one NaN-ignoring numpy reduction; the
+budget terms ``wireless.allocate_budgets`` reads are made once an episode,
+by ``federation.World``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +27,7 @@ __all__ = [
     "AdapterSpec",
     "EmulatorSpec",
     "stream",
+    "least",
     "emulator_from_retention",
     "final_perplexity",
     "perplexity_step",
@@ -38,6 +43,14 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     the same stream; keys that must differ should differ in a non-zero word.
     """
     return np.random.default_rng(np.random.SeedSequence((seed,) + key))
+
+
+def least(values) -> float:
+    """The least entry of ``values`` (an array or a number) as a float,
+    ignoring NaN; inf when empty. So ``least(x) <= 0`` is
+    ``(np.asarray(x) <= 0).any()`` in one numpy call, the form the checked
+    helpers here and in ``wireless`` use."""
+    return np.fmin.reduce(values, axis=None, dtype=float, initial=math.inf)
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,7 @@ def final_perplexity(params: EnvParams, retention):
 
 def perplexity_step(perplexity, target, rate: float):
     """One round of local tuning: exponential approach to ``target``."""
-    if (np.asarray(target) <= 0).any():
+    if least(target) <= 0:
         raise ValueError("target perplexity must be positive")
     return target + (perplexity - target) * (1.0 - rate)
 

@@ -3,9 +3,12 @@
 Channel gain = log-distance path loss times a Rician small-scale fading
 power. Rates follow the Shannon capacity of the per-device FDMA slice, and
 bandwidth/power budgets are enforced by construction via proportional shares
-of discrete levels, the budgets passed as numbers. Rates, delays and budgets
-are computed for all devices of a round in one call, gains for any array,
-into caller-owned work arrays if given; ``advance_mobility`` moves every
+of discrete levels. The budget pair's terms (``budget_terms``) are fixed
+for an episode, so ``federation.World`` makes them once and each round's
+``allocate_budgets`` reads them. Rates, delays and budgets are computed for
+all devices of a round in one call, gains for any array, into caller-owned
+work arrays if given, and each checks its inputs with one NaN-ignoring
+``np.fmin`` reduction per input; ``advance_mobility`` moves every
 device of a round at once, treating each (x, y) row as one entry of a
 complex view so that 1-D masks copy whole rows, and is tested against a
 one-device reference in ``tests/``. Channel and mobility settings are read
@@ -19,6 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .simcore import least
+
 if TYPE_CHECKING:
     from .env import EnvParams
 
@@ -29,6 +34,7 @@ __all__ = [
     "shannon_rate",
     "transmission_delay",
     "allocate_budgets",
+    "budget_terms",
 ]
 
 def dbm_per_hz_to_watts(dbm: float) -> float:
@@ -125,10 +131,9 @@ def channel_gain(distance, params: EnvParams, rng: np.random.Generator,
 
 def shannon_rate(bandwidth, power, gain, noise_psd: float):
     """Achievable downlink rate in bit/s of each FDMA slice."""
-    nonpositive = np.asarray(bandwidth) <= 0
-    if (nonpositive | (np.asarray(power) < 0) | (np.asarray(gain) < 0)).any():
-        if nonpositive.any():
-            raise ValueError("bandwidth must be positive")
+    if least(bandwidth) <= 0:
+        raise ValueError("bandwidth must be positive")
+    if least(power) < 0 or least(gain) < 0:
         raise ValueError("power and gain must be non-negative")
     snr = gain * power / (bandwidth * noise_psd)
     return bandwidth * np.log2(1.0 + snr)
@@ -137,31 +142,37 @@ def shannon_rate(bandwidth, power, gain, noise_psd: float):
 def transmission_delay(changed, emulator_bytes, rate):
     """Seconds to push an emulator downlink; zero where it did not change."""
     rate = np.where(changed, rate, np.inf)
-    if (rate <= 0).any():
+    if least(rate) <= 0:
         raise ValueError("cannot transmit a changed emulator at zero rate")
     return 8.0 * emulator_bytes / rate
 
 
-def allocate_budgets(levels_bw, levels_pw, selection, bandwidth_budget: float,
-                     power_budget: float):
+def budget_terms(bandwidth_budget: float, power_budget: float):
+    """The terms ``allocate_budgets`` needs of a budget pair: the (2, 1)
+    column of the bandwidth and power budgets, its ulp, and budget / ulp."""
+    budgets = np.array([[bandwidth_budget], [power_budget]])
+    ulp = np.spacing(budgets)
+    return budgets, ulp, budgets / ulp
+
+
+def allocate_budgets(levels_bw, levels_pw, selection, terms):
     """Turn the selected devices' discrete levels into absolute Hz/W.
 
     Levels, ``selection`` and the returned (bandwidth, power) arrays are
-    aligned with each other. A device gets budget * level / sum(levels),
-    rounded to a multiple of the budget's ulp; the share of the highest
-    selected index is the remainder. Every partial sum of such multiples is
-    exact, so the shares sum to the budget exactly in any order. (Taking the
-    remainder of unrounded shares misses by an ulp when it is a rounding
-    tie.)
+    aligned with each other; ``terms`` is ``budget_terms`` of the budget
+    pair. A device gets budget * level / sum(levels), rounded to a multiple
+    of the budget's ulp; the share of the highest selected index is the
+    remainder. Every partial sum of such multiples is exact, so the shares
+    sum to the budget exactly in any order. (Taking the remainder of
+    unrounded shares misses by an ulp when it is a rounding tie.)
     """
     if len(selection) == 0:
         raise ValueError("cannot allocate budgets over an empty selection")
     levels = np.array([levels_bw, levels_pw], dtype=float)
-    if (levels <= 0).any():
+    if least(levels) <= 0:
         raise ValueError("levels must be positive for selected devices")
-    budgets = np.array([[bandwidth_budget], [power_budget]])
-    ulp = np.spacing(budgets)
-    shares = np.rint(budgets / ulp * levels
+    budgets, ulp, scale = terms
+    shares = np.rint(scale * levels
                      / levels.sum(axis=1, keepdims=True)) * ulp
     last = np.asarray(selection).argmax()
     shares[:, last] = 0.0

@@ -27,7 +27,8 @@ def test_checkout_against_itself_times_every_size(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0, out
     assert out[0] == ("outputs bit-identical at every size and mode, "
-                      "recorded, replayed and greedy episodes included")
+                      "recorded, replayed and greedy episodes and their "
+                      "trace lines included")
     sizes = list(env_step_ab.SIZES)
     rows = [line.split(" | ") for line in out[3:3 + len(sizes)]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
@@ -46,7 +47,8 @@ def test_checkout_against_itself_times_every_size(capsys):
     assert all(float(r[7]) >= 0 and float(r[8][:-2]) >= 0 for r in rows)
     assert out[end] == ""
     assert out[end + 1].endswith("| act pair ratio | act faster |")
-    rows = [line.split(" | ") for line in out[end + 3:]]
+    greedy_end = end + 3 + len(sizes)
+    rows = [line.split(" | ") for line in out[end + 3:greedy_end]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
     assert all(float(r[2].split()[0]) > 0 and float(r[3].split()[0]) > 0
                for r in rows)
@@ -55,6 +57,14 @@ def test_checkout_against_itself_times_every_size(capsys):
     assert all(0 < float(r[8]) < float(r[2].split()[0])
                and 0 < float(r[9]) < float(r[3].split()[0]) for r in rows)
     assert all(float(r[10][:-1]) > 0 for r in rows)
+    assert out[greedy_end] == ""
+    assert out[greedy_end + 1] == ("| N | K | parent us/line | change us/line "
+                                   "| pair ratio | change faster |")
+    rows = [line.split(" | ") for line in out[greedy_end + 3:]]
+    assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
+    assert all(float(r[2].split()[0]) > 0 and float(r[3].split()[0]) > 0
+               and float(r[4][:-1]) > 0 and r[5].endswith("/2 |")
+               for r in rows)
 
 
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
@@ -140,6 +150,26 @@ def test_greedy_block_times_each_act_inside_its_steps(monkeypatch):
     assert sink == [2e6] * 4
     assert env.resets == [(env_step_ab.SEED, True)]
     assert agent.seen == ["obs0", "obs1", "obs2", "obs3"]
+
+
+def test_trace_block_writes_every_outcome_into_a_new_writer(monkeypatch):
+    clock = {"s": 0.0}
+    writers = []
+
+    class Writer:
+        def __init__(self, file):
+            self.file = file
+            writers.append(self)
+
+        def write(self, outcome):
+            clock["s"] += 2.0
+            self.file.write(f"{outcome}\n")
+
+    monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
+    assert env_step_ab.time_trace(Writer, ["a", "b", "c", "d"]) == 2e6
+    assert env_step_ab.time_trace(Writer, ["a", "b"]) == 2e6
+    assert len(writers) == 2 and writers[0].file is not writers[1].file
+    assert writers[0].file.getvalue() == "a\nb\nc\nd\n"
 
 
 def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
@@ -237,4 +267,31 @@ def test_differing_greedy_actions_are_refused_before_timing(capsys,
     out = capsys.readouterr().out
     assert rc == 1
     assert out == ("N=10 fedpeat greedy: outputs differ at record 1; "
+                   "nothing timed\n")
+
+
+def test_differing_trace_lines_are_refused_before_timing(capsys, monkeypatch):
+    load = env_step_ab.load
+
+    def load_nudged(checkout, name):
+        env = load(checkout, name)
+        if name.endswith("change"):
+            # every q and perplexity rendered one decimal place short
+            federation = sys.modules[f"{name}.federation"]
+            rounded = federation._rounded
+            monkeypatch.setattr(federation, "_rounded",
+                                lambda values, digits: rounded(values,
+                                                               digits - 1))
+        return env
+
+    monkeypatch.setattr(env_step_ab, "load", load_nudged)
+    for name in ("time_block", "time_greedy", "time_trace"):
+        monkeypatch.setattr(env_step_ab, name, lambda *args: 1 / 0)
+    try:
+        rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])
+    finally:
+        _forget({"fedemu_ab_parent", "fedemu_ab_change"})
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out == ("N=10 fedpeat trace: lines differ at line 0; "
                    "nothing timed\n")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fedemu.federation import (
     FederationMode,
     RoundOutcome,
     RoundTraceWriter,
+    _number,
+    _rounded,
     run_round,
 )
 from fedemu.simcore import (
@@ -28,6 +31,7 @@ from fedemu.simcore import (
 )
 from fedemu.wireless import (
     allocate_budgets,
+    budget_terms,
     channel_gain,
     shannon_rate,
     transmission_delay,
@@ -273,6 +277,95 @@ class TestRunRound:
             '"payload_bytes": [150000000.0, 0.0, 0.0]}\n')
 
 
+def _signed(values):
+    return st.tuples(values, st.sampled_from([1.0, -1.0])).map(
+        lambda t: t[0] * t[1])
+
+
+def _either_side(values):
+    """Each value, or the double next to it on either side."""
+    return st.tuples(values, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda t: t[0] if t[1] is None else math.nextafter(*t))
+
+
+# arbitrary doubles, and the values where a bulk render could part from
+# round + repr: non-finite and signed zeros, subnormals, the edges of the
+# fallback (5e-10 rounds to 0 or 1e-9 at nine places; repr writes an
+# exponent below 1e-4; 1e6 and 1e9 leave room for 15 significant digits at
+# nine and six places), decimal ties at six and nine places, and exact
+# binary ties (odd multiples of 2**-7 and 2**-10 end in a 5 one place on)
+_TRACE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072014e-308]),
+    _signed(_either_side(st.sampled_from([5e-10, 1e-4, 1e6, 1e9]))),
+    _signed(st.sampled_from([5e-10, 1e-4, 1e6, 1e9]).flatmap(
+        lambda c: st.floats(0.99 * c, 1.01 * c))),
+    _either_side(st.builds(lambda i, digits: (i + 0.5) / 10 ** digits,
+                           st.integers(-10 ** 15, 10 ** 15),
+                           st.sampled_from([6, 9]))),
+    st.builds(lambda i, scale: (2 * i + 1) / scale,
+              st.integers(-10 ** 12, 10 ** 12), st.sampled_from([128, 1024])),
+)
+
+
+def _with_targets(columns, which, value):
+    """A copy of the world's tables with the target perplexities of the
+    columns ``which`` set to ``value``."""
+    columns = columns.copy()
+    columns[3, which] = value
+    return columns
+
+
+# how a world is spoiled (attribute -> value), and the message of the
+# helper's check that must refuse it
+_SPOILED_WORLDS = {
+    "bandwidth": (lambda w: {"budgets": budget_terms(
+        0.0, w.params.power_budget)}, "bandwidth must be positive"),
+    "power": (lambda w: {"budgets": budget_terms(
+        w.bandwidth_budget, -w.params.power_budget)},
+        "power and gain must be non-negative"),
+    "gain": (lambda w: {"gains": -w.gains},
+             "power and gain must be non-negative"),
+    "rate": (lambda w: {"gains": np.zeros_like(w.gains)},
+             "cannot transmit a changed emulator at zero rate"),
+    "device target": (lambda w: {"columns": _with_targets(
+        w.columns, slice(0, -2), 0.0)}, "target perplexity must be positive"),
+    "server target": (lambda w: {"columns": _with_targets(
+        w.columns, -2, -1.0)}, "target perplexity must be positive"),
+}
+
+
+class TestHelperChecks:
+    """Every check of a helper ``run_round`` calls still refuses its bad
+    input with its message, through ``run_round`` and ``env.step``."""
+
+    @pytest.mark.parametrize("through", ["run_round", "step"])
+    @pytest.mark.parametrize("spoiled", list(_SPOILED_WORLDS))
+    def test_spoiled_world_refused(self, spoiled, through):
+        env = make_env()
+        spoil, message = _SPOILED_WORLDS[spoiled]
+        for name, value in spoil(env.world).items():
+            setattr(env.world, name, value)
+        # first emulators on every selected device: each is a change
+        action = bundle([0, 2], (0, 1), levels=[1, 3])
+        with pytest.raises(ValueError, match=message):
+            if through == "step":
+                env.step(action)
+            else:
+                run_round(env.world, action, FederationMode.FEDPEAT)
+
+    def test_non_positive_levels_refused(self):
+        env = make_env()
+        action = bundle([0, 2], (0, 1), levels=[0, 3])
+        with pytest.raises(ValueError,
+                           match="levels must be positive for selected"):
+            run_round(env.world, action, FederationMode.FEDPEAT)
+        # step's own check of the action comes first
+        with pytest.raises(ValueError, match=r"bandwidth_levels must lie in"):
+            env.step(action)
+
+
 def reference_row(o):
     """The trace line of one outcome: json.dumps of the full row dict."""
     return json.dumps({
@@ -344,6 +437,68 @@ class TestRoundTraceWriter:
         ]
         assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
 
+    @settings(max_examples=400, deadline=None)
+    @given(batch=st.lists(_TRACE_FLOATS, min_size=1, max_size=60))
+    @pytest.mark.parametrize("digits", [6, 9])
+    def test_bulk_render_equals_round_and_repr(self, digits, batch):
+        assert _rounded(batch, digits) == [_number(round(x, digits))
+                                           for x in batch]
+
+    def test_json_row_bytes_through_the_fallback(self):
+        # line 1: the selection's q mixes a plain value, one repr writes
+        # with an exponent, one of 7 integer digits and an exact tie at
+        # nine places (3 + 2**-10, to even), so it is rendered value by
+        # value; the perplexities, a tie at six places (29 + 2**-7), 30.0
+        # and one whose six places end in zeros, in bulk. Line 2: the tie in
+        # bulk, the previous selection's entries back to zero, and the two
+        # changed perplexities, one of 10 integer digits, value by value.
+        def outcome(round_index, selection, q, perplexities, exchanges,
+                    payload):
+            return RoundOutcome(
+                round_index=round_index, mode=FederationMode.FEDPEAT,
+                selection=np.array(selection), q=np.array(q), server_q=1.5,
+                max_q=max(q), perplexities=np.array(perplexities),
+                server_perplexity=27.5,
+                exchanges_this_round=np.array(exchanges),
+                payload_bytes=np.array(payload),
+                footprints=np.ones(len(selection)), rates=np.ones(5))
+
+        outcomes = [
+            outcome(4, [4, 0, 1, 3],
+                    [0.1234567891234, 3e-05, 0.0, 1.5e6, 3.0009765625],
+                    [29.0078125, 30.0, 30.0, 28.71582142668, 13.5000000001],
+                    [1, 0, 0, 1, 1], [1.5e8, 0.0, 0.0, 2.5e7, 1.5e8]),
+            outcome(5, [2, 4], [0.0, 0.0, 0.25, 0.0, 3.0009765625],
+                    [29.0078125, 30.0, 1234567890.123, 28.71582142668, 14.0],
+                    [0, 0, 1, 0, 0], [0.0, 0.0, 2.5e7, 0.0, 0.0]),
+        ]
+        assert trace_lines(outcomes) == [
+            '{"round": 4, "mode": "fedpeat", "selection": [4, 0, 1, 3], '
+            '"q": [0.123456789, 3e-05, 0.0, 1500000.0, 3.000976562], '
+            '"server_q": 1.5, '
+            '"perplexities": [29.007812, 30.0, 30.0, 28.715821, 13.5], '
+            '"server_perplexity": 27.5, "exchanges": [1, 0, 0, 1, 1], '
+            '"payload_bytes": [150000000.0, 0.0, 0.0, 25000000.0, '
+            '150000000.0]}',
+            '{"round": 5, "mode": "fedpeat", "selection": [2, 4], '
+            '"q": [0.0, 0.0, 0.25, 0.0, 3.000976562], "server_q": 1.5, '
+            '"perplexities": [29.007812, 30.0, 1234567890.123, 28.715821, '
+            '14.0], "server_perplexity": 27.5, "exchanges": [0, 0, 1, 0, 0], '
+            '"payload_bytes": [0.0, 0.0, 25000000.0, 0.0, 0.0]}',
+        ]
+        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+
+    def test_one_writer_over_populations_of_different_sizes(self):
+        # the kept text lists start again when N changes
+        outcomes = []
+        for n, k in ((6, 3), (4, 2), (4, 2), (6, 2)):
+            env = make_env(n=n, k=k, seed=n)
+            for r in range(2):
+                sel = list(range(r, r + k))
+                outcomes.append(run_round(env.world, bundle(sel, [r] * k),
+                                          FederationMode.FEDPEAT, r))
+        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+
 
 def oracle_round(world, actions, mode):
     """One round computed with the public helpers, per round and without
@@ -373,7 +528,8 @@ def oracle_round(world, actions, mode):
     if k:
         bw, pw = allocate_budgets(actions.bandwidth_levels,
                                   actions.power_levels, sel,
-                                  world.bandwidth_budget, p.power_budget)
+                                  budget_terms(world.bandwidth_budget,
+                                               p.power_budget))
         rates = shannon_rate(bw, pw, world.gains[sel], p.noise_psd)
     q = (compute_delay(world.data_size[sel], world.compute_speed[sel],
                        trained, p.local_epochs)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fedemu.env import EnvParams
 from fedemu.simcore import (
@@ -8,6 +11,7 @@ from fedemu.simcore import (
     compute_delay,
     emulator_from_retention,
     final_perplexity,
+    least,
     memory_footprint,
     perplexity_step,
 )
@@ -108,6 +112,23 @@ class TestFinalPerplexity:
     def test_domain_error(self, surrogate):
         with pytest.raises(ValueError):
             final_perplexity(surrogate, 0.0)
+
+
+class TestLeast:
+    @given(values=st.lists(st.floats() | st.integers(-3, 3), max_size=8),
+           shape=st.sampled_from(["list", "array", "column", "number"]))
+    def test_compares_as_any(self, values, shape):
+        # least(x) <= 0 and least(x) < 0 hold where any entry does; NaN
+        # entries compare false either way
+        x = {"list": values, "array": np.array(values, dtype=float),
+             "column": np.array(values, dtype=float)[:, None],
+             "number": values[0] if values else 1.0}[shape]
+        entries = np.asarray(x, dtype=float)
+        assert (least(x) <= 0) == bool((entries <= 0).any())
+        assert (least(x) < 0) == bool((entries < 0).any())
+
+    def test_empty_is_inf(self):
+        assert least(np.zeros(0)) == math.inf
 
 
 class TestPerplexityStep:

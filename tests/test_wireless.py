@@ -10,6 +10,7 @@ from fedemu.env import EnvParams
 from fedemu.wireless import (
     advance_mobility,
     allocate_budgets,
+    budget_terms,
     channel_gain,
     dbm_per_hz_to_watts,
     rician_fading_power,
@@ -150,22 +151,25 @@ class TestTransmissionDelay:
 class TestAllocateBudgets:
     def test_equal_levels_split_evenly(self):
         levels = np.ones(5)
-        bw, pw = allocate_budgets(levels, levels, [0, 2, 4, 6, 8], 20e9, 15.0)
+        bw, pw = allocate_budgets(levels, levels, [0, 2, 4, 6, 8],
+                                  budget_terms(20e9, 15.0))
         assert bw.tolist() == pytest.approx([4e9] * 5)
         assert pw.tolist() == pytest.approx([3.0] * 5)
 
     def test_proportional_shares(self):
         levels_pw = np.array([2.0, 1.0, 1.0])
-        bw, pw = allocate_budgets(np.ones(3), levels_pw, [0, 1, 2], 20e9, 15.0)
+        bw, pw = allocate_budgets(np.ones(3), levels_pw, [0, 1, 2],
+                                  budget_terms(20e9, 15.0))
         assert pw.tolist() == pytest.approx([7.5, 3.75, 3.75])
 
     def test_single_device_takes_everything(self):
-        bw, pw = allocate_budgets([3.0], [2.0], [3], 20e9, 15.0)
+        bw, pw = allocate_budgets([3.0], [2.0], [3],
+                                  budget_terms(20e9, 15.0))
         assert bw.tolist() == [20e9] and pw.tolist() == [15.0]
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            allocate_budgets([], [], [], 20e9, 15.0)
+            allocate_budgets([], [], [], budget_terms(20e9, 15.0))
 
     def test_budget_sums_exact_and_nonnegative(self):
         rng = np.random.default_rng(9)
@@ -176,7 +180,8 @@ class TestAllocateBudgets:
             sel = rng.choice(n, size=k, replace=False)
             levels_b = rng.integers(1, 5, size=k)
             levels_p = rng.integers(1, 5, size=k)
-            bw, pw = allocate_budgets(levels_b, levels_p, sel, budget, power)
+            bw, pw = allocate_budgets(levels_b, levels_p, sel,
+                                      budget_terms(budget, power))
             assert bw.shape == pw.shape == (k,)
             assert sum(bw.tolist()) == budget
             assert sum(pw.tolist()) == power
@@ -187,7 +192,8 @@ class TestAllocateBudgets:
         # the budget by one ulp (2**-19 Hz)
         budget, power = 16548286433.25348, 15.0
         levels = np.array([1.0, 1.0, 4.0])
-        bw, pw = allocate_budgets(levels, levels, [0, 2, 4], budget, power)
+        bw, pw = allocate_budgets(levels, levels, [0, 2, 4],
+                                  budget_terms(budget, power))
         assert sum(bw.tolist()) == budget
         assert sum(pw.tolist()) == power
         assert bw[2] == pytest.approx(budget * 4 / 6, rel=1e-15)
@@ -203,7 +209,8 @@ class TestAllocateBudgets:
                                                max_size=len(sel))), dtype=float)
         levels_p = np.array(data.draw(st.lists(level, min_size=len(sel),
                                                max_size=len(sel))), dtype=float)
-        bw, pw = allocate_budgets(levels_b, levels_p, sel, budget, power)
+        bw, pw = allocate_budgets(levels_b, levels_p, sel,
+                                  budget_terms(budget, power))
         assert sum(bw.tolist()) == budget
         assert sum(pw.tolist()) == power
         assert (bw > 0).all() and (pw > 0).all()
@@ -213,8 +220,8 @@ class TestAllocateBudgets:
         # shares are those of the sorted selection, bit for bit
         order = np.argsort(sel)
         bw_sorted, pw_sorted = allocate_budgets(
-            levels_b[order], levels_p[order], np.asarray(sel)[order], budget,
-            power)
+            levels_b[order], levels_p[order], np.asarray(sel)[order],
+            budget_terms(budget, power))
         assert bw[order].tolist() == bw_sorted.tolist()
         assert pw[order].tolist() == pw_sorted.tolist()
 

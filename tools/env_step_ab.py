@@ -18,8 +18,10 @@ env's first episode on a seed does, and once replaying it. On that env each
 side's ``SabppoAgent`` (seed 0, the same nets on both sides) then drives a
 greedy episode, as ``evaluate`` does: ``act(obs, greedy=True)``, decode and
 step. Every observation, reward term and round outcome of each episode, and
-every greedy action, is compared bit for bit. If any differs the tool
-prints where and exits 1 without timing anything.
+every greedy action, is compared bit for bit. Each side's
+``RoundTraceWriter`` then writes the greedy episode's round outcomes into a
+``StringIO``, and the two texts are compared byte for byte. If anything
+differs the tool prints where and exits 1 without timing anything.
 
 Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
 replayed, greedy) are timed, one block per side, alternating which side goes
@@ -41,7 +43,11 @@ figures for recorded and replayed blocks. The third gives them for greedy
 blocks, and with them each side's median microseconds per ``act`` call,
 timed inside the same blocks, the median of the pairs' ratios of the
 blocks' median ``act`` times and the number of pairs whose ``act`` is faster
-on the change side. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for
+on the change side. The fourth gives, per N, each side's median
+microseconds per trace line (a block is a new writer writing the recorded
+greedy episode's lines into a new ``StringIO``; its time over its lines)
+with quartiles, the median of the pairs' ratios and the number of pairs the
+change is faster. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for
 stable figures.
 """
 
@@ -53,6 +59,7 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 from resource import RUSAGE_SELF, getrusage
@@ -107,11 +114,13 @@ def make_agent(env):
     return agents.SabppoAgent(p.observation_dim, branches, seed=SEED)
 
 
-def episode_record(env, actions, replay=False, agent=None) -> list[bytes]:
+def episode_record(env, actions, replay=False, agent=None,
+                   outcomes=None) -> list[bytes]:
     """Bytes of every observation, reward term and outcome field of one
     episode of ``len(actions)`` rounds, in order. Each round steps its raw
     branch index groups from ``actions``, or with an ``agent`` the agent's
-    greedy ones, whose bytes are recorded too."""
+    greedy ones, whose bytes are recorded too. Each round's outcome is
+    appended to ``outcomes`` if given."""
     obs = env.reset(SEED, replay=replay)
     record = [obs.tobytes()]
     for raw in actions:
@@ -125,7 +134,18 @@ def episode_record(env, actions, replay=False, agent=None) -> list[bytes]:
         outcome = env.last_outcome
         record.extend(np.asarray(getattr(outcome, f)).tobytes()
                       for f in OUTCOME_FIELDS)
+        if outcomes is not None:
+            outcomes.append(outcome)
     return record
+
+
+def trace_text(writer_class, outcomes) -> str:
+    """The lines a new ``writer_class`` writes for ``outcomes``."""
+    buf = io.StringIO()
+    writer = writer_class(buf)
+    for outcome in outcomes:
+        writer.write(outcome)
+    return buf.getvalue()
 
 
 def first_difference(a: list[bytes], b: list[bytes]) -> int | None:
@@ -169,6 +189,14 @@ def time_greedy(env, agent, sink: list) -> tuple[float, int]:
             getrusage(RUSAGE_SELF).ru_minflt - faults)
 
 
+def time_trace(writer_class, outcomes) -> float:
+    """Microseconds per line of one trace block: a new ``writer_class``
+    writing every outcome of ``outcomes`` into a new ``StringIO``."""
+    start = perf_counter()
+    trace_text(writer_class, outcomes)
+    return (perf_counter() - start) / len(outcomes) * 1e6
+
+
 @contextlib.contextmanager
 def timed_draws(world_class, sink: list):
     """Within the block, append the microseconds of every
@@ -193,6 +221,14 @@ def summary(values) -> str:
     return f"{med:.1f} [{q1:.1f}, {q3:.1f}]"
 
 
+def pair_cells(par, chg) -> str:
+    """Each side's summary, the median of the pairs' change/parent ratios
+    and the pairs the change is faster, as table cells."""
+    ratio = np.median(np.divide(chg, par))
+    wins = sum(c < p for p, c in zip(par, chg))
+    return f"{summary(par)} | {summary(chg)} | {ratio:.3f}x | {wins}/{len(par)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -202,7 +238,10 @@ def main(argv=None) -> int:
 
     sides = {"parent": load(args.parent.resolve(), "fedemu_ab_parent"),
              "change": load(args.change.resolve(), "fedemu_ab_change")}
-    envs, actions, agents = {}, {}, {}
+    writers = {side: importlib.import_module(
+        module.__name__.rpartition(".")[0] + ".federation").RoundTraceWriter
+        for side, module in sides.items()}
+    envs, actions, agents, outcomes = {}, {}, {}, {}
     for n, k in SIZES:
         p = sides["change"].EnvParams()
         acts = actions[n] = raw_actions(n, k, p.levels, len(p.retention_grid))
@@ -214,10 +253,13 @@ def main(argv=None) -> int:
                 if mode == "fedpeat":
                     eval_env = make_env(module, n, k, mode)
                     agent = agents[side, n] = make_agent(eval_env)
+                    outcomes[side, n] = []
                     for block in BLOCKS[1:]:
+                        greedy = block == "greedy"
                         records[block, side] = episode_record(
                             eval_env, acts, replay=True,
-                            agent=agent if block == "greedy" else None)
+                            agent=agent if greedy else None,
+                            outcomes=outcomes[side, n] if greedy else None)
                     envs[side, n] = {"training": env, "recorded": eval_env,
                                      "replayed": eval_env, "greedy": eval_env}
             for block in BLOCKS:
@@ -229,10 +271,17 @@ def main(argv=None) -> int:
                     print(f"N={n} {mode} {block}: outputs differ at record "
                           f"{at}; nothing timed")
                     return 1
+        lines = [trace_text(writers[side], outcomes[side, n])
+                 .splitlines(keepends=True) for side in sides]
+        at = first_difference(*lines)
+        if at is not None:
+            print(f"N={n} fedpeat trace: lines differ at line {at}; "
+                  "nothing timed")
+            return 1
     print("outputs bit-identical at every size and mode, recorded, "
-          "replayed and greedy episodes included")
+          "replayed and greedy episodes and their trace lines included")
 
-    rows, greedy_rows = [], []
+    rows, greedy_rows, trace_rows = [], [], []
     print("| N | K | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults "
           "| parent us/advance_channel | change us/advance_channel |")
@@ -243,6 +292,7 @@ def main(argv=None) -> int:
         draws = {"parent": [], "change": []}
         acts = {"parent": [], "change": []}
         act_medians = {"parent": [], "change": []}
+        lines = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
         try:
@@ -264,16 +314,15 @@ def main(argv=None) -> int:
                                 us, flt = time_block(env, actions[n], block)
                         times[block, side].append(us)
                         faults[block, side].append(flt)
+                for side in order:
+                    lines[side].append(
+                        time_trace(writers[side], outcomes[side, n]))
         finally:
             gc.enable()
         cells = {}
         for block in BLOCKS:
-            par, chg = times[block, "parent"], times[block, "change"]
-            wins = sum(c < p for p, c in zip(par, chg))
-            ratio = np.median(np.divide(chg, par))
             cells[block] = (
-                f"{summary(par)} | {summary(chg)} | {ratio:.3f}x "
-                f"| {wins}/{len(par)} "
+                f"{pair_cells(times[block, 'parent'], times[block, 'change'])} "
                 f"| {np.median(faults[block, 'parent']):g} "
                 f"| {np.median(faults[block, 'change']):g}")
         print(f"| {n} | {k} | {cells['training']} "
@@ -288,6 +337,8 @@ def main(argv=None) -> int:
             f"| {np.median(acts['change']):.1f} "
             f"| {np.median(np.divide(chg, par)):.3f}x "
             f"| {sum(c < p for p, c in zip(par, chg))}/{len(par)} |")
+        trace_rows.append(
+            f"| {n} | {k} | {pair_cells(lines['parent'], lines['change'])} |")
 
     print()
     print("| N | K | episode | parent us/step | change us/step | pair ratio "
@@ -301,6 +352,12 @@ def main(argv=None) -> int:
           "| parent us/act | change us/act | act pair ratio | act faster |")
     print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     print("\n".join(greedy_rows))
+
+    print()
+    print("| N | K | parent us/line | change us/line | pair ratio "
+          "| change faster |")
+    print("|---|---|---|---|---|---|")
+    print("\n".join(trace_rows))
     return 0
 
 
