@@ -217,15 +217,17 @@ def _rounded(values: list[float], digits: int) -> list[str]:
     no other decimal that short reads back as that double, so ``repr`` gives
     D itself: its ``%f`` text with trailing zeros cut, one decimal kept. So
     the batch is one ``%`` format, with zeros cut before every comma at
-    once, unless its text shows a value ``repr`` writes otherwise: a
+    once, unless the batch holds a value ``repr`` writes otherwise: a
     non-finite one (``inf``, ``nan``), a nonzero D below 1e-4 (``repr``
-    turns to an exponent), or an x of ``15 - digits`` or more integer
-    digits (D may need more than 15 significant digits). Such a batch is
+    turns to an exponent), or an x of magnitude ``10 ** (15 - digits)`` or
+    more (D may need more than 15 significant digits). Such a batch is
     rendered value by value.
     """
     if not values:
         return []
     text = ("," + f"%.{digits}f") * len(values) % tuple(values) + ","
+    # each pass cuts one trailing zero off every number; one whose places
+    # are all zeros stops at its point, which then gets one zero back
     while "0," in text:
         text = text.replace("0,", ",")
     text = text.replace(".,", ".0,")

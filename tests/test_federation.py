@@ -337,7 +337,7 @@ _SPOILED_WORLDS = {
 
 
 class TestHelperChecks:
-    """Every check of a helper ``run_round`` calls still refuses its bad
+    """Every check of a helper ``run_round`` calls refuses its bad
     input with its message, through ``run_round`` and ``env.step``."""
 
     @pytest.mark.parametrize("through", ["run_round", "step"])
