@@ -297,8 +297,7 @@ class AdaptiveFedEnv:
         """Draw the gains of the world's next ``len(out)`` rounds into
         ``out``, through the env's work arrays."""
         rounds = len(out)
-        self.world.advance_channel(rounds, out=out,
-                                   fading=self._feature[:rounds],
+        self.world.advance_channel(out, fading=self._feature[:rounds],
                                    normals=self._normals[:rounds])
 
     def _next_chunk(self):

@@ -170,9 +170,9 @@ class World:
     def n_devices(self) -> int:
         return len(self.position)
 
-    def advance_channel(self, rounds: int, out: np.ndarray, fading=None,
+    def advance_channel(self, out: np.ndarray, fading=None,
                         normals=None) -> np.ndarray:
-        """Move devices ``rounds`` mobility steps and write the gains after
+        """Move devices ``len(out)`` mobility steps and write the gains after
         each step to ``out``, a (rounds, N) array, which is returned; one
         path-loss pass and one fading draw. ``gains`` is left to the
         caller; ``fading`` and ``normals`` are work arrays passed on to
@@ -240,21 +240,21 @@ def _rounded(values: list[float], digits: int) -> list[str]:
 
 class RoundTraceWriter:
     """Writes one JSON line per round to ``file``: the round index, mode and
-    selection, and the per-device ``q`` (rounded to 1e-9 s), perplexities
-    (rounded to 1e-6), exchanges and payload bytes, plus the server's
-    ``q`` and perplexity.
+    selection; ``q`` (rounded to 1e-9 s), ``exchanges`` and
+    ``payload_bytes`` aligned with the selection, as ``footprints`` is;
+    every device's perplexity (rounded to 1e-6), so a line carries N; and
+    the server's ``q`` and perplexity. A device off the selection has zero
+    ``q``, no exchange and no payload, so zipping ``selection`` with the
+    three aligned lists gives the N-long ones back.
 
     Each line is ``json.dumps`` of that row's dict, built in O(K) Python
-    work per round: entries of ``q``, ``exchanges`` and ``payload_bytes``
-    off the selection are zero (``run_round`` scatters them so), so the
-    writer keeps their N-long text lists from line to line and sets only
-    the previous selection's entries back to zero. The K selected ``q``
-    values are rendered by one ``_rounded`` call, the text of each distinct
-    payload value is rendered once per writer (there are at most
-    ``len(retention_grid) + 2``), and the text of each perplexity is kept
-    from the previous line and rendered again, in one ``_rounded`` call,
-    only where its bits changed. The first line of an episode renders
-    every perplexity.
+    work per round but for one N-long join. The K selected ``q`` values
+    are rendered by one ``_rounded`` call, and the text of each distinct
+    payload value once per writer (there are at most
+    ``len(retention_grid) + 2``). The text of a perplexity depends only on
+    its bits, so it is kept from the previous line and rendered again, in
+    one ``_rounded`` call, only where its bits changed, or everywhere when
+    N changed.
     """
 
     def __init__(self, file):
@@ -262,36 +262,21 @@ class RoundTraceWriter:
         self._perplexity = np.empty(0)
         self._perplexity_text: list[str] = []
         self._payload_text: dict[float, str] = {}
-        self._q: list[str] = []
-        self._payload: list[str] = []
-        self._exchanges: list[str] = []
-        self._selection: list[int] = []
 
     def write(self, outcome: RoundOutcome) -> None:
-        sel = outcome.selection.tolist()
-        n = len(outcome.perplexities)
-        q, payload, exchanges = self._q, self._payload, self._exchanges
-        if len(q) != n:
-            q[:] = payload[:] = ["0.0"] * n
-            exchanges[:] = ["0"] * n
-            self._selection = []
-        for i in self._selection:
-            q[i] = payload[i] = "0.0"
-            exchanges[i] = "0"
-        self._selection = sel
+        sel = outcome.selection
+        q = _rounded(outcome.q[sel].tolist(), 9)
+        exchanges = map(str, outcome.exchanges_this_round[sel].tolist())
         known = self._payload_text
-        for i, text, bytes_i, ex in zip(
-                sel, _rounded(outcome.q[sel].tolist(), 9),
-                outcome.payload_bytes[sel].tolist(),
-                outcome.exchanges_this_round[sel].tolist()):
-            q[i] = text
+        payload = []
+        for bytes_i in outcome.payload_bytes[sel].tolist():
             if bytes_i not in known:
                 known[bytes_i] = _number(bytes_i)
-            payload[i] = known[bytes_i]
-            exchanges[i] = str(ex)
+            payload.append(known[bytes_i])
 
         perplexity = outcome.perplexities.copy()
-        if outcome.round_index == 0 or n != len(self._perplexity):
+        n = len(perplexity)
+        if n != len(self._perplexity):
             self._perplexity_text = [""] * n
             changed = np.arange(n)
         else:
@@ -306,7 +291,7 @@ class RoundTraceWriter:
         self._file.write(
             f'{{"round": {outcome.round_index}, '
             f'"mode": {json.dumps(outcome.mode.value)}, '
-            f'"selection": [{", ".join(map(str, sel))}], '
+            f'"selection": [{", ".join(map(str, sel.tolist()))}], '
             f'"q": [{", ".join(q)}], '
             f'"server_q": {_number(round(outcome.server_q, 9))}, '
             f'"perplexities": [{", ".join(text)}], '

@@ -9,6 +9,17 @@ Run directory layout:
                     line per round (``federation.RoundTraceWriter``)
     checkpoint.npz / checkpoint.json   networks, ADAM state, RNG streams
 
+Rounds line keys (one JSON object per round; times in s rounded to 1e-9,
+perplexities rounded to 1e-6):
+    round, mode       round index in its episode, federation mode
+    selection         the K selected device indices, in the action's order
+    q, exchanges, payload_bytes   K-long, aligned with selection: each
+                      selected device's round time, emulator exchanges (0
+                      or 1) and bytes sent. A device off the selection has
+                      zero q, no exchange and no payload.
+    server_q, server_perplexity   the server's round time and perplexity
+    perplexities      N-long, every device's perplexity after the round
+
 Metrics columns (one row per evaluation point, means over eval episodes):
     step        training env steps consumed so far
     eval_reward total reward per episode
@@ -284,9 +295,9 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     return RunResult(run_dir=run_dir, final_metrics=final_metrics, steps=step)
 
 
-def cmd_eval(run_dir, episodes: int | None = None, out_path=None) -> dict:
-    """Evaluate a finished run's checkpoint; writes eval.json and round
-    traces next to it."""
+def cmd_eval(run_dir, episodes: int | None = None) -> dict:
+    """Evaluate a finished run's checkpoint; writes eval.json and
+    rounds.jsonl next to it."""
     from .config import config_from_dict
 
     run_dir = Path(run_dir)
@@ -297,7 +308,7 @@ def cmd_eval(run_dir, episodes: int | None = None, out_path=None) -> dict:
     if (run_dir / "checkpoint.json").exists():
         load_checkpoint(run_dir / "checkpoint", agent)
     row = evaluate(config, agent, episodes=episodes,
-                   trace_path=out_path or run_dir / "rounds.jsonl")
+                   trace_path=run_dir / "rounds.jsonl")
     with open(run_dir / "eval.json", "w") as fh:
         json.dump(row, fh, indent=1)
     return row

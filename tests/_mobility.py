@@ -1,8 +1,8 @@
 """Scalar random-waypoint reference that ``wireless.advance_mobility`` and
 ``federation.World.advance_channel`` must reproduce over arrays.
 
-``World.advance_channel(rounds, out)`` takes ``rounds`` mobility steps in
-one call and writes one row of gains per step to ``out``, so a world's
+``World.advance_channel(out)`` takes ``len(out)`` mobility steps in one
+call and writes one row of gains per step to ``out``, so a world's
 mobility arrays and streams run up to a chunk ahead of its env's
 ``round_index``: compare them with this reference at the end of a chunk,
 and each step with its row."""

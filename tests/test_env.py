@@ -480,7 +480,7 @@ class TestChunkBuffers:
             n = env.params.n_devices
             want = [ref.gains, *(
                 row for size in (CHUNK, CHUNK, 3)
-                for row in ref.advance_channel(size, out=np.empty((size, n))))]
+                for row in ref.advance_channel(np.empty((size, n))))]
             for r in range(self.rounds + 1):
                 gains = env.world.gains
                 assert not gains.flags.writeable, (seed, r)

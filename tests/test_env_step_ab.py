@@ -176,16 +176,17 @@ def test_draws_timed_per_call_with_keywords_passed(monkeypatch):
     clock = {"s": 0.0}
 
     class World:
-        def advance_channel(self, rounds, out):
-            clock["s"] += rounds * 0.5
+        def advance_channel(self, out, fading=None):
+            clock["s"] += len(out) * 0.5
             return out
 
     advance = World.advance_channel
     monkeypatch.setattr(env_step_ab, "perf_counter", lambda: clock["s"])
     sink = []
+    buffer = [0.0] * 20
     with env_step_ab.timed_draws(World, sink):
-        assert World().advance_channel(20, out="buffer") == "buffer"
-        World().advance_channel(4, "rows")
+        assert World().advance_channel(buffer, fading="work") is buffer
+        World().advance_channel(out=[0.0] * 4)
     assert sink == [10e6, 2e6]
     assert World.advance_channel is advance
 

@@ -206,7 +206,7 @@ class TestRunRound:
         assert row["round"] == 0
         assert row["mode"] == "fedpeat"
         assert row["selection"] == [0, 1]
-        assert len(row["q"]) == env.world.n_devices
+        assert len(row["q"]) == len(row["selection"])
 
     def test_outcome_keeps_its_own_selection(self):
         # a caller that reuses its action array after the step must not
@@ -236,25 +236,63 @@ class TestRunRound:
             assert outcome.max_q.hex() == max(outcome.server_q,
                                               float(outcome.q.max())).hex()
 
-    def test_json_row_matches_reference_over_an_episode(self):
-        params = dataclasses.replace(EnvParams(), n_devices=60, select_k=8,
-                                     rounds=40)
+    @staticmethod
+    def assert_episode_lines(n, k, rounds=40):
+        """Every line of a random-policy episode is the aligned row, and
+        expands to the dense row byte for byte; returns the outcomes."""
+        params = dataclasses.replace(EnvParams(), n_devices=n, select_k=k,
+                                     rounds=rounds)
         env = AdaptiveFedEnv(params)
-        policy = RandomPolicy(default_branches(60, 8, params.levels,
+        policy = RandomPolicy(default_branches(n, k, params.levels,
                                                len(params.retention_grid)),
                               seed=3)
         buf = io.StringIO()
         writer = RoundTraceWriter(buf)
-        obs, done, rows = env.reset(seed=3), False, 0
+        obs, done, outcomes = env.reset(seed=3), False, []
         while not done:
             step = policy.act(obs)
             obs, _, done = env.step(
                 env.decode_branch_actions(*step.branch_actions))
             outcome = env.last_outcome
             writer.write(outcome)
-            assert buf.getvalue().splitlines()[-1] == reference_row(outcome)
-            rows += 1
-        assert rows == 40
+            line = buf.getvalue().splitlines()[-1]
+            assert line == aligned_row(outcome)
+            assert dense_line(line) == dense_row(outcome)
+            outcomes.append(outcome)
+        assert len(outcomes) == rounds
+        return outcomes
+
+    def test_json_row_matches_reference_over_an_episode(self):
+        outcomes = self.assert_episode_lines(60, 8)
+        # the policy's selections are unsorted, and some selected devices
+        # keep their emulator: zeros inside the aligned lists
+        assert any((np.diff(o.selection) < 0).any() for o in outcomes)
+        assert any(o.exchanges_this_round[o.selection].min() == 0
+                   for o in outcomes)
+
+    def test_json_row_over_an_all_selected_episode(self):
+        outcomes = self.assert_episode_lines(6, 6, rounds=15)
+        assert all(sorted(o.selection.tolist()) == list(range(6))
+                   for o in outcomes)
+
+    def test_json_row_with_an_unsorted_selection(self):
+        # round 1 keeps devices 1 and 3 on their emulators, so they are
+        # selected with no exchange and no payload
+        env = make_env(n=8, k=3)
+        outcomes = [
+            run_round(env.world, bundle([5, 1, 3], [0, 1, 0]),
+                      FederationMode.FEDPEAT, 0),
+            run_round(env.world, bundle([3, 6, 1], [0, 1, 1]),
+                      FederationMode.FEDPEAT, 1),
+        ]
+        lines = trace_lines(outcomes)
+        assert lines == [aligned_row(o) for o in outcomes]
+        assert [dense_line(line) for line in lines] == [
+            dense_row(o) for o in outcomes]
+        rows = [json.loads(line) for line in lines]
+        assert [r["exchanges"] for r in rows] == [[1, 1, 1], [0, 1, 0]]
+        assert rows[1]["payload_bytes"][0] == 0.0
+        assert rows[1]["payload_bytes"][1] > 0.0
 
     def test_json_row_bytes(self):
         outcome = RoundOutcome(
@@ -271,10 +309,11 @@ class TestRunRound:
         RoundTraceWriter(buf).write(outcome)
         assert buf.getvalue() == (
             '{"round": 3, "mode": "fedpeat", "selection": [0, 2], '
-            '"q": [0.123456789, 0.0, 0.666666667], "server_q": 0.456789123, '
+            '"q": [0.123456789, 0.666666667], "server_q": 0.456789123, '
             '"perplexities": [28.715821, 30.0, 29.123456], '
-            '"server_perplexity": 27.5, "exchanges": [1, 0, 0], '
-            '"payload_bytes": [150000000.0, 0.0, 0.0]}\n')
+            '"server_perplexity": 27.5, "exchanges": [1, 0], '
+            '"payload_bytes": [150000000.0, 0.0]}\n')
+        assert dense_line(buf.getvalue()) == dense_row(outcome)
 
 
 def _signed(values):
@@ -366,8 +405,9 @@ class TestHelperChecks:
             env.step(action)
 
 
-def reference_row(o):
-    """The trace line of one outcome: json.dumps of the full row dict."""
+def dense_row(o):
+    """The N-long row of one outcome: json.dumps of the row dict with
+    ``q``, ``exchanges`` and ``payload_bytes`` over every device."""
     return json.dumps({
         "round": o.round_index,
         "mode": o.mode.value,
@@ -379,6 +419,37 @@ def reference_row(o):
         "exchanges": o.exchanges_this_round.tolist(),
         "payload_bytes": o.payload_bytes.tolist(),
     })
+
+
+def aligned_row(o):
+    """The trace line of one outcome: json.dumps of the row dict with
+    ``q``, ``exchanges`` and ``payload_bytes`` aligned with the
+    selection."""
+    sel = o.selection
+    return json.dumps({
+        "round": o.round_index,
+        "mode": o.mode.value,
+        "selection": sel.tolist(),
+        "q": [round(x, 9) for x in o.q[sel].tolist()],
+        "server_q": round(o.server_q, 9),
+        "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
+        "server_perplexity": round(o.server_perplexity, 6),
+        "exchanges": o.exchanges_this_round[sel].tolist(),
+        "payload_bytes": o.payload_bytes[sel].tolist(),
+    })
+
+
+def dense_line(line):
+    """A trace line expanded to the dense row: the selection zipped with
+    the aligned lists, zeros elsewhere."""
+    row = json.loads(line)
+    n = len(row["perplexities"])
+    for key, zero in (("q", 0.0), ("exchanges", 0), ("payload_bytes", 0.0)):
+        dense = [zero] * n
+        for i, x in zip(row["selection"], row[key], strict=True):
+            dense[i] = x
+        row[key] = dense
+    return json.dumps(row)
 
 
 def trace_lines(outcomes):
@@ -412,7 +483,10 @@ class TestRoundTraceWriter:
                     env.decode_branch_actions(*step.branch_actions))
                 outcomes.append(env.last_outcome)
         assert outcomes[-1].round_index == 14
-        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+        lines = trace_lines(outcomes)
+        assert lines == [aligned_row(o) for o in outcomes]
+        assert [dense_line(line) for line in lines] == [
+            dense_row(o) for o in outcomes]
 
     def test_non_finite_and_signed_zero(self):
         def outcome(round_index, perplexities, q):
@@ -435,7 +509,7 @@ class TestRoundTraceWriter:
             outcome(2, [30.0, 0.0, 1e-7, float("-inf")],
                     [0.0, 1e-10, -1e-10, 0.0]),
         ]
-        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+        assert trace_lines(outcomes) == [aligned_row(o) for o in outcomes]
 
     @settings(max_examples=400, deadline=None)
     @given(batch=st.lists(_TRACE_FLOATS, min_size=1, max_size=60))
@@ -450,8 +524,9 @@ class TestRoundTraceWriter:
         # nine places (3 + 2**-10, to even), so it is rendered value by
         # value; the perplexities, a tie at six places (29 + 2**-7), 30.0
         # and one whose six places end in zeros, in bulk. Line 2: the tie in
-        # bulk, the previous selection's entries back to zero, and the two
-        # changed perplexities, one of 10 integer digits, value by value.
+        # bulk, and the two changed perplexities, one of 10 integer digits,
+        # value by value. The selection's unchanged devices hold zeros in
+        # the aligned lists.
         def outcome(round_index, selection, q, perplexities, exchanges,
                     payload):
             return RoundOutcome(
@@ -472,24 +547,26 @@ class TestRoundTraceWriter:
                     [29.0078125, 30.0, 1234567890.123, 28.71582142668, 14.0],
                     [0, 0, 1, 0, 0], [0.0, 0.0, 2.5e7, 0.0, 0.0]),
         ]
-        assert trace_lines(outcomes) == [
+        lines = trace_lines(outcomes)
+        assert lines == [
             '{"round": 4, "mode": "fedpeat", "selection": [4, 0, 1, 3], '
-            '"q": [0.123456789, 3e-05, 0.0, 1500000.0, 3.000976562], '
+            '"q": [3.000976562, 0.123456789, 3e-05, 1500000.0], '
             '"server_q": 1.5, '
             '"perplexities": [29.007812, 30.0, 30.0, 28.715821, 13.5], '
-            '"server_perplexity": 27.5, "exchanges": [1, 0, 0, 1, 1], '
-            '"payload_bytes": [150000000.0, 0.0, 0.0, 25000000.0, '
-            '150000000.0]}',
+            '"server_perplexity": 27.5, "exchanges": [1, 1, 0, 1], '
+            '"payload_bytes": [150000000.0, 150000000.0, 0.0, 25000000.0]}',
             '{"round": 5, "mode": "fedpeat", "selection": [2, 4], '
-            '"q": [0.0, 0.0, 0.25, 0.0, 3.000976562], "server_q": 1.5, '
+            '"q": [0.25, 3.000976562], "server_q": 1.5, '
             '"perplexities": [29.007812, 30.0, 1234567890.123, 28.715821, '
-            '14.0], "server_perplexity": 27.5, "exchanges": [0, 0, 1, 0, 0], '
-            '"payload_bytes": [0.0, 0.0, 25000000.0, 0.0, 0.0]}',
+            '14.0], "server_perplexity": 27.5, "exchanges": [1, 0], '
+            '"payload_bytes": [25000000.0, 0.0]}',
         ]
-        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+        assert lines == [aligned_row(o) for o in outcomes]
+        assert [dense_line(line) for line in lines] == [
+            dense_row(o) for o in outcomes]
 
     def test_one_writer_over_populations_of_different_sizes(self):
-        # the kept text lists start again when N changes
+        # the kept perplexity text starts again when N changes
         outcomes = []
         for n, k in ((6, 3), (4, 2), (4, 2), (6, 2)):
             env = make_env(n=n, k=k, seed=n)
@@ -497,7 +574,7 @@ class TestRoundTraceWriter:
                 sel = list(range(r, r + k))
                 outcomes.append(run_round(env.world, bundle(sel, [r] * k),
                                           FederationMode.FEDPEAT, r))
-        assert trace_lines(outcomes) == [reference_row(o) for o in outcomes]
+        assert trace_lines(outcomes) == [aligned_row(o) for o in outcomes]
 
 
 def oracle_round(world, actions, mode):
@@ -564,7 +641,7 @@ def oracle_round(world, actions, mode):
 
 def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
     """Run ``rounds`` (a list of actions), each later round on a row of the
-    gains ``world.advance_channel(chunk)`` draws, and compare every round
+    gains ``world.advance_channel`` draws ``chunk`` rows at a time, and compare every round
     with ``oracle_round``, bit for bit."""
     rows = []
     for r, actions in enumerate(rounds):
@@ -579,7 +656,7 @@ def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
         assert world.exchange_count.tobytes() == want["exchange_count"].tobytes()
         assert world.retention.tobytes() == want["retention"].tobytes()
         rows = rows or list(world.advance_channel(
-            chunk, out=np.empty((chunk, world.n_devices))))
+            np.empty((chunk, world.n_devices))))
         world.gains = rows.pop(0)
 
 
@@ -653,7 +730,7 @@ class TestAdvanceChannel:
         fading_rng = copy.deepcopy(world.fading_rng)
         states = [DeviceState(position=p.copy()) for p in world.position]
         for size in chunks:
-            rows = world.advance_channel(size, out=np.empty((size, n)))
+            rows = world.advance_channel(np.empty((size, n)))
             assert rows.shape == (size, n)
             for row in rows:
                 gains = []

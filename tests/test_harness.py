@@ -585,8 +585,8 @@ class TestEvalReplay:
         advance = World.advance_channel
         monkeypatch.setattr(
             World, "advance_channel",
-            lambda world, rounds, **kwargs: calls.append(rounds)
-            or advance(world, rounds, **kwargs))
+            lambda world, out, **kwargs: calls.append(len(out))
+            or advance(world, out, **kwargs))
         return calls
 
     @staticmethod
