@@ -5,7 +5,7 @@ sequence (device selection, bandwidth levels, power levels, retention), each
 consuming the observation concatenated with encodings of the actions already
 taken. One critic supplies advantages via GAE, from its values at the start
 of each update. ``act`` writes that chained state for its one sample into a
-float32 row each policy keeps from step to step.
+float32 row each agent keeps from step to step.
 
 The PPO buffer holds each step's observation and branch actions. An update
 derives from them, once, every head's input (the chained states rebuilt with
@@ -20,7 +20,8 @@ SABPPO has one unit over the chained heads and one critic; IterRL and HAPPO
 have one unit per head, fed the base observation, with a critic per unit
 (IterRL) or one shared critic (HAPPO). Each unit's ratio is that of its own
 joint action, the sum of its heads' log-probs. Two sampling baselines, random
-and fixed full-model, run the same chain without networks.
+and fixed full-model, draw each branch's action straight from the sample
+stream, with no networks and no chain.
 
 All stochastic draws go through named per-agent streams so that runs are
 bit-reproducible: head ``b`` is initialised from ``(seed, 0, b)``, actor unit
@@ -415,24 +416,46 @@ class _ActorUnit:
         self.shuffle = stream(seed, 2, index)
 
 
-class _ChainPolicy:
-    """Runs the branch chain once per step; subclasses choose each branch's
-    action. A chained policy feeds each branch the observation plus the
-    encodings of the actions already taken (``_encode``); an unchained one
-    feeds the observation alone. Branch 0 is the device selection."""
+class _PpoAgentBase:
+    """The PPO learner of all three controllers.
+
+    A chained agent has one actor unit over every branch, each head fed the
+    chained state: the observation plus the encodings of the actions already
+    taken (``_encode``); an unchained agent has one unit per branch, each
+    head fed the base observation. Branch 0 is the device selection. Every
+    unit's ratio is that of its own joint action. There is one critic, or
+    one per unit when ``critic_per_unit`` is set.
+    """
 
     chained = True
+    critic_per_unit = False
 
-    def __init__(self, branches: list[BranchSpec], seed: int = 0):
+    def __init__(self, obs_dim: int, branches: list[BranchSpec],
+                 cfg: PpoConfig | None = None, seed: int = 0):
         self.branches = branches
         self.sample_rng = stream(seed, 1)
         self.n_devices = branches[0].n_options
         self._row = None
+        self.obs_dim = obs_dim
+        self.cfg = cfg or PpoConfig()
+        input_dims = self._input_dims()
+        groups = ([list(range(len(branches)))] if self.chained
+                  else [[b] for b in range(len(branches))])
+        self.units = [_ActorUnit(ids, branches, input_dims, self.cfg, seed, i)
+                      for i, ids in enumerate(groups)]
+        n_critics = len(self.units) if self.critic_per_unit else 1
+        self.critics = [_CriticBundle(obs_dim, self.cfg, seed, c)
+                        for c in range(n_critics)]
+        self.branch_nets = [net for unit in self.units for net in unit.nets]
+        # the activations of a unit's heads live until its backward pass, one
+        # set per head; backward, Adam, other units and the critics run one
+        # after another and share the first set
+        self._scratch = [Scratch() for _ in range(max(map(len, groups)))]
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
         """One step's branch actions, each a fresh int array. The chained
-        state is one float32 row, made at the first call, that the policy
-        keeps from call to call and a copy of the policy copies; every call
+        state is one float32 row, made at the first call, that the agent
+        keeps from call to call and a copy of the agent copies; every call
         writes the observation and each encoding it reads."""
         d, n = len(obs), self.n_devices
         row = self._row
@@ -450,43 +473,6 @@ class _ChainPolicy:
             actions.append(self._branch_action(
                 b, spec, chain, actions[0] if b else None, greedy))
         return StepAction(branch_actions=actions)
-
-    def components(self):
-        return [], []
-
-    def rng_streams(self) -> dict:
-        return {"sample": self.sample_rng}
-
-
-class _PpoAgentBase(_ChainPolicy):
-    """The PPO learner of all three controllers.
-
-    A chained agent has one actor unit over every branch, each head fed the
-    chained state; an unchained agent has one unit per branch, each head fed
-    the base observation. Every unit's ratio is that of its own joint action.
-    There is one critic, or one per unit when ``critic_per_unit`` is set.
-    """
-
-    critic_per_unit = False
-
-    def __init__(self, obs_dim: int, branches: list[BranchSpec],
-                 cfg: PpoConfig | None = None, seed: int = 0):
-        super().__init__(branches, seed)
-        self.obs_dim = obs_dim
-        self.cfg = cfg or PpoConfig()
-        input_dims = self._input_dims()
-        groups = ([list(range(len(branches)))] if self.chained
-                  else [[b] for b in range(len(branches))])
-        self.units = [_ActorUnit(ids, branches, input_dims, self.cfg, seed, i)
-                      for i, ids in enumerate(groups)]
-        n_critics = len(self.units) if self.critic_per_unit else 1
-        self.critics = [_CriticBundle(obs_dim, self.cfg, seed, c)
-                        for c in range(n_critics)]
-        self.branch_nets = [net for unit in self.units for net in unit.nets]
-        # the activations of a unit's heads live until its backward pass, one
-        # set per head; backward, Adam, other units and the critics run one
-        # after another and share the first set
-        self._scratch = [Scratch() for _ in range(max(map(len, groups)))]
 
     def components(self):
         return ([(f"actor{i}", u) for i, u in enumerate(self.units)],
@@ -670,7 +656,7 @@ class _PpoAgentBase(_ChainPolicy):
             stats["value_loss"].append(loss)
 
     def rng_streams(self) -> dict:
-        streams = super().rng_streams()
+        streams = {"sample": self.sample_rng}
         actors, critics = self.components()
         for name, part in actors + critics:
             streams[f"{name}/shuffle"] = part.shuffle
@@ -698,24 +684,38 @@ class HappoAgent(_PpoAgentBase):
     chained = False
 
 
-class RandomPolicy(_ChainPolicy):
-    """Uniform over every branch's space; feasible by construction."""
+class RandomPolicy:
+    """Uniform over every branch's space; feasible by construction. Each
+    step draws the branches' actions from the sample stream in branch
+    order, and reads no observation."""
 
-    chained = False
+    def __init__(self, branches: list[BranchSpec], seed: int = 0):
+        self.branches = branches
+        self.sample_rng = stream(seed, 1)
 
-    def _branch_action(self, b, spec, net_in, selection, greedy):
+    def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
+        return StepAction(branch_actions=[self._branch_action(spec)
+                                          for spec in self.branches])
+
+    def _branch_action(self, spec: BranchSpec) -> np.ndarray:
         if spec.kind == "topk":
             return _sample_topk(np.zeros(spec.n_options), spec.slots,
                                 self.sample_rng)
         return self.sample_rng.integers(0, spec.n_options, size=spec.slots)
+
+    def components(self):
+        return [], []
+
+    def rng_streams(self) -> dict:
+        return {"sample": self.sample_rng}
 
 
 class FixedFullModelPolicy(RandomPolicy):
     """Baseline for full-model federated runs: seeded uniform selection,
     equal resource levels, retention pinned to the top of the grid."""
 
-    def _branch_action(self, b, spec, net_in, selection, greedy):
+    def _branch_action(self, spec: BranchSpec) -> np.ndarray:
         if spec.kind == "topk":
-            return super()._branch_action(b, spec, net_in, selection, greedy)
+            return super()._branch_action(spec)
         level = spec.n_options - 1 if spec.name == "retention" else 0
         return np.full(spec.slots, level)

@@ -202,103 +202,35 @@ class RoundOutcome:
     rates: np.ndarray
 
 
-def _number(x: float) -> str:
-    """JSON text of a float, as ``json.dumps`` writes it."""
-    return x.__repr__() if math.isfinite(x) else json.dumps(x)
-
-
-def _rounded(values: list[float], digits: int) -> list[str]:
-    """``[_number(round(x, digits)) for x in values]``, rendered in bulk.
-
-    ``"%.{digits}f"`` and ``round(x, digits)`` both take the correctly
-    rounded decimal D of x with ``digits`` places (CPython's dtoa mode 3),
-    and ``repr`` of ``round``'s result is the shortest decimal that reads
-    back as the double nearest D. When D has at most 15 significant digits,
-    no other decimal that short reads back as that double, so ``repr`` gives
-    D itself: its ``%f`` text with trailing zeros cut, one decimal kept. So
-    the batch is one ``%`` format, with zeros cut before every comma at
-    once, unless the batch holds a value ``repr`` writes otherwise: a
-    non-finite one (``inf``, ``nan``), a nonzero D below 1e-4 (``repr``
-    turns to an exponent), or an x of magnitude ``10 ** (15 - digits)`` or
-    more (D may need more than 15 significant digits). Such a batch is
-    rendered value by value.
-    """
-    if not values:
-        return []
-    text = ("," + f"%.{digits}f") * len(values) % tuple(values) + ","
-    # each pass cuts one trailing zero off every number; one whose places
-    # are all zeros stops at its point, which then gets one zero back
-    while "0," in text:
-        text = text.replace("0,", ",")
-    text = text.replace(".,", ".0,")
-    bound = 10.0 ** (15 - digits)
-    if ("n" in text or ",0.0000" in text or "-0.0000" in text
-            or not (-bound < min(values) and max(values) < bound)):
-        return [_number(round(x, digits)) for x in values]
-    return text[1:-1].split(",")
-
-
 class RoundTraceWriter:
-    """Writes one JSON line per round to ``file``: the round index, mode and
-    selection; ``q`` (rounded to 1e-9 s), ``exchanges`` and
-    ``payload_bytes`` aligned with the selection, as ``footprints`` is;
-    every device's perplexity (rounded to 1e-6), so a line carries N; and
+    """Writes one JSON line per round to ``file``, ``json.dumps`` of a dict:
+    the round index, mode and selection; ``q`` (rounded to 1e-9 s),
+    ``perplexities`` (rounded to 1e-6), ``exchanges`` and ``payload_bytes``,
+    each K-long and aligned with the selection, as ``footprints`` is; and
     the server's ``q`` and perplexity. A device off the selection has zero
-    ``q``, no exchange and no payload, so zipping ``selection`` with the
-    three aligned lists gives the N-long ones back.
-
-    Each line is ``json.dumps`` of that row's dict, built in O(K) Python
-    work per round but for one N-long join. The K selected ``q`` values
-    are rendered by one ``_rounded`` call, and the text of each distinct
-    payload value once per writer (there are at most
-    ``len(retention_grid) + 2``). The text of a perplexity depends only on
-    its bits, so it is kept from the previous line and rendered again, in
-    one ``_rounded`` call, only where its bits changed, or everywhere when
-    N changed.
+    ``q``, no exchange and no payload, and keeps its perplexity, since only
+    selected devices tune. So zipping ``selection`` with the aligned lists
+    gives the N-long ones back, each perplexity carried across an episode's
+    lines from ``p_init`` at round 0.
     """
 
     def __init__(self, file):
         self._file = file
-        self._perplexity = np.empty(0)
-        self._perplexity_text: list[str] = []
-        self._payload_text: dict[float, str] = {}
 
     def write(self, outcome: RoundOutcome) -> None:
         sel = outcome.selection
-        q = _rounded(outcome.q[sel].tolist(), 9)
-        exchanges = map(str, outcome.exchanges_this_round[sel].tolist())
-        known = self._payload_text
-        payload = []
-        for bytes_i in outcome.payload_bytes[sel].tolist():
-            if bytes_i not in known:
-                known[bytes_i] = _number(bytes_i)
-            payload.append(known[bytes_i])
-
-        perplexity = outcome.perplexities.copy()
-        n = len(perplexity)
-        if n != len(self._perplexity):
-            self._perplexity_text = [""] * n
-            changed = np.arange(n)
-        else:
-            changed = np.flatnonzero(perplexity.view(np.int64)
-                                     != self._perplexity.view(np.int64))
-        text = self._perplexity_text
-        for i, x in zip(changed.tolist(),
-                        _rounded(perplexity[changed].tolist(), 6)):
-            text[i] = x
-        self._perplexity = perplexity
-
-        self._file.write(
-            f'{{"round": {outcome.round_index}, '
-            f'"mode": {json.dumps(outcome.mode.value)}, '
-            f'"selection": [{", ".join(map(str, sel.tolist()))}], '
-            f'"q": [{", ".join(q)}], '
-            f'"server_q": {_number(round(outcome.server_q, 9))}, '
-            f'"perplexities": [{", ".join(text)}], '
-            '"server_perplexity": '
-            f'{_number(round(outcome.server_perplexity, 6))}, '
-            f'"exchanges": [{", ".join(exchanges)}], '
-            f'"payload_bytes": [{", ".join(payload)}]}}\n')
+        self._file.write(json.dumps({
+            "round": outcome.round_index,
+            "mode": outcome.mode.value,
+            "selection": sel.tolist(),
+            "q": [round(x, 9) for x in outcome.q[sel].tolist()],
+            "server_q": round(outcome.server_q, 9),
+            "perplexities": [round(x, 6)
+                             for x in outcome.perplexities[sel].tolist()],
+            "server_perplexity": round(outcome.server_perplexity, 6),
+            "exchanges": outcome.exchanges_this_round[sel].tolist(),
+            "payload_bytes": outcome.payload_bytes[sel].tolist(),
+        }) + "\n")
 
 
 def run_round(world: World, actions: ActionBundle, mode: FederationMode,

@@ -1,7 +1,8 @@
 """Training/evaluation driver: seeded runs, metrics CSV, checkpoints.
 
 Run directory layout:
-    manifest.json   config snapshot, code version, seed, timestamps, paths
+    manifest.json   config snapshot, code version, seed, timestamps, paths,
+                    BLAS library and thread count
     metrics.csv     deterministic evaluation curve (schema below)
     timings.csv     wall-clock seconds per optimisation update (not
                     deterministic, hence kept out of metrics.csv)
@@ -13,12 +14,15 @@ Rounds line keys (one JSON object per round; times in s rounded to 1e-9,
 perplexities rounded to 1e-6):
     round, mode       round index in its episode, federation mode
     selection         the K selected device indices, in the action's order
-    q, exchanges, payload_bytes   K-long, aligned with selection: each
-                      selected device's round time, emulator exchanges (0
-                      or 1) and bytes sent. A device off the selection has
-                      zero q, no exchange and no payload.
+    q, perplexities, exchanges, payload_bytes   K-long, aligned with
+                      selection: each selected device's round time,
+                      perplexity after the round, emulator exchanges (0 or
+                      1) and bytes sent. A device off the selection has zero
+                      q, no exchange and no payload, and keeps its
+                      perplexity; a reader rebuilds the N-long perplexities
+                      from p_init (and N) in the manifest's config at each
+                      round 0, carrying them across the episode's lines.
     server_q, server_perplexity   the server's round time and perplexity
-    perplexities      N-long, every device's perplexity after the round
 
 Metrics columns (one row per evaluation point, means over eval episodes):
     step        training env steps consumed so far
@@ -43,6 +47,7 @@ of the round.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
 import os
 import time
@@ -68,6 +73,7 @@ from .config import ExperimentConfig, config_to_dict
 __all__ = [
     "METRICS_COLUMNS",
     "runs_root",
+    "pin_blas",
     "build_agent",
     "evaluate",
     "cmd_train",
@@ -88,6 +94,31 @@ def runs_root() -> Path:
 
 def _derived_seed(*key) -> int:
     return int(np.random.SeedSequence(tuple(key)).generate_state(1)[0])
+
+
+def pin_blas() -> dict | str:
+    """Set numpy's bundled OpenBLAS to one thread for the rest of the
+    process: a product's bits can depend on the thread count, and one thread
+    is what every digest and benchmark runs. Returns the library's name,
+    version and thread count, or ``"unpinned"`` when no thread setter is
+    found."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        symbol = "scipy_openblas_{}_num_threads" + (
+            "64_" if "openblas64_" in path.name else "")
+        try:
+            set_threads = getattr(lib, symbol.format("set"))
+            get_threads = getattr(lib, symbol.format("get"))
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads(1)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas.get("name"), "version": blas.get("version"),
+                "threads": get_threads()}
+    return "unpinned"
 
 
 def build_agent(config: ExperimentConfig):
@@ -182,13 +213,15 @@ class RunResult:
 
 
 def _write_manifest(run_dir: Path, config: ExperimentConfig,
-                    start_time: str, end_time: str | None) -> None:
+                    start_time: str, end_time: str | None,
+                    blas: dict | str) -> None:
     manifest = {
         "config": config_to_dict(config),
         "code_version": __version__,
         "seed": config.seed,
         "start_time": start_time,
         "end_time": end_time,
+        "blas": blas,
         "outputs": {
             "metrics": "metrics.csv",
             "timings": "timings.csv",
@@ -202,7 +235,9 @@ def _write_manifest(run_dir: Path, config: ExperimentConfig,
 
 def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> RunResult:
     """Train (or replay) the configured agent, appending one metrics row per
-    evaluation point. Deterministic given config + seed."""
+    evaluation point. Deterministic given config + seed: BLAS is pinned to
+    one thread first (``pin_blas``)."""
+    blas = pin_blas()
     if run_dir is None:
         name = config.run_name or f"{config.agent}_{config.env.mode}_s{config.seed}"
         run_dir = runs_root() / name
@@ -218,7 +253,7 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
     if resuming:
         with open(run_dir / "manifest.json") as fh:
             start_time = json.load(fh)["start_time"]
-    _write_manifest(run_dir, config, start_time, None)
+    _write_manifest(run_dir, config, start_time, None, blas)
 
     env = AdaptiveFedEnv(config.env)
     agent = build_agent(config)
@@ -291,15 +326,16 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
         timings_fh.close()
 
     _write_manifest(run_dir, config, start_time,
-                    time.strftime("%Y-%m-%dT%H:%M:%S"))
+                    time.strftime("%Y-%m-%dT%H:%M:%S"), blas)
     return RunResult(run_dir=run_dir, final_metrics=final_metrics, steps=step)
 
 
 def cmd_eval(run_dir, episodes: int | None = None) -> dict:
     """Evaluate a finished run's checkpoint; writes eval.json and
-    rounds.jsonl next to it."""
+    rounds.jsonl next to it. BLAS is pinned to one thread first."""
     from .config import config_from_dict
 
+    pin_blas()
     run_dir = Path(run_dir)
     with open(run_dir / "manifest.json") as fh:
         manifest = json.load(fh)

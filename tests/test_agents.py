@@ -25,6 +25,7 @@ from fedemu.agents import (
     _top_k,
 )
 from fedemu.env import AdaptiveFedEnv, EnvParams
+from fedemu.simcore import stream
 from fedemu.neural import (
     Mlp,
     adam_step,
@@ -864,6 +865,18 @@ class TestRandomPolicy:
         b = [RandomPolicy(BRANCHES, seed=5).act(obs).branch_actions
              for _ in range(1)][0]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_draws_each_branch_straight_from_the_sample_stream(self):
+        # the selection, then the three level branches, in branch order,
+        # whatever the observation
+        policy = RandomPolicy(BRANCHES, seed=5)
+        rng = stream(5, 1)
+        for obs in np.random.default_rng(0).standard_normal((3, OBS_DIM)):
+            want = [agents_module._sample_topk(np.zeros(10), 5, rng)]
+            want += [rng.integers(0, spec.n_options, size=spec.slots)
+                     for spec in BRANCHES[1:]]
+            got = policy.act(obs).branch_actions
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestFixedFullModelPolicy:

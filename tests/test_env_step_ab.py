@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -277,12 +278,13 @@ def test_differing_trace_lines_are_refused_before_timing(capsys, monkeypatch):
     def load_nudged(checkout, name):
         env = load(checkout, name)
         if name.endswith("change"):
-            # every q and perplexity rendered one decimal place short
-            federation = sys.modules[f"{name}.federation"]
-            rounded = federation._rounded
-            monkeypatch.setattr(federation, "_rounded",
-                                lambda values, digits: rounded(values,
-                                                               digits - 1))
+            # the writer numbers every round one too high
+            writer = sys.modules[f"{name}.federation"].RoundTraceWriter
+            write = writer.write
+            monkeypatch.setattr(
+                writer, "write", lambda self, outcome: write(
+                    self, dataclasses.replace(
+                        outcome, round_index=outcome.round_index + 1)))
         return env
 
     monkeypatch.setattr(env_step_ab, "load", load_nudged)

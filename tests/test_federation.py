@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from fedemu.federation import (
     FederationMode,
     RoundOutcome,
     RoundTraceWriter,
-    _number,
-    _rounded,
     run_round,
 )
 from fedemu.simcore import (
@@ -239,27 +236,25 @@ class TestRunRound:
     @staticmethod
     def assert_episode_lines(n, k, rounds=40):
         """Every line of a random-policy episode is the aligned row, and
-        expands to the dense row byte for byte; returns the outcomes."""
+        the episode's lines expand to the dense rows byte for byte; returns
+        the outcomes."""
         params = dataclasses.replace(EnvParams(), n_devices=n, select_k=k,
                                      rounds=rounds)
         env = AdaptiveFedEnv(params)
         policy = RandomPolicy(default_branches(n, k, params.levels,
                                                len(params.retention_grid)),
                               seed=3)
-        buf = io.StringIO()
-        writer = RoundTraceWriter(buf)
         obs, done, outcomes = env.reset(seed=3), False, []
         while not done:
             step = policy.act(obs)
             obs, _, done = env.step(
                 env.decode_branch_actions(*step.branch_actions))
-            outcome = env.last_outcome
-            writer.write(outcome)
-            line = buf.getvalue().splitlines()[-1]
-            assert line == aligned_row(outcome)
-            assert dense_line(line) == dense_row(outcome)
-            outcomes.append(outcome)
+            outcomes.append(env.last_outcome)
         assert len(outcomes) == rounds
+        lines = trace_lines(outcomes)
+        assert lines == [aligned_row(o) for o in outcomes]
+        assert dense_lines(lines, n, params.p_init) == [
+            dense_row(o) for o in outcomes]
         return outcomes
 
     def test_json_row_matches_reference_over_an_episode(self):
@@ -287,7 +282,7 @@ class TestRunRound:
         ]
         lines = trace_lines(outcomes)
         assert lines == [aligned_row(o) for o in outcomes]
-        assert [dense_line(line) for line in lines] == [
+        assert dense_lines(lines, 8, env.params.p_init) == [
             dense_row(o) for o in outcomes]
         rows = [json.loads(line) for line in lines]
         assert [r["exchanges"] for r in rows] == [[1, 1, 1], [0, 1, 0]]
@@ -310,42 +305,12 @@ class TestRunRound:
         assert buf.getvalue() == (
             '{"round": 3, "mode": "fedpeat", "selection": [0, 2], '
             '"q": [0.123456789, 0.666666667], "server_q": 0.456789123, '
-            '"perplexities": [28.715821, 30.0, 29.123456], '
+            '"perplexities": [28.715821, 29.123456], '
             '"server_perplexity": 27.5, "exchanges": [1, 0], '
             '"payload_bytes": [150000000.0, 0.0]}\n')
-        assert dense_line(buf.getvalue()) == dense_row(outcome)
-
-
-def _signed(values):
-    return st.tuples(values, st.sampled_from([1.0, -1.0])).map(
-        lambda t: t[0] * t[1])
-
-
-def _either_side(values):
-    """Each value, or the double next to it on either side."""
-    return st.tuples(values, st.sampled_from([-math.inf, None, math.inf])).map(
-        lambda t: t[0] if t[1] is None else math.nextafter(*t))
-
-
-# arbitrary doubles, and the values where a bulk render could part from
-# round + repr: non-finite and signed zeros, subnormals, the edges of the
-# fallback (5e-10 rounds to 0 or 1e-9 at nine places; repr writes an
-# exponent below 1e-4; 1e6 and 1e9 leave room for 15 significant digits at
-# nine and six places), decimal ties at six and nine places, and exact
-# binary ties (odd multiples of 2**-7 and 2**-10 end in a 5 one place on)
-_TRACE_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
-                     -5e-324, 2.2250738585072014e-308]),
-    _signed(_either_side(st.sampled_from([5e-10, 1e-4, 1e6, 1e9]))),
-    _signed(st.sampled_from([5e-10, 1e-4, 1e6, 1e9]).flatmap(
-        lambda c: st.floats(0.99 * c, 1.01 * c))),
-    _either_side(st.builds(lambda i, digits: (i + 0.5) / 10 ** digits,
-                           st.integers(-10 ** 15, 10 ** 15),
-                           st.sampled_from([6, 9]))),
-    st.builds(lambda i, scale: (2 * i + 1) / scale,
-              st.integers(-10 ** 12, 10 ** 12), st.sampled_from([128, 1024])),
-)
+        # device 1 was never selected: it keeps p_init
+        assert dense_lines(buf.getvalue().splitlines(), 3, 30.0) == [
+            dense_row(outcome)]
 
 
 def _with_targets(columns, which, value):
@@ -407,7 +372,8 @@ class TestHelperChecks:
 
 def dense_row(o):
     """The N-long row of one outcome: json.dumps of the row dict with
-    ``q``, ``exchanges`` and ``payload_bytes`` over every device."""
+    ``q``, ``perplexities``, ``exchanges`` and ``payload_bytes`` over every
+    device."""
     return json.dumps({
         "round": o.round_index,
         "mode": o.mode.value,
@@ -423,8 +389,8 @@ def dense_row(o):
 
 def aligned_row(o):
     """The trace line of one outcome: json.dumps of the row dict with
-    ``q``, ``exchanges`` and ``payload_bytes`` aligned with the
-    selection."""
+    ``q``, ``perplexities``, ``exchanges`` and ``payload_bytes`` aligned
+    with the selection."""
     sel = o.selection
     return json.dumps({
         "round": o.round_index,
@@ -432,24 +398,34 @@ def aligned_row(o):
         "selection": sel.tolist(),
         "q": [round(x, 9) for x in o.q[sel].tolist()],
         "server_q": round(o.server_q, 9),
-        "perplexities": [round(x, 6) for x in o.perplexities.tolist()],
+        "perplexities": [round(x, 6) for x in o.perplexities[sel].tolist()],
         "server_perplexity": round(o.server_perplexity, 6),
         "exchanges": o.exchanges_this_round[sel].tolist(),
         "payload_bytes": o.payload_bytes[sel].tolist(),
     })
 
 
-def dense_line(line):
-    """A trace line expanded to the dense row: the selection zipped with
-    the aligned lists, zeros elsewhere."""
-    row = json.loads(line)
-    n = len(row["perplexities"])
-    for key, zero in (("q", 0.0), ("exchanges", 0), ("payload_bytes", 0.0)):
-        dense = [zero] * n
-        for i, x in zip(row["selection"], row[key], strict=True):
-            dense[i] = x
-        row[key] = dense
-    return json.dumps(row)
+def dense_lines(lines, n, p_init):
+    """Trace lines of N = ``n`` devices expanded to the dense rows: the
+    selection zipped with the aligned lists, zeros elsewhere, and every
+    device's perplexity carried from line to line, from ``p_init`` at each
+    round 0 (and at the first line)."""
+    dense, perplexity = [], [round(p_init, 6)] * n
+    for line in lines:
+        row = json.loads(line)
+        if row["round"] == 0:
+            perplexity = [round(p_init, 6)] * n
+        for i, x in zip(row["selection"], row["perplexities"], strict=True):
+            perplexity[i] = x
+        row["perplexities"] = perplexity.copy()
+        for key, zero in (("q", 0.0), ("exchanges", 0),
+                          ("payload_bytes", 0.0)):
+            values = [zero] * n
+            for i, x in zip(row["selection"], row[key], strict=True):
+                values[i] = x
+            row[key] = values
+        dense.append(json.dumps(row))
+    return dense
 
 
 def trace_lines(outcomes):
@@ -466,7 +442,8 @@ class TestRoundTraceWriter:
     @pytest.mark.parametrize("n,k", [(12, 3), (5, 5)])
     def test_matches_reference_across_episodes(self, mode, n, k):
         # one writer over two episodes, as evaluate() uses it; the reset
-        # puts every perplexity back to p_init
+        # puts every perplexity back to p_init, so the dense rows of both
+        # episodes come back from the lines alone
         params = dataclasses.replace(EnvParams(), n_devices=n, select_k=k,
                                      rounds=15, mode=mode)
         env = AdaptiveFedEnv(params)
@@ -485,7 +462,7 @@ class TestRoundTraceWriter:
         assert outcomes[-1].round_index == 14
         lines = trace_lines(outcomes)
         assert lines == [aligned_row(o) for o in outcomes]
-        assert [dense_line(line) for line in lines] == [
+        assert dense_lines(lines, n, params.p_init) == [
             dense_row(o) for o in outcomes]
 
     def test_non_finite_and_signed_zero(self):
@@ -509,71 +486,6 @@ class TestRoundTraceWriter:
             outcome(2, [30.0, 0.0, 1e-7, float("-inf")],
                     [0.0, 1e-10, -1e-10, 0.0]),
         ]
-        assert trace_lines(outcomes) == [aligned_row(o) for o in outcomes]
-
-    @settings(max_examples=400, deadline=None)
-    @given(batch=st.lists(_TRACE_FLOATS, min_size=1, max_size=60))
-    @pytest.mark.parametrize("digits", [6, 9])
-    def test_bulk_render_equals_round_and_repr(self, digits, batch):
-        assert _rounded(batch, digits) == [_number(round(x, digits))
-                                           for x in batch]
-
-    def test_json_row_bytes_through_the_fallback(self):
-        # line 1: the selection's q mixes a plain value, one repr writes
-        # with an exponent, one of 7 integer digits and an exact tie at
-        # nine places (3 + 2**-10, to even), so it is rendered value by
-        # value; the perplexities, a tie at six places (29 + 2**-7), 30.0
-        # and one whose six places end in zeros, in bulk. Line 2: the tie in
-        # bulk, and the two changed perplexities, one of 10 integer digits,
-        # value by value. The selection's unchanged devices hold zeros in
-        # the aligned lists.
-        def outcome(round_index, selection, q, perplexities, exchanges,
-                    payload):
-            return RoundOutcome(
-                round_index=round_index, mode=FederationMode.FEDPEAT,
-                selection=np.array(selection), q=np.array(q), server_q=1.5,
-                max_q=max(q), perplexities=np.array(perplexities),
-                server_perplexity=27.5,
-                exchanges_this_round=np.array(exchanges),
-                payload_bytes=np.array(payload),
-                footprints=np.ones(len(selection)), rates=np.ones(5))
-
-        outcomes = [
-            outcome(4, [4, 0, 1, 3],
-                    [0.1234567891234, 3e-05, 0.0, 1.5e6, 3.0009765625],
-                    [29.0078125, 30.0, 30.0, 28.71582142668, 13.5000000001],
-                    [1, 0, 0, 1, 1], [1.5e8, 0.0, 0.0, 2.5e7, 1.5e8]),
-            outcome(5, [2, 4], [0.0, 0.0, 0.25, 0.0, 3.0009765625],
-                    [29.0078125, 30.0, 1234567890.123, 28.71582142668, 14.0],
-                    [0, 0, 1, 0, 0], [0.0, 0.0, 2.5e7, 0.0, 0.0]),
-        ]
-        lines = trace_lines(outcomes)
-        assert lines == [
-            '{"round": 4, "mode": "fedpeat", "selection": [4, 0, 1, 3], '
-            '"q": [3.000976562, 0.123456789, 3e-05, 1500000.0], '
-            '"server_q": 1.5, '
-            '"perplexities": [29.007812, 30.0, 30.0, 28.715821, 13.5], '
-            '"server_perplexity": 27.5, "exchanges": [1, 1, 0, 1], '
-            '"payload_bytes": [150000000.0, 150000000.0, 0.0, 25000000.0]}',
-            '{"round": 5, "mode": "fedpeat", "selection": [2, 4], '
-            '"q": [0.25, 3.000976562], "server_q": 1.5, '
-            '"perplexities": [29.007812, 30.0, 1234567890.123, 28.715821, '
-            '14.0], "server_perplexity": 27.5, "exchanges": [1, 0], '
-            '"payload_bytes": [25000000.0, 0.0]}',
-        ]
-        assert lines == [aligned_row(o) for o in outcomes]
-        assert [dense_line(line) for line in lines] == [
-            dense_row(o) for o in outcomes]
-
-    def test_one_writer_over_populations_of_different_sizes(self):
-        # the kept perplexity text starts again when N changes
-        outcomes = []
-        for n, k in ((6, 3), (4, 2), (4, 2), (6, 2)):
-            env = make_env(n=n, k=k, seed=n)
-            for r in range(2):
-                sel = list(range(r, r + k))
-                outcomes.append(run_round(env.world, bundle(sel, [r] * k),
-                                          FederationMode.FEDPEAT, r))
         assert trace_lines(outcomes) == [aligned_row(o) for o in outcomes]
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,8 @@ class TestTrain:
         assert manifest["end_time"] is not None
         assert manifest["config"]["env"]["n_devices"] == 4
         assert config_from_dict(manifest["config"]) == config
+        blas = manifest["blas"]
+        assert blas == "unpinned" or blas["threads"] == 1
 
     def test_refuses_dirty_run_dir(self, tmp_path):
         cmd_train(tiny_config(total_steps=0), tmp_path / "run")
@@ -774,3 +779,35 @@ class TestCli:
         rc = cli.main(["export-plots", str(tmp_path / "run")])
         assert rc == 0
         assert "eval_reward.svg" in capsys.readouterr().out
+
+
+class TestBlasThreads:
+    def test_checkpoint_does_not_depend_on_the_blas_thread_count(
+            self, tmp_path):
+        # a (64, 601) x (601, 64) product of the IterRL update gives other
+        # bits on two threads than on one; train pins one
+        if run_module.pin_blas() == "unpinned":
+            pytest.skip("numpy's bundled OpenBLAS has no thread setter here")
+        src = str(Path(run_module.__file__).resolve().parents[2])
+        overrides = ["agent=iterrl", "seed=1", "env.n_devices=200",
+                     "env.select_k=20", "env.rounds=10", "total_steps=64",
+                     "eval_interval=64", "eval_episodes=1", "ppo.segment=64",
+                     "ppo.minibatch=64", "ppo.epochs=1"]
+        digests = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src, *filter(None, [env.get("PYTHONPATH")])])
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            run_dir = tmp_path / f"threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "fedemu.harness.cli", "train",
+                 "--run-dir", str(run_dir),
+                 *[a for o in overrides for a in ("--set", o)]],
+                env=env, check=True, capture_output=True)
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["blas"]["threads"] == 1
+            digests.append((run_dir / "checkpoint.npz").read_bytes())
+        assert digests[0] == digests[1]

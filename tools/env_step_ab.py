@@ -21,7 +21,9 @@ step. Every observation, reward term and round outcome of each episode, and
 every greedy action, is compared bit for bit. Each side's
 ``RoundTraceWriter`` then writes the greedy episode's round outcomes into a
 ``StringIO``, and the two texts are compared byte for byte. If anything
-differs the tool prints where and exits 1 without timing anything.
+differs the tool prints where and exits 1 without timing anything. So it
+refuses a parent that writes another line layout, such as one with an
+N-long ``perplexities`` list; time two such writers in one process instead.
 
 Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
 replayed, greedy) are timed, one block per side, alternating which side goes
