@@ -14,12 +14,14 @@ over the world's per-device arrays.
 ``EnvParams`` is the one schema of the simulated world. ``reset(seed)``
 builds ``federation.World(params, seed)``, which draws the episode from
 named streams of the seed, so no action or unrelated setting moves positions
-or gains; ``step`` draws them ``CHUNK`` rounds at a time, and the world's
-mobility arrays and streams run up to a chunk ahead of ``round_index``. The
-env keeps three chunk-sized buffers across resets: a training chunk's gains
-(so its rows are valid only until the next draw), any draw's fading normals
-and any chunk's dB gain feature. An eval env draws each seed's whole channel
-at its first reset into one read-only (rounds + 1, N) array, kept and sliced.
+or gains. No action moves the channel either, so ``reset`` makes the
+episode's whole read-only (rounds + 1, N) array of gains before it returns,
+and ``step`` hands the world its round's row. A training reset draws it into
+one buffer the env reuses from episode to episode, and leaves the world's
+mobility arrays and streams at the episode's end. An eval env (``replay``)
+draws each seed's channel at its first reset into an array of its own, kept
+and replayed by later episodes on the seed. The env also keeps a draw's
+fading normals and the episode's dB gain feature across resets.
 """
 
 from __future__ import annotations
@@ -200,8 +202,6 @@ class AdaptiveFedEnv:
         self.round_index = 0
         self.last_outcome = None
         self._channels: dict[int, np.ndarray] = {}  # kept channel per seed
-        # buffers that outlive a reset: a training chunk's gains, any draw's
-        # fading normals, and the dB gain feature (fading powers mid-draw)
         p = self.params
         n = p.n_devices
         # each field's name and range, and the ranges entry by entry over
@@ -213,35 +213,48 @@ class AdaptiveFedEnv:
         lows, highs = zip(*(limit[1:] for limit in self._limits))
         self._low = np.repeat(lows, p.select_k)
         self._high = np.repeat(highs, p.select_k)
-        self._gains = np.empty((CHUNK, n))
+        # buffers that outlive a reset: the training channel, handed out
+        # through a read-only view; any draw's fading normals; and the
+        # episode's dB gain feature (fading powers mid-draw)
+        self._training = np.empty((p.rounds + 1, n))
+        self._training_rows = self._training.view()
+        self._training_rows.flags.writeable = False
         self._normals = np.empty((CHUNK, n, 2))
-        self._feature = np.empty((CHUNK, n))
+        self._db = np.empty((p.rounds + 1, n))
 
     # -- lifecycle -----------------------------------------------------
 
     def reset(self, seed: int, replay: bool = False) -> np.ndarray:
-        """Start an episode on ``World(params, seed)``; the env keeps the
-        current chunk of read-only gains rows. With ``replay``, the seed's
-        whole channel (``rounds + 1`` rows) is drawn here, once per seed, and
-        kept: later episodes on the seed replay it, and their world's
+        """Start an episode on ``World(params, seed)`` and make its whole
+        channel, ``rounds + 1`` read-only rows of gains, before returning.
+        Training draws it into the env's reused buffer. With ``replay`` the
+        seed's channel is drawn once, at its first reset, into an array the
+        env keeps: later episodes on the seed replay it, and their world's
         mobility arrays and streams do not advance."""
         p = self.params
         world = self.world = World(p, seed)
         self._capacity_obs = world.capacity / p.memory_capacity_range[1]
         self._memory_cap = world.capacity / p.mem_fraction_q
         channel = self._channels.get(seed) if replay else None
-        if replay and channel is None:
-            channel = np.empty((p.rounds + 1, p.n_devices))
-            channel[0] = world.gains
+        if channel is None:
+            out = np.empty_like(self._training) if replay else self._training
+            out[0] = world.gains
             for start in range(1, p.rounds + 1, CHUNK):
-                self._draw(channel[start:start + CHUNK])
-            channel.flags.writeable = False
-            self._channels[seed] = channel
+                rows = out[start:start + CHUNK]
+                world.advance_channel(rows, fading=self._db[:len(rows)],
+                                      normals=self._normals[:len(rows)])
+            if replay:
+                out.flags.writeable = False
+                channel = self._channels[seed] = out
+            else:
+                channel = self._training_rows
         self._channel = channel
+        db = self._db
+        np.log10(np.maximum(channel, 1e-30, out=db), out=db)
+        np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
         self.round_index = 0
         self.last_outcome = None
-        self._next_chunk()
-        world.gains = self._chunk[0]
+        world.gains = channel[0]
         return self._observation()
 
     def step(self, action: ActionBundle):
@@ -269,9 +282,7 @@ class AdaptiveFedEnv:
         reward = RewardBreakdown(r_d=r_d, r_p=r_p, r_s=r_s, penalty=penalty)
 
         self.round_index += 1
-        if self.round_index == self._chunk_start + len(self._chunk):
-            self._next_chunk()
-        self.world.gains = self._chunk[self.round_index - self._chunk_start]
+        self.world.gains = self._channel[self.round_index]
         done = self.round_index >= p.rounds
         obs = self._observation()
 
@@ -292,32 +303,6 @@ class AdaptiveFedEnv:
         )
 
     # -- helpers -------------------------------------------------------
-
-    def _draw(self, out: np.ndarray) -> None:
-        """Draw the gains of the world's next ``len(out)`` rounds into
-        ``out``, through the env's work arrays."""
-        rounds = len(out)
-        self.world.advance_channel(out, fading=self._feature[:rounds],
-                                   normals=self._normals[:rounds])
-
-    def _next_chunk(self):
-        """Make current the chunk of gains rows from ``round_index`` on: round
-        0's alone, later ones up to CHUNK rounds at a time, sliced from the
-        kept channel or drawn into the env's buffer (valid until the next
-        draw); compute its dB feature once."""
-        r = self.round_index
-        if self._channel is not None:
-            chunk = self._channel[r:r + CHUNK] if r else self._channel[:1]
-        elif r:
-            chunk = self._gains[:min(CHUNK, self.params.rounds + 1 - r)]
-            self._draw(chunk)
-        else:
-            chunk = self.world.gains[None]
-        chunk.flags.writeable = False
-        self._chunk, self._chunk_start = chunk, r
-        db = self._gain_obs = self._feature[:len(chunk)]
-        np.log10(np.maximum(chunk, 1e-30, out=db), out=db)
-        np.divide(np.multiply(db, 10.0, out=db), 100.0, out=db)
 
     def _validate(self, action: ActionBundle):
         """Refuse an action outside the action space, naming the field; the
@@ -350,7 +335,7 @@ class AdaptiveFedEnv:
         p = self.params
         n = p.n_devices
         obs = np.empty(p.observation_dim)
-        obs[:n] = self._gain_obs[self.round_index - self._chunk_start]
+        obs[:n] = self._db[self.round_index]
         # available capacity; a new emulator replaces the old one, so the
         # memory constraint depends on capacity, not current holdings
         obs[n:2 * n] = self._capacity_obs

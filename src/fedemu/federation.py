@@ -123,10 +123,11 @@ class World:
     round 0's ``gains`` and makes, for rounds to look up, the ``columns``
     (one table per ``params``) and each column's tuning time (N x C
     ``local_q``, ``server_q``). ``advance_channel`` draws later rounds'
-    gains from the mobility and fading streams; the env hands ``gains``
-    each round's row. ``budgets`` holds ``wireless.budget_terms`` of the
-    episode's bandwidth and the power budget, which every round's
-    ``allocate_budgets`` reads.
+    gains from the mobility and fading streams. The env's reset draws (or
+    replays) the whole episode's channel before round 0, and the env hands
+    ``gains`` each round's row as the round comes. ``budgets`` holds
+    ``wireless.budget_terms`` of the episode's bandwidth and the power
+    budget, which every round's ``allocate_budgets`` reads.
     """
 
     def __init__(self, params: EnvParams, seed: int):

@@ -39,9 +39,8 @@ run's final row, and a run resumed at a segment and episode boundary writes
 the rows of the uninterrupted run. A seed fixes its channel, so the eval env
 draws each eval seed's channel at its first reset and keeps it for the run:
 one read-only (rounds + 1) x N array of gains per eval seed, which later
-episodes on the seed replay. Training keeps only the current chunk and never
-records, and its world's mobility arrays and streams run up to a chunk ahead
-of the round.
+episodes on the seed replay. Training draws each episode's whole channel at
+its reset too, into one buffer it reuses, and never records.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 ``federation.World.advance_channel`` must reproduce over arrays.
 
 ``World.advance_channel(out)`` takes ``len(out)`` mobility steps in one
-call and writes one row of gains per step to ``out``, so a world's
-mobility arrays and streams run up to a chunk ahead of its env's
-``round_index``: compare them with this reference at the end of a chunk,
-and each step with its row."""
+call and writes one row of gains per step to ``out``: compare a world's
+mobility arrays and streams with this reference after a call, and each step
+with its row. An env draws each new channel whole at its reset this way,
+so that world's arrays and streams are at the episode's end from round 0
+on."""
 
 import math
 from dataclasses import dataclass

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import math
@@ -6,6 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from fedemu.agents import RandomPolicy, default_branches
 from fedemu.env import (
@@ -15,7 +22,13 @@ from fedemu.env import (
     EnvParams,
     RewardBreakdown,
 )
-from fedemu.federation import ActionBundle, run_round
+from fedemu.federation import (
+    ActionBundle,
+    FederationMode,
+    RoundOutcome,
+    World,
+    run_round,
+)
 from fedemu.simcore import stream
 from fedemu.wireless import advance_mobility, channel_gain
 
@@ -406,8 +419,8 @@ class TestStreams:
 
 
 class TestChannelChunks:
-    """``step`` draws the channel a chunk of rounds at a time; everything it
-    shows must equal drawing it round by round."""
+    """``reset`` draws the episode's whole channel ``CHUNK`` rounds at a time;
+    everything the env shows must equal drawing it round by round."""
 
     @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1,
                                         2 * CHUNK + 3])
@@ -415,7 +428,7 @@ class TestChannelChunks:
         env = AdaptiveFedEnv(dataclasses.replace(EnvParams(), rounds=rounds))
         p = env.params
         obs = env.reset(seed=8)
-        ref = copy.deepcopy(env.world)  # reset draws round 0 only
+        ref = World(p, 8)  # draws round 0 only
         # the population stream draws the memory capacities first
         capacity = stream(8, 4, 1).uniform(*p.memory_capacity_range,
                                            size=p.n_devices)
@@ -441,7 +454,8 @@ class TestChannelChunks:
                              ref.leg_speed, p, ref.mobility_rng)
             ref.gains = channel_gain(np.hypot(*ref.position.T), p,
                                      ref.fading_rng)
-        # the last chunk ends at the last round: nothing was drawn ahead
+        # the reset drew the episode's rounds and nothing beyond them
+        assert env.world.position.tobytes() == ref.position.tobytes()
         for name in ("mobility_rng", "fading_rng"):
             assert (getattr(env.world, name).bit_generator.state
                     == getattr(ref, name).bit_generator.state)
@@ -459,11 +473,11 @@ class TestChannelChunks:
 
 
 class TestChunkBuffers:
-    """The env draws training chunks into buffers it keeps across resets;
-    what it hands out must equal fresh draws, and what it keeps must not
-    alias the buffers."""
+    """The env draws each training channel into one buffer it keeps across
+    resets; what it hands out must equal fresh draws, and what it keeps must
+    not alias the buffers."""
 
-    rounds = 2 * CHUNK + 3  # chunks of CHUNK, CHUNK and 3 rounds after 0
+    rounds = 2 * CHUNK + 3  # drawn as CHUNK, CHUNK and 3 rounds after 0
 
     @staticmethod
     def play(env, seed, replay=False):
@@ -474,20 +488,21 @@ class TestChunkBuffers:
     def test_training_rows_equal_fresh_draws(self):
         env = AdaptiveFedEnv(dataclasses.replace(small_params(),
                                                  rounds=self.rounds))
+        buffer = env._training
         for seed in (4, 5):
             env.reset(seed)
-            ref = copy.deepcopy(env.world)
+            ref = World(env.params, seed)
             n = env.params.n_devices
-            want = [ref.gains, *(
-                row for size in (CHUNK, CHUNK, 3)
-                for row in ref.advance_channel(np.empty((size, n))))]
+            want = [ref.gains, *(ref.advance_channel(np.empty((1, n)))[0]
+                                 for _ in range(self.rounds))]
             for r in range(self.rounds + 1):
                 gains = env.world.gains
                 assert not gains.flags.writeable, (seed, r)
                 assert gains.tobytes() == want[r].tobytes(), (seed, r)
-                assert np.shares_memory(gains, env._gains) == (r > 0)
+                assert np.shares_memory(gains, buffer[r]), (seed, r)
                 if r < self.rounds:
                     env.step(fixed_action(env))
+        assert env._training is buffer
 
     def test_kept_recording_shares_no_buffer(self):
         env = AdaptiveFedEnv(dataclasses.replace(small_params(),
@@ -497,7 +512,7 @@ class TestChunkBuffers:
         assert kept.shape == (self.rounds + 1, env.params.n_devices)
         assert not kept.flags.writeable
         saved = kept.tobytes()
-        for buffer in (env._gains, env._normals, env._feature):
+        for buffer in (env._training, env._normals, env._db):
             assert not np.shares_memory(kept, buffer)
         self.play(env, 4, replay=True)
         self.play(env, 5)  # training draws into the buffers
@@ -505,6 +520,123 @@ class TestChunkBuffers:
         self.play(env, 4, replay=True)  # replays the kept one
         assert env._channels[4] is kept
         assert kept.tobytes() == saved
+
+
+class ReferenceEpisode:
+    """One episode drawn round by round: ``World(params, seed)``, each later
+    round's gains drawn by ``advance_channel`` into a fresh (1, N) array, and
+    the env's observation and reward rules applied to it."""
+
+    def __init__(self, params, seed):
+        self.params = params
+        self.world = World(params, seed)
+        self.round_index = 0
+
+    def observation(self):
+        p, world = self.params, self.world
+        return np.concatenate([
+            10.0 * np.log10(np.maximum(world.gains, 1e-30)) / 100.0,
+            world.capacity / p.memory_capacity_range[1],
+            world.exchange_count / p.rounds, [self.round_index / p.rounds]])
+
+    def step(self, action):
+        p, world, n = self.params, self.world, self.params.n_devices
+        outcome = run_round(world, action, FederationMode(p.mode),
+                            self.round_index)
+        violations = (
+            np.count_nonzero(outcome.footprints > (
+                world.capacity / p.mem_fraction_q)[action.selection])
+            + np.count_nonzero(world.exchange_count > p.exchange_cap))
+        reward = RewardBreakdown(
+            r_d=-p.xi_f * math.log(max(outcome.max_q, p.delay_floor))
+            / p.rounds,
+            r_p=-p.xi_p * float(np.add.reduce(outcome.perplexities) / n)
+            / p.rounds,
+            r_s=-p.xi_s * (np.count_nonzero(outcome.exchanges_this_round) / n)
+            / p.rounds,
+            penalty=p.kappa * violations if violations else 0.0)
+        self.round_index += 1
+        world.gains = world.advance_channel(np.empty((1, n)))[0]
+        return outcome, reward
+
+
+class ChannelInterleavings(RuleBasedStateMachine):
+    """Training resets, replay resets and runs of steps, in any order, on two
+    envs that share seeds. Everything an env shows must equal a reference
+    episode drawn round by round; the gains rows it hands out and the
+    channels it keeps must be read-only, and no draw may change a kept
+    channel."""
+
+    @initialize(n=st.integers(1, 12), rounds=st.integers(1, 2 * CHUNK + 3),
+                data=st.data())
+    def build(self, n, rounds, data):
+        k = data.draw(st.integers(1, n), label="k")
+        self.params = dataclasses.replace(EnvParams(), n_devices=n,
+                                          select_k=k, rounds=rounds)
+        self.envs = [AdaptiveFedEnv(self.params) for _ in range(2)]
+        self.refs = [None, None]  # each env's reference episode
+        self.kept = []  # each kept channel seen, with its bytes then
+
+    def check_gains(self, e):
+        gains = self.envs[e].world.gains
+        assert not gains.flags.writeable
+        assert gains.tobytes() == self.refs[e].world.gains.tobytes()
+
+    @rule(e=st.integers(0, 1), seed=st.integers(0, 2), replay=st.booleans())
+    def reset(self, e, seed, replay):
+        env = self.envs[e]
+        obs = env.reset(seed, replay=replay)
+        self.refs[e] = ReferenceEpisode(self.params, seed)
+        assert obs.tobytes() == self.refs[e].observation().tobytes()
+        self.check_gains(e)
+        kept = env._channels.get(seed)
+        if replay and all(kept is not seen for seen, _ in self.kept):
+            self.kept.append((kept, kept.tobytes()))
+
+    def live(self):
+        return [e for e, ref in enumerate(self.refs)
+                if ref is not None and ref.round_index < self.params.rounds]
+
+    @precondition(lambda self: self.live())
+    @rule(data=st.data(), steps=st.integers(1, 2 * CHUNK + 3),
+          policy_seed=st.integers(0, 2**16))
+    def run(self, data, steps, policy_seed):
+        e = data.draw(st.sampled_from(self.live()), label="env")
+        env, ref, p = self.envs[e], self.refs[e], self.params
+        rng = np.random.default_rng(policy_seed)
+        for _ in range(min(steps, p.rounds - ref.round_index)):
+            action = env.decode_branch_actions(
+                rng.permutation(p.n_devices)[:p.select_k],
+                *rng.integers(0, p.levels, (2, p.select_k)),
+                rng.integers(0, len(p.retention_grid), p.select_k))
+            obs, reward, done = env.step(action)
+            want_outcome, want_reward = ref.step(action)
+            assert obs.tobytes() == ref.observation().tobytes()
+            assert reward == want_reward
+            assert done == (ref.round_index == p.rounds)
+            for field in dataclasses.fields(RoundOutcome):
+                got = getattr(env.last_outcome, field.name)
+                want = getattr(want_outcome, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, field.name
+                    assert got.tobytes() == want.tobytes(), field.name
+                else:
+                    assert got == want, field.name
+            self.check_gains(e)
+
+    @invariant()
+    def kept_channels_are_unchanged(self):
+        for kept, saved in self.kept:
+            assert not kept.flags.writeable
+            assert kept.tobytes() == saved
+            for env in self.envs:
+                assert not np.shares_memory(kept, env._training)
+
+
+ChannelInterleavings.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=20, deadline=None)
+TestChannelInterleavings = ChannelInterleavings.TestCase
+
 
 class TestEnvParams:
     @pytest.mark.parametrize("values,field", [

@@ -16,6 +16,7 @@ from fedemu.federation import (
     FederationMode,
     RoundOutcome,
     RoundTraceWriter,
+    World,
     run_round,
 )
 from fedemu.simcore import (
@@ -635,9 +636,9 @@ class TestAdvanceChannel:
            chunks=st.lists(st.integers(1, 12), min_size=1, max_size=4))
     def test_arrays_match_scalar_reference(self, seed, n, speed_range, pause,
                                            chunks):
-        env = make_env(n=n, k=1, seed=seed, speed_range=speed_range,
-                       waypoint_pause=pause)
-        world = env.world
+        world = World(dataclasses.replace(EnvParams(), n_devices=n, select_k=1,
+                                          speed_range=speed_range,
+                                          waypoint_pause=pause), seed)
         mobility_rng = copy.deepcopy(world.mobility_rng)
         fading_rng = copy.deepcopy(world.fading_rng)
         states = [DeviceState(position=p.copy()) for p in world.position]

@@ -249,13 +249,15 @@ class TestTrain:
                                                              monkeypatch):
         # bench/worker.py ends set-up at the first reset of any env, but
         # records the time only for a training reset; an eval reset would
-        # also draw a whole channel into set-up
+        # also draw a whole channel into set-up. A reset is logged once it
+        # returns, with the episode's whole channel drawn.
         events, reset = [], AdaptiveFedEnv.reset
         evaluate_ = run_module.evaluate
 
         def reset_logged(env, seed, replay=False):
+            obs = reset(env, seed, replay)
             events.append(("reset", env, replay))
-            return reset(env, seed, replay)
+            return obs
 
         def evaluate_logged(*args, **kwargs):
             events.append(("evaluate", kwargs["env"], None))

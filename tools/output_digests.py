@@ -24,8 +24,8 @@ round's retention lookup and its no-tuning branch; a multi-update config
 minibatch 8), whose six updates each start from the critic the last one
 trained, for the three learners; a long-episode config (seed 7, N=30, K=5,
 47 rounds, 120 steps, eval every 40, segment 30, minibatch 10) for sabppo
-and random, whose episodes cross the boundaries of the env's channel
-chunks, end on a short chunk, and whose training stops mid-episode; and the
+and random, whose channels the env draws in two full ``env.CHUNK``-round
+slices and a short one, and whose training stops mid-episode; and the
 three benchmark workloads on seed 2. The eval runs evaluate the tiny sabppo
 run in fedpeat mode, the long-episode sabppo run and the wide-rollout run.
 All of them take about 15 s per checkout on a 2-vCPU host.
