@@ -21,7 +21,7 @@ have one unit per head, fed the base observation, with a critic per unit
 (IterRL) or one shared critic (HAPPO). Each unit's ratio is that of its own
 joint action, the sum of its heads' log-probs. Two sampling baselines, random
 and fixed full-model, draw each branch's action straight from the sample
-stream, with no networks and no chain.
+stream, with no networks and no chain; a selection ranks plain uniforms.
 
 All stochastic draws go through named per-agent streams so that runs are
 bit-reproducible: head ``b`` is initialised from ``(seed, 0, b)``, actor unit
@@ -188,9 +188,11 @@ _PARTITION_FROM = 256   # from about this many keys np.partition beats a sort
 
 
 def _top_k(x: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(-x, kind="stable")[:k]`` for finite keys; from
-    ``_PARTITION_FROM`` keys on it sorts only the keys at or above the k-th
-    largest value, which the stable sort keeps in index order among equals."""
+    """``np.argsort(-x, kind="stable")[:k]`` for finite keys, k <= len(x);
+    from ``_PARTITION_FROM`` keys on it sorts only the keys at or above the
+    k-th largest, which the stable sort keeps in index order among equals."""
+    if k > len(x):
+        raise ValueError(f"cannot draw {k} distinct items from {len(x)}")
     if len(x) < _PARTITION_FROM:
         return (-x).argsort(kind="stable")[:k]
     neg = -x
@@ -202,8 +204,6 @@ def _top_k(x: np.ndarray, k: int) -> np.ndarray:
 def _sample_topk(logits: np.ndarray, k: int, rng: np.random.Generator):
     """Gumbel-top-k draw of k distinct indices; distribution identical to
     sequential softmax sampling without replacement (Plackett-Luce)."""
-    if k > len(logits):
-        raise ValueError(f"cannot draw {k} distinct items from {len(logits)}")
     return _top_k(logits + rng.gumbel(size=logits.shape), k)
 
 
@@ -687,7 +687,11 @@ class HappoAgent(_PpoAgentBase):
 class RandomPolicy:
     """Uniform over every branch's space; feasible by construction. Each
     step draws the branches' actions from the sample stream in branch
-    order, and reads no observation."""
+    order, and reads no observation. A selection is the K smallest of N
+    uniforms ``u``, the draw ``_sample_topk`` makes of equal logits from the
+    same stream positions (numpy's Gumbel key ``-log(-log(1 - u))`` falls
+    strictly in ``u``), unless ``gumbel`` redraws a ``u == 0.0`` (2**-53 an
+    entry) or two different ``u`` get keys that round equal."""
 
     def __init__(self, branches: list[BranchSpec], seed: int = 0):
         self.branches = branches
@@ -699,8 +703,7 @@ class RandomPolicy:
 
     def _branch_action(self, spec: BranchSpec) -> np.ndarray:
         if spec.kind == "topk":
-            return _sample_topk(np.zeros(spec.n_options), spec.slots,
-                                self.sample_rng)
+            return _top_k(-self.sample_rng.random(spec.n_options), spec.slots)
         return self.sample_rng.integers(0, spec.n_options, size=spec.slots)
 
     def components(self):

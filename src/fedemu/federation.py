@@ -123,9 +123,9 @@ class World:
     round 0's ``gains`` and makes, for rounds to look up, the ``columns``
     (one table per ``params``) and each column's tuning time (N x C
     ``local_q``, ``server_q``). ``advance_channel`` draws later rounds'
-    gains from the mobility and fading streams. The env's reset draws (or
-    replays) the whole episode's channel before round 0, and the env hands
-    ``gains`` each round's row as the round comes. ``budgets`` holds
+    gains, one mobility call and one fading draw a run of rounds. The env's
+    reset draws (or replays) the whole episode's channel before round 0 and
+    hands ``gains`` each round's row as the round comes. ``budgets`` holds
     ``wireless.budget_terms`` of the episode's bandwidth and the power
     budget, which every round's ``allocate_budgets`` reads.
     """
@@ -173,15 +173,13 @@ class World:
 
     def advance_channel(self, out: np.ndarray, fading=None,
                         normals=None) -> np.ndarray:
-        """Move devices ``len(out)`` mobility steps and write the gains after
-        each step to ``out``, a (rounds, N) array, which is returned; one
-        path-loss pass and one fading draw. ``gains`` is left to the
-        caller; ``fading`` and ``normals`` are work arrays passed on to
-        ``channel_gain``."""
-        for row in out:
-            advance_mobility(self.position, self.waypoint, self.pause_left,
-                             self.leg_speed, self.params, self.mobility_rng)
-            np.hypot(self.position[:, 0], self.position[:, 1], out=row)
+        """Move devices ``len(out)`` mobility steps in one ``advance_mobility``
+        call and write the gains after each step to ``out``, a (rounds, N)
+        array, which is returned; one path-loss pass and one fading draw.
+        ``gains`` is left to the caller; ``fading`` and ``normals`` are work
+        arrays passed on to ``channel_gain``."""
+        advance_mobility(self.position, self.waypoint, self.pause_left,
+                         self.leg_speed, self.params, self.mobility_rng, out)
         return channel_gain(out, self.params, self.fading_rng, out=out,
                             fading=fading, normals=normals)
 

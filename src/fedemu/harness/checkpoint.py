@@ -66,8 +66,8 @@ def save_checkpoint(path, agent, *, step: int, episode: int) -> None:
 
 def load_checkpoint(path, agent) -> dict:
     """Restore agent state in place; returns the checkpoint meta. A missing
-    array, or a saved array of another shape or dtype than the agent's,
-    raises ValueError naming its key before anything is restored."""
+    array, step or stream state, or an array of another shape or dtype than
+    the agent's, raises ValueError naming it before anything is restored."""
     path = Path(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)["meta"]
@@ -82,13 +82,16 @@ def load_checkpoint(path, agent) -> dict:
             if got != want:
                 raise ValueError(f"checkpoint array {key} has {what} {got}, "
                                  f"the agent's {want}")
+    actors, critics = agent.components()
+    streams = agent.rng_streams()
+    for part, names in (("opt_steps", dict(actors + critics)),
+                        ("rng", streams)):
+        if missing := [name for name in names if name not in meta[part]]:
+            raise ValueError(f"checkpoint has no {part}.{missing[0]}")
     for key, live in arrays.items():
         live[...] = saved[key]
-    actors, critics = agent.components()
     for name, part in actors + critics:
         part.opt.step = meta["opt_steps"][name]
-    for name, gen in agent.rng_streams().items():
-        state = meta["rng"].get(name)
-        if state is not None:
-            gen.bit_generator.state = state
+    for name, gen in streams.items():
+        gen.bit_generator.state = meta["rng"][name]
     return meta

@@ -8,11 +8,11 @@ for an episode, so ``federation.World`` makes them once and each round's
 ``allocate_budgets`` reads them. Rates, delays and budgets are computed for
 all devices of a round in one call, gains for any array, into caller-owned
 work arrays if given, and each checks its inputs with one NaN-ignoring
-``np.fmin`` reduction per input; ``advance_mobility`` moves every
-device of a round at once, treating each (x, y) row as one entry of a
-complex view so that 1-D masks copy whole rows, and is tested against a
-one-device reference in ``tests/``. Channel and mobility settings are read
-by name from ``env.EnvParams``, the one schema of the world.
+``np.fmin`` reduction per input; ``advance_mobility`` moves every device
+through any number of rounds in one call, treating each (x, y) row as one
+entry of a complex view so that 1-D masks copy whole rows, and is tested
+against a one-device reference in ``tests/``. Channel and mobility settings
+are read by name from ``env.EnvParams``, the one schema of the world.
 """
 
 from __future__ import annotations
@@ -43,48 +43,57 @@ def dbm_per_hz_to_watts(dbm: float) -> float:
 
 def advance_mobility(position: np.ndarray, waypoint: np.ndarray,
                      pause_left: np.ndarray, leg_speed: np.ndarray,
-                     params: EnvParams, rng: np.random.Generator) -> None:
-    """Advance one round of random-waypoint motion of every device, in place.
+                     params: EnvParams, rng: np.random.Generator,
+                     distances: np.ndarray) -> None:
+    """Advance every device ``len(distances)`` rounds of random-waypoint
+    motion, in place, writing each round's distances from the origin to its
+    row of the (rounds, N) ``distances``.
 
     ``position`` and ``waypoint`` are C-contiguous (N, 2) float arrays, whose
     rows are NaN between legs. Each (x, y) row is one entry of a complex
     view, so a row is tested for NaN and copied whole under a 1-D mask; rows
-    a mask leaves out keep their bits. Draws the same numbers in the same
-    order as advancing each device in index order with one stream, and gives
+    a mask leaves out keep their bits. Views, masks and work arrays are made
+    once a call. Draws the same numbers in the same order as advancing each
+    device in index order with one stream, round by round, and gives
     bit-identical positions (``tests/`` holds that one-device loop).
     """
     pos = position.view(np.complex128)[:, 0]
     way = waypoint.view(np.complex128)[:, 0]
-    paused = pause_left > 0
-    pause_left -= paused
-    need = np.isnan(way) & ~paused
-    m = np.count_nonzero(need)
-    if m:
-        u = rng.uniform(size=(m, 3))
-        r = params.area_radius * np.sqrt(u[:, 0])
-        theta = 2.0 * math.pi * u[:, 1]
-        drawn = np.empty(m, np.complex128)
-        np.multiply(r, np.cos(theta), out=drawn.real)
-        np.multiply(r, np.sin(theta), out=drawn.imag)
-        way[need] = drawn
-        lo, hi = params.speed_range
-        leg_speed[need] = lo + (hi - lo) * u[:, 2]
+    paused, need, go, stop = np.empty((4, len(pos)), bool)
+    delta = np.empty_like(position)
+    step, columns = delta.view(np.complex128)[:, 0], delta.T
+    dist, scale = np.empty((2, len(pos)))
+    x, y = position.T
+    lo, hi = params.speed_range
     # paused devices have no waypoint, so their rows are NaN and neither
     # comparison below selects them; the step is computed for every row, but
     # only rows on ``go`` are copied, so a row off it may divide by zero
-    delta = waypoint - position
-    dist = np.sqrt(np.vecdot(delta, delta))  # bit-equal to np.linalg.norm
-    go = dist > leg_speed
-    stop = dist <= leg_speed
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = leg_speed / dist
-        delta[:, 0] *= scale
-        delta[:, 1] *= scale
-    delta += position
-    np.copyto(pos, delta.view(np.complex128)[:, 0], where=go)
-    np.copyto(pos, way, where=stop)
-    np.copyto(way, complex(math.nan, math.nan), where=stop)
-    np.copyto(pause_left, params.waypoint_pause, where=stop)
+        for row in distances:
+            np.greater(pause_left, 0, out=paused)
+            pause_left -= paused
+            np.greater(np.isnan(way, out=need), paused, out=need)  # & ~paused
+            new = need.nonzero()
+            if m := len(new[0]):
+                u = rng.uniform(size=(m, 3))
+                r = params.area_radius * np.sqrt(u[:, 0])
+                theta = 2.0 * math.pi * u[:, 1]
+                drawn = np.empty(m, np.complex128)
+                np.multiply(r, np.cos(theta), out=drawn.real)
+                np.multiply(r, np.sin(theta), out=drawn.imag)
+                way[new] = drawn
+                leg_speed[new] = lo + (hi - lo) * u[:, 2]
+            np.subtract(waypoint, position, out=delta)
+            np.sqrt(np.vecdot(delta, delta, out=dist), out=dist)  # = norm
+            np.greater(dist, leg_speed, out=go)
+            np.less_equal(dist, leg_speed, out=stop)
+            columns *= np.divide(leg_speed, dist, out=scale)
+            delta += position
+            np.copyto(pos, step, where=go)
+            np.copyto(pos, way, where=stop)
+            np.copyto(way, complex(math.nan, math.nan), where=stop)
+            np.copyto(pause_left, params.waypoint_pause, where=stop)
+            np.hypot(x, y, out=row)
 
 
 def rician_fading_power(k: float, rng: np.random.Generator, shape=(),

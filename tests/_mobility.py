@@ -1,12 +1,14 @@
 """Scalar random-waypoint reference that ``wireless.advance_mobility`` and
 ``federation.World.advance_channel`` must reproduce over arrays.
 
-``World.advance_channel(out)`` takes ``len(out)`` mobility steps in one
-call and writes one row of gains per step to ``out``: compare a world's
-mobility arrays and streams with this reference after a call, and each step
-with its row. An env draws each new channel whole at its reset this way,
-so that world's arrays and streams are at the episode's end from round 0
-on."""
+``advance_mobility(..., distances)`` takes ``len(distances)`` steps of
+every device in one call and writes each step's distances to its row, and
+``World.advance_channel(out)`` turns them into one row of gains per step in
+``out``: compare a world's mobility arrays and streams with this reference
+after a call, and each step with its row. A call of many steps moves the
+devices as that many one-step calls do. An env draws each new channel whole
+at its reset this way, so that world's arrays and streams are at the
+episode's end from round 0 on."""
 
 import math
 from dataclasses import dataclass

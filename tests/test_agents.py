@@ -868,15 +868,25 @@ class TestRandomPolicy:
 
     def test_draws_each_branch_straight_from_the_sample_stream(self):
         # the selection, then the three level branches, in branch order,
-        # whatever the observation
-        policy = RandomPolicy(BRANCHES, seed=5)
-        rng = stream(5, 1)
-        for obs in np.random.default_rng(0).standard_normal((3, OBS_DIM)):
-            want = [agents_module._sample_topk(np.zeros(10), 5, rng)]
-            want += [rng.integers(0, spec.n_options, size=spec.slots)
-                     for spec in BRANCHES[1:]]
-            got = policy.act(obs).branch_actions
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # whatever the observation; the selection is the Gumbel-top-k draw
+        # of equal logits, on the sorting, all-selected and partition paths
+        # of ``_top_k``
+        obs_rng = np.random.default_rng(0)
+        for n, k in ((10, 5), (300, 300), (1000, 50)):
+            branches = default_branches(n, k, 4, 4)
+            policy = RandomPolicy(branches, seed=5)
+            rng = stream(5, 1)
+            for obs in obs_rng.standard_normal((300, OBS_DIM)):
+                want = [agents_module._sample_topk(np.zeros(n), k, rng)]
+                want += [rng.integers(0, spec.n_options, size=spec.slots)
+                         for spec in branches[1:]]
+                got = policy.act(obs).branch_actions
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(got, want, strict=True))
+            assert (policy.sample_rng.bit_generator.state
+                    == rng.bit_generator.state)
+        with pytest.raises(ValueError, match="11 distinct items from 10"):
+            RandomPolicy(default_branches(10, 11, 4, 4)).act(np.zeros(OBS_DIM))
 
 
 class TestFixedFullModelPolicy:

@@ -451,7 +451,8 @@ class TestChannelChunks:
             assert env.last_outcome.rates.tobytes() == want_rates.tobytes()
             assert done == (r + 1 == rounds)
             advance_mobility(ref.position, ref.waypoint, ref.pause_left,
-                             ref.leg_speed, p, ref.mobility_rng)
+                             ref.leg_speed, p, ref.mobility_rng,
+                             np.empty((1, p.n_devices)))
             ref.gains = channel_gain(np.hypot(*ref.position.T), p,
                                      ref.fading_rng)
         # the reset drew the episode's rounds and nothing beyond them

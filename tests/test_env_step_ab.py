@@ -28,8 +28,8 @@ def test_checkout_against_itself_times_every_size(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0, out
     assert out[0] == ("outputs bit-identical at every size and mode, "
-                      "recorded, replayed and greedy episodes and their "
-                      "trace lines included")
+                      "recorded, replayed, greedy and sampling episodes and "
+                      "their trace lines included")
     sizes = list(env_step_ab.SIZES)
     rows = [line.split(" | ") for line in out[3:3 + len(sizes)]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
@@ -48,20 +48,21 @@ def test_checkout_against_itself_times_every_size(capsys):
     assert all(float(r[7]) >= 0 and float(r[8][:-2]) >= 0 for r in rows)
     assert out[end] == ""
     assert out[end + 1].endswith("| act pair ratio | act faster |")
-    greedy_end = end + 3 + len(sizes)
-    rows = [line.split(" | ") for line in out[end + 3:greedy_end]]
-    assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
-    assert all(float(r[2].split()[0]) > 0 and float(r[3].split()[0]) > 0
+    agent_end = end + 3 + 2 * len(sizes)
+    rows = [line.split(" | ") for line in out[end + 3:agent_end]]
+    assert [(int(r[0][2:]), int(r[1]), r[2]) for r in rows] == [
+        (n, k, block) for n, k in sizes for block in ("greedy", "sampling")]
+    assert all(float(r[3].split()[0]) > 0 and float(r[4].split()[0]) > 0
                for r in rows)
-    assert all(r[5].endswith("/2") and r[11].endswith("/2 |") for r in rows)
+    assert all(r[6].endswith("/2") and r[12].endswith("/2 |") for r in rows)
     # an act is part of its step
-    assert all(0 < float(r[8]) < float(r[2].split()[0])
-               and 0 < float(r[9]) < float(r[3].split()[0]) for r in rows)
-    assert all(float(r[10][:-1]) > 0 for r in rows)
-    assert out[greedy_end] == ""
-    assert out[greedy_end + 1] == ("| N | K | parent us/line | change us/line "
-                                   "| pair ratio | change faster |")
-    rows = [line.split(" | ") for line in out[greedy_end + 3:]]
+    assert all(0 < float(r[9]) < float(r[3].split()[0])
+               and 0 < float(r[10]) < float(r[4].split()[0]) for r in rows)
+    assert all(float(r[11][:-1]) > 0 for r in rows)
+    assert out[agent_end] == ""
+    assert out[agent_end + 1] == ("| N | K | parent us/line | change us/line "
+                                  "| pair ratio | change faster |")
+    rows = [line.split(" | ") for line in out[agent_end + 3:]]
     assert [(int(r[0][2:]), int(r[1])) for r in rows] == sizes
     assert all(float(r[2].split()[0]) > 0 and float(r[3].split()[0]) > 0
                and float(r[4][:-1]) > 0 and r[5].endswith("/2 |")
@@ -136,8 +137,7 @@ def test_greedy_block_times_each_act_inside_its_steps(monkeypatch):
             self.seen = []
 
         def act(self, obs, greedy=False):
-            assert greedy
-            self.seen.append(obs)
+            self.seen.append((obs, greedy))
             clock["s"] += 2.0
             return SimpleNamespace(branch_actions=("raw",))
 
@@ -145,12 +145,17 @@ def test_greedy_block_times_each_act_inside_its_steps(monkeypatch):
     monkeypatch.setattr(env_step_ab, "getrusage", lambda who: SimpleNamespace(
         ru_minflt=clock["faults"]))
     env, agent, sink = Env(), Agent(), []
-    us, faults = env_step_ab.time_greedy(env, agent, sink)
+    us, faults = env_step_ab.time_agent(env, agent, sink)
     assert us == (3.0 + 4 * 3.5) / 4 * 1e6
     assert faults == 4
     assert sink == [2e6] * 4
     assert env.resets == [(env_step_ab.SEED, True)]
-    assert agent.seen == ["obs0", "obs1", "obs2", "obs3"]
+    assert agent.seen == [(f"obs{i}", True) for i in range(4)]
+    # a sampling block: a training reset, and the agent's draws
+    assert env_step_ab.time_agent(env, agent, sink, greedy=False) == (us, 4)
+    assert sink == [2e6] * 8
+    assert env.resets[1:] == [(env_step_ab.SEED, False)]
+    assert agent.seen[4:] == [(f"obs{i}", False) for i in range(4)]
 
 
 def test_trace_block_writes_every_outcome_into_a_new_writer(monkeypatch):
@@ -261,7 +266,7 @@ def test_differing_greedy_actions_are_refused_before_timing(capsys,
 
     monkeypatch.setattr(env_step_ab, "load", load_nudged)
     monkeypatch.setattr(env_step_ab, "time_block", lambda *args: 1 / 0)
-    monkeypatch.setattr(env_step_ab, "time_greedy", lambda *args: 1 / 0)
+    monkeypatch.setattr(env_step_ab, "time_agent", lambda *args: 1 / 0)
     try:
         rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])
     finally:
@@ -269,6 +274,34 @@ def test_differing_greedy_actions_are_refused_before_timing(capsys,
     out = capsys.readouterr().out
     assert rc == 1
     assert out == ("N=10 fedpeat greedy: outputs differ at record 1; "
+                   "nothing timed\n")
+
+
+def test_differing_sampled_actions_are_refused_before_timing(capsys,
+                                                           monkeypatch):
+    load = env_step_ab.load
+
+    def load_nudged(checkout, name):
+        env = load(checkout, name)
+        if name.endswith("change"):
+            # the random policy's selection comes in reverse order
+            policy = importlib.import_module(f"{name}.agents").RandomPolicy
+            branch_action = policy._branch_action
+            monkeypatch.setattr(policy, "_branch_action",
+                                lambda self, spec: branch_action(self, spec)
+                                [::-1 if spec.kind == "topk" else 1])
+        return env
+
+    monkeypatch.setattr(env_step_ab, "load", load_nudged)
+    for name in ("time_block", "time_agent"):
+        monkeypatch.setattr(env_step_ab, name, lambda *args: 1 / 0)
+    try:
+        rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])
+    finally:
+        _forget({"fedemu_ab_parent", "fedemu_ab_change"})
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out == ("N=10 fedpeat sampling: outputs differ at record 1; "
                    "nothing timed\n")
 
 
@@ -288,7 +321,7 @@ def test_differing_trace_lines_are_refused_before_timing(capsys, monkeypatch):
         return env
 
     monkeypatch.setattr(env_step_ab, "load", load_nudged)
-    for name in ("time_block", "time_greedy", "time_trace"):
+    for name in ("time_block", "time_agent", "time_trace"):
         monkeypatch.setattr(env_step_ab, name, lambda *args: 1 / 0)
     try:
         rc = env_step_ab.main(["--parent", str(_ROOT), "--repeats", "2"])

@@ -449,6 +449,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="actor0/net1/layer2/w"):
             cmd_train(config, tmp_path / "run", resume=True)
 
+    @pytest.mark.parametrize("kind,part,name", [
+        ("random", "rng", "sample"), ("sabppo", "opt_steps", "actor0")])
+    def test_resume_refuses_a_missing_step_or_stream(self, tmp_path, kind,
+                                                     part, name):
+        # without the entry a resumed run would go on from a fresh stream or
+        # fail after its arrays were overwritten; nothing is restored
+        config = tiny_config(agent=kind, total_steps=50)
+        cmd_train(config, tmp_path / "run")
+        path = tmp_path / "run" / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        del manifest["meta"][part][name]
+        path.write_text(json.dumps(manifest))
+        agent = build_agent(config)
+        fresh = [a.copy() for a in _state_arrays(agent).values()]
+        streams = {k: g.bit_generator.state
+                   for k, g in agent.rng_streams().items()}
+        with pytest.raises(ValueError, match=f"no {part}.{name}$"):
+            load_checkpoint(tmp_path / "run" / "checkpoint", agent)
+        for a, b in zip(fresh, _state_arrays(agent).values(), strict=True):
+            assert np.array_equal(a, b)
+        assert streams == {k: g.bit_generator.state
+                           for k, g in agent.rng_streams().items()}
+
     def test_resume_refuses_another_agent_kind_naming_the_key(self,
                                                               tmp_path):
         # SABPPO has one actor unit; IterRL's second unit has no saved arrays

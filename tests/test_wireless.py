@@ -271,7 +271,7 @@ class TestMobility:
         with np.errstate(all="raise"):
             for _ in range(20):
                 advance_mobility(position, waypoint, pause_left, leg_speed,
-                                 model, rng)
+                                 model, rng, np.empty((1, n)))
         assert np.isfinite(position).all()
         if speed_range == (0.0, 0.0):
             # legs of speed 0 never move a device off its start
@@ -279,16 +279,31 @@ class TestMobility:
         # one round of every state at once, at the wide-rollout size
         devices = mixed_devices(1000)
         with np.errstate(all="raise"):
-            advance_mobility(*devices, model, rng)
+            advance_mobility(*devices, model, rng, np.empty((1, 1000)))
         assert np.isfinite(devices[0]).all()
+        # 37 rounds in one call equal 37 one-round calls, bit for bit
+        many, one = mixed_devices(1000), mixed_devices(1000)
+        many_rng, one_rng = np.random.default_rng(8), np.random.default_rng(8)
+        rows = np.empty((37, 1000))
+        with np.errstate(all="raise"):
+            advance_mobility(*many, model, many_rng, rows)
+        for row in rows:
+            dist = np.empty((1, 1000))
+            advance_mobility(*one, model, one_rng, dist)
+            assert dist[0].tobytes() == row.tobytes()
+        for a, b in zip(many, one, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert many_rng.bit_generator.state == one_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [10, 1000])
     def test_unmoved_rows_keep_their_bits(self, n):
         position, waypoint, pause_left, leg_speed = mixed_devices(n)
         state = np.arange(n) % 5
         start, start_waypoint = position.copy(), waypoint.copy()
+        dist = np.empty((1, n))
         advance_mobility(position, waypoint, pause_left, leg_speed,
-                         self.model, np.random.default_rng(1))
+                         self.model, np.random.default_rng(1), dist)
+        assert dist[0].tobytes() == np.hypot(*position.T).tobytes()
 
         def kept(a, b):
             return (a.view(np.int64) == b.view(np.int64)).all(axis=1)

@@ -17,8 +17,10 @@ For fedpeat, a second env then runs the same episode twice with
 env's first episode on a seed does, and once replaying it. On that env each
 side's ``SabppoAgent`` (seed 0, the same nets on both sides) then drives a
 greedy episode, as ``evaluate`` does: ``act(obs, greedy=True)``, decode and
-step. Every observation, reward term and round outcome of each episode, and
-every greedy action, is compared bit for bit. Each side's
+step. On the training env each side's ``RandomPolicy`` (seed 0) then drives
+a training episode, as ``cmd_train`` does for the random baseline: ``act``,
+decode and step. Every observation, reward term and round outcome of each
+episode, and every greedy and sampled action, is compared bit for bit. Each side's
 ``RoundTraceWriter`` then writes the greedy episode's round outcomes into a
 ``StringIO``, and the two texts are compared byte for byte. If anything
 differs the tool prints where and exits 1 without timing anything. So it
@@ -26,9 +28,11 @@ refuses a parent that writes another line layout, such as one with an
 N-long ``perplexities`` list; time two such writers in one process instead.
 
 Then, per N, ``--repeats`` pairs of blocks of each kind (training, recorded,
-replayed, greedy) are timed, one block per side, alternating which side goes
-first. A block is ``reset`` plus one fedpeat episode, each step decoding its
-raw branch indices (a greedy block: the agent's greedy ones) and stepping,
+replayed, greedy, sampling) are timed, one block per side, alternating which
+side goes first. A block is ``reset`` plus one fedpeat episode, each step
+decoding its raw branch indices (a greedy block: the agent's greedy ones; a
+sampling block: the policy's draws, which go on along its stream from block
+to block, alike on both sides) and stepping,
 so work moved between ``reset``, ``act``, the decode and ``step`` shows;
 before a recorded block the env forgets the seed's channel. The first table
 gives, for training blocks, each side's
@@ -42,7 +46,8 @@ side's median microseconds per ``World.advance_channel`` call, timed inside
 the same blocks, so a change to the channel draw reads apart from the rest
 of the round. The second table gives the same time, ratio, win and fault
 figures for recorded and replayed blocks. The third gives them for greedy
-blocks, and with them each side's median microseconds per ``act`` call,
+and sampling blocks, and with them each side's median microseconds per
+``act`` call,
 timed inside the same blocks, the median of the pairs' ratios of the
 blocks' median ``act`` times and the number of pairs whose ``act`` is faster
 on the change side. The fourth gives, per N, each side's median
@@ -74,7 +79,8 @@ SIZES = ((10, 5), (50, 10), (200, 20), (1000, 50))
 MODES = ("fedpeat", "fedpeft", "fedft")
 ROUNDS = 100
 SEED = 0
-BLOCKS = ("training", "recorded", "replayed", "greedy")
+BLOCKS = ("training", "recorded", "replayed", "greedy", "sampling")
+AGENT_BLOCKS = ("greedy", "sampling")
 OUTCOME_FIELDS = ("q", "server_q", "max_q", "perplexities",
                   "server_perplexity", "exchanges_this_round",
                   "payload_bytes", "footprints", "rates")
@@ -106,14 +112,18 @@ def make_env(env_module, n: int, k: int, mode: str):
     return env_module.AdaptiveFedEnv(params)
 
 
-def make_agent(env):
-    """The ``SabppoAgent`` (seed ``SEED``) of ``env``'s checkout and size."""
+def make_agents(env) -> dict:
+    """The ``SabppoAgent`` of the greedy block and the ``RandomPolicy`` of
+    the sampling block (each seed ``SEED``) of ``env``'s checkout and
+    size."""
     agents = importlib.import_module(
         type(env).__module__.rpartition(".")[0] + ".agents")
     p = env.params
     branches = agents.default_branches(p.n_devices, p.select_k, p.levels,
                                        len(p.retention_grid))
-    return agents.SabppoAgent(p.observation_dim, branches, seed=SEED)
+    return {"greedy": agents.SabppoAgent(p.observation_dim, branches,
+                                         seed=SEED),
+            "sampling": agents.RandomPolicy(branches, seed=SEED)}
 
 
 def episode_record(env, actions, replay=False, agent=None,
@@ -121,13 +131,13 @@ def episode_record(env, actions, replay=False, agent=None,
     """Bytes of every observation, reward term and outcome field of one
     episode of ``len(actions)`` rounds, in order. Each round steps its raw
     branch index groups from ``actions``, or with an ``agent`` the agent's
-    greedy ones, whose bytes are recorded too. Each round's outcome is
-    appended to ``outcomes`` if given."""
+    own, greedy on a replayed episode, whose bytes are recorded too. Each
+    round's outcome is appended to ``outcomes`` if given."""
     obs = env.reset(SEED, replay=replay)
     record = [obs.tobytes()]
     for raw in actions:
         if agent is not None:
-            raw = agent.act(obs, greedy=True).branch_actions
+            raw = agent.act(obs, greedy=replay).branch_actions
             record.extend(a.tobytes() for a in raw)
         obs, reward, done = env.step(env.decode_branch_actions(*raw))
         record.append(obs.tobytes())
@@ -172,17 +182,17 @@ def time_block(env, actions, block="training") -> tuple[float, int]:
             getrusage(RUSAGE_SELF).ru_minflt - faults)
 
 
-def time_greedy(env, agent, sink: list) -> tuple[float, int]:
-    """Microseconds per step of one greedy block, ``reset(SEED,
-    replay=True)`` plus an episode of ``agent``'s greedy actions, each
-    decoded and stepped, and the minor page faults of the block; appends the
-    microseconds of every ``act`` call to ``sink``."""
+def time_agent(env, agent, sink: list, greedy=True) -> tuple[float, int]:
+    """Microseconds per step of one agent block, ``reset(SEED,
+    replay=greedy)`` plus an episode of ``agent``'s actions (greedy ones if
+    ``greedy``), each decoded and stepped, and the minor page faults of the
+    block; appends the microseconds of every ``act`` call to ``sink``."""
     faults = getrusage(RUSAGE_SELF).ru_minflt
     start = perf_counter()
-    obs, done, steps = env.reset(SEED, replay=True), False, 0
+    obs, done, steps = env.reset(SEED, replay=greedy), False, 0
     while not done:
         at = perf_counter()
-        raw = agent.act(obs, greedy=True).branch_actions
+        raw = agent.act(obs, greedy=greedy).branch_actions
         sink.append((perf_counter() - at) * 1e6)
         obs, _, done = env.step(env.decode_branch_actions(*raw))
         steps += 1
@@ -254,16 +264,19 @@ def main(argv=None) -> int:
                 records["training", side] = episode_record(env, acts)
                 if mode == "fedpeat":
                     eval_env = make_env(module, n, k, mode)
-                    agent = agents[side, n] = make_agent(eval_env)
+                    agents[side, n] = make_agents(eval_env)
                     outcomes[side, n] = []
-                    for block in BLOCKS[1:]:
+                    for block in ("recorded", "replayed", "greedy"):
                         greedy = block == "greedy"
                         records[block, side] = episode_record(
                             eval_env, acts, replay=True,
-                            agent=agent if greedy else None,
+                            agent=agents[side, n][block] if greedy else None,
                             outcomes=outcomes[side, n] if greedy else None)
+                    records["sampling", side] = episode_record(
+                        env, acts, agent=agents[side, n]["sampling"])
                     envs[side, n] = {"training": env, "recorded": eval_env,
-                                     "replayed": eval_env, "greedy": eval_env}
+                                     "replayed": eval_env, "greedy": eval_env,
+                                     "sampling": env}
             for block in BLOCKS:
                 if (block, "parent") not in records:
                     continue
@@ -281,9 +294,10 @@ def main(argv=None) -> int:
                   "nothing timed")
             return 1
     print("outputs bit-identical at every size and mode, recorded, "
-          "replayed and greedy episodes and their trace lines included")
+          "replayed, greedy and sampling episodes and their trace lines "
+          "included")
 
-    rows, greedy_rows, trace_rows = [], [], []
+    rows, agent_rows, trace_rows = [], [], []
     print("| N | K | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults "
           "| parent us/advance_channel | change us/advance_channel |")
@@ -292,8 +306,8 @@ def main(argv=None) -> int:
         times = {(b, side): [] for b in BLOCKS for side in sides}
         faults = {(b, side): [] for b in BLOCKS for side in sides}
         draws = {"parent": [], "change": []}
-        acts = {"parent": [], "change": []}
-        act_medians = {"parent": [], "change": []}
+        acts = {key: [] for key in times if key[0] in AGENT_BLOCKS}
+        act_medians = {key: [] for key in acts}
         lines = {"parent": [], "change": []}
         gc.collect()
         gc.disable()
@@ -304,11 +318,12 @@ def main(argv=None) -> int:
                 for block in BLOCKS:
                     for side in order:
                         env = envs[side, n][block]
-                        if block == "greedy":
+                        if block in AGENT_BLOCKS:
                             sink = []
-                            us, flt = time_greedy(env, agents[side, n], sink)
-                            acts[side] += sink
-                            act_medians[side].append(np.median(sink))
+                            us, flt = time_agent(env, agents[side, n][block],
+                                                 sink, block == "greedy")
+                            acts[block, side] += sink
+                            act_medians[block, side].append(np.median(sink))
                         else:
                             with (timed_draws(sides[side].World, draws[side])
                                   if block == "training"
@@ -332,13 +347,15 @@ def main(argv=None) -> int:
               f"| {np.median(draws['change']):.1f} |")
         rows += [f"| {n} | {k} | {block} | {cells[block]} |"
                  for block in ("recorded", "replayed")]
-        par, chg = act_medians["parent"], act_medians["change"]
-        greedy_rows.append(
-            f"| {n} | {k} | {cells['greedy']} "
-            f"| {np.median(acts['parent']):.1f} "
-            f"| {np.median(acts['change']):.1f} "
-            f"| {np.median(np.divide(chg, par)):.3f}x "
-            f"| {sum(c < p for p, c in zip(par, chg))}/{len(par)} |")
+        for block in AGENT_BLOCKS:
+            par = act_medians[block, "parent"]
+            chg = act_medians[block, "change"]
+            agent_rows.append(
+                f"| {n} | {k} | {block} | {cells[block]} "
+                f"| {np.median(acts[block, 'parent']):.1f} "
+                f"| {np.median(acts[block, 'change']):.1f} "
+                f"| {np.median(np.divide(chg, par)):.3f}x "
+                f"| {sum(c < p for p, c in zip(par, chg))}/{len(par)} |")
         trace_rows.append(
             f"| {n} | {k} | {pair_cells(lines['parent'], lines['change'])} |")
 
@@ -349,11 +366,11 @@ def main(argv=None) -> int:
     print("\n".join(rows))
 
     print()
-    print("| N | K | parent us/step | change us/step | pair ratio "
+    print("| N | K | episode | parent us/step | change us/step | pair ratio "
           "| change faster | parent faults | change faults "
           "| parent us/act | change us/act | act pair ratio | act faster |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
-    print("\n".join(greedy_rows))
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("\n".join(agent_rows))
 
     print()
     print("| N | K | parent us/line | change us/line | pair ratio "
