@@ -687,11 +687,12 @@ class HappoAgent(_PpoAgentBase):
 class RandomPolicy:
     """Uniform over every branch's space; feasible by construction. Each
     step draws the branches' actions from the sample stream in branch
-    order, and reads no observation. A selection is the K smallest of N
-    uniforms ``u``, the draw ``_sample_topk`` makes of equal logits from the
-    same stream positions (numpy's Gumbel key ``-log(-log(1 - u))`` falls
-    strictly in ``u``), unless ``gumbel`` redraws a ``u == 0.0`` (2**-53 an
-    entry) or two different ``u`` get keys that round equal."""
+    order, and reads no observation. A selection ranks N uniforms ``u`` and
+    keeps the K smallest: the draw ``_sample_topk`` makes of equal logits
+    from the same stream positions (numpy's Gumbel key ``-log(-log(1 - u))``
+    falls strictly in ``u``), unless ``gumbel`` redraws a ``u == 0.0``
+    (2**-53 an entry) or breaks by index a tie of two keys that round equal
+    from different ``u``."""
 
     def __init__(self, branches: list[BranchSpec], seed: int = 0):
         self.branches = branches

@@ -86,7 +86,7 @@ def load_checkpoint(path, agent) -> dict:
     streams = agent.rng_streams()
     for part, names in (("opt_steps", dict(actors + critics)),
                         ("rng", streams)):
-        if missing := [name for name in names if name not in meta[part]]:
+        if missing := [n for n in names if n not in meta.get(part, ())]:
             raise ValueError(f"checkpoint has no {part}.{missing[0]}")
     for key, live in arrays.items():
         live[...] = saved[key]
