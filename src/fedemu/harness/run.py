@@ -33,6 +33,19 @@ Metrics columns (one row per evaluation point, means over eval episodes):
     mean_delay  mean over rounds of max per-device round time, s
     exchanges   emulator exchanges per 10 rounds per device
 
+Training is a loop over three phases of one ``RunState``, which holds the
+envs, the agent and its buffer, the open metrics and timings files, the
+step, episode and update counts, the current observation, whether the last
+step ended its episode (so the next one resets) and the last step evaluated:
+    collect   training steps (reset, act, decode, step, add) until the
+              buffer is full, an eval point or the end
+    update    one agent update on the full buffer, one timings.csv row
+    evaluate  one metrics row; the row at the end also writes rounds.jsonl
+Eval points are every eval_interval-th step and, if total_steps > 0, the
+end. At one step the update comes first, then the reset of an episode the
+step starts, then the evaluation. A resumed run restarts its checkpoint's
+episode, and skips the row at its step if past 0: the saving run wrote it.
+
 An evaluation depends only on the config and the agent's parameters: every
 evaluation row of a sampling baseline is the same, ``cmd_eval`` reproduces a
 run's final row, and a run resumed at a segment and episode boundary writes
@@ -67,28 +80,19 @@ from ..agents import (
 from ..env import AdaptiveFedEnv
 from ..federation import RoundTraceWriter
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_from_dict, config_to_dict
 
-__all__ = [
-    "METRICS_COLUMNS",
-    "runs_root",
-    "pin_blas",
-    "build_agent",
-    "evaluate",
-    "cmd_train",
-    "cmd_eval",
-]
+__all__ = ["METRICS_COLUMNS", "runs_root", "pin_blas", "build_agent",
+           "evaluate", "RunState", "cmd_train", "cmd_eval"]
 
 METRICS_COLUMNS = [
     "step", "eval_reward", "r_d", "r_p", "r_s", "penalty",
     "perplexity", "log_delay", "mean_delay", "exchanges",
 ]
 
-RUNS_ROOT_ENV = "FEDEMU_RUNS"
-
 
 def runs_root() -> Path:
-    return Path(os.environ.get(RUNS_ROOT_ENV, "runs"))
+    return Path(os.environ.get("FEDEMU_RUNS", "runs"))
 
 
 def _derived_seed(*key) -> int:
@@ -120,44 +124,35 @@ def pin_blas() -> dict | str:
     return "unpinned"
 
 
+_LEARNERS = {"sabppo": SabppoAgent, "iterrl": IterRlAgent, "happo": HappoAgent}
+_BASELINES = {"random": RandomPolicy, "fedft": FixedFullModelPolicy}
+
+
 def build_agent(config: ExperimentConfig):
     p = config.env
     branches = default_branches(p.n_devices, p.select_k, p.levels,
                                 len(p.retention_grid))
-    obs_dim = p.observation_dim
     kind = config.agent
-    if kind == "sabppo":
-        return SabppoAgent(obs_dim, branches, cfg=config.ppo, seed=config.seed)
-    if kind == "iterrl":
-        return IterRlAgent(obs_dim, branches, cfg=config.ppo, seed=config.seed)
-    if kind == "happo":
-        return HappoAgent(obs_dim, branches, cfg=config.ppo, seed=config.seed)
-    if kind == "random":
-        return RandomPolicy(branches, seed=config.seed)
-    if kind == "fedft":
-        return FixedFullModelPolicy(branches, seed=config.seed)
+    if kind in _LEARNERS:
+        return _LEARNERS[kind](p.observation_dim, branches, cfg=config.ppo,
+                               seed=config.seed)
+    if kind in _BASELINES:
+        return _BASELINES[kind](branches, seed=config.seed)
     raise ValueError(f"unknown agent kind {kind!r}")
-
-
-def _eval_policy(config: ExperimentConfig, agent):
-    """Trainable agents evaluate greedily and draw no randomness; sampling
-    baselines get a fresh fixed-seed twin so evaluation never perturbs the
-    training stream."""
-    if isinstance(agent, RandomPolicy):  # also FixedFullModelPolicy
-        return type(agent)(agent.branches, seed=_derived_seed(config.seed, 6))
-    return agent
 
 
 def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
              episodes: int | None = None, trace_path=None) -> dict:
     """Greedy evaluation over fixed per-episode seeds; returns metric means
-    and writes the round trace to ``trace_path`` if given. A sampling
-    baseline acts through a fixed-seed twin made for each call; ``env``
+    and writes the round trace to ``trace_path`` if given. A learner draws no
+    randomness here; a sampling baseline acts through a fixed-seed twin made
+    for each call, so evaluation never moves its training stream. ``env``
     replays the channel of a seed it has evaluated before."""
     if episodes is not None and episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     p = config.env
-    policy = _eval_policy(config, agent)
+    policy = (type(agent)(agent.branches, seed=_derived_seed(config.seed, 6))
+              if isinstance(agent, RandomPolicy) else agent)  # fedft's too
     env = env or AdaptiveFedEnv(p)
     episodes = episodes or config.eval_episodes
     totals = {k: [] for k in METRICS_COLUMNS if k != "step"}
@@ -167,41 +162,30 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
         for ep in range(episodes):
             obs = env.reset(_derived_seed(config.seed, 5, ep), replay=True)
             done = False
-            sums = {"reward": 0.0, "r_d": 0.0, "r_p": 0.0, "r_s": 0.0,
-                    "penalty": 0.0}
+            sums = {k: 0.0 for k in ("total", "r_d", "r_p", "r_s", "penalty")}
             log_delays, delays, exchanges = [], [], 0
             while not done:
                 step_action = policy.act(obs, greedy=True)
                 bundle = env.decode_branch_actions(*step_action.branch_actions)
                 obs, reward, done = env.step(bundle)
                 outcome = env.last_outcome
-                sums["reward"] += reward.total
-                sums["r_d"] += reward.r_d
-                sums["r_p"] += reward.r_p
-                sums["r_s"] += reward.r_s
-                sums["penalty"] += reward.penalty
+                for key in sums:
+                    sums[key] += getattr(reward, key)
                 max_q = outcome.max_q
                 log_delays.append(np.log(max(max_q, p.delay_floor)))
                 delays.append(max_q)
                 exchanges += np.count_nonzero(outcome.exchanges_this_round)
                 if trace is not None:
                     trace.write(outcome)
-            totals["eval_reward"].append(sums["reward"])
-            for key in ("r_d", "r_p", "r_s", "penalty"):
-                totals[key].append(sums[key])
+            totals["eval_reward"].append(sums.pop("total"))
+            for key, value in sums.items():
+                totals[key].append(value)
             totals["perplexity"].append(float(env.last_outcome.perplexities.mean()))
             totals["log_delay"].append(float(np.mean(log_delays)))
             totals["mean_delay"].append(float(np.mean(delays)))
             totals["exchanges"].append(
                 exchanges / (p.n_devices * p.rounds / 10.0))
     return {k: float(np.mean(v)) for k, v in totals.items()}
-
-
-def _format_row(values: dict, step: int) -> str:
-    cells = [str(step)]
-    for col in METRICS_COLUMNS[1:]:
-        cells.append(repr(float(values[col])))
-    return ",".join(cells)
 
 
 @dataclass
@@ -221,15 +205,77 @@ def _write_manifest(run_dir: Path, config: ExperimentConfig,
         "start_time": start_time,
         "end_time": end_time,
         "blas": blas,
-        "outputs": {
-            "metrics": "metrics.csv",
-            "timings": "timings.csv",
-            "rounds": "rounds.jsonl",
-            "checkpoint": "checkpoint",
-        },
+        "outputs": {"metrics": "metrics.csv", "timings": "timings.csv",
+                    "rounds": "rounds.jsonl", "checkpoint": "checkpoint"},
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
+
+
+@dataclass
+class RunState:
+    """What a training run carries between its phases (module docstring)."""
+
+    config: ExperimentConfig
+    rounds_path: Path  # rounds.jsonl, which the evaluation at the end writes
+    env: AdaptiveFedEnv
+    eval_env: AdaptiveFedEnv
+    agent: object
+    buffer: object  # the learner's TrajectoryBuffer; None for a baseline
+    metrics_fh: object
+    timings_fh: object
+    step: int = 0
+    episode: int = 0
+    n_updates: int = 0
+    evaluated: int | None = None
+    obs: np.ndarray | None = None
+    done: bool = True  # the last step ended its episode, or none ran yet
+    final_metrics: dict | None = None
+
+    def eval_due(self) -> bool:
+        step, total = self.step, self.config.total_steps
+        return step != self.evaluated and (
+            step % self.config.eval_interval == 0 if step < total
+            else step == total > 0)
+
+    def collect(self):
+        """Play training steps until the buffer is full, an eval point or the
+        end; returns the phase that comes next, None when the run is done."""
+        config, env, buffer = self.config, self.env, self.buffer
+        while self.step < config.total_steps:
+            if self.done:  # this step starts an episode
+                seed = _derived_seed(config.seed, 4, self.episode)
+                self.obs, self.done = env.reset(seed), False
+            if self.eval_due():
+                return self.evaluate
+            step_action = self.agent.act(self.obs)
+            bundle = env.decode_branch_actions(*step_action.branch_actions)
+            next_obs, reward, done = env.step(bundle)
+            if buffer is not None:
+                buffer.add(self.obs, step_action, reward.total, done, next_obs)
+            self.step += 1
+            self.episode += done
+            self.obs, self.done = next_obs, done
+            if buffer is not None and buffer.full:
+                return self.update
+        return self.evaluate if self.eval_due() else None
+
+    def update(self) -> None:
+        t0 = time.perf_counter()
+        self.agent.update(self.buffer)
+        dt = time.perf_counter() - t0
+        self.n_updates += 1
+        self.timings_fh.write(f"{self.n_updates},{self.step},{dt:.6f}\n")
+        self.buffer.clear()
+
+    def evaluate(self) -> None:
+        end = self.step == self.config.total_steps
+        row = evaluate(self.config, self.agent, env=self.eval_env,
+                       trace_path=self.rounds_path if end else None)
+        cells = [repr(float(row[col])) for col in METRICS_COLUMNS[1:]]
+        self.metrics_fh.write(",".join([str(self.step), *cells]) + "\n")
+        self.metrics_fh.flush()
+        self.evaluated, self.final_metrics = self.step, row
 
 
 def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> RunResult:
@@ -254,86 +300,39 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
             start_time = json.load(fh)["start_time"]
     _write_manifest(run_dir, config, start_time, None, blas)
 
-    env = AdaptiveFedEnv(config.env)
     agent = build_agent(config)
-    trainable = hasattr(agent, "make_buffer")
-    buffer = agent.make_buffer() if trainable else None
-
-    metrics_path = run_dir / "metrics.csv"
+    buffer = agent.make_buffer() if hasattr(agent, "make_buffer") else None
+    meta = load_checkpoint(run_dir / "checkpoint", agent) if resuming else {}
     timings_path = run_dir / "timings.csv"
-    ckpt_path = run_dir / "checkpoint"
-
-    step = 0
-    episode = 0
-    n_updates = 0
-    if resuming:
-        meta = load_checkpoint(ckpt_path, agent)
-        step = meta["step"]
-        episode = meta["episode"]
-        # update numbers run on from the rows already written
-        n_updates = len(timings_path.read_text().splitlines()) - 1
-        metrics_fh = open(metrics_path, "a")
-        timings_fh = open(timings_path, "a")
-    else:
-        metrics_fh = open(metrics_path, "w")
-        metrics_fh.write(",".join(METRICS_COLUMNS) + "\n")
-        timings_fh = open(timings_path, "w")
-        timings_fh.write("update,step,seconds\n")
-
-    eval_env = AdaptiveFedEnv(config.env)
-    final_metrics = None
-
-    def run_eval(at_step, trace=False):
-        nonlocal final_metrics
-        row = evaluate(config, agent, env=eval_env,
-                       trace_path=run_dir / "rounds.jsonl" if trace else None)
-        metrics_fh.write(_format_row(row, at_step) + "\n")
-        metrics_fh.flush()
-        final_metrics = row
-
-    start_step = step
-    try:
-        obs = None
-        while step < config.total_steps:
-            # reset only an episode a step plays, before that step's eval
-            if obs is None:
-                obs = env.reset(_derived_seed(config.seed, 4, episode))
-            # the run that saved the checkpoint evaluated at its step already
-            if step % config.eval_interval == 0 and (step > start_step
-                                                     or start_step == 0):
-                run_eval(step)
-            step_action = agent.act(obs)
-            bundle = env.decode_branch_actions(*step_action.branch_actions)
-            next_obs, reward, done = env.step(bundle)
-            if trainable:
-                buffer.add(obs, step_action, reward.total, done, next_obs)
-                if buffer.full:
-                    t0 = time.perf_counter()
-                    agent.update(buffer)
-                    dt = time.perf_counter() - t0
-                    n_updates += 1
-                    timings_fh.write(f"{n_updates},{step + 1},{dt:.6f}\n")
-                    buffer.clear()
-            step += 1
-            episode += done
-            obs = None if done else next_obs
-        if config.total_steps > 0 and (step > start_step or start_step == 0):
-            run_eval(step, trace=True)
-        save_checkpoint(ckpt_path, agent, step=step, episode=episode)
-    finally:
-        metrics_fh.close()
-        timings_fh.close()
+    # update numbers run on from the rows already written
+    n_updates = (len(timings_path.read_text().splitlines()) - 1
+                 if resuming else 0)
+    mode = "a" if resuming else "w"
+    with (open(run_dir / "metrics.csv", mode) as metrics_fh,
+          open(timings_path, mode) as timings_fh):
+        if not resuming:
+            metrics_fh.write(",".join(METRICS_COLUMNS) + "\n")
+            timings_fh.write("update,step,seconds\n")
+        # a checkpoint past step 0 was saved after its step's metrics row
+        run = RunState(config, run_dir / "rounds.jsonl",
+                       AdaptiveFedEnv(config.env), AdaptiveFedEnv(config.env),
+                       agent, buffer, metrics_fh, timings_fh,
+                       meta.get("step", 0), meta.get("episode", 0), n_updates,
+                       evaluated=meta.get("step") or None)
+        while phase := run.collect():  # run.update or run.evaluate
+            phase()
+        save_checkpoint(run_dir / "checkpoint", agent, step=run.step,
+                        episode=run.episode)
 
     _write_manifest(run_dir, config, start_time,
                     time.strftime("%Y-%m-%dT%H:%M:%S"), blas)
-    return RunResult(run_dir=run_dir, final_metrics=final_metrics, steps=step)
+    return RunResult(run_dir=run_dir, final_metrics=run.final_metrics,
+                     steps=run.step)
 
 
 def cmd_eval(run_dir, episodes: int | None = None) -> dict:
     """Evaluate a finished run's checkpoint; writes eval.json and
     rounds.jsonl next to it. BLAS is pinned to one thread first."""
-    from .config import config_from_dict
-
     pin_blas()
     run_dir = Path(run_dir)
     with open(run_dir / "manifest.json") as fh:

@@ -161,6 +161,65 @@ class TestConfig:
         assert config_from_dict(data) == config
 
 
+def loop_calls(config, run_dir, monkeypatch, resume=False):
+    """The calls one ``cmd_train`` makes, in order: ("reset", episode) for
+    each training reset, ("evaluate", step), ("update", step) and
+    ("checkpoint", step, episode); a step counts the training steps taken
+    so far, from the checkpoint's step on a resumed run."""
+    calls, episodes = [], {run_module._derived_seed(config.seed, 4, e): e
+                           for e in range(100)}
+    steps = [0, False]  # training steps so far; inside an evaluation
+    if resume:
+        meta = json.loads((run_dir / "checkpoint.json").read_text())["meta"]
+        steps[0] = meta["step"]
+    reset, step = AdaptiveFedEnv.reset, AdaptiveFedEnv.step
+    build, evaluate_ = run_module.build_agent, run_module.evaluate
+    save = run_module.save_checkpoint
+
+    def reset_logged(env, seed, replay=False):
+        if not replay:
+            calls.append(("reset", episodes.get(seed, seed)))
+        return reset(env, seed, replay)
+
+    def step_counted(env, action):
+        steps[0] += not steps[1]
+        return step(env, action)
+
+    def evaluate_logged(*args, **kwargs):
+        calls.append(("evaluate", steps[0]))
+        steps[1] = True
+        try:
+            return evaluate_(*args, **kwargs)
+        finally:
+            steps[1] = False
+
+    def build_logged(config):
+        agent = build(config)
+        if hasattr(agent, "update"):
+            update = agent.update
+
+            def update_logged(buffer):
+                calls.append(("update", steps[0]))
+                return update(buffer)
+            agent.update = update_logged
+        return agent
+
+    def save_logged(path, agent, *, step, episode):
+        calls.append(("checkpoint", step, episode))
+        return save(path, agent, step=step, episode=episode)
+
+    monkeypatch.setattr(AdaptiveFedEnv, "reset", reset_logged)
+    monkeypatch.setattr(AdaptiveFedEnv, "step", step_counted)
+    monkeypatch.setattr(run_module, "build_agent", build_logged)
+    monkeypatch.setattr(run_module, "evaluate", evaluate_logged)
+    monkeypatch.setattr(run_module, "save_checkpoint", save_logged)
+    try:
+        cmd_train(config, run_dir, resume=resume)
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
 class TestTrain:
     def test_tiny_config_golden(self, tmp_path):
         for mode, by_agent in TINY_GOLDEN.items():
@@ -272,6 +331,36 @@ class TestTrain:
             assert [(what, replay) for what, _, replay in events[:2]] == [
                 ("reset", False), ("evaluate", None)], kind
             assert events[0][1] is not events[1][1], kind  # the training env
+
+    def test_loop_calls_keep_their_order(self, tmp_path, monkeypatch):
+        # 10-round episodes, segments of 25 and evaluations every 15 steps:
+        # evaluations fall mid-episode (15, 45) and on an episode's end (30,
+        # 60), a segment ends mid-episode (25, 75) and on one (50), and the
+        # run ends mid-episode. At one step the update comes first, then the
+        # reset of the episode the step starts, then the evaluation. A run
+        # resumed at the eval point 30 resets its episode, writes no row at
+        # 30 and fills its buffer afresh from there; the run that stopped
+        # at 30 reset no episode there.
+        config = tiny_config(total_steps=75, eval_interval=15, eval_episodes=1,
+                             ppo=PpoConfig(segment=25, minibatch=25, epochs=1))
+        learner = [
+            ("reset", 0), ("evaluate", 0), ("reset", 1), ("evaluate", 15),
+            ("reset", 2), ("update", 25), ("reset", 3), ("evaluate", 30),
+            ("reset", 4), ("evaluate", 45), ("update", 50), ("reset", 5),
+            ("reset", 6), ("evaluate", 60), ("reset", 7), ("update", 75),
+            ("evaluate", 75), ("checkpoint", 75, 7)]
+        assert loop_calls(config, tmp_path / "sabppo", monkeypatch) == learner
+        assert loop_calls(dataclasses.replace(config, agent="random"),
+                          tmp_path / "random", monkeypatch) == [
+            call for call in learner if call[0] != "update"]
+        assert loop_calls(dataclasses.replace(config, total_steps=30),
+                          tmp_path / "resumed", monkeypatch) == [
+            *learner[:6], ("evaluate", 30), ("checkpoint", 30, 3)]
+        assert loop_calls(config, tmp_path / "resumed", monkeypatch,
+                          resume=True) == [
+            ("reset", 3), ("reset", 4), ("evaluate", 45), ("reset", 5),
+            ("update", 55), ("reset", 6), ("evaluate", 60), ("reset", 7),
+            ("evaluate", 75), ("checkpoint", 75, 7)]
 
     def test_rounds_trace_written(self, tmp_path):
         cmd_train(tiny_config(), tmp_path / "run")
@@ -389,9 +478,10 @@ class TestCheckpoint:
 
     def test_resume_writes_no_duplicate_row(self, tmp_path):
         # stopped at a segment and episode boundary, so the resumed run is
-        # the uninterrupted one, row for row, for a learner and for the
+        # the uninterrupted one, row for row and in its final checkpoint,
+        # for learners with one critic and with one per unit, and for the
         # sampling baselines
-        for kind in ("sabppo", "random", "fedft"):
+        for kind in ("sabppo", "iterrl", "random", "fedft"):
             config = tiny_config(agent=kind, total_steps=100, eval_interval=50)
             run, straight = tmp_path / f"{kind}-run", tmp_path / kind
             cmd_train(config, run)
@@ -404,6 +494,14 @@ class TestCheckpoint:
             assert lines == (straight / "metrics.csv").read_text().splitlines()
             assert ((run / "rounds.jsonl").read_bytes()
                     == (straight / "rounds.jsonl").read_bytes())
+            metas = [json.loads((d / "checkpoint.json").read_text())["meta"]
+                     for d in (run, straight)]
+            assert metas[0] == metas[1], kind
+            with (np.load(run / "checkpoint.npz") as got,
+                  np.load(straight / "checkpoint.npz") as want):
+                assert got.files == want.files, kind
+                for key in want.files:
+                    assert np.array_equal(got[key], want[key]), (kind, key)
 
     def test_resume_keeps_manifest_start_time(self, tmp_path):
         config = tiny_config(total_steps=50)
@@ -734,6 +832,22 @@ class TestCli:
                        "--run-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--run-dir", "{path}"],
+        ["train", "--run-dir", "{path}", "--resume"],
+        ["eval", "--run", "{path}"],
+        ["compare", "{path}"],
+    ])
+    def test_run_path_naming_a_file_exits_naming_it(self, tmp_path, capsys,
+                                                     args):
+        path = tmp_path / "not-a-run"
+        path.write_text("x")
+        rc = cli.main([a.format(path=path) for a in args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert path.read_text() == "x"
 
     @pytest.mark.parametrize("override,field", [
         ("env.pathloss_exponent=7", "pathloss_exponent"),
