@@ -85,8 +85,7 @@ def main(argv=None) -> int:
         elif args.command == "print-config":
             config = _resolve_config(args)
             print(yaml.safe_dump(config_to_dict(config), sort_keys=True), end="")
-    except (ValueError, FileNotFoundError, FileExistsError,
-            NotADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

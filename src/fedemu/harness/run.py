@@ -302,7 +302,8 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
 
     agent = build_agent(config)
     buffer = agent.make_buffer() if hasattr(agent, "make_buffer") else None
-    meta = load_checkpoint(run_dir / "checkpoint", agent) if resuming else {}
+    meta = (load_checkpoint(run_dir / "checkpoint", agent) if resuming
+            else {"step": 0, "episode": 0})
     timings_path = run_dir / "timings.csv"
     # update numbers run on from the rows already written
     n_updates = (len(timings_path.read_text().splitlines()) - 1
@@ -317,8 +318,8 @@ def cmd_train(config: ExperimentConfig, run_dir=None, resume: bool = False) -> R
         run = RunState(config, run_dir / "rounds.jsonl",
                        AdaptiveFedEnv(config.env), AdaptiveFedEnv(config.env),
                        agent, buffer, metrics_fh, timings_fh,
-                       meta.get("step", 0), meta.get("episode", 0), n_updates,
-                       evaluated=meta.get("step") or None)
+                       meta["step"], meta["episode"], n_updates,
+                       evaluated=meta["step"] or None)
         while phase := run.collect():  # run.update or run.evaluate
             phase()
         save_checkpoint(run_dir / "checkpoint", agent, step=run.step,

@@ -849,6 +849,12 @@ class TestCli:
         assert err.startswith("error:") and str(path) in err
         assert path.read_text() == "x"
 
+    def test_config_path_naming_a_directory_exits_naming_it(self, tmp_path,
+                                                            capsys):
+        assert cli.main(["print-config", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
     @pytest.mark.parametrize("override,field", [
         ("env.pathloss_exponent=7", "pathloss_exponent"),
         ("env.rician_k=-1", "rician_k"),
