@@ -435,8 +435,9 @@ class _PpoAgentBase:
         self.branches = branches
         self.sample_rng = stream(seed, 1)
         self.n_devices = branches[0].n_options
-        self._row = None
         self.obs_dim = obs_dim
+        self._row = np.empty(
+            (1, obs_dim + (len(branches) - 1) * self.n_devices), np.float32)
         self.cfg = cfg or PpoConfig()
         input_dims = self._input_dims()
         groups = ([list(range(len(branches)))] if self.chained
@@ -454,14 +455,10 @@ class _PpoAgentBase:
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> StepAction:
         """One step's branch actions, each a fresh int array. The chained
-        state is one float32 row, made at the first call, that the agent
-        keeps from call to call and a copy of the agent copies; every call
-        writes the observation and each encoding it reads."""
-        d, n = len(obs), self.n_devices
-        row = self._row
-        if row is None:
-            row = self._row = np.empty(
-                (1, d + (len(self.branches) - 1) * n), np.float32)
+        state is one float32 row that the agent keeps from call to call and a
+        copy of the agent copies; every call writes the observation and each
+        encoding it reads."""
+        d, n, row = self.obs_dim, self.n_devices, self._row
         row[0, :d] = obs
         actions = []
         for b, spec in enumerate(self.branches):

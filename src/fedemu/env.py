@@ -263,14 +263,14 @@ class AdaptiveFedEnv:
             raise RuntimeError("reset() must be called before step()")
         self._validate(action)
         p = self.params
-        outcome = run_round(self.world, action, self.mode, self.round_index)
-        self.last_outcome = outcome
+        outcome = self.last_outcome = run_round(self.world, action, self.mode,
+                                                self.round_index)
 
         max_q = max(outcome.max_q, p.delay_floor)
         r_d = -p.xi_f * math.log(max_q) / p.rounds
         # bit-equal to .mean(): the same pairwise sum; 0/1 exchanges counted
         n, exchanges = p.n_devices, np.count_nonzero(outcome.exchanges_this_round)
-        r_p = -p.xi_p * float(np.add.reduce(outcome.perplexities) / n) / p.rounds
+        r_p = -p.xi_p * float(np.add.reduce(self.world.perplexity) / n) / p.rounds
         r_s = -p.xi_s * (exchanges / n) / p.rounds
 
         violations = int(

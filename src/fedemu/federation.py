@@ -11,9 +11,9 @@ pinned full frozen backbone, and full-model federated tuning.
 
 ``World(params, seed)`` builds one episode: it draws the device population
 from the seed, holds it as arrays (struct of arrays), and tables what the
-settings and that draw fix once. A round looks those up and scatters
-selection-aligned arrays into the N-long outcome once: a fixed number of
-array operations at any population size. Population, mobility and fading
+settings and that draw fix once. A round looks those up for the K selected
+devices and returns its outcome aligned with the selection: a fixed number
+of array operations at any population size. Population, mobility and fading
 have named streams, so no other setting moves them.
 """
 
@@ -186,49 +186,49 @@ class World:
 
 @dataclass
 class RoundOutcome:
+    """What one round did, which touches the selected devices alone: every
+    per-device field is K-long, entry j for device ``selection[j]``, except
+    ``rates``, N-long and zero off the selection, since the benchmark's step
+    check reads it by device index. ``World.perplexity`` holds all N."""
+
     round_index: int
     mode: FederationMode
     selection: np.ndarray         # a copy of the action's (K,) device indices
-    q: np.ndarray                 # per-device round time, 0 for unselected
+    q: np.ndarray                 # each selected device's round time
     server_q: float
     max_q: float                  # the round's time, max(server_q, q.max())
-    perplexities: np.ndarray      # post-tuning, stale for unselected
+    perplexities: np.ndarray      # each selected device's, after the round
     server_perplexity: float
-    exchanges_this_round: np.ndarray
-    payload_bytes: np.ndarray
-    footprints: np.ndarray        # memory each selected device needs, aligned
-                                  # with the selection
-    rates: np.ndarray
+    exchanges_this_round: np.ndarray  # 1 where the emulator changed, else 0
+    payload_bytes: np.ndarray     # bytes sent, 0 where nothing changed
+    footprints: np.ndarray        # memory each selected device needs
+    rates: np.ndarray             # (N,) downlink rates
 
 
 class RoundTraceWriter:
     """Writes one JSON line per round to ``file``, ``json.dumps`` of a dict:
-    the round index, mode and selection; ``q`` (rounded to 1e-9 s),
-    ``perplexities`` (rounded to 1e-6), ``exchanges`` and ``payload_bytes``,
-    each K-long and aligned with the selection, as ``footprints`` is; and
-    the server's ``q`` and perplexity. A device off the selection has zero
-    ``q``, no exchange and no payload, and keeps its perplexity, since only
-    selected devices tune. So zipping ``selection`` with the aligned lists
-    gives the N-long ones back, each perplexity carried across an episode's
-    lines from ``p_init`` at round 0.
-    """
+    the round index, mode and selection; the outcome's K-long ``q`` (rounded
+    to 1e-9 s), ``perplexities`` (rounded to 1e-6), ``exchanges`` and
+    ``payload_bytes``, as it holds them; and the server's ``q`` and
+    perplexity. A device off the selection has zero ``q``, no exchange and
+    no payload, and keeps its perplexity. So zipping ``selection`` with the
+    lists gives the N-long ones back, each perplexity carried across an
+    episode's lines from ``p_init`` at round 0."""
 
     def __init__(self, file):
         self._file = file
 
     def write(self, outcome: RoundOutcome) -> None:
-        sel = outcome.selection
         self._file.write(json.dumps({
             "round": outcome.round_index,
             "mode": outcome.mode.value,
-            "selection": sel.tolist(),
-            "q": [round(x, 9) for x in outcome.q[sel].tolist()],
+            "selection": outcome.selection.tolist(),
+            "q": [round(x, 9) for x in outcome.q.tolist()],
             "server_q": round(outcome.server_q, 9),
-            "perplexities": [round(x, 6)
-                             for x in outcome.perplexities[sel].tolist()],
+            "perplexities": [round(x, 6) for x in outcome.perplexities.tolist()],
             "server_perplexity": round(outcome.server_perplexity, 6),
-            "exchanges": outcome.exchanges_this_round[sel].tolist(),
-            "payload_bytes": outcome.payload_bytes[sel].tolist(),
+            "exchanges": outcome.exchanges_this_round.tolist(),
+            "payload_bytes": outcome.payload_bytes.tolist(),
         }) + "\n")
 
 
@@ -240,10 +240,10 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
     In fedpeat the action's ``retention_columns`` index the world's tables;
     otherwise every selected device takes the server's column. The action
     must lie in the action space (``AdaptiveFedEnv.step`` checks it). Arrays
-    stay aligned with the selection until the outcome is built. A selected
-    device whose retention changed is sent its emulator and counts an
-    exchange; in full-model mode every selected device is sent the whole
-    model. Zero local epochs tune nothing.
+    stay aligned with the selection, in the outcome too (``rates`` aside).
+    A selected device whose retention changed is sent its emulator and
+    counts an exchange; in full-model mode every selected device is sent the
+    whole model. Zero local epochs tune nothing.
     """
     sel = actions.selection
     k = sel.size
@@ -274,23 +274,20 @@ def run_round(world: World, actions: ActionBundle, mode: FederationMode,
         world.server_perplexity = float(perplexity_step(
             world.server_perplexity, world.columns[3, server], rate))
 
-    def scatter(values, dtype=float):
-        out = np.zeros(world.n_devices, dtype=dtype)
-        out[sel] = values
-        return out
-
+    # rates alone go N-long: the benchmark's step check reads them by device
+    device_rates = np.zeros(world.n_devices)
+    device_rates[sel] = rates
     return RoundOutcome(
         round_index=round_index,
         mode=mode,
         selection=sel.copy(),
-        q=scatter(q),
+        q=q,
         server_q=server_q,
-        # the max over the scattered q too: no time is negative
         max_q=max(server_q, float(q.max(initial=0.0))),
-        perplexities=world.perplexity.copy(),
+        perplexities=world.perplexity[sel],
         server_perplexity=world.server_perplexity,
-        exchanges_this_round=scatter(changed, int),
-        payload_bytes=scatter(payload * changed),
+        exchanges_this_round=changed.astype(int),
+        payload_bytes=payload * changed,
         footprints=footprint,
-        rates=scatter(rates),
+        rates=device_rates,
     )

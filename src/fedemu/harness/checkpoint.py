@@ -66,11 +66,16 @@ def save_checkpoint(path, agent, *, step: int, episode: int) -> None:
 
 def load_checkpoint(path, agent) -> dict:
     """Restore agent state in place; returns the checkpoint meta. A missing
-    array, step or stream state, or an array of another shape or dtype than
-    the agent's, raises ValueError naming it before anything is restored."""
+    array, optimiser step or stream state, an array of another shape or dtype
+    than the agent's, or a ``step`` or ``episode`` that is not a non-negative
+    int raises ValueError naming it before anything is restored."""
     path = Path(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)["meta"]
+    for counter in ("step", "episode"):
+        if type(value := meta.get(counter)) is not int or value < 0:
+            raise ValueError(f"checkpoint {counter} is {value!r}, not a "
+                             "non-negative int")
     arrays = _state_arrays(agent)
     with np.load(str(path) + ".npz") as data:
         saved = {key: data[key] for key in arrays if key in data.files}

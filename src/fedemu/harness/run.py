@@ -14,14 +14,14 @@ Rounds line keys (one JSON object per round; times in s rounded to 1e-9,
 perplexities rounded to 1e-6):
     round, mode       round index in its episode, federation mode
     selection         the K selected device indices, in the action's order
-    q, perplexities, exchanges, payload_bytes   K-long, aligned with
-                      selection: each selected device's round time,
-                      perplexity after the round, emulator exchanges (0 or
-                      1) and bytes sent. A device off the selection has zero
-                      q, no exchange and no payload, and keeps its
-                      perplexity; a reader rebuilds the N-long perplexities
-                      from p_init (and N) in the manifest's config at each
-                      round 0, carrying them across the episode's lines.
+    q, perplexities, exchanges, payload_bytes   K-long and aligned with
+                      selection, as ``federation.RoundOutcome`` holds them:
+                      each selected device's round time, perplexity after
+                      the round, emulator exchanges (0 or 1) and bytes sent.
+                      Other devices take no time, exchange nothing, are
+                      sent nothing and keep their perplexity; a reader carries
+                      the N-long perplexities across an episode's lines from
+                      p_init (and N) in the manifest's config at each round 0.
     server_q, server_perplexity   the server's round time and perplexity
 
 Metrics columns (one row per evaluation point, means over eval episodes):
@@ -180,7 +180,7 @@ def evaluate(config: ExperimentConfig, agent, env: AdaptiveFedEnv | None = None,
             totals["eval_reward"].append(sums.pop("total"))
             for key, value in sums.items():
                 totals[key].append(value)
-            totals["perplexity"].append(float(env.last_outcome.perplexities.mean()))
+            totals["perplexity"].append(float(env.world.perplexity.mean()))
             totals["log_delay"].append(float(np.mean(log_delays)))
             totals["mean_delay"].append(float(np.mean(delays)))
             totals["exchanges"].append(

@@ -160,9 +160,10 @@ class TestStep:
             assert reward.r_d == pytest.approx(
                 -params.xi_f * math.log(max(out.max_q, params.delay_floor)) / t)
             assert reward.r_p == pytest.approx(
-                -params.xi_p * out.perplexities.mean() / t)
+                -params.xi_p * env.world.perplexity.mean() / t)
             assert reward.r_s == pytest.approx(
-                -params.xi_s * out.exchanges_this_round.mean() / t)
+                -params.xi_s * out.exchanges_this_round.sum()
+                / params.n_devices / t)
 
     def test_episode_sums_reproduce_objective_terms(self):
         # summing the per-step pieces must equal the episode-level objective
@@ -181,8 +182,8 @@ class TestStep:
             r_p_sum += reward.r_p
             r_s_sum += reward.r_s
             log_delays.append(math.log(max(out.max_q, params.delay_floor)))
-            mean_ps.append(out.perplexities.mean())
-            exch.append(out.exchanges_this_round.mean())
+            mean_ps.append(env.world.perplexity.mean())
+            exch.append(out.exchanges_this_round.sum() / params.n_devices)
         t = params.rounds
         assert r_d_sum == pytest.approx(-params.xi_f * sum(log_delays) / t)
         assert r_p_sum == pytest.approx(-params.xi_p * sum(mean_ps) / t)
@@ -551,7 +552,7 @@ class ReferenceEpisode:
         reward = RewardBreakdown(
             r_d=-p.xi_f * math.log(max(outcome.max_q, p.delay_floor))
             / p.rounds,
-            r_p=-p.xi_p * float(np.add.reduce(outcome.perplexities) / n)
+            r_p=-p.xi_p * float(np.add.reduce(world.perplexity) / n)
             / p.rounds,
             r_s=-p.xi_s * (np.count_nonzero(outcome.exchanges_this_round) / n)
             / p.rounds,

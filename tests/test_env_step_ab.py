@@ -69,6 +69,59 @@ def test_checkout_against_itself_times_every_size(capsys):
                for r in rows)
 
 
+def test_outcome_layouts_compare_at_the_selection():
+    # one side's outcome holds its per-device fields over all N devices,
+    # zero (or the world's perplexity) off the selection; the other holds
+    # them K-long, aligned with the selection
+    n, sel = 6, np.array([4, 1, 3])
+    aligned = {"q": np.array([0.5, 0.25, 2.0]),
+               "perplexities": np.array([29.0, 28.5, 27.25]),
+               "exchanges_this_round": np.array([1, 0, 1]),
+               "payload_bytes": np.array([3e8, 0.0, 1e8]),
+               "footprints": np.array([1e9, 2e9, 3e9])}
+
+    def scatter(values, rest=0):
+        out = np.full(n, rest, dtype=values.dtype)
+        out[sel] = values
+        return out
+
+    def outcome(**fields):
+        return SimpleNamespace(selection=sel, server_q=0.75, max_q=2.0,
+                               server_perplexity=26.5,
+                               rates=scatter(np.array([1e6, 2e6, 3e6])),
+                               **fields)
+
+    class Env:
+        params = SimpleNamespace(n_devices=n)
+
+        def __init__(self, last_outcome):
+            self.last_outcome = last_outcome
+
+        def reset(self, seed, replay=False):
+            return np.zeros(2)
+
+        def decode_branch_actions(self, *raw):
+            return raw
+
+        def step(self, action):
+            return np.ones(2), SimpleNamespace(r_d=0.5, r_p=-1.0, r_s=-0.25,
+                                               penalty=0.0), False
+
+    dense = {name: scatter(v, 30.0 if name == "perplexities" else 0)
+             for name, v in aligned.items() if name != "footprints"}
+    raws = [("raw",)] * 3
+    want = env_step_ab.episode_record(Env(outcome(**aligned)), raws)
+    got = env_step_ab.episode_record(
+        Env(outcome(**dense, footprints=aligned["footprints"])), raws)
+    assert env_step_ab.first_difference(want, got) is None
+    # a value one ulp off at a selected device still differs
+    dense["perplexities"][1] = np.nextafter(28.5, np.inf)
+    got = env_step_ab.episode_record(
+        Env(outcome(**dense, footprints=aligned["footprints"])), raws)
+    assert env_step_ab.first_difference(want, got) == 3 + (
+        env_step_ab.OUTCOME_FIELDS.index("perplexities"))
+
+
 def test_block_covers_reset_and_counts_minor_faults(monkeypatch):
     # a fake clock and fault counter that reset, decode and step advance
     clock = {"s": 0.0, "faults": 0}

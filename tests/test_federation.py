@@ -136,8 +136,10 @@ class TestRunRound:
         outcome = run_round(world, bundle([], []), FederationMode.FEDPEAT)
         # only the server trained
         assert world.server_perplexity < world.params.p_init
-        assert outcome.perplexities.tolist() == [world.params.p_init] * 4
-        assert outcome.q.tolist() == [0.0] * world.n_devices
+        assert world.perplexity.tolist() == [world.params.p_init] * 4
+        assert outcome.perplexities.tolist() == []
+        assert outcome.q.tolist() == []
+        assert outcome.rates.tolist() == [0.0] * world.n_devices
 
     def test_unchanged_retentions_transmit_nothing(self):
         env = make_env()
@@ -152,11 +154,13 @@ class TestRunRound:
         env = make_env(mode="fedft")
         world = env.world
         gains = world.gains.copy()
-        act = bundle([0, 1], (3, 3), levels=(2, 1))
+        # slots and device indices differ, so q (by slot) and rates (by
+        # device) cannot be read one for the other
+        act = bundle([3, 1], (3, 3), levels=(2, 1))
         outcome = run_round(world, act, FederationMode.FEDFT)
         total_b = world.bandwidth_budget
         total_p = world.params.power_budget
-        for slot, dev in enumerate([0, 1]):
+        for slot, dev in enumerate([3, 1]):
             share = [2, 1][slot] / 3
             rate = shannon_rate(total_b * share, total_p * share, gains[dev],
                                 world.params.noise_psd)
@@ -165,14 +169,14 @@ class TestRunRound:
             d_comp = (world.params.local_epochs * world.data_size[dev]
                       * world.params.total_params
                       / world.compute_speed[dev])
-            assert outcome.q[dev] == pytest.approx(d_trans + d_comp, rel=1e-9)
+            assert outcome.q[slot] == pytest.approx(d_trans + d_comp, rel=1e-9)
 
     def test_fedft_max_q_dominated_by_full_transfer(self):
         env = make_env(mode="fedft")
         world = env.world
         act = bundle([0, 1], (3, 3))
         outcome = run_round(world, act, FederationMode.FEDFT)
-        sel_q = outcome.q[[0, 1]]
+        sel_q = outcome.q
         d_trans = [transmission_delay(True, world.params.total_bytes,
                                       outcome.rates[d]) for d in (0, 1)]
         assert outcome.max_q == pytest.approx(max(sel_q))
@@ -216,6 +220,29 @@ class TestRunRound:
         assert trace_lines([env.last_outcome])[0].startswith(
             '{"round": 0, "mode": "fedpeat", "selection": [0, 1], ')
 
+    @pytest.mark.parametrize("mode", list(FederationMode))
+    def test_outcome_fields_align_with_the_selection(self, mode):
+        # every per-device field but rates is K-long, entry j for device
+        # selection[j]; rates covers all N devices, zero off the selection
+        env = make_env(mode.value, n=9, k=4)
+        rng = np.random.default_rng(5)
+        for r in range(5):
+            action = bundle(rng.permutation(9)[:4].tolist(),
+                            rng.integers(0, 2, 4).tolist(),
+                            levels=rng.integers(1, 5, 4).tolist())
+            outcome = run_round(env.world, action, mode, r)
+            sel = outcome.selection
+            for field in dataclasses.fields(RoundOutcome):
+                value = getattr(outcome, field.name)
+                if isinstance(value, np.ndarray) and field.name != "rates":
+                    assert value.shape == (4,), field.name
+            assert (outcome.perplexities.tobytes()
+                    == env.world.perplexity[sel].tobytes())
+            assert outcome.rates.shape == (9,)
+            assert (outcome.rates[sel] > 0).all()
+            off = np.setdiff1d(np.arange(9), sel)
+            assert (outcome.rates[off] == 0.0).all()
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), mode=st.sampled_from(list(FederationMode)),
            n=st.integers(1, 12), seed=st.integers(0, 2**16),
@@ -245,17 +272,18 @@ class TestRunRound:
         policy = RandomPolicy(default_branches(n, k, params.levels,
                                                len(params.retention_grid)),
                               seed=3)
-        obs, done, outcomes = env.reset(seed=3), False, []
+        obs, done, outcomes, perplexities = env.reset(seed=3), False, [], []
         while not done:
             step = policy.act(obs)
             obs, _, done = env.step(
                 env.decode_branch_actions(*step.branch_actions))
             outcomes.append(env.last_outcome)
+            perplexities.append(env.world.perplexity.copy())
         assert len(outcomes) == rounds
         lines = trace_lines(outcomes)
         assert lines == [aligned_row(o) for o in outcomes]
         assert dense_lines(lines, n, params.p_init) == [
-            dense_row(o) for o in outcomes]
+            dense_row(o, p) for o, p in zip(outcomes, perplexities)]
         return outcomes
 
     def test_json_row_matches_reference_over_an_episode(self):
@@ -263,7 +291,7 @@ class TestRunRound:
         # the policy's selections are unsorted, and some selected devices
         # keep their emulator: zeros inside the aligned lists
         assert any((np.diff(o.selection) < 0).any() for o in outcomes)
-        assert any(o.exchanges_this_round[o.selection].min() == 0
+        assert any(o.exchanges_this_round.min() == 0
                    for o in outcomes)
 
     def test_json_row_over_an_all_selected_episode(self):
@@ -275,16 +303,16 @@ class TestRunRound:
         # round 1 keeps devices 1 and 3 on their emulators, so they are
         # selected with no exchange and no payload
         env = make_env(n=8, k=3)
-        outcomes = [
-            run_round(env.world, bundle([5, 1, 3], [0, 1, 0]),
-                      FederationMode.FEDPEAT, 0),
-            run_round(env.world, bundle([3, 6, 1], [0, 1, 1]),
-                      FederationMode.FEDPEAT, 1),
-        ]
+        outcomes, perplexities = [], []
+        for r, (sel, cols) in enumerate([([5, 1, 3], [0, 1, 0]),
+                                         ([3, 6, 1], [0, 1, 1])]):
+            outcomes.append(run_round(env.world, bundle(sel, cols),
+                                      FederationMode.FEDPEAT, r))
+            perplexities.append(env.world.perplexity.copy())
         lines = trace_lines(outcomes)
         assert lines == [aligned_row(o) for o in outcomes]
         assert dense_lines(lines, 8, env.params.p_init) == [
-            dense_row(o) for o in outcomes]
+            dense_row(o, p) for o, p in zip(outcomes, perplexities)]
         rows = [json.loads(line) for line in lines]
         assert [r["exchanges"] for r in rows] == [[1, 1, 1], [0, 1, 0]]
         assert rows[1]["payload_bytes"][0] == 0.0
@@ -294,12 +322,12 @@ class TestRunRound:
         outcome = RoundOutcome(
             round_index=3, mode=FederationMode.FEDPEAT,
             selection=np.array([0, 2]),
-            q=np.array([0.1234567891234, 0.0, 2.0 / 3.0]),
+            q=np.array([0.1234567891234, 2.0 / 3.0]),
             server_q=0.4567891234567, max_q=2.0 / 3.0,
-            perplexities=np.array([28.71582142668, 30.0, 29.1234565]),
+            perplexities=np.array([28.71582142668, 29.1234565]),
             server_perplexity=27.5,
-            exchanges_this_round=np.array([1, 0, 0]),
-            payload_bytes=np.array([1.5e8, 0.0, 0.0]),
+            exchanges_this_round=np.array([1, 0]),
+            payload_bytes=np.array([1.5e8, 0.0]),
             footprints=np.array([1e9, 2e9]), rates=np.array([1e6, 0.0, 2e6]))
         buf = io.StringIO()
         RoundTraceWriter(buf).write(outcome)
@@ -311,7 +339,7 @@ class TestRunRound:
             '"payload_bytes": [150000000.0, 0.0]}\n')
         # device 1 was never selected: it keeps p_init
         assert dense_lines(buf.getvalue().splitlines(), 3, 30.0) == [
-            dense_row(outcome)]
+            dense_row(outcome, [28.71582142668, 30.0, 29.1234565])]
 
 
 def _with_targets(columns, which, value):
@@ -371,10 +399,34 @@ class TestHelperChecks:
             env.step(action)
 
 
-def dense_row(o):
+def dense_row(o, perplexity):
     """The N-long row of one outcome: json.dumps of the row dict with
-    ``q``, ``perplexities``, ``exchanges`` and ``payload_bytes`` over every
-    device."""
+    ``q``, ``exchanges`` and ``payload_bytes`` scattered over every device
+    (zeros off the selection), and ``perplexity``, every device's perplexity
+    after the round."""
+    def scatter(values, zero):
+        out = [zero] * len(perplexity)
+        for i, x in zip(o.selection.tolist(), values, strict=True):
+            out[i] = x
+        return out
+
+    return json.dumps({
+        "round": o.round_index,
+        "mode": o.mode.value,
+        "selection": o.selection.tolist(),
+        "q": scatter([round(x, 9) for x in o.q.tolist()], 0.0),
+        "server_q": round(o.server_q, 9),
+        "perplexities": [round(x, 6) for x in np.asarray(perplexity).tolist()],
+        "server_perplexity": round(o.server_perplexity, 6),
+        "exchanges": scatter(o.exchanges_this_round.tolist(), 0),
+        "payload_bytes": scatter(o.payload_bytes.tolist(), 0.0),
+    })
+
+
+def aligned_row(o):
+    """The trace line of one outcome: json.dumps of the row dict with
+    ``q``, ``perplexities``, ``exchanges`` and ``payload_bytes`` aligned
+    with the selection, as the outcome holds them."""
     return json.dumps({
         "round": o.round_index,
         "mode": o.mode.value,
@@ -385,24 +437,6 @@ def dense_row(o):
         "server_perplexity": round(o.server_perplexity, 6),
         "exchanges": o.exchanges_this_round.tolist(),
         "payload_bytes": o.payload_bytes.tolist(),
-    })
-
-
-def aligned_row(o):
-    """The trace line of one outcome: json.dumps of the row dict with
-    ``q``, ``perplexities``, ``exchanges`` and ``payload_bytes`` aligned
-    with the selection."""
-    sel = o.selection
-    return json.dumps({
-        "round": o.round_index,
-        "mode": o.mode.value,
-        "selection": sel.tolist(),
-        "q": [round(x, 9) for x in o.q[sel].tolist()],
-        "server_q": round(o.server_q, 9),
-        "perplexities": [round(x, 6) for x in o.perplexities[sel].tolist()],
-        "server_perplexity": round(o.server_perplexity, 6),
-        "exchanges": o.exchanges_this_round[sel].tolist(),
-        "payload_bytes": o.payload_bytes[sel].tolist(),
     })
 
 
@@ -451,7 +485,7 @@ class TestRoundTraceWriter:
         policy = RandomPolicy(default_branches(n, k, params.levels,
                                                len(params.retention_grid)),
                               seed=1)
-        outcomes = []
+        outcomes, perplexities = [], []
         for seed in (4, 5):
             obs, done = env.reset(seed=seed), False
             assert (env.world.perplexity == params.p_init).all()
@@ -460,40 +494,39 @@ class TestRoundTraceWriter:
                 obs, _, done = env.step(
                     env.decode_branch_actions(*step.branch_actions))
                 outcomes.append(env.last_outcome)
+                perplexities.append(env.world.perplexity.copy())
         assert outcomes[-1].round_index == 14
         lines = trace_lines(outcomes)
         assert lines == [aligned_row(o) for o in outcomes]
         assert dense_lines(lines, n, params.p_init) == [
-            dense_row(o) for o in outcomes]
+            dense_row(o, p) for o, p in zip(outcomes, perplexities)]
 
     def test_non_finite_and_signed_zero(self):
         def outcome(round_index, perplexities, q):
-            n = len(perplexities)
+            # devices 1 and 2 of four selected: K-long fields, N-long rates
             return RoundOutcome(
                 round_index=round_index, mode=FederationMode.FEDPEFT,
                 selection=np.array([1, 2]), q=np.array(q),
                 server_q=float("inf"), max_q=float("inf"),
                 perplexities=np.array(perplexities),
                 server_perplexity=float("nan"),
-                exchanges_this_round=np.array([0, 1, 0, 0]),
-                payload_bytes=np.array([0.0, 2.5e7, 0.0, 0.0]),
-                footprints=np.ones(2), rates=np.ones(n))
+                exchanges_this_round=np.array([1, 0]),
+                payload_bytes=np.array([2.5e7, 0.0]),
+                footprints=np.ones(2), rates=np.array([0.0, 1.0, 1.0, 0.0]))
 
         outcomes = [
-            outcome(0, [30.0, 0.0, float("nan"), 29.0],
-                    [0.0, 1.0, float("inf"), 0.0]),
-            outcome(1, [30.0, -0.0, float("nan"), float("-inf")],
-                    [0.0, float("nan"), -0.0, 0.0]),
-            outcome(2, [30.0, 0.0, 1e-7, float("-inf")],
-                    [0.0, 1e-10, -1e-10, 0.0]),
+            outcome(0, [0.0, float("nan")], [1.0, float("inf")]),
+            outcome(1, [-0.0, float("nan")], [float("nan"), -0.0]),
+            outcome(2, [0.0, 1e-7], [1e-10, -1e-10]),
         ]
         assert trace_lines(outcomes) == [aligned_row(o) for o in outcomes]
 
 
 def oracle_round(world, actions, mode):
     """One round computed with the public helpers, per round and without
-    the world's tables; returns the outcome fields and the world state it
-    leaves, and changes nothing."""
+    the world's tables; returns the outcome fields (aligned with the
+    selection, ``rates`` over every device) and the world state it leaves,
+    and changes nothing."""
     p = world.params
     adapter = AdapterSpec.for_model(p)
     sel = actions.selection
@@ -539,17 +572,17 @@ def oracle_round(world, actions, mode):
     world_retention = world.retention.copy()
     world_retention[sel[changed]] = retention[changed]
 
-    def scatter(values):
-        out = np.zeros(world.n_devices, dtype=np.asarray(values).dtype)
-        out[sel] = values
-        return out
+    device_rates = np.zeros(world.n_devices)
+    device_rates[sel] = rates
 
-    return {"q": scatter(q), "server_q": server_q,
-            "perplexities": perplexity, "server_perplexity": server_perplexity,
-            "exchanges_this_round": scatter(changed.astype(int)),
-            "payload_bytes": scatter(np.where(changed, payload, 0.0)),
-            "footprints": footprint, "rates": scatter(rates),
-            "exchange_count": exchange_count, "retention": world_retention}
+    return {"q": q, "server_q": server_q,
+            "perplexities": perplexity[sel],
+            "server_perplexity": server_perplexity,
+            "exchanges_this_round": changed.astype(int),
+            "payload_bytes": np.where(changed, payload, 0.0),
+            "footprints": footprint, "rates": device_rates,
+            "perplexity": perplexity, "exchange_count": exchange_count,
+            "retention": world_retention}
 
 
 def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
@@ -566,6 +599,7 @@ def assert_rounds_match_oracle(world, mode, rounds, chunk=1):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.server_q.hex() == want["server_q"].hex()
         assert got.server_perplexity.hex() == want["server_perplexity"].hex()
+        assert world.perplexity.tobytes() == want["perplexity"].tobytes()
         assert world.exchange_count.tobytes() == want["exchange_count"].tobytes()
         assert world.retention.tobytes() == want["retention"].tobytes()
         rows = rows or list(world.advance_channel(

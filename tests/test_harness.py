@@ -547,28 +547,51 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="actor0/net1/layer2/w"):
             cmd_train(config, tmp_path / "run", resume=True)
 
+    @staticmethod
+    def assert_load_refused(config, run_dir, edit, match):
+        """``edit`` the meta of ``run_dir``'s checkpoint; loading it into a
+        fresh agent must raise ValueError matching ``match`` and leave every
+        array and stream as built."""
+        path = run_dir / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["meta"])
+        path.write_text(json.dumps(manifest))
+        agent = build_agent(config)
+        fresh = [a.copy() for a in _state_arrays(agent).values()]
+        streams = {k: g.bit_generator.state
+                   for k, g in agent.rng_streams().items()}
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(run_dir / "checkpoint", agent)
+        for a, b in zip(fresh, _state_arrays(agent).values(), strict=True):
+            assert np.array_equal(a, b)
+        assert streams == {k: g.bit_generator.state
+                           for k, g in agent.rng_streams().items()}
+
     @pytest.mark.parametrize("kind,part,name", [
-        ("random", "rng", "sample"), ("sabppo", "opt_steps", "actor0")])
+        ("random", "rng", "sample"), ("sabppo", "opt_steps", "actor0"),
+        ("sabppo", "meta", "step"), ("random", "meta", "episode")])
     def test_resume_refuses_a_missing_step_or_stream(self, tmp_path, kind,
                                                      part, name):
         # without the entry a resumed run would go on from a fresh stream or
         # fail after its arrays were overwritten; nothing is restored
         config = tiny_config(agent=kind, total_steps=50)
         cmd_train(config, tmp_path / "run")
-        path = tmp_path / "run" / "checkpoint.json"
-        manifest = json.loads(path.read_text())
-        del manifest["meta"][part][name]
-        path.write_text(json.dumps(manifest))
-        agent = build_agent(config)
-        fresh = [a.copy() for a in _state_arrays(agent).values()]
-        streams = {k: g.bit_generator.state
-                   for k, g in agent.rng_streams().items()}
-        with pytest.raises(ValueError, match=f"no {part}.{name}$"):
-            load_checkpoint(tmp_path / "run" / "checkpoint", agent)
-        for a, b in zip(fresh, _state_arrays(agent).values(), strict=True):
-            assert np.array_equal(a, b)
-        assert streams == {k: g.bit_generator.state
-                           for k, g in agent.rng_streams().items()}
+        self.assert_load_refused(
+            config, tmp_path / "run",
+            lambda meta: (meta if part == "meta" else meta[part]).pop(name),
+            f"checkpoint {name} is None, not a non-negative int$"
+            if part == "meta" else f"no {part}.{name}$")
+
+    @pytest.mark.parametrize("name", ["step", "episode"])
+    @pytest.mark.parametrize("value", [-1, 2.0, "3", True, None])
+    def test_resume_refuses_a_bad_step_or_episode(self, tmp_path, name,
+                                                  value):
+        config = tiny_config(total_steps=50)
+        cmd_train(config, tmp_path / "run")
+        self.assert_load_refused(
+            config, tmp_path / "run",
+            lambda meta: meta.update({name: value}),
+            f"checkpoint {name} is {value!r}, not a non-negative int$")
 
     def test_resume_refuses_another_agent_kind_naming_the_key(self,
                                                               tmp_path):
@@ -915,6 +938,22 @@ class TestCli:
         rc = cli.main(args + ["--resume", "--set", "agent=iterrl"])
         assert rc == 2
         assert "actor1/net0/layer0/w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["step", "episode"])
+    def test_resume_without_a_counter_exits_naming_it(self, tmp_path, capsys,
+                                                      name):
+        cfg_path = tmp_path / "cfg.yaml"
+        save_config(tiny_config(total_steps=50), cfg_path)
+        args = ["train", "--config", str(cfg_path),
+                "--run-dir", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        del manifest["meta"][name]
+        path.write_text(json.dumps(manifest))
+        assert cli.main(args + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"checkpoint {name} is None" in err
 
     def test_export_plots_via_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

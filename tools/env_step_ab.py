@@ -20,7 +20,11 @@ greedy episode, as ``evaluate`` does: ``act(obs, greedy=True)``, decode and
 step. On the training env each side's ``RandomPolicy`` (seed 0) then drives
 a training episode, as ``cmd_train`` does for the random baseline: ``act``,
 decode and step. Every observation, reward term and round outcome of each
-episode, and every greedy and sampled action, is compared bit for bit. Each side's
+episode, and every greedy and sampled action, is compared bit for bit. A
+per-device outcome field is compared at the selection, K entries, on a side
+where it is N-long (``rates`` on both; every field on a checkout from before
+outcomes were aligned with the selection): every size has N > K, so the
+length tells the two layouts apart. Each side's
 ``RoundTraceWriter`` then writes the greedy episode's round outcomes into a
 ``StringIO``, and the two texts are compared byte for byte. If anything
 differs the tool prints where and exits 1 without timing anything. So it
@@ -129,10 +133,11 @@ def make_agents(env) -> dict:
 def episode_record(env, actions, replay=False, agent=None,
                    outcomes=None) -> list[bytes]:
     """Bytes of every observation, reward term and outcome field of one
-    episode of ``len(actions)`` rounds, in order. Each round steps its raw
-    branch index groups from ``actions``, or with an ``agent`` the agent's
-    own, greedy on a replayed episode, whose bytes are recorded too. Each
-    round's outcome is appended to ``outcomes`` if given."""
+    episode of ``len(actions)`` rounds, in order; an N-long outcome field
+    is recorded at the selection. Each round steps its raw branch index
+    groups from ``actions``, or with an ``agent`` the agent's own, greedy on
+    a replayed episode, whose bytes are recorded too. Each round's outcome
+    is appended to ``outcomes`` if given."""
     obs = env.reset(SEED, replay=replay)
     record = [obs.tobytes()]
     for raw in actions:
@@ -144,8 +149,11 @@ def episode_record(env, actions, replay=False, agent=None,
         record.append(np.array([reward.r_d, reward.r_p, reward.r_s,
                                 reward.penalty, done]).tobytes())
         outcome = env.last_outcome
-        record.extend(np.asarray(getattr(outcome, f)).tobytes()
-                      for f in OUTCOME_FIELDS)
+        for f in OUTCOME_FIELDS:
+            value = np.asarray(getattr(outcome, f))
+            if value.shape == (env.params.n_devices,):
+                value = value[outcome.selection]
+            record.append(value.tobytes())
         if outcomes is not None:
             outcomes.append(outcome)
     return record
